@@ -17,7 +17,7 @@ from conftest import bench_scale, write_report
 from repro.config import RecPartConfig
 from repro.core.recpart import RecPartPartitioner
 from repro.cost.lower_bounds import compute_lower_bounds
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine import ParallelJoinEngine
 from repro.experiments.workloads import pareto_workload
 from repro.metrics.report import format_table
 
@@ -27,7 +27,7 @@ def _run_variants(scale: float) -> list[list]:
     s, t, condition = workload.build()
     workers = workload.workers
     bounds = compute_lower_bounds(s, t, condition, workers)
-    executor = DistributedBandJoinExecutor()
+    engine = ParallelJoinEngine(backend="serial")
     rows = []
     variants = [
         ("ratio + applied (paper)", RecPartConfig(scoring="ratio", termination="applied")),
@@ -38,7 +38,7 @@ def _run_variants(scale: float) -> list[list]:
     ]
     for label, config in variants:
         partitioning = RecPartPartitioner(config=config).partition(s, t, condition, workers)
-        result = executor.execute(s, t, condition, partitioning)
+        result = engine.execute(s, t, condition, partitioning)
         rows.append(
             [
                 label,

@@ -1,7 +1,7 @@
 """Quickstart: partition and execute one distributed band-join with RecPart.
 
 Generates a skewed synthetic workload, runs RecPart's optimization phase,
-executes the simulated map-shuffle-reduce pipeline, verifies the result
+executes the map-shuffle-reduce pipeline, verifies the result
 against a single-machine join and prints the paper's success measures.
 
 Run with:  python examples/quickstart.py
@@ -30,9 +30,9 @@ def main() -> None:
         f"{partitioning.stats.iterations} iterations"
     )
 
-    # 3. Join phase: simulate the distributed execution and verify the output.
-    executor = repro.DistributedBandJoinExecutor(cost_model=repro.default_running_time_model())
-    result = executor.execute(s, t, condition, partitioning, verify="count")
+    # 3. Join phase: run every worker's local join and verify the output.
+    engine = repro.ParallelJoinEngine(backend="serial")
+    result = engine.execute(s, t, condition, partitioning, verify="count")
     print(f"join output: {result.total_output:,} pairs (verified against a single-machine join)")
 
     # 4. The paper's success measures: how close is the partitioning to the

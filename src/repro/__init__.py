@@ -5,10 +5,9 @@ The package implements the paper's contribution (the RecPart recursive
 partitioner) together with every substrate its evaluation depends on:
 synthetic and real-data-shaped workload generators, input/output sampling,
 local band-join algorithms, the baseline partitioners (1-Bucket, Grid-eps,
-Grid*, CSIO, distributed IEJoin), a simulated MapReduce-style execution
-engine with per-worker accounting, a real parallel execution engine with
-pluggable backends and plan caching (:mod:`repro.engine`), the calibrated
-running-time model, and an experiment harness that regenerates every table
+Grid*, CSIO, distributed IEJoin), a parallel map-shuffle-reduce execution
+engine with pluggable backends, per-worker accounting, result verification
+and plan caching (:mod:`repro.engine`), the calibrated running-time model, and an experiment harness that regenerates every table
 and figure of the paper's evaluation section.
 
 Quickstart
@@ -17,7 +16,8 @@ Quickstart
 >>> s, t = repro.correlated_pair(50_000, 50_000, dimensions=3, z=1.5, seed=0)
 >>> condition = repro.BandCondition.symmetric(["A1", "A2", "A3"], 2.0)
 >>> partitioning = repro.RecPartPartitioner().partition(s, t, condition, workers=8)
->>> result = repro.DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
+>>> engine = repro.ParallelJoinEngine(backend="serial")
+>>> result = engine.execute(s, t, condition, partitioning, verify="count")
 >>> result.duplication_ratio < 0.1
 True
 """
@@ -57,9 +57,7 @@ from repro.data.synthetic_real import (
 from repro.sampling.input_sampler import InputSample, draw_input_sample
 from repro.sampling.output_sampler import OutputSample, draw_output_sample
 from repro.local_join.nested_loop import NestedLoopJoin
-from repro.local_join.index_nested_loop import IndexNestedLoopJoin
-from repro.local_join.sort_band import SortSweepJoin
-from repro.local_join.iejoin_local import IEJoinLocal
+from repro.local_join.interval import IntervalJoin
 from repro.core.partitioner import JoinPartitioning, Partitioner, PartitioningStats
 from repro.core.recpart import RecPartPartitioner, RecPartSPartitioner
 from repro.core.split_tree import SplitTree, SplitTreePartitioning
@@ -68,8 +66,6 @@ from repro.baselines.grid import GridEpsilonPartitioner
 from repro.baselines.grid_star import GridStarPartitioner
 from repro.baselines.csio import CSIOPartitioner
 from repro.baselines.iejoin import IEJoinPartitioner
-from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.executor import DistributedBandJoinExecutor, ExecutionResult
 from repro.engine import EngineResult, ParallelJoinEngine, PlanCache, available_backends
 from repro.service import (
     BandJoinService,
@@ -121,9 +117,7 @@ __all__ = [
     "draw_output_sample",
     # local joins
     "NestedLoopJoin",
-    "IndexNestedLoopJoin",
-    "SortSweepJoin",
-    "IEJoinLocal",
+    "IntervalJoin",
     # partitioners
     "Partitioner",
     "JoinPartitioning",
@@ -138,9 +132,6 @@ __all__ = [
     "CSIOPartitioner",
     "IEJoinPartitioner",
     # execution
-    "SimulatedCluster",
-    "DistributedBandJoinExecutor",
-    "ExecutionResult",
     "ParallelJoinEngine",
     "EngineResult",
     "PlanCache",

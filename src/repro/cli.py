@@ -24,6 +24,7 @@ import argparse
 import sys
 
 from repro.config import (
+    DEFAULT_ENGINE_BACKEND,
     DEFAULT_LOCAL_ALGORITHM,
     ENGINE_BACKENDS,
     LOCAL_ALGORITHM_NAMES,
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     demo = subparsers.add_parser("demo", help="run one workload with every partitioner")
     demo.add_argument("--rows", type=int, default=20_000, help="tuples per input relation")
-    demo.add_argument("--workers", type=int, default=8, help="number of simulated workers")
+    demo.add_argument("--workers", type=int, default=8, help="number of workers")
     demo.add_argument("--dimensions", type=int, default=3, help="join dimensionality")
     demo.add_argument("--band-width", type=float, default=0.05, help="band width per dimension")
     demo.add_argument("--skew", type=float, default=1.5, help="Pareto skew parameter z")
@@ -60,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--engine",
         choices=ENGINE_BACKENDS,
-        default="simulated",
-        help="execution mode of the reduce phase (default: simulated)",
+        default=DEFAULT_ENGINE_BACKEND,
+        help="execution backend of the reduce phase (default: %(default)s)",
     )
     demo.add_argument(
         "--local-algorithm",

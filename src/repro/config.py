@@ -50,14 +50,13 @@ SMALL_PARTITION_FACTOR: float = 2.0
 #: expected; the cap only guards against pathological configurations).
 MAX_ITERATIONS_PER_WORKER: int = 64
 
-#: Execution modes accepted everywhere an engine choice is taken:
-#: ``"simulated"`` is the legacy in-driver sequential path with per-worker
-#: accounting; the rest are real :mod:`repro.engine` backends.
-ENGINE_BACKENDS: tuple[str, ...] = ("simulated", "serial", "threads", "processes")
+#: The :mod:`repro.engine` backends, accepted everywhere an engine choice is
+#: taken.
+ENGINE_BACKENDS: tuple[str, ...] = ("serial", "threads", "processes")
 
-#: Default execution mode (the simulated path keeps every existing
-#: experiment bit-for-bit reproducible).
-DEFAULT_ENGINE_BACKEND: str = "simulated"
+#: Default backend: tasks run one after another in the driver, which keeps
+#: every experiment reproducible run to run.
+DEFAULT_ENGINE_BACKEND: str = "serial"
 
 #: Local-join kernel names accepted wherever an algorithm choice is taken
 #: (must match the registry in :mod:`repro.local_join`).
@@ -164,8 +163,7 @@ class EngineConfig:
     Attributes
     ----------
     backend:
-        Execution mode: ``"simulated"`` (legacy in-driver path) or one of
-        the real backends ``"serial"``, ``"threads"``, ``"processes"``.
+        Execution backend: ``"serial"``, ``"threads"`` or ``"processes"``.
     max_parallelism:
         Pool-size cap for pool-based backends; ``None`` uses every CPU
         available to the process.
@@ -206,11 +204,6 @@ class EngineConfig:
         if self.kernel_memory_budget < 1:
             raise ValueError("kernel_memory_budget must be positive")
 
-    @property
-    def is_simulated(self) -> bool:
-        """Return ``True`` when the legacy simulated path is selected."""
-        return self.backend == "simulated"
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -219,8 +212,7 @@ class ServiceConfig:
     Attributes
     ----------
     backend:
-        Execution backend of the underlying engine (``"simulated"`` maps to
-        the ``serial`` reference, as everywhere in :mod:`repro.engine`).
+        Execution backend of the underlying engine.
     workers:
         Default partition-worker budget of served queries.
     plan_cache_size / result_cache_size:

@@ -25,7 +25,6 @@ from repro.data.generators import uniform_relation
 from repro.exceptions import CostModelError
 from repro.geometry.band import BandCondition
 from repro.local_join.base import LocalJoinAlgorithm
-from repro.local_join.index_nested_loop import IndexNestedLoopJoin
 
 
 @dataclass
@@ -120,7 +119,11 @@ def calibrate_running_time_model(
         raise CostModelError("need at least 3 calibration queries")
     if base_input < 10:
         raise CostModelError("base_input is too small to produce meaningful timings")
-    algo = algorithm if algorithm is not None else IndexNestedLoopJoin()
+    if algorithm is None:
+        # Imported here: local_join.kernels -> obs -> cost is an import cycle.
+        from repro.local_join.interval import default_local_join
+
+        algorithm = default_local_join()
     rng = np.random.default_rng(seed)
 
     if shuffle_cost_per_tuple is None:
@@ -133,7 +136,7 @@ def calibrate_running_time_model(
         n_t = max(10, int(base_input * factor))
         # Vary band width so output/input ratios span selective to heavy joins.
         band_width = float(rng.uniform(0.2, 3.0)) / n_s
-        seconds, output = _time_local_join(algo, n_s, n_t, band_width, rng)
+        seconds, output = _time_local_join(algorithm, n_s, n_t, band_width, rng)
         total_input = float(n_s + n_t)
         # The training joins run on a single "worker", so the max worker's
         # input/output equal the totals; the shuffle term is added from the

@@ -1,43 +1,14 @@
-"""Simulated distributed execution substrate.
+"""Per-worker accounting of a distributed band-join.
 
-The paper runs its band-joins as MapReduce jobs on an Amazon EMR cluster.
-This subpackage provides the laptop-scale substitute: a deterministic
-simulator of the map -> shuffle -> reduce pipeline of Figure 5 that
-
-* routes every input tuple through the partitioning under test (map phase),
-* accounts for the shuffle volume (total input including duplicates),
-* executes one *real* local band-join per partition unit (reduce phase),
-  attributing input, output and measured CPU time to the owning worker,
-* verifies correctness (total output matches the single-machine join, no
-  output pair produced twice).
-
-The per-worker accounting feeds both the success measures of the paper
-(`I`, `I_m`, `O_m`, max worker load, overheads vs. the lower bounds) and the
-running-time model used to report estimated join times.
-
-The reduce phase is pluggable: by default the local joins run sequentially
-in the driver (the historical simulated path), but the executor accepts an
-``engine`` choice that dispatches them to a real :mod:`repro.engine`
-backend (``serial``, ``threads`` or ``processes``) while producing the same
-:class:`~repro.distributed.stats.JobStats` accounting.
+The paper runs its band-joins as MapReduce jobs on an Amazon EMR cluster;
+here the map -> shuffle -> reduce pipeline of Figure 5 is executed by
+:class:`repro.engine.ParallelJoinEngine`.  This subpackage holds what is
+left of the cluster: the per-worker input, output and time accounting
+(:mod:`repro.distributed.stats`) that feeds the success measures of the
+paper (``I``, ``I_m``, ``O_m``, max worker load, overheads vs. the lower
+bounds) and the running-time model.
 """
 
 from repro.distributed.stats import JobStats, WorkerStats
-from repro.distributed.cluster import SimulatedCluster, Worker
-from repro.distributed.shuffle import ShuffleStats, simulate_shuffle
-from repro.distributed.scheduler import Scheduler, GreedyScheduler, HashScheduler
-from repro.distributed.executor import DistributedBandJoinExecutor, ExecutionResult
 
-__all__ = [
-    "JobStats",
-    "WorkerStats",
-    "SimulatedCluster",
-    "Worker",
-    "ShuffleStats",
-    "simulate_shuffle",
-    "Scheduler",
-    "GreedyScheduler",
-    "HashScheduler",
-    "DistributedBandJoinExecutor",
-    "ExecutionResult",
-]
+__all__ = ["JobStats", "WorkerStats"]

@@ -1,4 +1,4 @@
-"""Per-worker and per-job accounting of the simulated execution."""
+"""Per-worker and per-job accounting of one executed band-join."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.exceptions import ExecutionError
 
 @dataclass
 class WorkerStats:
-    """Accounting of one simulated worker.
+    """Accounting of one worker.
 
     Attributes
     ----------
@@ -25,9 +25,7 @@ class WorkerStats:
     units:
         Number of partition units executed on the worker.
     local_seconds:
-        Measured wall-clock time spent in the worker's local joins (these run
-        sequentially in the simulator, so the values are comparable across
-        workers even though no real parallelism happens).
+        Measured wall-clock time spent in the worker's local joins.
     """
 
     worker_id: int
@@ -49,7 +47,7 @@ class WorkerStats:
 
 @dataclass
 class JobStats:
-    """Aggregated statistics of one simulated distributed band-join."""
+    """Aggregated statistics of one distributed band-join."""
 
     workers: list[WorkerStats] = field(default_factory=list)
     total_output: int = 0

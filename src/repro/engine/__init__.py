@@ -1,8 +1,9 @@
 """Real parallel execution engine with pluggable backends and plan caching.
 
-This subpackage replaces "distributed execution as bookkeeping" with
-execution on actual hardware, while keeping the planning layer (the
-partitioners of :mod:`repro.core` and :mod:`repro.baselines`) untouched:
+This subpackage is the reduce phase of the map -> shuffle -> reduce pipeline
+(paper Figure 5), executed on actual hardware and kept apart from the
+planning layer (the partitioners of :mod:`repro.core` and
+:mod:`repro.baselines`):
 
 * :mod:`repro.engine.routing` — vectorised batch routing: all tuples are
   routed and grouped per partition unit with numpy masks, then gathered
@@ -15,8 +16,9 @@ partitioners of :mod:`repro.core` and :mod:`repro.baselines`) untouched:
   content fingerprints, band condition and worker budget, so repeated
   queries over the same data skip the optimization phase entirely.
 * :mod:`repro.engine.engine` — :class:`ParallelJoinEngine`, which ties the
-  above together and reports :class:`EngineResult` objects that plug into
-  the existing :class:`~repro.distributed.stats.JobStats` metrics.
+  above together, reports :class:`EngineResult` objects carrying the
+  per-worker :class:`~repro.distributed.stats.JobStats` accounting, and can
+  verify a result against the single-machine join.
 
 Quickstart
 ----------
@@ -32,7 +34,6 @@ True
 """
 
 from repro.engine.backends import (
-    SIMULATED,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -71,7 +72,6 @@ __all__ = [
     "TaskOutcome",
     "available_backends",
     "get_backend",
-    "SIMULATED",
     # plan cache
     "PlanCache",
     "PlanCacheStats",

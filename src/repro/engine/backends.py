@@ -110,8 +110,7 @@ class TaskOutcome:
 
     ``pairs`` holds globally indexed ``(s_row, t_row)`` output pairs when the
     join was materialised, ``None`` otherwise.  ``local_seconds`` times the
-    local join itself (gathering the task's input copies is excluded, so the
-    value is comparable to the simulated cluster's per-worker accounting).
+    local join itself (gathering the task's input copies is excluded).
     ``spans`` carries plain span-record dicts produced when a trace context
     was propagated into the task — picklable, so they survive the process
     boundary and the engine grafts them onto the live trace afterwards.
@@ -750,10 +749,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     materialize, trace_ctx=trace_ctx,
                 )
 
-
-#: Name of the legacy in-driver simulated path (not an engine backend; the
-#: executor keeps it as its default-compatible execution mode).
-SIMULATED = "simulated"
 
 _BACKEND_FACTORIES = {
     SerialBackend.name: SerialBackend,

@@ -1,17 +1,20 @@
 """The parallel band-join execution engine.
 
-:class:`ParallelJoinEngine` is the top of the new execution subsystem: given
-a :class:`~repro.core.partitioner.JoinPartitioning` and two relations it
+:class:`ParallelJoinEngine` is the one reduce path of the repository (the map
+-> shuffle -> reduce pipeline of paper Figure 5): given a
+:class:`~repro.core.partitioner.JoinPartitioning` and two relations it
 
 1. routes both inputs with one vectorised batch-routing pass
    (:mod:`repro.engine.routing`),
 2. builds one batched local-join task per worker,
 3. executes the tasks on real hardware through a pluggable backend
    (:mod:`repro.engine.backends` — ``serial``, ``threads`` or
-   ``processes``), and
-4. folds the outcomes into the same :class:`~repro.distributed.stats.JobStats`
-   accounting the simulated executor produces, so every existing metric,
-   table and report consumes engine results unchanged.
+   ``processes``),
+4. folds the outcomes into the per-worker
+   :class:`~repro.distributed.stats.JobStats` accounting of paper
+   Definition 1, from which every metric, table and report is computed, and
+5. on request (``verify=``) checks the result against a single-machine
+   reference join.
 
 :meth:`ParallelJoinEngine.join` is the query-level entry point: it runs the
 optimizer (RecPart by default) through a :class:`~repro.engine.plan_cache.PlanCache`,
@@ -24,6 +27,7 @@ produce the exact pair set of the ``serial`` reference.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 
@@ -46,8 +50,8 @@ from repro.engine.routing import (
 from repro.engine.sources import StoreMatrixSource
 from repro.exceptions import ExecutionError
 from repro.geometry.band import BandCondition
-from repro.local_join import get_local_algorithm
-from repro.local_join.base import LocalJoinAlgorithm
+from repro.local_join import default_local_join, get_local_algorithm
+from repro.local_join.base import LocalJoinAlgorithm, canonical_pair_order
 from repro.obs import get_logger, tracer
 
 logger = get_logger(__name__)
@@ -193,15 +197,9 @@ class ParallelJoinEngine:
         algorithm: LocalJoinAlgorithm | str | None = None,
         weights: LoadWeights | None = None,
     ) -> "ParallelJoinEngine":
-        """Build an engine from an :class:`~repro.config.EngineConfig`.
-
-        ``backend="simulated"`` maps to the ``serial`` reference backend —
-        the engine always executes for real; the simulated bookkeeping path
-        lives in :class:`~repro.distributed.executor.DistributedBandJoinExecutor`.
-        """
-        backend = "serial" if config.is_simulated else config.backend
+        """Build an engine from an :class:`~repro.config.EngineConfig`."""
         return cls(
-            backend=backend,
+            backend=config.backend,
             algorithm=algorithm if algorithm is not None else config.local_algorithm,
             weights=weights,
             plan_cache=PlanCache(max_entries=config.plan_cache_size),
@@ -220,6 +218,7 @@ class ParallelJoinEngine:
         condition: BandCondition,
         partitioning: JoinPartitioning,
         materialize: bool = False,
+        verify: str = "none",
     ) -> EngineResult:
         """Execute a band-join under an existing partitioning.
 
@@ -228,59 +227,107 @@ class ParallelJoinEngine:
         materialize:
             Materialise the output pairs (original S/T row indices) on the
             result; otherwise only counts are produced.
+        verify:
+            ``"none"`` (default), ``"count"`` (total output must match the
+            single-machine join) or ``"pairs"`` (full pair-by-pair check,
+            which also detects duplicated output; implies materialisation).
+            A mismatch raises :class:`~repro.exceptions.ExecutionError`.
         """
+        if verify not in ("none", "count", "pairs"):
+            raise ExecutionError("verify must be 'none', 'count' or 'pairs'")
+        materialize = materialize or verify == "pairs"
         condition.validate_against(s.column_names)
         condition.validate_against(t.column_names)
-        if s.storage != "memory" or t.storage != "memory":
-            return self._execute_streamed(s, t, condition, partitioning, materialize)
         wall_start = time.perf_counter()
-        s_matrix = s.join_matrix(condition.attributes)
-        t_matrix = t.join_matrix(condition.attributes)
+        with contextlib.ExitStack() as scratch:
+            routing_start = time.perf_counter()
+            with tracer().span("route", workers=partitioning.workers):
+                tasks, s_counts, t_counts, s_side, t_side = self._route(
+                    s, t, condition, partitioning, scratch
+                )
+            routing_seconds = time.perf_counter() - routing_start
 
-        routing_start = time.perf_counter()
-        with tracer().span("route", workers=partitioning.workers):
-            s_routed = route_side(partitioning, s_matrix, "S")
-            t_routed = route_side(partitioning, t_matrix, "T")
-            offset_step = unit_offset_step(s_matrix, t_matrix, condition)
-            tasks = build_worker_tasks(partitioning, s_routed, t_routed, offset_step)
-        routing_seconds = time.perf_counter() - routing_start
+            execution_start = time.perf_counter()
+            with tracer().span(
+                "local_join", backend=self.backend.name, tasks=len(tasks)
+            ) as join_span:
+                outcomes = self.backend.run(
+                    tasks, s_side, t_side, condition, self.algorithm, materialize,
+                    trace_ctx=join_span.context,
+                )
+                for outcome in outcomes:
+                    if outcome.spans:
+                        tracer().attach(join_span.context, outcome.spans)
+            execution_seconds = time.perf_counter() - execution_start
 
-        execution_start = time.perf_counter()
-        with tracer().span(
-            "local_join", backend=self.backend.name, tasks=len(tasks)
-        ) as join_span:
-            outcomes = self.backend.run(
-                tasks, s_matrix, t_matrix, condition, self.algorithm, materialize,
-                trace_ctx=join_span.context,
-            )
-            for outcome in outcomes:
-                if outcome.spans:
-                    tracer().attach(join_span.context, outcome.spans)
-        execution_seconds = time.perf_counter() - execution_start
-
-        with tracer().span("merge"):
-            s_counts = worker_input_counts(partitioning, s_routed)
-            t_counts = worker_input_counts(partitioning, t_routed)
-            job, pairs = self._merge_outcomes(
-                partitioning, outcomes, s_counts, t_counts, materialize,
-                baseline_input=len(s) + len(t),
-            )
+            with tracer().span("merge"):
+                job, pairs = self._merge_outcomes(
+                    partitioning, outcomes, s_counts, t_counts, materialize,
+                    baseline_input=len(s) + len(t),
+                )
+        wall_seconds = time.perf_counter() - wall_start
         logger.debug(
             "executed %d tasks on %s: output=%d exec=%.4fs route=%.4fs",
             len(tasks), self.backend.name, job.total_output,
             execution_seconds, routing_seconds,
         )
+        if verify != "none":
+            self._verify(s, t, condition, job, pairs, verify)
         return EngineResult(
             backend=self.backend.name,
             partitioning=partitioning,
             job=job,
             weights=self.weights,
-            wall_seconds=time.perf_counter() - wall_start,
+            wall_seconds=wall_seconds,
             routing_seconds=routing_seconds,
             execution_seconds=execution_seconds,
             optimization_seconds=partitioning.stats.optimization_seconds,
             pairs=pairs,
         )
+
+    def _route(
+        self,
+        s: Relation,
+        t: Relation,
+        condition: BandCondition,
+        partitioning: JoinPartitioning,
+        scratch: contextlib.ExitStack,
+    ) -> tuple:
+        """Route both sides into one task per worker.
+
+        Returns ``(tasks, s_counts, t_counts, s_side, t_side)``: the tasks,
+        the per-worker deduplicated input counts of paper Definition 1, and
+        the two sides as the backend reads them.  The relations' storage
+        chooses how.  In memory, the whole join matrices are routed at once.
+        When a side is mmap-backed, routing reads each side in bounded
+        chunks and spills the per-worker row/offset arrays to a scratch
+        arena, and the sides are :class:`StoreMatrixSource` views (segment
+        paths, not data), so peak resident memory is bounded by the chunk
+        and kernel budgets rather than the relation sizes; ``scratch`` owns
+        the arena and the sources' mappings until the join is merged.
+        """
+        attributes = condition.attributes
+        if s.storage == "memory" and t.storage == "memory":
+            s_side = s.join_matrix(attributes)
+            t_side = t.join_matrix(attributes)
+            s_routed = route_side(partitioning, s_side, "S")
+            t_routed = route_side(partitioning, t_side, "T")
+            tasks = build_worker_tasks(
+                partitioning, s_routed, t_routed,
+                unit_offset_step(s_side, t_side, condition),
+            )
+            s_counts = worker_input_counts(partitioning, s_routed)
+            t_counts = worker_input_counts(partitioning, t_routed)
+            return tasks, s_counts, t_counts, s_side, t_side
+        s_side = StoreMatrixSource.from_relation(s, attributes)
+        t_side = StoreMatrixSource.from_relation(t, attributes)
+        scratch.callback(t_side.release)
+        scratch.callback(s_side.release)
+        arena = scratch.enter_context(SpillArena.scratch(self.spill_dir))
+        tasks, s_counts, t_counts, _ = stream_worker_tasks(
+            partitioning, s_side, t_side, condition, arena, self.chunk_bytes
+        )
+        return tasks, s_counts, t_counts, s_side, t_side
 
     def _merge_outcomes(
         self,
@@ -318,74 +365,36 @@ class ParallelJoinEngine:
             )
         return job, pairs
 
-    def _execute_streamed(
-        self,
+    @staticmethod
+    def _verify(
         s: Relation,
         t: Relation,
         condition: BandCondition,
-        partitioning: JoinPartitioning,
-        materialize: bool,
-    ) -> EngineResult:
-        """Out-of-core execution: stream column slices, never the matrices.
-
-        Taken whenever a side is mmap-backed.  Routing reads each side in
-        bounded float chunks and spills the per-worker row/offset arrays to
-        a scratch arena; backends receive :class:`StoreMatrixSource` views
-        (segment paths, not data) and tasks gather their inputs into scratch
-        memory maps, so peak resident memory is bounded by the chunk and
-        kernel budgets rather than the relation sizes.
-        """
-        wall_start = time.perf_counter()
-        s_source = StoreMatrixSource.from_relation(s, condition.attributes)
-        t_source = StoreMatrixSource.from_relation(t, condition.attributes)
-        with SpillArena.scratch(self.spill_dir) as arena:
-            routing_start = time.perf_counter()
-            with tracer().span(
-                "route", workers=partitioning.workers, streamed=True
-            ):
-                tasks, s_counts, t_counts, _ = stream_worker_tasks(
-                    partitioning, s_source, t_source, condition, arena,
-                    self.chunk_bytes,
+        job: JobStats,
+        pairs: np.ndarray | None,
+        verify: str,
+    ) -> None:
+        """Check the distributed result against a single-machine reference join."""
+        reference_algorithm = default_local_join()
+        s_matrix = s.join_matrix(condition.attributes)
+        t_matrix = t.join_matrix(condition.attributes)
+        if verify == "count":
+            exact = reference_algorithm.count(s_matrix, t_matrix, condition)
+            if exact != job.total_output:
+                raise ExecutionError(
+                    f"distributed output {job.total_output} does not match the "
+                    f"single-machine join output {exact}"
                 )
-            routing_seconds = time.perf_counter() - routing_start
-
-            execution_start = time.perf_counter()
-            with tracer().span(
-                "local_join", backend=self.backend.name, tasks=len(tasks),
-                streamed=True,
-            ) as join_span:
-                outcomes = self.backend.run(
-                    tasks, s_source, t_source, condition, self.algorithm,
-                    materialize, trace_ctx=join_span.context,
-                )
-                for outcome in outcomes:
-                    if outcome.spans:
-                        tracer().attach(join_span.context, outcome.spans)
-            execution_seconds = time.perf_counter() - execution_start
-
-            with tracer().span("merge"):
-                job, pairs = self._merge_outcomes(
-                    partitioning, outcomes, s_counts, t_counts, materialize,
-                    baseline_input=len(s) + len(t),
-                )
-        s_source.release()
-        t_source.release()
-        logger.debug(
-            "streamed %d tasks on %s: output=%d exec=%.4fs route=%.4fs",
-            len(tasks), self.backend.name, job.total_output,
-            execution_seconds, routing_seconds,
+            return
+        reference = canonical_pair_order(
+            reference_algorithm.join(s_matrix, t_matrix, condition)
         )
-        return EngineResult(
-            backend=self.backend.name,
-            partitioning=partitioning,
-            job=job,
-            weights=self.weights,
-            wall_seconds=time.perf_counter() - wall_start,
-            routing_seconds=routing_seconds,
-            execution_seconds=execution_seconds,
-            optimization_seconds=partitioning.stats.optimization_seconds,
-            pairs=pairs,
-        )
+        produced = canonical_pair_order(pairs)
+        if produced.shape != reference.shape or not np.array_equal(produced, reference):
+            raise ExecutionError(
+                "distributed output pairs do not match the single-machine join "
+                f"({produced.shape[0]} produced vs {reference.shape[0]} expected)"
+            )
 
     def join(
         self,

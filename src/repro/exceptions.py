@@ -44,7 +44,7 @@ class CostModelError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """The simulated distributed execution detected an inconsistency, e.g.
+    """The distributed execution detected an inconsistency, e.g.
     duplicate output pairs produced by two different workers."""
 
 

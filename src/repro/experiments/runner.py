@@ -1,8 +1,8 @@
 """End-to-end experiment runner.
 
 ``run_workload`` takes one workload (dataset + band condition + cluster size)
-and a set of partitioners, runs the full optimize -> partition -> simulated
-execution pipeline for each, and collects the per-method measures the paper
+and a set of partitioners, runs the full optimize -> partition -> execute
+pipeline for each, and collects the per-method measures the paper
 reports in its tables: optimization time, estimated join time, total input
 ``I`` (with duplicates), and the input ``I_m`` / output ``O_m`` of the most
 loaded worker, plus the overheads over the lower bounds used by Figure 4.
@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import LoadWeights
+from repro.config import DEFAULT_ENGINE_BACKEND, LoadWeights
 from repro.core.partitioner import Partitioner
 from repro.cost.lower_bounds import LowerBounds, compute_lower_bounds
 from repro.cost.model import RunningTimeModel, default_running_time_model
 from repro.data.relation import Relation
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine.engine import ParallelJoinEngine
 from repro.exceptions import ReproError
 from repro.experiments.workloads import Workload
 from repro.geometry.band import BandCondition
@@ -195,19 +195,22 @@ def run_method(
     condition: BandCondition,
     workers: int,
     bounds: LowerBounds | None,
-    executor: DistributedBandJoinExecutor,
+    engine: ParallelJoinEngine,
+    cost_model: RunningTimeModel | None = None,
     verify: str = "none",
     rng: np.random.Generator | None = None,
 ) -> MethodResult:
     """Run one partitioner end-to-end and package the measurements.
 
     ``bounds`` may be ``None``; the overhead fields are then left at zero and
-    can be filled in later with :func:`attach_overheads`.
+    can be filled in later with :func:`attach_overheads`.  With a
+    ``cost_model`` the predicted join time of the executed partitioning is
+    attached to the result.
     """
     start = time.perf_counter()
     try:
         partitioning = partitioner.partition(s, t, condition, workers, rng=rng)
-        execution = executor.execute(s, t, condition, partitioning, verify=verify)
+        execution = engine.execute(s, t, condition, partitioning, verify=verify)
     except ReproError as error:
         return MethodResult(
             method=partitioner.name,
@@ -216,11 +219,16 @@ def run_method(
             execution_seconds=time.perf_counter() - start,
         )
     elapsed = time.perf_counter() - start
+    predicted = None
+    if cost_model is not None:
+        predicted = cost_model.predict(
+            execution.total_input, execution.max_worker_input, execution.max_worker_output
+        )
     result = MethodResult(
         method=partitioner.name,
         optimization_seconds=partitioning.stats.optimization_seconds,
         execution_seconds=elapsed - partitioning.stats.optimization_seconds,
-        predicted_join_time=execution.predicted_join_time,
+        predicted_join_time=predicted,
         total_input=execution.total_input,
         max_worker_input=execution.max_worker_input,
         max_worker_output=execution.max_worker_output,
@@ -248,15 +256,14 @@ def run_workload(
     cost_model: RunningTimeModel | None = None,
     verify: str = "none",
     seed: int = 0,
-    engine: str | None = None,
+    engine: str = DEFAULT_ENGINE_BACKEND,
     local_algorithm: str | None = None,
 ) -> ExperimentResult:
     """Run every partitioner on one workload and collect the paper-style measures.
 
-    ``engine`` selects the execution mode of the reduce phase:
-    ``None``/``"simulated"`` keeps the sequential in-driver path, while
-    ``"serial"``, ``"threads"`` or ``"processes"`` dispatch the local joins
-    to the corresponding :mod:`repro.engine` backend.  ``local_algorithm``
+    ``engine`` names the :mod:`repro.engine` backend the local joins are
+    dispatched to (``"serial"``, ``"threads"`` or ``"processes"``); the
+    measures are backend-independent.  ``local_algorithm``
     picks the per-worker kernel by registry name (``"index-nested-loop"``,
     ``"sort-sweep"``, ``"iejoin-local"``, ``"nested-loop"``, ``"auto"``);
     the pair counts are kernel-independent, only the reduce-phase speed
@@ -268,8 +275,8 @@ def run_workload(
         partitioners = default_partitioners(weights=weights, cost_model=cost_model, seed=seed)
 
     s, t, condition = workload.build()
-    executor = DistributedBandJoinExecutor(
-        algorithm=local_algorithm, weights=weights, cost_model=cost_model, engine=engine
+    join_engine = ParallelJoinEngine(
+        backend=engine, algorithm=local_algorithm, weights=weights
     )
 
     results = []
@@ -289,13 +296,14 @@ def run_workload(
                 condition,
                 workload.workers,
                 None,
-                executor,
+                join_engine,
+                cost_model,
                 verify=verify,
                 rng=rng,
             )
         )
 
-    # Every successful execution produced the exact join output (the executor
+    # Every successful execution produced the exact join output (the engine
     # verifies this when asked), so the lower bounds can reuse that count
     # instead of recomputing the full join.
     exact_output: float | None = None

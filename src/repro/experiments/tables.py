@@ -1,7 +1,7 @@
 """Per-table reproductions of the paper's evaluation section.
 
 Each ``table*`` function runs the corresponding experiment end-to-end (data
-generation, optimization, simulated distributed execution) and returns a
+generation, optimization, distributed execution) and returns a
 :class:`TableReproduction` whose ``format()`` prints the same row structure
 the paper reports: per method the optimization time, the estimated join time
 from the running-time model, the total input ``I`` including duplicates and
@@ -29,7 +29,7 @@ from repro.core.recpart import RecPartPartitioner, RecPartSPartitioner
 from repro.cost.calibration import CalibrationResult, calibrate_running_time_model
 from repro.cost.lower_bounds import compute_lower_bounds
 from repro.cost.model import ModelCoefficients, RunningTimeModel, default_running_time_model
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine.engine import ParallelJoinEngine
 from repro.exceptions import ReproError
 from repro.experiments.runner import (
     ExperimentResult,
@@ -251,14 +251,15 @@ def table5(scale: float = 1.0, verify: str = "none", seed: int = 0) -> TableRepr
     cost_model = default_running_time_model()
     workload = _scaled(wl.table5_workload(), scale)
     s, t, condition = workload.build()
-    executor = DistributedBandJoinExecutor(weights=weights, cost_model=cost_model)
+    engine = ParallelJoinEngine(backend="serial", weights=weights)
     bounds = compute_lower_bounds(s, t, condition, workload.workers, weights=weights)
 
     rows: list[list] = []
     for multiplier in wl.table5_grid_multipliers():
         partitioner = GridEpsilonPartitioner(multiplier=float(multiplier), weights=weights)
         result = run_method(
-            partitioner, s, t, condition, workload.workers, bounds, executor, verify=verify
+            partitioner, s, t, condition, workload.workers, bounds, engine, cost_model,
+            verify=verify,
         )
         label = f"Grid (cell = {multiplier} x eps)"
         if result.failed:
@@ -282,7 +283,8 @@ def table5(scale: float = 1.0, verify: str = "none", seed: int = 0) -> TableRepr
     ]
     for partitioner in comparison:
         result = run_method(
-            partitioner, s, t, condition, workload.workers, bounds, executor, verify=verify
+            partitioner, s, t, condition, workload.workers, bounds, engine, cost_model,
+            verify=verify,
         )
         rows.append(
             [
@@ -333,7 +335,7 @@ def table7(scale: float = 1.0, verify: str = "none", seed: int = 0) -> TableRepr
     """Tables 7 and 11: RecPart-S vs distributed IEJoin across block sizes."""
     weights = LoadWeights()
     cost_model = default_running_time_model()
-    executor = DistributedBandJoinExecutor(weights=weights, cost_model=cost_model)
+    engine = ParallelJoinEngine(backend="serial", weights=weights)
     rows: list[list] = []
     for workload in wl.table7_workloads():
         scaled = _scaled(workload, scale)
@@ -346,7 +348,8 @@ def table7(scale: float = 1.0, verify: str = "none", seed: int = 0) -> TableRepr
             condition,
             scaled.workers,
             bounds,
-            executor,
+            engine,
+            cost_model,
             verify=verify,
         )
         rows.append(
@@ -369,7 +372,8 @@ def table7(scale: float = 1.0, verify: str = "none", seed: int = 0) -> TableRepr
                 condition,
                 scaled.workers,
                 bounds,
-                executor,
+                engine,
+                cost_model,
                 verify=verify,
             )
             rows.append(
@@ -408,14 +412,14 @@ def table8(scale: float = 1.0, verify: str = "none", seed: int = 0) -> TableRepr
 
     rows: list[list] = []
     competitor_results: dict[str, MethodResult] = {}
-    executor_plain = DistributedBandJoinExecutor(weights=weights)
+    engine = ParallelJoinEngine(backend="serial", weights=weights)
     for partitioner in (
         CSIOPartitioner(weights=weights, seed=seed),
         OneBucketPartitioner(weights=weights, seed=seed),
         GridEpsilonPartitioner(weights=weights, seed=seed),
     ):
         competitor_results[partitioner.name] = run_method(
-            partitioner, s, t, condition, workload.workers, bounds, executor_plain, verify=verify
+            partitioner, s, t, condition, workload.workers, bounds, engine, verify=verify
         )
 
     for ratio in wl.table8_beta_ratios():
@@ -428,7 +432,6 @@ def table8(scale: float = 1.0, verify: str = "none", seed: int = 0) -> TableRepr
                 beta3=ratio * weights.beta_output,
             )
         )
-        executor = DistributedBandJoinExecutor(weights=weights, cost_model=model)
         recpart = run_method(
             RecPartPartitioner(cost_model=model, weights=weights, seed=seed),
             s,
@@ -436,7 +439,8 @@ def table8(scale: float = 1.0, verify: str = "none", seed: int = 0) -> TableRepr
             condition,
             workload.workers,
             bounds,
-            executor,
+            engine,
+            model,
             verify=verify,
         )
         local_overhead = (
@@ -484,7 +488,7 @@ def table9(scale: float = 1.0, verify: str = "none", seed: int = 0) -> TableRepr
     """Tables 9 and 14: RecPart-S vs RecPart (benefit of symmetric splits)."""
     weights = LoadWeights()
     cost_model = default_running_time_model()
-    executor = DistributedBandJoinExecutor(weights=weights, cost_model=cost_model)
+    engine = ParallelJoinEngine(backend="serial", weights=weights)
     rows: list[list] = []
     for workload in wl.table9_workloads():
         scaled = _scaled(workload, scale)
@@ -497,7 +501,8 @@ def table9(scale: float = 1.0, verify: str = "none", seed: int = 0) -> TableRepr
             RecPartPartitioner(cost_model=cost_model, weights=weights, seed=seed),
         ):
             result = run_method(
-                partitioner, s, t, condition, scaled.workers, bounds, executor, verify=verify
+                partitioner, s, t, condition, scaled.workers, bounds, engine, cost_model,
+                verify=verify,
             )
             imbalance = (
                 result.max_worker_load
@@ -553,7 +558,7 @@ def table12(
     """Table 12: predicted vs measured join time for every method and workload.
 
     The model is calibrated on in-process local-join micro-benchmarks (the
-    paper's procedure against this machine); the "actual" time of a simulated
+    paper's procedure against this machine); the "actual" time of a
     distributed execution is the most loaded worker's measured local-join
     time plus the measured per-tuple shuffle proxy times the total input.
     """
@@ -564,7 +569,7 @@ def table12(
     )
     model = calibration.model
     weights = LoadWeights()
-    executor = DistributedBandJoinExecutor(weights=weights, cost_model=model)
+    engine = ParallelJoinEngine(backend="serial", weights=weights)
 
     rows: list[list] = []
     errors: list[float] = []
@@ -575,7 +580,7 @@ def table12(
         for partitioner in default_partitioners(weights=weights, cost_model=model, seed=seed):
             try:
                 partitioning = partitioner.partition(s, t, condition, scaled.workers)
-                execution = executor.execute(s, t, condition, partitioning, verify=verify)
+                execution = engine.execute(s, t, condition, partitioning, verify=verify)
             except ReproError:
                 rows.append([scaled.name, partitioner.name, None, None, None])
                 continue

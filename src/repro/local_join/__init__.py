@@ -9,13 +9,11 @@ local algorithms, all built on the shared vectorized kernel layer
 (:mod:`repro.local_join.kernels`):
 
 * :class:`NestedLoopJoin` — reference implementation (blocked all-pairs).
-* :class:`IndexNestedLoopJoin` — the paper's default: range-index on the
-  most selective dimension plus binary search.
-* :class:`SortSweepJoin` — sort-based sweep, expressed as the chunked
-  ``searchsorted`` interval kernel.
-* :class:`IEJoinLocal` — IEJoin's offset/bit-array structure for the two
-  inequalities of the first band predicate, collapsed (for band conditions)
-  into precomputed ``searchsorted`` rank intervals.
+* :class:`IntervalJoin` — the chunked ``searchsorted`` interval kernel on a
+  dimension ``dim`` probed from side ``probe``.  The registry names
+  ``index-nested-loop`` (the paper's default: most selective dimension,
+  probe S), ``sort-sweep`` (first dimension, probe S) and ``iejoin-local``
+  (first dimension, probe T) are aliases of it.
 * :class:`AutoJoin` — adaptive dispatch over the above, driven by sampled
   band-selectivity estimates.
 
@@ -24,19 +22,18 @@ Counting is always cheaper than joining here: every kernel answers
 dimension, chunk-wise masked counting beyond).
 """
 
+from functools import partial
+from typing import Callable
+
 from repro.local_join.auto import AutoJoin
 from repro.local_join.base import LocalJoinAlgorithm, join_pair_count
-from repro.local_join.iejoin_local import IEJoinLocal
-from repro.local_join.index_nested_loop import IndexNestedLoopJoin
+from repro.local_join.interval import ALIASES, IntervalJoin, default_local_join
 from repro.local_join.nested_loop import NestedLoopJoin
-from repro.local_join.sort_band import SortSweepJoin
 
 __all__ = [
     "LocalJoinAlgorithm",
     "NestedLoopJoin",
-    "IndexNestedLoopJoin",
-    "SortSweepJoin",
-    "IEJoinLocal",
+    "IntervalJoin",
     "AutoJoin",
     "join_pair_count",
     "default_local_join",
@@ -46,40 +43,29 @@ __all__ = [
 
 #: Registry of constructible local algorithms, keyed by the names accepted
 #: by configuration and the CLI ``--local-algorithm`` flag.
-LOCAL_ALGORITHMS: dict[str, type[LocalJoinAlgorithm]] = {
+LOCAL_ALGORITHMS: dict[str, Callable[[], LocalJoinAlgorithm]] = {
     NestedLoopJoin.name: NestedLoopJoin,
-    IndexNestedLoopJoin.name: IndexNestedLoopJoin,
-    SortSweepJoin.name: SortSweepJoin,
-    IEJoinLocal.name: IEJoinLocal,
+    **{name: partial(IntervalJoin.named, name) for name in ALIASES},
     AutoJoin.name: AutoJoin,
 }
 
 
 def get_local_algorithm(
     algorithm: "str | LocalJoinAlgorithm | None",
-    memory_budget: int | None = None,
 ) -> LocalJoinAlgorithm:
     """Resolve an algorithm name (or pass an instance through).
 
-    ``None`` resolves to the library default; ``memory_budget`` (bytes), when
-    given, is bound onto the resolved algorithm's kernel.
+    ``None`` resolves to the library default.
     """
     if algorithm is None:
-        resolved = default_local_join()
-    elif isinstance(algorithm, LocalJoinAlgorithm):
-        resolved = algorithm
-    else:
-        try:
-            factory = LOCAL_ALGORITHMS[algorithm]
-        except KeyError:
-            raise ValueError(
-                f"unknown local algorithm {algorithm!r}; "
-                f"available: {', '.join(LOCAL_ALGORITHMS)}"
-            ) from None
-        resolved = factory()
-    return resolved.with_memory_budget(memory_budget)
-
-
-def default_local_join() -> LocalJoinAlgorithm:
-    """Return the library's default local join algorithm (the paper's choice)."""
-    return IndexNestedLoopJoin()
+        return default_local_join()
+    if isinstance(algorithm, LocalJoinAlgorithm):
+        return algorithm
+    try:
+        factory = LOCAL_ALGORITHMS[algorithm]
+    except KeyError:
+        raise ValueError(
+            f"unknown local algorithm {algorithm!r}; "
+            f"available: {', '.join(LOCAL_ALGORITHMS)}"
+        ) from None
+    return factory()

@@ -28,8 +28,8 @@ import numpy as np
 from repro.geometry.band import BandCondition
 from repro.local_join import kernels
 from repro.local_join.base import LocalJoinAlgorithm, as_matrix
+from repro.local_join.interval import IntervalJoin
 from repro.local_join.nested_loop import NestedLoopJoin
-from repro.local_join.sort_band import SortSweepJoin
 
 #: Below this many candidate pairs the blocked all-pairs mask is one numpy
 #: call and always competitive — skip the selectivity probe entirely.
@@ -161,7 +161,7 @@ class AutoJoin(LocalJoinAlgorithm):
             ],
         )
         return (
-            SortSweepJoin(sweep_dimension=best_dim, memory_budget=self.memory_budget),
+            IntervalJoin(best_dim, memory_budget=self.memory_budget, name="sort-sweep"),
             info,
         )
 

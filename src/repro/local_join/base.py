@@ -110,7 +110,7 @@ def join_pair_count(
     Convenience wrapper used throughout the library (metrics, lower bounds,
     experiment harness) so call sites do not need to instantiate algorithms.
     """
-    from repro.local_join.index_nested_loop import IndexNestedLoopJoin
+    from repro.local_join.interval import default_local_join
 
-    algo = algorithm if algorithm is not None else IndexNestedLoopJoin()
+    algo = algorithm if algorithm is not None else default_local_join()
     return algo.count(s_values, t_values, condition)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.config import LoadWeights
 from repro.cost.lower_bounds import LowerBounds
-from repro.distributed.executor import ExecutionResult
+from repro.engine.engine import EngineResult
 from repro.exceptions import ReproError
 
 
@@ -72,7 +72,7 @@ class OverheadPoint:
 
 
 def overhead_point(
-    result: ExecutionResult,
+    result: EngineResult,
     bounds: LowerBounds,
     workload: str,
     weights: LoadWeights | None = None,

@@ -31,7 +31,7 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.exceptions import SamplingError
 from repro.geometry.band import BandCondition
-from repro.local_join.index_nested_loop import IndexNestedLoopJoin
+from repro.local_join.interval import default_local_join
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def draw_output_sample(
         empty = np.empty((0, condition.dimensionality))
         return OutputSample(empty, empty, 0.0, 0.0)
 
-    joiner = IndexNestedLoopJoin()
+    joiner = default_local_join()
     fraction = initial_fraction
     best: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
     while True:

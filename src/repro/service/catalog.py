@@ -40,7 +40,7 @@ from repro.config import (
     STORAGE_BACKENDS,
 )
 from repro.data.relation import Relation
-from repro.data.storage import recover_spill_dir
+from repro.data.storage import DEFAULT_BLOCK_BYTES, block_spans, recover_spill_dir
 from repro.exceptions import CorruptSegmentError, ServiceError
 from repro.obs.globals import registry as obs_registry
 
@@ -67,6 +67,33 @@ def _as_relation(name: str, data) -> Relation:
         f"relation data for {name!r} must be a Relation or a column mapping, "
         f"got {type(data).__name__}"
     )
+
+
+def _admitted(name: str, data) -> Relation:
+    """Return ``data`` as a Relation the engine can join, or raise.
+
+    The catalog's door: a column that is not numeric, or holds a NaN or an
+    infinity, is rejected here, naming the relation and the column —
+    otherwise it is accepted and every later query on the relation fails
+    inside the engine instead.
+    """
+    relation = _as_relation(name, data)
+    store = relation.store
+    for column in relation.column_names:
+        dtype = store.dtype(column)
+        if dtype.kind not in "biuf":
+            raise ServiceError(
+                f"relation {name!r}: column {column!r} is not numeric (dtype {dtype})"
+            )
+        if dtype.kind != "f":
+            continue
+        block_rows = max(1, DEFAULT_BLOCK_BYTES // dtype.itemsize)
+        for start, stop in block_spans(len(relation), block_rows):
+            if not np.isfinite(store.read(column, start, stop)).all():
+                raise ServiceError(
+                    f"relation {name!r}: column {column!r} holds a NaN or infinite value"
+                )
+    return relation
 
 
 class RelationSnapshot:
@@ -299,7 +326,7 @@ class RelationCatalog:
         threshold is rewritten to memory-mapped segments before it enters
         the catalog, so registration — not first query — pays the I/O.
         """
-        relation = self._maybe_spill(_as_relation(name, data))
+        relation = self._maybe_spill(_admitted(name, data))
         with self._lock:
             existing = self._entries.get(name)
             if existing is not None and not replace:
@@ -349,7 +376,7 @@ class RelationCatalog:
         staleness threshold, ``on_stale(name)`` fires after the catalog
         lock is released.
         """
-        delta_rows = _as_relation(name, rows)
+        delta_rows = _admitted(name, rows)
         stale = False
         with self._lock:
             current = self._entries.get(name)

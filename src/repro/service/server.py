@@ -27,7 +27,9 @@ Operations::
     {"op": "calibrate"}         — refit the cost-model betas from the store
 
 Responses are ``{"ok": true, ...}`` or ``{"ok": false, "error": "..."}``;
-the connection survives malformed requests.  Query requests are traced end
+the connection survives malformed requests, and a request that fails with
+anything but a library error answers ``{"ok": false, ..., "cause":
+"internal"}`` instead of ending the server.  Query requests are traced end
 to end: the server opens a ``request`` root span (with a ``parse`` child
 covering JSON decoding), so ``{"op": "trace"}`` returns the full
 parse → queue → execute → plan/route/kernel/merge tree of recent queries.
@@ -41,10 +43,12 @@ import time
 import socketserver
 
 from repro.exceptions import ReproError, ServiceError
-from repro.obs import tracer
+from repro.obs import get_logger, tracer
 from repro.service.service import BandJoinService
 
 __all__ = ["handle_request", "serve_lines", "LineProtocolServer"]
+
+logger = get_logger(__name__)
 
 
 def _require(request: dict, field: str):
@@ -152,6 +156,13 @@ def _handle_line(service: BandJoinService, line: str) -> tuple[dict | None, bool
         return handle_request(service, request), True
     except ReproError as exc:
         return {"ok": False, "error": str(exc)}, True
+    except Exception as exc:  # noqa: BLE001 - a request must never end the server
+        logger.exception("request %r failed", request.get("op"))
+        return {
+            "ok": False,
+            "error": f"{type(exc).__name__}: {exc}",
+            "cause": "internal",
+        }, True
 
 
 def serve_lines(service: BandJoinService, lines, out) -> int:

@@ -106,9 +106,8 @@ class BandJoinService:
         #: Per-service metric scope: scheduler counters and cache adapters
         #: land here, so concurrently running services never mix series.
         self.registry = MetricsRegistry()
-        backend = "serial" if self.config.backend == "simulated" else self.config.backend
         self.engine = ParallelJoinEngine(
-            backend=backend,
+            backend=self.config.backend,
             algorithm=self.config.local_algorithm,
             plan_cache=PlanCache(max_entries=self.config.plan_cache_size),
             memory_budget=self.config.kernel_memory_budget,

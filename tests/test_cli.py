@@ -76,6 +76,14 @@ class TestCLI:
         assert main(["engine", "--rows", "500", "--backends", "gpu"]) == 2
         assert "unknown backends" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv", [["demo", "--engine", "simulated"], ["serve", "--backend", "simulated"]]
+    )
+    def test_simulated_engine_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "invalid choice: 'simulated'" in capsys.readouterr().err
+
     def test_table_command(self, capsys):
         assert main(["table", "2b", "--scale", "0.03"]) == 0
         output = capsys.readouterr().out

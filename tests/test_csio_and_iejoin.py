@@ -13,7 +13,7 @@ from repro.baselines.iejoin import (
 )
 from repro.baselines.quantiles import approximate_quantiles, ordering_key
 from repro.data.generators import correlated_pair, uniform_relation
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine import ParallelJoinEngine
 from repro.exceptions import PartitioningError
 from repro.geometry.band import BandCondition
 from repro.sampling.input_sampler import draw_input_sample
@@ -66,7 +66,7 @@ class TestCSIOPartitioner:
         s, t = correlated_pair(2500, 2500, dimensions=2, z=1.5, seed=22)
         condition = BandCondition.symmetric(["A1", "A2"], 0.05)
         partitioning = CSIOPartitioner().partition(s, t, condition, workers=4)
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="pairs")
+        ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning, verify="pairs")
 
     def test_at_most_one_rectangle_per_worker(self):
         s, t = correlated_pair(2000, 2000, dimensions=1, z=1.5, seed=23)
@@ -80,9 +80,9 @@ class TestCSIOPartitioner:
         skewed data — its max worker load must be well below a single-worker run."""
         s, t = correlated_pair(3000, 3000, dimensions=1, z=2.0, seed=24)
         condition = BandCondition.symmetric(["A1"], 0.02)
-        executor = DistributedBandJoinExecutor()
+        engine = ParallelJoinEngine(backend="serial")
         partitioning = CSIOPartitioner().partition(s, t, condition, workers=4)
-        result = executor.execute(s, t, condition, partitioning, verify="count")
+        result = engine.execute(s, t, condition, partitioning, verify="count")
         single = result.weights.load(len(s) + len(t), result.total_output)
         assert result.max_worker_load < 0.7 * single
 
@@ -95,13 +95,13 @@ class TestCSIOPartitioner:
         s, t = correlated_pair(2000, 2000, dimensions=1, z=1.5, seed=25)
         condition = BandCondition.symmetric(["A1"], 0.0)
         partitioning = CSIOPartitioner().partition(s, t, condition, workers=4)
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="count")
+        ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning, verify="count")
 
     def test_block_ordering_end_to_end(self):
         s, t = correlated_pair(1500, 1500, dimensions=2, z=1.0, seed=26)
         condition = BandCondition.symmetric(["A1", "A2"], 0.1)
         partitioning = CSIOPartitioner(ordering="block").partition(s, t, condition, workers=4)
-        result = DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
+        result = ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning)
         assert result.total_output >= 0  # executes without error; candidacy is approximate
 
 
@@ -141,18 +141,18 @@ class TestIEJoinPartitioner:
         s, t = correlated_pair(2500, 2500, dimensions=2, z=1.5, seed=27)
         condition = BandCondition.symmetric(["A1", "A2"], 0.05)
         partitioning = IEJoinPartitioner(size_per_block=500).partition(s, t, condition, 4)
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="pairs")
+        ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning, verify="pairs")
 
     def test_block_size_controls_duplication(self):
         """Smaller blocks mean more joinable pairs sharing blocks, hence more
         duplication (the effect swept in paper Table 11)."""
         s, t = correlated_pair(4000, 4000, dimensions=1, z=1.5, seed=28)
         condition = BandCondition.symmetric(["A1"], 0.05)
-        executor = DistributedBandJoinExecutor()
-        small_blocks = executor.execute(
+        engine = ParallelJoinEngine(backend="serial")
+        small_blocks = engine.execute(
             s, t, condition, IEJoinPartitioner(size_per_block=250).partition(s, t, condition, 8)
         )
-        large_blocks = executor.execute(
+        large_blocks = engine.execute(
             s, t, condition, IEJoinPartitioner(size_per_block=2000).partition(s, t, condition, 8)
         )
         assert small_blocks.total_input >= large_blocks.total_input
@@ -164,11 +164,11 @@ class TestIEJoinPartitioner:
 
         s, t = correlated_pair(4000, 4000, dimensions=1, z=1.5, seed=29)
         condition = BandCondition.symmetric(["A1"], 0.05)
-        executor = DistributedBandJoinExecutor()
-        iejoin = executor.execute(
+        engine = ParallelJoinEngine(backend="serial")
+        iejoin = engine.execute(
             s, t, condition, IEJoinPartitioner(size_per_block=500).partition(s, t, condition, 8)
         )
-        recpart = executor.execute(
+        recpart = engine.execute(
             s, t, condition, RecPartSPartitioner().partition(s, t, condition, 8)
         )
         assert iejoin.total_input > recpart.total_input

@@ -1,120 +1,11 @@
-"""Tests for the simulated cluster, shuffle accounting and schedulers."""
+"""Tests for the per-worker and per-job accounting."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.config import LoadWeights
-from repro.distributed.cluster import SimulatedCluster, Worker
-from repro.distributed.scheduler import GreedyScheduler, HashScheduler, RoundRobinScheduler
-from repro.distributed.shuffle import simulate_shuffle
 from repro.distributed.stats import JobStats, WorkerStats
 from repro.exceptions import ExecutionError
-from repro.geometry.band import BandCondition
-
-
-class TestWorker:
-    def test_execute_unit_counts_output_and_time(self, rng):
-        worker = Worker(worker_id=0)
-        condition = BandCondition.symmetric(["A1"], 0.5)
-        s = rng.uniform(0, 2, size=(50, 1))
-        t = rng.uniform(0, 2, size=(60, 1))
-        count = worker.execute_unit(s, t, condition)
-        assert count > 0
-        assert worker.stats.output == count
-        assert worker.stats.local_seconds > 0
-        # Input accounting is the executor's responsibility (Definition 1).
-        assert worker.stats.input_s == 0
-
-    def test_execute_unit_materialized(self, rng):
-        worker = Worker(worker_id=1)
-        condition = BandCondition.symmetric(["A1"], 0.5)
-        s = rng.uniform(0, 2, size=(20, 1))
-        t = rng.uniform(0, 2, size=(20, 1))
-        pairs = worker.execute_unit(s, t, condition, materialize=True)
-        assert pairs.ndim == 2 and pairs.shape[1] == 2
-        assert worker.stats.output == pairs.shape[0]
-
-    def test_reset(self, rng):
-        worker = Worker(worker_id=0)
-        condition = BandCondition.symmetric(["A1"], 0.5)
-        worker.execute_unit(rng.uniform(size=(5, 1)), rng.uniform(size=(5, 1)), condition)
-        worker.reset()
-        assert worker.stats.output == 0
-
-    def test_invalid_worker_id(self):
-        with pytest.raises(ExecutionError):
-            Worker(worker_id=-1)
-
-
-class TestCluster:
-    def test_cluster_construction(self):
-        cluster = SimulatedCluster(4)
-        assert cluster.n_workers == 4
-        assert cluster.worker(2).worker_id == 2
-
-    def test_invalid_size(self):
-        with pytest.raises(ExecutionError):
-            SimulatedCluster(0)
-
-    def test_worker_out_of_range(self):
-        cluster = SimulatedCluster(2)
-        with pytest.raises(ExecutionError):
-            cluster.worker(5)
-
-    def test_reset_clears_all_workers(self, rng):
-        cluster = SimulatedCluster(2)
-        condition = BandCondition.symmetric(["A1"], 0.5)
-        cluster.worker(0).execute_unit(rng.uniform(size=(5, 1)), rng.uniform(size=(5, 1)), condition)
-        cluster.reset()
-        assert all(stats.output == 0 for stats in cluster.worker_stats())
-
-
-class TestShuffle:
-    def test_shuffle_counts_and_bytes(self):
-        worker_ids = np.array([0, 0, 1, 2, 2, 2])
-        stats = simulate_shuffle(worker_ids, n_original=5, workers=3, n_columns=4)
-        np.testing.assert_array_equal(stats.tuples_per_worker, [2, 1, 3])
-        assert stats.total_tuples == 6
-        assert stats.replication_factor == pytest.approx(6 / 5)
-        assert stats.total_bytes > 0
-        assert stats.max_tuples_on_worker == 3
-
-    def test_shuffle_validation(self):
-        with pytest.raises(ExecutionError):
-            simulate_shuffle(np.array([0]), 1, workers=0, n_columns=1)
-        with pytest.raises(ExecutionError):
-            simulate_shuffle(np.array([5]), 1, workers=2, n_columns=1)
-        with pytest.raises(ExecutionError):
-            simulate_shuffle(np.array([0]), -1, workers=2, n_columns=1)
-
-    def test_empty_shuffle(self):
-        stats = simulate_shuffle(np.empty(0, dtype=int), 0, workers=2, n_columns=1)
-        assert stats.total_tuples == 0
-        assert stats.replication_factor == 1.0
-
-
-class TestSchedulers:
-    def test_greedy_scheduler_balances(self, rng):
-        loads = rng.uniform(1, 10, 20)
-        assignment = GreedyScheduler().assign(loads, 4, rng)
-        totals = np.bincount(assignment, weights=loads, minlength=4)
-        assert totals.max() / totals.mean() < 1.5
-
-    def test_hash_scheduler_range(self, rng):
-        assignment = HashScheduler().assign(np.ones(50), 5, rng)
-        assert assignment.min() >= 0 and assignment.max() < 5
-
-    def test_round_robin_scheduler(self, rng):
-        assignment = RoundRobinScheduler().assign(np.ones(6), 3, rng)
-        assert assignment.tolist() == [0, 1, 2, 0, 1, 2]
-
-    def test_scheduler_validation(self, rng):
-        with pytest.raises(ExecutionError):
-            GreedyScheduler().assign(np.array([-1.0]), 2, rng)
-        with pytest.raises(ExecutionError):
-            HashScheduler().assign(np.ones(3), 0, rng)
 
 
 class TestJobStats:

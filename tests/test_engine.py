@@ -14,12 +14,10 @@ import pytest
 
 from repro.baselines.grid import GridEpsilonPartitioner
 from repro.baselines.one_bucket import OneBucketPartitioner
-from repro.config import EngineConfig
+from repro.config import EngineConfig, ServiceConfig
 from repro.core.recpart import RecPartPartitioner
 from repro.data.generators import correlated_pair, uniform_relation
 from repro.data.relation import Relation
-from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.executor import DistributedBandJoinExecutor
 from repro.engine import (
     ParallelJoinEngine,
     PlanCache,
@@ -39,7 +37,7 @@ from repro.engine import (
 from repro.exceptions import ExecutionError
 from repro.geometry.band import BandCondition
 from repro.local_join.base import canonical_pair_order
-from repro.local_join.index_nested_loop import IndexNestedLoopJoin
+from repro.local_join import default_local_join, get_local_algorithm
 
 REAL_BACKENDS = ("serial", "threads", "processes")
 
@@ -51,7 +49,7 @@ def _small_problem(seed: int = 5, n: int = 1200, dims: int = 2):
 
 
 def _reference_pairs(s, t, condition) -> np.ndarray:
-    algorithm = IndexNestedLoopJoin()
+    algorithm = default_local_join()
     return canonical_pair_order(
         algorithm.join(
             s.join_matrix(condition.attributes), t.join_matrix(condition.attributes), condition
@@ -106,7 +104,7 @@ class TestRouting:
     def test_worker_input_counts_match_executor_accounting(self):
         s, t, condition = _small_problem()
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
-        result = DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
+        result = ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning)
         s_routed = route_side(partitioning, s.join_matrix(condition.attributes), "S")
         counts = worker_input_counts(partitioning, s_routed)
         for stats in result.job.workers:
@@ -156,20 +154,6 @@ class TestBackendEquivalence:
         )
         assert result.total_output == 0
         assert result.pairs.shape == (0, 2)
-
-    def test_engine_job_stats_match_simulated_executor(self):
-        """EngineResult plugs into the same JobStats accounting as the simulator."""
-        s, t, condition = _small_problem(seed=3)
-        partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
-        simulated = DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
-        engine = ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning)
-        assert engine.total_input == simulated.total_input
-        assert engine.total_output == simulated.total_output
-        assert engine.max_worker_input == simulated.max_worker_input
-        assert engine.duplication_ratio == pytest.approx(simulated.duplication_ratio)
-        summary = engine.summary()
-        assert summary["backend"] == "serial"
-        assert summary["total_output"] == simulated.total_output
 
 
 class TestPlanCache:
@@ -296,64 +280,33 @@ class TestExecutorEngineIntegration:
     def test_executor_verifies_pairs_on_engine_backend(self, backend):
         s, t, condition = _small_problem(seed=29)
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
-        executor = DistributedBandJoinExecutor(engine=backend)
-        result = executor.execute(s, t, condition, partitioning, verify="pairs")
+        engine = ParallelJoinEngine(backend=backend)
+        result = engine.execute(s, t, condition, partitioning, verify="pairs")
         assert result.backend == backend
-        assert result.engine_seconds is not None and result.engine_seconds >= 0
-        assert result.exact_output == result.total_output
+        assert result.execution_seconds >= 0
+        assert result.pairs.shape[0] == result.total_output
 
-    def test_executor_engine_accounting_matches_simulated(self):
+    def test_engine_accounting_matches_across_backends(self):
         s, t, condition = _small_problem(seed=31)
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
-        simulated = DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
-        threaded = DistributedBandJoinExecutor(engine="threads").execute(
+        serial = ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning)
+        threaded = ParallelJoinEngine(backend="threads").execute(
             s, t, condition, partitioning
         )
-        assert simulated.backend == "simulated"
-        assert simulated.engine_seconds is None
-        assert threaded.total_input == simulated.total_input
-        assert threaded.total_output == simulated.total_output
-        per_worker_sim = sorted(
-            (w.worker_id, w.output, w.units) for w in simulated.job.workers
+        assert threaded.total_input == serial.total_input
+        assert threaded.total_output == serial.total_output
+        per_worker_serial = sorted(
+            (w.worker_id, w.output, w.units) for w in serial.job.workers
         )
-        per_worker_eng = sorted(
+        per_worker_threaded = sorted(
             (w.worker_id, w.output, w.units) for w in threaded.job.workers
         )
-        assert per_worker_sim == per_worker_eng
-        assert sum(w.units for w in simulated.job.workers) == partitioning.n_units
-
-    def test_engine_path_runs_the_cluster_algorithm(self):
-        """A caller-supplied cluster's algorithm is honoured on real backends too."""
-
-        class CountingJoin(IndexNestedLoopJoin):
-            def __init__(self):
-                super().__init__()
-                self.calls = 0
-
-            def count(self, *args, **kwargs):
-                self.calls += 1
-                return super().count(*args, **kwargs)
-
-        s, t, condition = _small_problem(seed=37, n=400)
-        partitioning = RecPartPartitioner().partition(s, t, condition, workers=3)
-        algorithm = CountingJoin()
-        cluster = SimulatedCluster(3, algorithm=algorithm)
-        DistributedBandJoinExecutor(engine="threads").execute(
-            s, t, condition, partitioning, cluster=cluster
-        )
-        assert algorithm.calls > 0
-
-    def test_executor_accepts_engine_config(self):
-        executor = DistributedBandJoinExecutor(
-            engine=EngineConfig(backend="threads", max_parallelism=2)
-        )
-        assert executor.backend_name == "threads"
-        simulated = DistributedBandJoinExecutor(engine=EngineConfig())
-        assert simulated.backend_name == "simulated"
+        assert per_worker_serial == per_worker_threaded
+        assert sum(w.units for w in serial.job.workers) == partitioning.n_units
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExecutionError):
-            DistributedBandJoinExecutor(engine="gpu")
+            ParallelJoinEngine(backend="gpu")
         with pytest.raises(ExecutionError):
             get_backend("gpu")
 
@@ -367,7 +320,7 @@ class TestExecutorEngineIntegration:
 class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.is_simulated
+        assert config.backend == "serial"
         assert config.plan_cache_size >= 1
 
     def test_engine_from_config(self):
@@ -375,12 +328,14 @@ class TestEngineConfig:
         engine = ParallelJoinEngine.from_config(config)
         assert engine.backend.name == "threads"
         assert engine.plan_cache.max_entries == 7
-        # The engine always executes for real: "simulated" maps to serial.
         assert ParallelJoinEngine.from_config(EngineConfig()).backend.name == "serial"
 
     def test_invalid_backend(self):
-        with pytest.raises(ValueError):
-            EngineConfig(backend="gpu")
+        for backend in ("gpu", "simulated"):
+            with pytest.raises(ValueError):
+                EngineConfig(backend=backend)
+            with pytest.raises(ValueError):
+                ServiceConfig(backend=backend)
 
     def test_invalid_parallelism(self):
         with pytest.raises(ValueError):
@@ -413,10 +368,9 @@ class TestKernelSelectionAndBudget:
     def test_backend_splits_memory_budget_across_pool(self):
         from repro.engine.backends import ThreadPoolBackend
         from repro.local_join import kernels
-        from repro.local_join.sort_band import SortSweepJoin
 
         backend = ThreadPoolBackend(max_workers=4, memory_budget=4 * 1024 * 1024)
-        algorithm = SortSweepJoin()
+        algorithm = get_local_algorithm("sort-sweep")
         bound = backend._budgeted(algorithm, concurrency=4)
         assert bound.memory_budget == 1024 * 1024
         assert algorithm.memory_budget == kernels.DEFAULT_MEMORY_BUDGET  # untouched
@@ -438,8 +392,6 @@ class TestKernelSelectionAndBudget:
         engine = ParallelJoinEngine.from_config(config)
         assert engine.algorithm.name == "auto"
         assert engine.backend.memory_budget == 1 << 20
-        executor = DistributedBandJoinExecutor(engine=config)
-        assert executor.algorithm.name == "auto"
 
     def test_engine_config_rejects_bad_kernel_settings(self):
         with pytest.raises(ValueError):

@@ -20,17 +20,14 @@ from repro.local_join import (
 from repro.local_join import kernels
 from repro.local_join.auto import AutoJoin
 from repro.local_join.base import canonical_pair_order, join_pair_count
-from repro.local_join.iejoin_local import IEJoinLocal
-from repro.local_join.index_nested_loop import IndexNestedLoopJoin
+from repro.local_join.interval import IntervalJoin, most_selective_dimension
 from repro.local_join.nested_loop import NestedLoopJoin
-from repro.local_join.sort_band import SortSweepJoin
 
-ALGORITHMS = [
-    NestedLoopJoin(block_size=64),
-    IndexNestedLoopJoin(max_candidates_per_chunk=1000),
-    SortSweepJoin(),
-    IEJoinLocal(),
-    AutoJoin(),
+#: Every registry name but the reference itself.
+KERNEL_NAMES = [name for name in LOCAL_ALGORITHMS if name != "nested-loop"]
+
+ALGORITHMS = [NestedLoopJoin(block_size=64)] + [
+    get_local_algorithm(name) for name in KERNEL_NAMES
 ]
 
 
@@ -42,28 +39,64 @@ def _random_inputs(rng, n_s, n_t, d, spread=10.0):
     return rng.uniform(0, spread, size=(n_s, d)), rng.uniform(0, spread, size=(n_t, d))
 
 
-class TestAgreementWithReference:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS[1:], ids=lambda a: a.name)
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_same_pairs_as_nested_loop(self, algorithm, d, rng):
-        s, t = _random_inputs(rng, 150, 170, d, spread=5.0)
-        condition = BandCondition.symmetric([f"A{i+1}" for i in range(d)], 0.4)
-        reference = _pairs(NestedLoopJoin(), s, t, condition)
-        result = _pairs(algorithm, s, t, condition)
-        np.testing.assert_array_equal(result, reference)
+def _case_inputs(shape: str, d: int, rng):
+    """Return the ``(s, t)`` matrices of one equivalence case."""
+    if shape == "duplicates":  # quantized values: duplicates and boundary ties
+        return (
+            rng.integers(0, 8, size=(90, d)).astype(float),
+            rng.integers(0, 8, size=(110, d)).astype(float),
+        )
+    if shape == "empty-side":
+        return rng.uniform(0, 5, size=(40, d)), np.empty((0, d))
+    return _random_inputs(rng, 120, 140, d, spread=5.0)
 
+
+class TestKernelEquivalence:
+    """Every registry name returns exactly the reference pair set and count.
+
+    One matrix over the registry names (the three ``IntervalJoin`` aliases
+    and ``auto``), the dimensionality, symmetric and asymmetric widths, and
+    the inputs that have broken kernels before: duplicate values sitting on
+    the band edge, an empty side, and a budget of two candidates per chunk.
+    """
+
+    @pytest.mark.parametrize("shape", ["duplicates", "empty-side", "tiny-budget"])
+    @pytest.mark.parametrize("eps", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_same_pairs_and_count_as_nested_loop(self, name, d, eps, shape):
+        rng = np.random.default_rng([d, eps == "symmetric", len(shape)])
+        s, t = _case_inputs(shape, d, rng)
+        widths = {
+            f"A{i+1}": 1.0 if eps == "symmetric" else (0.25 * i, 1.0 + 0.5 * i)
+            for i in range(d)
+        }
+        condition = BandCondition(widths)
+        algorithm = get_local_algorithm(name)
+        if shape == "tiny-budget":
+            algorithm = algorithm.with_memory_budget(64)
+            assert algorithm.memory_budget == 64
+        reference = _pairs(NestedLoopJoin(), s, t, condition)
+        if shape != "empty-side":
+            assert reference.shape[0] > 0
+        np.testing.assert_array_equal(_pairs(algorithm, s, t, condition), reference)
+        assert algorithm.count(s, t, condition) == reference.shape[0]
+        # The pair set is orientation-independent: swapping the roles of the
+        # sides (and the widths with them) gives the transposed pairs.
+        swapped = BandCondition(
+            {a: (p.eps_right, p.eps_left) for a, p in zip(widths, condition.predicates)}
+        )
+        np.testing.assert_array_equal(
+            canonical_pair_order(algorithm.join(t, s, swapped)[:, ::-1]), reference
+        )
+
+
+class TestAgreementWithReference:
     @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
     def test_count_matches_join(self, algorithm, rng):
         s, t = _random_inputs(rng, 120, 140, 2, spread=4.0)
         condition = BandCondition.symmetric(["A1", "A2"], 0.3)
         assert algorithm.count(s, t, condition) == algorithm.join(s, t, condition).shape[0]
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS[1:], ids=lambda a: a.name)
-    def test_asymmetric_band(self, algorithm, rng):
-        s, t = _random_inputs(rng, 100, 100, 1, spread=3.0)
-        condition = BandCondition({"A1": (0.0, 0.5)})  # 0 <= t - s <= 0.5
-        reference = _pairs(NestedLoopJoin(), s, t, condition)
-        np.testing.assert_array_equal(_pairs(algorithm, s, t, condition), reference)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS[1:], ids=lambda a: a.name)
     def test_equi_join_case(self, algorithm, rng):
@@ -101,67 +134,69 @@ class TestAgreementWithReference:
             assert algorithm.count(s, t, condition) == 40 * 30
 
 
-class TestIndexNestedLoopSpecifics:
+class TestIntervalJoinSpecifics:
     def test_selects_most_selective_dimension(self, rng):
         # Dimension 1 has a huge spread relative to its band width, so it
         # should be chosen as the index dimension.
         s = np.column_stack([rng.uniform(0, 1, 200), rng.uniform(0, 1000, 200)])
         t = np.column_stack([rng.uniform(0, 1, 200), rng.uniform(0, 1000, 200)])
         condition = BandCondition.symmetric(["A1", "A2"], 0.5)
-        algorithm = IndexNestedLoopJoin()
-        assert algorithm.select_index_dimension(s, t, condition) == 1
+        assert most_selective_dimension(s, t, condition) == 1
 
-    def test_explicit_index_dimension(self, rng):
+    @pytest.mark.parametrize("probe", ["s", "t"])
+    def test_explicit_dimension(self, rng, probe):
         s, t = _random_inputs(rng, 50, 50, 2)
         condition = BandCondition.symmetric(["A1", "A2"], 0.5)
-        algorithm = IndexNestedLoopJoin(index_dimension=1)
+        algorithm = IntervalJoin(dim=1, probe=probe)
         reference = _pairs(NestedLoopJoin(), s, t, condition)
         np.testing.assert_array_equal(_pairs(algorithm, s, t, condition), reference)
 
-    def test_invalid_index_dimension(self, rng):
-        s, t = _random_inputs(rng, 10, 10, 2)
-        condition = BandCondition.symmetric(["A1", "A2"], 0.5)
-        with pytest.raises(ValueError):
-            IndexNestedLoopJoin(index_dimension=5).join(s, t, condition)
-
-    def test_chunking_does_not_change_result(self, rng):
-        s, t = _random_inputs(rng, 300, 300, 1, spread=3.0)
-        condition = BandCondition.symmetric(["A1"], 0.2)
-        small_chunks = IndexNestedLoopJoin(max_candidates_per_chunk=17)
-        large_chunks = IndexNestedLoopJoin(max_candidates_per_chunk=10**6)
-        np.testing.assert_array_equal(
-            _pairs(small_chunks, s, t, condition), _pairs(large_chunks, s, t, condition)
-        )
-
     def test_invalid_constructor_arguments(self):
-        with pytest.raises(ValueError):
-            IndexNestedLoopJoin(max_candidates_per_chunk=0)
         with pytest.raises(ValueError):
             NestedLoopJoin(block_size=0)
         with pytest.raises(ValueError):
-            SortSweepJoin(sweep_dimension=-1)
+            IntervalJoin(dim=-1)
         with pytest.raises(ValueError):
-            IEJoinLocal(primary_dimension=-1)
+            IntervalJoin(probe="both")
+        with pytest.raises(ValueError):
+            IntervalJoin(memory_budget=0)
 
-    def test_sweep_dimension_out_of_range(self, rng):
+    def test_dimension_out_of_range(self, rng):
         s, t = _random_inputs(rng, 10, 10, 1)
         condition = BandCondition.symmetric(["A1"], 0.5)
-        with pytest.raises(ValueError):
-            SortSweepJoin(sweep_dimension=3).join(s, t, condition)
-        with pytest.raises(ValueError):
-            IEJoinLocal(primary_dimension=3).join(s, t, condition)
+        for probe in ("s", "t"):
+            with pytest.raises(ValueError):
+                IntervalJoin(dim=3, probe=probe).join(s, t, condition)
+            with pytest.raises(ValueError):
+                IntervalJoin(dim=3, probe=probe).count(s, t, condition)
+
+    def test_aliases_bind_dimension_probe_and_budget(self):
+        """The registry names are today's ``(dim, probe, default budget)``."""
+        bound = {
+            name: (a.dim, a.probe, a.memory_budget)
+            for name in KERNEL_NAMES
+            if isinstance(a := get_local_algorithm(name), IntervalJoin)
+        }
+        assert bound == {
+            "index-nested-loop": (None, "s", 4_000_000 * kernels.CANDIDATE_BYTES),
+            "sort-sweep": (0, "s", kernels.DEFAULT_MEMORY_BUDGET),
+            "iejoin-local": (0, "t", kernels.DEFAULT_MEMORY_BUDGET),
+        }
 
 
 class TestHelpers:
     def test_default_local_join_is_index_nested_loop(self):
-        assert isinstance(default_local_join(), IndexNestedLoopJoin)
+        assert default_local_join().name == "index-nested-loop"
 
     def test_join_pair_count_wrapper(self, rng):
         s, t = _random_inputs(rng, 60, 60, 1, spread=2.0)
         condition = BandCondition.symmetric(["A1"], 0.3)
         expected = NestedLoopJoin().count(s, t, condition)
         assert join_pair_count(s, t, condition) == expected
-        assert join_pair_count(s, t, condition, algorithm=SortSweepJoin()) == expected
+        assert (
+            join_pair_count(s, t, condition, algorithm=get_local_algorithm("sort-sweep"))
+            == expected
+        )
 
     def test_canonical_pair_order_sorts(self):
         pairs = np.array([[2, 1], [0, 5], [2, 0]])
@@ -189,48 +224,7 @@ class TestHelpers:
         assert 0.7 * expected < count < 1.3 * expected
 
 
-class TestRandomizedKernelEquivalence:
-    """Randomized pair-set equivalence of every kernel against the reference.
-
-    Each trial draws a fresh shape (dimensionality, sizes including empty and
-    single-row relations), value distribution (continuous or quantized so
-    duplicates are common) and an asymmetric epsilon per dimension; all
-    kernels must return exactly the reference pair set and count.
-    """
-
-    @pytest.mark.parametrize("trial", range(12))
-    def test_pair_set_equivalence(self, trial):
-        rng = np.random.default_rng(1000 + trial)
-        d = int(rng.integers(1, 4))
-        n_s = int(rng.choice([0, 1, 2, 37, 120]))
-        n_t = int(rng.choice([0, 1, 2, 41, 140]))
-        spread = float(rng.uniform(2.0, 12.0))
-        if rng.random() < 0.5:  # quantized values: duplicates and boundary ties
-            s = rng.integers(0, 12, size=(n_s, d)).astype(float)
-            t = rng.integers(0, 12, size=(n_t, d)).astype(float)
-        else:
-            s = rng.uniform(0, spread, size=(n_s, d))
-            t = rng.uniform(0, spread, size=(n_t, d))
-        widths = {
-            f"A{i+1}": (float(rng.uniform(0, 1.2)), float(rng.uniform(0, 1.2)))
-            for i in range(d)
-        }
-        condition = BandCondition(widths)
-        reference = canonical_pair_order(NestedLoopJoin().join(s, t, condition))
-        kernels_under_test = [
-            IndexNestedLoopJoin(),
-            SortSweepJoin(),
-            IEJoinLocal(),
-            AutoJoin(),
-            SortSweepJoin(memory_budget=64),   # ~2 candidates per chunk
-            IEJoinLocal(memory_budget=64),
-            IndexNestedLoopJoin(memory_budget=64),
-        ]
-        for algorithm in kernels_under_test:
-            result = canonical_pair_order(algorithm.join(s, t, condition))
-            np.testing.assert_array_equal(result, reference, err_msg=algorithm.name)
-            assert algorithm.count(s, t, condition) == reference.shape[0], algorithm.name
-
+class TestDegenerateInputs:
     def test_single_row_relations(self):
         condition = BandCondition({"A1": (0.5, 0.25)})
         s = np.array([[1.0]])
@@ -253,7 +247,7 @@ class TestZeroMaterializationCounts:
 
     @pytest.mark.parametrize(
         "algorithm",
-        [SortSweepJoin(), IEJoinLocal(), IndexNestedLoopJoin()],
+        [a for a in ALGORITHMS if isinstance(a, IntervalJoin)],
         ids=lambda a: a.name,
     )
     def test_1d_count_never_expands_candidates(self, algorithm, rng, monkeypatch):
@@ -272,8 +266,8 @@ class TestZeroMaterializationCounts:
         s, t = rng.uniform(0, 3, size=(200, 2)), rng.uniform(0, 3, size=(200, 2))
         condition = BandCondition.symmetric(["A1", "A2"], 0.25)
         expected = NestedLoopJoin().count(s, t, condition)
-        assert SortSweepJoin(memory_budget=64).count(s, t, condition) == expected
-        assert IEJoinLocal(memory_budget=64).count(s, t, condition) == expected
+        for probe in ("s", "t"):
+            assert IntervalJoin(0, probe, memory_budget=64).count(s, t, condition) == expected
 
 
 class TestKernelPrimitives:
@@ -320,7 +314,7 @@ class TestAutoJoinSelection:
         condition = BandCondition.symmetric(["A1", "A2"], 0.5)
         chosen = AutoJoin().select(s, t, condition)
         assert chosen.name == "sort-sweep"
-        assert chosen.sweep_dimension == 1
+        assert chosen.dim == 1
 
     def test_last_choice_records_dispatch(self, rng):
         s, t = rng.uniform(0, 5, size=(300, 1)), rng.uniform(0, 5, size=(300, 1))
@@ -353,12 +347,12 @@ class TestRegistryAndBudgets:
             get_local_algorithm("quantum-join")
 
     def test_registry_default_and_passthrough(self):
-        assert isinstance(get_local_algorithm(None), IndexNestedLoopJoin)
-        instance = SortSweepJoin()
+        assert get_local_algorithm(None).name == "index-nested-loop"
+        instance = IntervalJoin()
         assert get_local_algorithm(instance) is instance
 
     def test_with_memory_budget_copies_budgeted_kernels(self):
-        original = SortSweepJoin()
+        original = get_local_algorithm("sort-sweep")
         bound = original.with_memory_budget(4096)
         assert bound is not original
         assert bound.memory_budget == 4096

@@ -12,7 +12,7 @@ from repro.baselines.one_bucket import (
 )
 from repro.core.partitioner import PartitioningStats
 from repro.data.generators import correlated_pair
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine import ParallelJoinEngine
 from repro.exceptions import PartitioningError
 from repro.geometry.band import BandCondition
 
@@ -96,7 +96,7 @@ class TestEndToEnd:
         partitioner = OneBucketPartitioner()
         partitioning = partitioner.partition(s, t, condition, workers=8)
         assert isinstance(partitioning.stats, PartitioningStats)
-        result = DistributedBandJoinExecutor().execute(
+        result = ParallelJoinEngine(backend="serial").execute(
             s, t, condition, partitioning, verify="count"
         )
         # Input duplication is about sqrt(w): with an (2, 4) or (4, 2) shape the
@@ -108,7 +108,7 @@ class TestEndToEnd:
         s, t = correlated_pair(4000, 4000, dimensions=1, z=2.0, seed=3)
         condition = BandCondition.symmetric(["A1"], 0.05)
         partitioning = OneBucketPartitioner().partition(s, t, condition, workers=4)
-        result = DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
+        result = ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning)
         assert result.job.load_imbalance(result.weights) < 1.5
 
     def test_independent_of_dimensionality(self):

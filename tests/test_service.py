@@ -27,7 +27,7 @@ from repro.core.recpart import RecPartPartitioner
 from repro.data.generators import uniform_relation
 from repro.data.relation import Relation
 from repro.engine import ParallelJoinEngine
-from repro.exceptions import ServiceError, ServiceOverloadError
+from repro.exceptions import ReproError, ServiceError, ServiceOverloadError
 from repro.geometry.band import BandCondition
 from repro.local_join.base import canonical_pair_order
 from repro.service import (
@@ -109,6 +109,23 @@ class TestRelationCatalog:
         catalog.register("S", {"A1": np.arange(3.0), "A2": np.arange(3.0)})
         with pytest.raises(ServiceError):
             catalog.append("S", {"A1": np.arange(2.0)})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["x", 1], [0.5, None], [0.5, float("nan")], [float("inf"), 0.5]],
+        ids=["string", "null", "nan", "inf"],
+    )
+    def test_register_and_append_reject_non_numeric_and_non_finite(self, bad):
+        """NaN/inf and non-numeric columns are rejected at ingest, naming the
+        relation and the column, and leave the catalog as it was."""
+        catalog = RelationCatalog()
+        with pytest.raises(ReproError, match="'S'.*'A2'"):
+            catalog.register("S", {"A1": [0.1, 0.2], "A2": bad})
+        assert "S" not in catalog
+        snapshot = catalog.register("S", {"A1": [0.1, 0.2], "A2": [1, 2]})
+        with pytest.raises(ReproError, match="'S'.*'A2'"):
+            catalog.append("S", {"A1": [0.3, 0.4], "A2": bad})
+        assert catalog.get("S") is snapshot
 
     def test_empty_append_is_a_noop(self):
         catalog = RelationCatalog()
@@ -588,6 +605,55 @@ class TestServiceFacadeAndServer:
             serve_lines(service, ["garbage", "[1, 2]", "", '{"op": "ping"}'], out)
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [r["ok"] for r in responses] == [False, False, True]
+
+    def test_bad_register_then_query_keeps_serving(self):
+        """Once the column ``["x", 1]`` was accepted and the query on it
+        raised a ``ValueError`` that ended the server; a NaN row was accepted
+        and failed every later query.  Both are refused at the door now."""
+        prepare = {"op": "prepare", "query": "q", "s": "S", "t": "T",
+                   "attributes": ["A1"], "epsilons": [0.06]}
+        for bad in (["x", 1], [0.1, float("nan")]):
+            requests = [
+                {"op": "register", "name": "S", "columns": {"A1": bad}},
+                {"op": "register", "name": "T", "columns": {"A1": [0.15]}},
+                prepare,
+                {"op": "query", "query": "q"},
+                {"op": "ping"},
+            ]
+            out = io.StringIO()
+            with sync_service() as service:
+                serve_lines(service, [json.dumps(r) for r in requests], out)
+            responses = [json.loads(line) for line in out.getvalue().splitlines()]
+            assert [r["ok"] for r in responses] == [False, True, False, False, True]
+            assert "'S'" in responses[0]["error"] and "'A1'" in responses[0]["error"]
+            assert responses[-1] == {"ok": True, "op": "pong"}
+
+    def test_internal_errors_answer_and_keep_serving(self, monkeypatch):
+        """Any exception, not only a ``ReproError``, becomes ``{"ok": false}``."""
+        rng = np.random.default_rng(19)
+        requests = [
+            {"op": "trace", "n": "many"},  # int("many") raises ValueError
+            {"op": "register", "name": "S", "columns": {"A1": rng.random(50).tolist()}},
+            {"op": "register", "name": "T", "columns": {"A1": rng.random(50).tolist()}},
+            {"op": "prepare", "query": "q", "s": "S", "t": "T",
+             "attributes": ["A1"], "epsilons": [0.05]},
+            {"op": "query", "query": "q"},
+            {"op": "ping"},
+        ]
+
+        def broken_execute(self, *args, **kwargs):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(ParallelJoinEngine, "execute", broken_execute)
+        out = io.StringIO()
+        with sync_service() as service:
+            serve_lines(service, [json.dumps(r) for r in requests], out)
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [r["ok"] for r in responses] == [False, True, True, True, False, True]
+        for failed in (responses[0], responses[4]):
+            assert failed["cause"] == "internal"
+        assert "kernel exploded" in responses[4]["error"]
+        assert responses[-1] == {"ok": True, "op": "pong"}
 
     def test_tcp_transport(self):
         import socket

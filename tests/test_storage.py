@@ -32,7 +32,7 @@ from repro.engine import ParallelJoinEngine
 from repro.exceptions import SchemaError, ServiceError
 from repro.geometry.band import BandCondition
 from repro.local_join.base import canonical_pair_order
-from repro.local_join.index_nested_loop import IndexNestedLoopJoin
+from repro.local_join import default_local_join
 from repro.obs.process import current_rss_bytes, peak_rss_bytes, rss_supported
 from repro.service.catalog import RelationCatalog
 
@@ -233,7 +233,7 @@ def _band_problem(tmp_path, n=1400, dims=2, seed=11, eps=0.05):
 
 def _reference_pairs(s, t, condition):
     return canonical_pair_order(
-        IndexNestedLoopJoin().join(
+        default_local_join().join(
             s.join_matrix(condition.attributes),
             t.join_matrix(condition.attributes),
             condition,

@@ -208,3 +208,51 @@ class TestRunner:
         second = run_workload(workload, partitioners=[RecPartSPartitioner()])
         assert first.results[0].total_input == second.results[0].total_input
         assert first.results[0].max_worker_output == second.results[0].max_worker_output
+
+
+#: ``run_workload(seed=0)`` with the default partitioners, recorded at commit
+#: a3263d2 through the ``simulated`` executor that the engine replaced.  Per
+#: method: (I, I_m, O_m, total output, units, predicted join time).
+GOLDEN_MEASURES = {
+    (0.001, 1, 4000, 4): {
+        "RecPart-S": (8030, 2034, 4679, 18119, 24, 20845.0),
+        "CSIO": (8375, 3375, 1667, 18119, 4, 23542.0),
+        "1-Bucket": (16000, 4020, 4562, 18119, 4, 36642.0),
+        "Grid-eps": (13842, 3503, 4664, 18119, 4320, 32518.0),
+    },
+    (0.05, 2, 3000, 6): {
+        "RecPart-S": (6525, 522, 7908, 26667, 20, 16521.0),
+        "CSIO": (7438, 1125, 6028, 26667, 6, 17966.0),
+        "1-Bucket": (15000, 2502, 4868, 26667, 6, 29876.0),
+        "Grid-eps": (18030, 3145, 4763, 26667, 8223, 35373.0),
+    },
+}
+
+
+class TestGoldenPaperMeasures:
+    """The paper's measures are a property of the partitioning, not of the
+    code path that executes it: they must not move when the reduce phase is
+    rewritten."""
+
+    @pytest.mark.parametrize(
+        "band_width, dimensions, rows, workers", GOLDEN_MEASURES, ids=["d1", "d2"]
+    )
+    def test_run_workload_reproduces_recorded_measures(
+        self, band_width, dimensions, rows, workers
+    ):
+        workload = pareto_workload(
+            band_width, dimensions=dimensions, rows_per_input=rows, workers=workers
+        )
+        experiment = run_workload(workload, seed=0, verify="count")
+        measured = {
+            r.method: (
+                r.total_input,
+                r.max_worker_input,
+                r.max_worker_output,
+                r.total_output,
+                r.n_units,
+                r.predicted_join_time,
+            )
+            for r in experiment.results
+        }
+        assert measured == GOLDEN_MEASURES[band_width, dimensions, rows, workers]
