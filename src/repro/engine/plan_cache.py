@@ -120,10 +120,10 @@ class PlanCache:
 
     All bookkeeping (the LRU ``OrderedDict`` plus the hit/miss counters) is
     guarded by one lock, so a single cache can be shared by the scheduler's
-    worker threads.  Optimizer runs happen *outside* the lock — two threads
-    missing on the same key may both optimize, but neither blocks unrelated
-    lookups, and the single-flight deduplication of the query scheduler
-    prevents that duplicate work for identical requests anyway.
+    worker threads.  Optimizer runs happen outside that lock (lookups never
+    wait for one) but one at a time per cache: planning is interpreter-bound,
+    so two concurrent optimizer runs each take longer than both in turn, and
+    threads missing on the same key build it once.
 
     Parameters
     ----------
@@ -136,6 +136,7 @@ class PlanCache:
     stats: PlanCacheStats = field(default_factory=PlanCacheStats)
     _entries: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
+    _build_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_entries < 1:
@@ -145,12 +146,13 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: tuple) -> JoinPartitioning | None:
+    def get(self, key: tuple, count_miss: bool = True) -> JoinPartitioning | None:
         """Return the cached plan for ``key`` (marking it recently used)."""
         with self._lock:
             plan = self._entries.get(key)
             if plan is None:
-                self.stats.misses += 1
+                if count_miss:
+                    self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
@@ -198,9 +200,14 @@ class PlanCache:
             partitioner.name,
             extra=(partitioner.plan_cache_key(), extra),
         )
-        cached = self.get(key)
+        cached = self.get(key, count_miss=False)
         if cached is not None:
             return cached, True
-        plan = partitioner.partition(s, t, condition, workers, rng=rng)
-        self.put(key, plan)
-        return plan, False
+        with self._build_lock:
+            # Another thread may have built this plan while we waited.
+            cached = self.get(key)
+            if cached is not None:
+                return cached, True
+            plan = partitioner.partition(s, t, condition, workers, rng=rng)
+            self.put(key, plan)
+            return plan, False

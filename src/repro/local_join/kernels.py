@@ -3,14 +3,18 @@
 Every fast local algorithm in this package reduces to the same three steps:
 
 1. **Windows** — sort one side on a chosen dimension and compute, with one
-   ``np.searchsorted`` pair, the contiguous ``[lo, hi)`` window of that side
-   that can still satisfy the band predicate of each probe tuple.
-2. **Chunked expansion** — consecutive probe rows are grouped so the summed
-   window sizes stay under a configurable *memory budget*; each chunk's
-   candidate pairs are expanded with ``np.repeat``/``np.arange`` (never the
-   full candidate set at once).
-3. **Residual filtering** — the remaining band dimensions are verified with
-   vectorized masks over the candidate chunk.
+   ``np.searchsorted`` pair, the contiguous ``[lo, hi)`` rank window of that
+   side that can still satisfy the band predicate of each probe tuple.  When
+   those windows are expensive to expand (:func:`plain_expansion_limit`),
+   the sorted side is also bucketed into cells one band wide on up to two
+   other dimensions and each window is split by neighbouring cell.
+2. **Chunked expansion** — consecutive windows are grouped so their summed
+   sizes stay under a configurable *memory budget*; each chunk's candidate
+   pairs are expanded with ``np.repeat``/``np.arange`` (never the full
+   candidate set at once).
+3. **Residual filtering** — every band dimension but the sorted one is
+   verified with vectorized masks over the candidate chunk (the cells of
+   step 1 only have to be a superset).
 
 Counting never materializes pairs: a one-dimensional condition is answered
 purely from the window arithmetic (``sum(hi - lo)``, no per-row allocation at
@@ -46,6 +50,7 @@ __all__ = [
     "chunk_spans",
     "iter_window_candidates",
     "residual_mask",
+    "plain_expansion_limit",
     "interval_join",
     "interval_count",
     "kernel_scratch",
@@ -209,130 +214,169 @@ def residual_mask(
     return keep
 
 
-def _oriented(condition: BandCondition, dim: int, probe_is_s: bool) -> tuple[float, float]:
-    """:func:`_oriented_widths` on the condition's cached epsilon vectors."""
-    eps_left, eps_right = condition.eps_arrays()
-    return _oriented_widths(eps_left, eps_right, dim, probe_is_s)
+def plain_expansion_limit(n: int, m: int) -> int:
+    """Return the candidate count up to which ``n`` sorted and ``m`` probe
+    rows expand their one-dimensional windows directly: bucketing costs a
+    second sort and several lookups per probe, which only a larger expansion
+    repays (measured on 400x400 .. 26,000x26,000 inputs)."""
+    return max(4 * (n + m), 1 << 17)
 
 
-def _iter_matches(
+def _cell_windows(
+    sorted_arr: np.ndarray,
+    sorted_order: np.ndarray,
     probe_side: np.ndarray,
-    sorted_side: np.ndarray,
     lows: np.ndarray,
-    counts: np.ndarray,
-    condition: BandCondition,
+    highs: np.ndarray,
+    below: np.ndarray,
+    above: np.ndarray,
     dim: int,
-    probe_is_s: bool,
-    candidate_cap: int,
-    profile: dict | None = None,
-):
-    """Yield fully verified ``(probe_pos, window_pos)`` chunks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+    """Bucket the sorted side on its residual dimensions.
 
-    ``probe_side`` must be sorted on ``dim`` (so the ``[lo, hi)`` windows are
-    monotone and each chunk's windows union into one contiguous slice of the
-    sorted side).  Beyond the plain expand-then-mask plan, each chunk picks
-    its *expansion dimension* adaptively: the chunk's window slice is
-    re-sorted on each residual dimension (one ``argsort`` of the slice, one
-    ``searchsorted`` pair for the chunk's probes) and the dimension with the
-    fewest candidates wins.  When another dimension is locally much more
-    selective than the sweep dimension — common for skewed data where a
-    single-dimension window covers a large value cluster — this cuts the
-    expanded candidate count by orders of magnitude; the skipped dimension is
-    recovered by the residual mask, which always verifies every dimension
-    except the expanded one.
+    The (at most two) residual dimensions with the most cells of width
+    ``below + above`` are bucketed; the sorted side is reordered by (cell,
+    rank in ``sorted_order``) and every probe row gets one window per cell
+    its band can reach — two per bucketed dimension — by looking the integer
+    keys ``cell * (n + 1) + rank`` of its ``[lo, hi)`` rank window up in the
+    reordered side.  Returns ``(order, window lows, window counts, windows
+    per probe)``, or ``None`` when no dimension is worth bucketing.
+
+    The cells only have to be a superset of the band (the residual mask
+    verifies every bucketed dimension again), and the cell function is
+    monotone, so widening each probe's value range by a few ulps of the
+    column scale covers any rounding of ``t - s`` in the mask.  Zero-width
+    dimensions bucket by distinct value; cell ids too large for the int64
+    key are replaced by their dense ranks.
     """
-    d = probe_side.shape[1]
-    eps_left, eps_right = condition.eps_arrays()
-    highs = lows + counts
-    for start, stop in chunk_spans(counts, candidate_cap):
-        chunk_counts = counts[start:stop]
-        total0 = int(chunk_counts.sum())
-        if total0 == 0:
+    n, m = sorted_order.shape[0], probe_side.shape[0]
+    # Cell ids (and the few out-of-range ones probes reach for) times
+    # ``n + 1`` must stay inside int64.
+    key_room = (1 << 58) // (n + 1)
+    width = below + above
+    base, top = sorted_arr.min(axis=0), sorted_arr.max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.where(width > 0, (top - base) / width, np.inf)
+    spread[dim] = 0
+    cell = np.zeros(n, dtype=np.int64)
+    reach = np.zeros((m, 1), dtype=np.int64)
+    valid = np.ones((m, 1), dtype=bool)
+    total = 1  # cells of the dimensions bucketed so far
+    for i in np.argsort(-spread, kind="stable")[:2]:
+        if spread[i] <= 2:  # the two cells a probe reaches are all there is
+            break
+        cells = sorted_arr[:, i]
+        first = last = probe_side[:, i]
+        if width[i] > 0:
+            scale = max(abs(base[i]), abs(top[i]), np.abs(first).max(), width[i])
+            slack = 8 * np.spacing(scale)
+            cells = np.floor((cells - base[i]) / width[i])
+            first = np.floor((first - below[i] - slack - base[i]) / width[i])
+            last = np.floor((last + above[i] + slack - base[i]) / width[i])
+        if width[i] > 0 and cells.max() < key_room // total - 1:
+            size = int(cells.max()) + 1
+            cells = cells.astype(np.int64)
+            first = np.clip(first, 0, size).astype(np.int64)
+            last = np.clip(last, -1, size - 1).astype(np.int64)
+        else:
+            distinct = np.unique(cells)
+            size = distinct.shape[0]
+            cells = np.searchsorted(distinct, cells)
+            first = np.searchsorted(distinct, first, side="left")
+            last = np.searchsorted(distinct, last, side="right") - 1
+        span = int((last - first).max()) + 1
+        # A band below the float resolution of the column reaches many
+        # cells, and two dense dimensions of a huge side can still exceed
+        # the key: such a dimension is left to the residual mask.
+        if span > 3 or size >= key_room // total:
             continue
-        nonzero = np.nonzero(chunk_counts)[0]
-        lo = int(lows[start + nonzero[0]])
-        hi = int(highs[start + nonzero[-1]])
-
-        expand_dim = dim
-        window_lows = lows[start:stop]
-        window_counts = chunk_counts
-        slice_map: np.ndarray | None = None
-        # Probing the residual dimensions costs one slice argsort each; only
-        # worthwhile when the slice is smaller than the pending expansion.
-        if d > 1 and hi - lo < total0:
-            best_total = total0
-            for i in range(d):
-                if i == dim:
-                    continue
-                if profile is not None:
-                    profile["resort_probes"] += 1
-                sort_idx = np.argsort(sorted_side[lo:hi, i], kind="stable")
-                column = sorted_side[lo:hi, i][sort_idx]
-                below, above = _oriented_widths(eps_left, eps_right, i, probe_is_s)
-                alt_lows = np.searchsorted(
-                    column, probe_side[start:stop, i] - below, side="left"
-                )
-                alt_highs = np.searchsorted(
-                    column, probe_side[start:stop, i] + above, side="right"
-                )
-                alt_counts = np.maximum(alt_highs, alt_lows) - alt_lows
-                alt_total = int(alt_counts.sum())
-                if alt_total < best_total:
-                    best_total = alt_total
-                    expand_dim = i
-                    window_lows = alt_lows
-                    window_counts = alt_counts
-                    slice_map = sort_idx
-        if profile is not None and slice_map is not None:
-            profile["resort_wins"] += 1
-        for probe_local, window_local in iter_window_candidates(
-            window_lows, window_counts, candidate_cap
-        ):
-            if profile is not None:
-                profile["chunks"] += 1
-                profile["candidates"] += int(probe_local.size)
-                if probe_local.size > profile["max_chunk"]:
-                    profile["max_chunk"] = int(probe_local.size)
-            probe_pos = probe_local + start
-            if slice_map is not None:
-                window_pos = slice_map[window_local] + lo
-            else:
-                window_pos = window_local
-            if d > 1:
-                if probe_is_s:
-                    keep = residual_mask(
-                        probe_side, probe_pos, sorted_side, window_pos,
-                        eps_left, eps_right, expand_dim,
-                    )
-                else:
-                    keep = residual_mask(
-                        sorted_side, window_pos, probe_side, probe_pos,
-                        eps_left, eps_right, expand_dim,
-                    )
-                probe_pos = probe_pos[keep]
-                window_pos = window_pos[keep]
-                if probe_pos.size == 0:
-                    continue
-            if profile is not None:
-                profile["pairs"] += int(probe_pos.size)
-            yield probe_pos, window_pos
-        # Memory-mapped sides: drop the pages this chunk touched before
-        # moving on, so a full pass stays within a bounded resident set.
-        _recycle(probe_side, sorted_side)
+        offsets = first[:, None] + np.arange(max(span, 1))
+        cell = cell * size + cells
+        reach = (reach[:, :, None] * size + offsets[:, None, :]).reshape(m, -1)
+        valid = (valid[:, :, None] & (offsets <= last[:, None])[:, None, :]).reshape(m, -1)
+        total *= size
+    if reach.shape[1] * total == 1:  # nothing bucketed, or one cell holds it all
+        return None
+    cell = cell[sorted_order]
+    # numpy radix-sorts 16-bit keys; wider ones fall back to a merge sort.
+    order = np.argsort(cell.astype(np.uint16) if total <= 1 << 16 else cell, kind="stable")
+    keys = cell[order] * (n + 1) + order
+    reach *= n + 1
+    starts = np.searchsorted(keys, (reach + lows[:, None]).ravel())
+    stops = np.searchsorted(keys, (reach + highs[:, None]).ravel())
+    return sorted_order[order], starts, np.where(valid.ravel(), stops - starts, 0), reach.shape[1]
 
 
 def _oriented_widths(
-    eps_left: np.ndarray, eps_right: np.ndarray, dim: int, probe_is_s: bool
-) -> tuple[float, float]:
-    """Return the (below, above) window widths of the probe side on ``dim``.
+    condition: BandCondition, probe_is_s: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return the per-dimension (below, above) window widths of the probe side.
 
     The band predicate reads ``-eps_left <= t - s <= eps_right``; probing
     with s means t in ``[s - eps_left, s + eps_right]``, probing with t means
     s in ``[t - eps_right, t + eps_left]``.
     """
-    if probe_is_s:
-        return float(eps_left[dim]), float(eps_right[dim])
-    return float(eps_right[dim]), float(eps_left[dim])
+    eps_left, eps_right = condition.eps_arrays()
+    return (eps_left, eps_right) if probe_is_s else (eps_right, eps_left)
+
+
+def _iter_matches(
+    probe_arr: np.ndarray,
+    sorted_arr: np.ndarray,
+    condition: BandCondition,
+    dim: int,
+    probe_is_s: bool,
+    candidate_cap: int,
+    profile: dict | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield fully verified ``(probe_idx, sorted_idx)`` chunks of original
+    row ids for a multi-dimensional condition.
+
+    Both sides are sorted on ``dim`` and every probe row gets its ``[lo,
+    hi)`` rank window.  When expanding those windows is cheap
+    (:func:`plain_expansion_limit`) they are the plan; otherwise
+    :func:`_cell_windows` splits each of them by the cells of the residual
+    dimensions, so a probe only expands rows near it in those dimensions
+    too.  Either way the residual mask verifies every dimension except
+    ``dim`` on every candidate.
+    """
+    eps_left, eps_right = condition.eps_arrays()
+    below, above = _oriented_widths(condition, probe_is_s)
+    sorted_order = np.argsort(sorted_arr[:, dim], kind="stable")
+    probe_order = np.argsort(probe_arr[:, dim], kind="stable")
+    # Sorted probes walk the sorted side front to back: cache-local binary
+    # searches and gathers, and mmap pages that can be recycled behind them.
+    probe_side = _permuted(probe_arr, probe_order)
+    lows, highs = window_bounds(
+        sorted_arr[sorted_order, dim], probe_side[:, dim], below[dim], above[dim]
+    )
+    counts = highs - lows
+    per_probe = 1
+    if int(counts.sum()) > plain_expansion_limit(sorted_arr.shape[0], probe_arr.shape[0]):
+        plan = _cell_windows(
+            sorted_arr, sorted_order, probe_side, lows, highs, below, above, dim
+        )
+        if plan is not None:
+            sorted_order, lows, counts, per_probe = plan
+    sorted_side = _permuted(sorted_arr, sorted_order)
+    _recycle(probe_side, sorted_side)
+    s_side, t_side = (probe_side, sorted_side) if probe_is_s else (sorted_side, probe_side)
+    for probe_pos, window_pos in iter_window_candidates(lows, counts, candidate_cap):
+        if profile is not None:
+            profile["chunks"] += 1
+            profile["candidates"] += int(probe_pos.size)
+            profile["max_chunk"] = max(profile["max_chunk"], int(probe_pos.size))
+        if per_probe > 1:
+            probe_pos //= per_probe
+        s_pos, t_pos = (probe_pos, window_pos) if probe_is_s else (window_pos, probe_pos)
+        keep = residual_mask(s_side, s_pos, t_side, t_pos, eps_left, eps_right, dim)
+        # Memory-mapped sides: drop the pages this chunk touched before
+        # moving on, so a full pass stays within a bounded resident set.
+        _recycle(probe_side, sorted_side)
+        if profile is not None:
+            profile["pairs"] += int(np.count_nonzero(keep))
+        if keep.any():
+            yield probe_order[probe_pos[keep]], sorted_order[window_pos[keep]]
 
 
 def interval_count(
@@ -357,43 +401,25 @@ def interval_count(
     profile = kernel_profile_start()
     if profile is not None:
         wall, t0 = time.time(), time.perf_counter()
-    below, above = _oriented(condition, dim, probe_is_s)
     if condition.dimensionality == 1:
+        below, above = _oriented_widths(condition, probe_is_s)
         keys = np.sort(sorted_arr[:, dim])
         # Sorted probes keep the binary searches cache-local (~5x faster).
-        lows, highs = window_bounds(keys, np.sort(probe_arr[:, dim]), below, above)
+        lows, highs = window_bounds(keys, np.sort(probe_arr[:, dim]), below[dim], above[dim])
         total = int((highs - lows).sum())
         if profile is not None:
             profile["pairs"] = total
-            publish_kernel_profile(
-                profile, "count", 1, max_candidates(memory_budget),
-                time.perf_counter() - t0, start=wall,
+    else:
+        total = sum(
+            int(probe_idx.size)
+            for probe_idx, _ in _iter_matches(
+                probe_arr, sorted_arr, condition, dim, probe_is_s,
+                max_candidates(memory_budget), profile,
             )
-        return total
-
-    sorted_order = np.argsort(sorted_arr[:, dim], kind="stable")
-    sorted_side = _permuted(sorted_arr, sorted_order)
-    # Sorting the probe side makes the chunk windows monotone (a requirement
-    # of the adaptive chunk driver) and keeps every gather slice-local.
-    probe_side = _permuted(probe_arr, np.argsort(probe_arr[:, dim], kind="stable"))
-    lows, highs = window_bounds(sorted_side[:, dim], probe_side[:, dim], below, above)
-    _recycle(probe_side, sorted_side)
-    total = 0
-    for probe_pos, _ in _iter_matches(
-        probe_side,
-        sorted_side,
-        lows,
-        highs - lows,
-        condition,
-        dim,
-        probe_is_s,
-        max_candidates(memory_budget),
-        profile=profile,
-    ):
-        total += int(probe_pos.size)
+        )
     if profile is not None:
         publish_kernel_profile(
-            profile, "count", int(probe_arr.shape[1]),
+            profile, "count", condition.dimensionality,
             max_candidates(memory_budget), time.perf_counter() - t0, start=wall,
         )
     return total
@@ -410,10 +436,6 @@ def interval_join(
     """Materialize the band-join pairs through the chunked interval kernel.
 
     Returns ``(m, 2)`` ``(s_index, t_index)`` pairs in implementation order.
-    Multi-dimensional inputs sort the probe side on ``dim`` as well, so each
-    chunk's windows union into one contiguous slice of the sorted side (the
-    monotonicity the adaptive chunk driver relies on, and cache-local
-    gathers for free).
     """
     probe_arr, sorted_arr = (s_arr, t_arr) if probe_is_s else (t_arr, s_arr)
     if probe_arr.shape[0] == 0 or sorted_arr.shape[0] == 0:
@@ -421,19 +443,19 @@ def interval_join(
     profile = kernel_profile_start()
     if profile is not None:
         wall, t0 = time.time(), time.perf_counter()
-    below, above = _oriented(condition, dim, probe_is_s)
-
-    sorted_order = np.argsort(sorted_arr[:, dim], kind="stable")
-    sorted_side = _permuted(sorted_arr, sorted_order)
+    probe_column, sorted_column = (0, 1) if probe_is_s else (1, 0)
 
     if condition.dimensionality == 1:
         # Every candidate is a result: expand straight into the output array
         # (the transients are output-sized, which materialization implies
         # anyway).  Probes are sorted for cache-local binary searches; the
         # original row ids come back through one fused repeat.
+        below, above = _oriented_widths(condition, probe_is_s)
+        sorted_order = np.argsort(sorted_arr[:, dim], kind="stable")
+        sorted_side = _permuted(sorted_arr, sorted_order)
         probe_order = np.argsort(probe_arr[:, dim], kind="stable")
         lows, highs = window_bounds(
-            sorted_side[:, dim], probe_arr[probe_order, dim], below, above
+            sorted_side[:, dim], probe_arr[probe_order, dim], below[dim], above[dim]
         )
         counts = highs - lows
         total = int(counts.sum())
@@ -445,49 +467,27 @@ def interval_join(
                 total, dtype=np.int64
             )
             pairs = np.empty((total, 2), dtype=np.int64)
-            pairs[:, 0 if probe_is_s else 1] = np.repeat(probe_order, counts)
-            pairs[:, 1 if probe_is_s else 0] = sorted_order[window_pos]
+            pairs[:, probe_column] = np.repeat(probe_order, counts)
+            pairs[:, sorted_column] = sorted_order[window_pos]
         if profile is not None:
             profile["chunks"] = 1 if total else 0
             profile["candidates"] = total
             profile["pairs"] = total
             profile["max_chunk"] = total
-            publish_kernel_profile(
-                profile, "join", 1, max_candidates(memory_budget),
-                time.perf_counter() - t0, start=wall,
-            )
-        return pairs
-
-    probe_order = np.argsort(probe_arr[:, dim], kind="stable")
-    probe_side = _permuted(probe_arr, probe_order)
-    lows, highs = window_bounds(sorted_side[:, dim], probe_side[:, dim], below, above)
-    _recycle(probe_side, sorted_side)
-
-    chunks: list[np.ndarray] = []
-    for probe_pos, window_pos in _iter_matches(
-        probe_side,
-        sorted_side,
-        lows,
-        highs - lows,
-        condition,
-        dim,
-        probe_is_s,
-        max_candidates(memory_budget),
-        profile=profile,
-    ):
-        probe_idx = probe_order[probe_pos]
-        window_idx = sorted_order[window_pos]
-        if probe_is_s:
-            chunks.append(np.column_stack([probe_idx, window_idx]))
-        else:
-            chunks.append(np.column_stack([window_idx, probe_idx]))
-    if chunks:
-        pairs = np.concatenate(chunks).astype(np.int64, copy=False)
     else:
-        pairs = empty_pairs()
+        chunks = list(
+            _iter_matches(
+                probe_arr, sorted_arr, condition, dim, probe_is_s,
+                max_candidates(memory_budget), profile,
+            )
+        )
+        pairs = np.empty((sum(chunk[0].size for chunk in chunks), 2), dtype=np.int64)
+        if chunks:
+            np.concatenate([chunk[0] for chunk in chunks], out=pairs[:, probe_column])
+            np.concatenate([chunk[1] for chunk in chunks], out=pairs[:, sorted_column])
     if profile is not None:
         publish_kernel_profile(
-            profile, "join", int(probe_arr.shape[1]),
+            profile, "join", condition.dimensionality,
             max_candidates(memory_budget), time.perf_counter() - t0, start=wall,
         )
     return pairs

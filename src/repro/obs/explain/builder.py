@@ -13,8 +13,7 @@ the caller supplies — the service routes it through the scheduler so
 analyzed runs share single-flight and admission control) and grafts the
 measured figures onto the same nodes: true pair counts, per-worker
 input/output/wall-time from the job statistics, and kernel chunk /
-candidate / re-sort totals diffed from the process-wide kernel-profiling
-counters.  Every node with both figures then carries a q-error.
+candidate totals diffed from the process-wide kernel-profiling counters.  Every node with both figures then carries a q-error.
 """
 
 from __future__ import annotations
@@ -43,9 +42,6 @@ _KERNEL_COUNTERS = (
     ("chunks", "repro_kernel_chunks_total", "candidate chunks emitted by the kernels"),
     ("candidates", "repro_kernel_candidates_total", "candidate pairs expanded by the kernels"),
     ("pairs", "repro_kernel_pairs_total", "pairs surviving the residual masks"),
-    ("resort_probes", "repro_kernel_resort_probes_total", "adaptive expansion-dimension probes"),
-    ("resort_wins", "repro_kernel_resort_wins_total",
-     "chunks expanded on a re-sorted alternative dimension"),
 )
 
 
@@ -174,7 +170,21 @@ def build_report(
         else np.full(plan.workers, 1.0 / plan.workers)
     )
     est_outputs = est_output_total * output_shares
-    est_candidates = best_fraction * products
+    # The kernel expands the 1-D windows of its sweep dimension while that is
+    # cheap; past ``plain_expansion_limit`` it buckets two more dimensions
+    # into cells one band wide, where a probe reaches two cells (twice its
+    # band) in each — so it expands 2 or 4 candidates per output pair, and
+    # more only by what dimensions beyond those three filter out in the mask.
+    windows = best_fraction * products
+    plain_limit = np.array(
+        [kernels.plain_expansion_limit(s, t) for s, t in zip(s_counts, t_counts)]
+    )
+    per_pair = 2.0 ** min(fractions.size - 1, 2) / max(
+        float(np.prod(np.sort(fractions)[3:])), 1e-9
+    )
+    est_candidates = np.where(
+        windows <= plain_limit, windows, np.minimum(windows, per_pair * est_outputs)
+    )
     budget = getattr(prepared.engine.backend, "memory_budget", None)
     if not budget or budget < 1:
         budget = kernels.DEFAULT_MEMORY_BUDGET
@@ -336,8 +346,6 @@ def build_report(
                 chunks=deltas["chunks"],
                 candidates=deltas["candidates"],
                 pairs=deltas["pairs"],
-                resort_probes=deltas["resort_probes"],
-                resort_wins=deltas["resort_wins"],
             )
     report.seconds = time.perf_counter() - started
     return report

@@ -1,11 +1,11 @@
 """Kernel profiling hooks for the vectorized local-join kernels.
 
 The kernels accumulate plain-int counters into a profile dict while they
-run — chunk counts, expanded candidate totals, adaptive re-sort decisions,
-the largest single chunk — and publish once per invocation.  When telemetry
-is disabled :func:`kernel_profile_start` returns ``None`` and the kernels
-skip every accumulation behind one ``is not None`` check, so the disabled
-overhead is a single branch per chunk.
+run — chunk counts, expanded candidate totals, the largest single chunk —
+and publish once per invocation.  When telemetry is disabled
+:func:`kernel_profile_start` returns ``None`` and the kernels skip every
+accumulation behind one ``is not None`` check, so the disabled overhead is
+a single branch per chunk.
 
 Published metrics (process-wide registry, ``kind`` ∈ {``join``, ``count``}):
 
@@ -15,9 +15,6 @@ Published metrics (process-wide registry, ``kind`` ∈ {``join``, ``count``}):
     Candidate chunks emitted and candidate pairs expanded.
 ``repro_kernel_pairs_total{kind}``
     Pairs surviving the residual masks (the actual output).
-``repro_kernel_resort_probes_total`` / ``repro_kernel_resort_wins_total``
-    Adaptive expansion-dimension probes, and how often an alternative
-    dimension beat the sweep dimension.
 ``repro_kernel_expansion_factor{kind}``
     Histogram of candidates per output pair (1.0 = perfectly selective
     windows; large values mean the residual mask discarded most candidates).
@@ -45,14 +42,7 @@ def kernel_profile_start() -> dict | None:
     """Return a fresh profile accumulator, or ``None`` when telemetry is off."""
     if not _state.enabled:
         return None
-    return {
-        "chunks": 0,
-        "candidates": 0,
-        "pairs": 0,
-        "resort_probes": 0,
-        "resort_wins": 0,
-        "max_chunk": 0,
-    }
+    return {"chunks": 0, "candidates": 0, "pairs": 0, "max_chunk": 0}
 
 
 def publish_kernel_profile(
@@ -77,16 +67,6 @@ def publish_kernel_profile(
     reg.counter(
         "repro_kernel_pairs_total", "pairs surviving the residual masks"
     ).inc(profile["pairs"], kind=kind)
-    if profile["resort_probes"]:
-        reg.counter(
-            "repro_kernel_resort_probes_total",
-            "adaptive expansion-dimension probes",
-        ).inc(profile["resort_probes"])
-    if profile["resort_wins"]:
-        reg.counter(
-            "repro_kernel_resort_wins_total",
-            "chunks expanded on a re-sorted alternative dimension",
-        ).inc(profile["resort_wins"])
     if profile["pairs"] or profile["candidates"]:
         reg.histogram(
             "repro_kernel_expansion_factor",

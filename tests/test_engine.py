@@ -274,6 +274,68 @@ class TestPlanCache:
         stats = cache.stats
         assert stats.lookups == stats.hits + stats.misses == 8 * 400
 
+    def test_concurrent_misses_build_one_plan_at_a_time(self):
+        """Threads missing on one key build it once; on different keys each
+        gets its own plan — and no two optimizer runs ever overlap."""
+        import sys
+        import threading
+        import time
+
+        s, t, condition = _small_problem(seed=17, n=300)
+        state = {"builds": 0, "running": 0, "overlapped": False}
+        guard = threading.Lock()
+
+        class SlowPartitioner(OneBucketPartitioner):
+            def partition(self, *args, **kwargs):
+                with guard:
+                    state["builds"] += 1
+                    state["running"] += 1
+                    state["overlapped"] |= state["running"] > 1
+                time.sleep(0.005)
+                try:
+                    return super().partition(*args, **kwargs)
+                finally:
+                    with guard:
+                        state["running"] -= 1
+
+        cache = PlanCache()
+        partitioner = SlowPartitioner()
+        n_threads = 8
+
+        def lookups(worker_counts):
+            results = [None] * n_threads
+            barrier = threading.Barrier(n_threads)
+
+            def run(i):
+                barrier.wait(timeout=10)
+                results[i] = cache.get_or_build(partitioner, s, t, condition, worker_counts[i])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            return results
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            same = lookups([4] * n_threads)
+            assert state["builds"] == 1
+            assert len({id(plan) for plan, _ in same}) == 1
+            assert sorted(cached for _, cached in same) == [False] + [True] * (n_threads - 1)
+            assert (cache.stats.misses, cache.stats.hits) == (1, n_threads - 1)
+
+            different = lookups(list(range(5, 5 + n_threads)))
+            assert state["builds"] == 1 + n_threads
+            assert len({id(plan) for plan, _ in different}) == n_threads
+            assert not any(cached for _, cached in different)
+            assert cache.stats.misses == 1 + n_threads
+        finally:
+            sys.setswitchinterval(interval)
+        assert not state["overlapped"]
+
 
 class TestExecutorEngineIntegration:
     @pytest.mark.parametrize("backend", ["threads", "processes"])

@@ -279,6 +279,19 @@ class TestExplain:
                 if dims == 1:
                     assert report.root.qerrors()["pairs"] == 1.0
 
+    def test_candidate_estimate_follows_the_bucketed_kernel_plan(self, rng):
+        """Past the kernel's size gate candidates are ~2 per pair at d=2, not
+        the 1-D window (here 25x the output) the estimate used to price."""
+        with explain_service() as service:
+            names = ["A1", "A2"]
+            service.register("S", {a: rng.uniform(0, 1, 20_000) for a in names})
+            service.register("T", {a: rng.uniform(0, 1, 20_000) for a in names})
+            service.prepare("q", "S", "T", attributes=names, epsilons=0.02)
+            report = service.explain("q", analyze=True)
+            kernel_node = next(c for c in report.root.children if c.name == "kernels")
+            assert kernel_node.actuals["candidates"] <= 3 * kernel_node.actuals["pairs"]
+            assert kernel_node.qerrors()["candidates"] < 1.5
+
     def test_per_worker_nodes_carry_estimates_and_actuals(self, rng):
         with explain_service() as service:
             register_pair(service, rng)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.generators import pareto_relation, uniform_relation
 from repro.geometry.band import BandCondition
@@ -57,14 +59,18 @@ class TestKernelEquivalence:
     One matrix over the registry names (the three ``IntervalJoin`` aliases
     and ``auto``), the dimensionality, symmetric and asymmetric widths, and
     the inputs that have broken kernels before: duplicate values sitting on
-    the band edge, an empty side, and a budget of two candidates per chunk.
+    the band edge, an empty side, and a budget of two candidates per chunk —
+    once as the kernel plans them and once with the bucketed plan forced.
     """
 
     @pytest.mark.parametrize("shape", ["duplicates", "empty-side", "tiny-budget"])
     @pytest.mark.parametrize("eps", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", KERNEL_NAMES)
-    def test_same_pairs_and_count_as_nested_loop(self, name, d, eps, shape):
+    @pytest.mark.parametrize("plan", ["size-gated", "bucketed"])
+    def test_same_pairs_and_count_as_nested_loop(self, plan, name, d, eps, shape, monkeypatch):
+        if plan == "bucketed":  # these inputs are all far below the size gate
+            monkeypatch.setattr(kernels, "plain_expansion_limit", lambda n, m: 0)
         rng = np.random.default_rng([d, eps == "symmetric", len(shape)])
         s, t = _case_inputs(shape, d, rng)
         widths = {
@@ -89,6 +95,153 @@ class TestKernelEquivalence:
         np.testing.assert_array_equal(
             canonical_pair_order(algorithm.join(t, s, swapped)[:, ::-1]), reference
         )
+
+
+@pytest.fixture
+def cell_plans(monkeypatch):
+    """Force the bucketed plan at any input size; collects what it returns."""
+    plans = []
+    cell_windows = kernels._cell_windows
+
+    def recording(*args):
+        plans.append(cell_windows(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(kernels, "plain_expansion_limit", lambda n, m: 0)
+    monkeypatch.setattr(kernels, "_cell_windows", recording)
+    return plans
+
+
+def _assert_matches_reference(s, t, condition, memory_budget=kernels.DEFAULT_MEMORY_BUDGET):
+    """Every ``(dim, probe)`` gives the reference pairs, and count() their number."""
+    reference = _pairs(NestedLoopJoin(), np.asarray(s), np.asarray(t), condition)
+    for dim in range(condition.dimensionality):
+        for probe in ("s", "t"):
+            algorithm = IntervalJoin(dim, probe, memory_budget=memory_budget)
+            np.testing.assert_array_equal(_pairs(algorithm, s, t, condition), reference)
+            assert algorithm.count(s, t, condition) == reference.shape[0]
+    return reference
+
+
+class TestBucketedPlan:
+    """The cell plan of ``kernels._cell_windows``, forced on small inputs.
+
+    Values are multiples of 1/4 and widths multiples of 1/8 wherever a case
+    puts pairs exactly on a band or cell edge, so ``t - s`` is exact and the
+    reference is unambiguous.
+    """
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_inputs_every_dimension_and_probe_side(self, d, rng, cell_plans):
+        s, t = _random_inputs(rng, 150, 170, d, spread=6.0)
+        condition = BandCondition.symmetric([f"A{i}" for i in range(d)], 0.4)
+        assert _assert_matches_reference(s, t, condition).shape[0] > 0
+        # One window per reachable cell: two per bucketed dimension, at most two of them.
+        assert {plan[3] for plan in cell_plans} == {2 if d == 2 else 4}
+
+    def test_values_on_cell_edges_and_exactly_eps_apart(self, rng, cell_plans):
+        s = rng.integers(0, 40, size=(120, 2)) * 0.25
+        t = rng.integers(0, 40, size=(130, 2)) * 0.25
+        condition = BandCondition.symmetric(["A1", "A2"], 0.5)
+        reference = _assert_matches_reference(s, t, condition)
+        on_edge = np.abs(t[reference[:, 1]] - s[reference[:, 0]]).max(axis=1) == 0.5
+        assert on_edge.any() and all(plan is not None for plan in cell_plans)
+
+    def test_negative_and_mixed_sign_columns(self, rng, cell_plans):
+        s = np.column_stack([rng.uniform(-9, -1, 140), rng.uniform(-4, 4, 140)])
+        t = np.column_stack([rng.uniform(-9, -1, 150), rng.uniform(-4, 4, 150)])
+        condition = BandCondition.symmetric(["A1", "A2"], 0.3)
+        assert _assert_matches_reference(s, t, condition).shape[0] > 0
+        assert all(plan is not None for plan in cell_plans)
+
+    def test_asymmetric_widths(self, rng, cell_plans):
+        s = rng.integers(-20, 20, size=(120, 3)) * 0.25
+        t = rng.integers(-20, 20, size=(130, 3)) * 0.25
+        condition = BandCondition({"A1": (0.125, 0.75), "A2": (0.5, 0.0), "A3": (0.0, 1.0)})
+        assert _assert_matches_reference(s, t, condition).shape[0] > 0
+        assert all(plan is not None for plan in cell_plans)
+
+    def test_zero_width_residual_dimension_buckets_by_value(self, rng, cell_plans):
+        s = np.column_stack([rng.uniform(0, 5, 150), rng.integers(0, 9, 150)])
+        t = np.column_stack([rng.uniform(0, 5, 160), rng.integers(0, 12, 160)])
+        condition = BandCondition({"A1": 0.5, "A2": 0.0})
+        assert _assert_matches_reference(s, t, condition).shape[0] > 0
+        # Sweeping A1 leaves A2 to the cells: one window per probe, its own value.
+        assert cell_plans[0][3] == 1
+
+    def test_all_duplicate_columns(self, rng, cell_plans):
+        s = np.column_stack([rng.uniform(0, 5, 90), np.full(90, 2.5)])
+        t = np.column_stack([rng.uniform(0, 5, 80), np.full(80, 2.5)])
+        for width in (0.25, 0.0):
+            condition = BandCondition({"A1": 0.25, "A2": width})
+            assert _assert_matches_reference(s, t, condition).shape[0] > 0
+        ones = np.ones((25, 3))
+        assert _assert_matches_reference(ones, ones, BandCondition.symmetric("ABC", 0.0)).shape[0] == 625
+
+    def test_spread_too_large_for_integer_cells_uses_dense_ranks(self, rng, cell_plans):
+        s = rng.integers(-(2**52), 2**52, size=(300, 2)) * 1024.0
+        t = s[rng.integers(0, 300, 320)] + rng.integers(-3, 4, size=(320, 2)) * 1024.0
+        condition = BandCondition.symmetric(["A1", "A2"], 2048.0)
+        # cell id * (n + 1) would leave int64
+        assert min(np.ptp(s, axis=0).min(), np.ptp(t, axis=0).min()) / 4096.0 * 300 > 2**58
+        assert _assert_matches_reference(s, t, condition).shape[0] > 0
+        assert all(plan is not None for plan in cell_plans)
+
+    def test_one_candidate_memory_budget(self, rng, cell_plans):
+        s, t = _random_inputs(rng, 60, 70, 2, spread=3.0)
+        condition = BandCondition.symmetric(["A1", "A2"], 0.3)
+        assert kernels.max_candidates(1) == 1
+        assert _assert_matches_reference(s, t, condition, memory_budget=1).shape[0] > 0
+
+    def test_memory_mapped_side_under_kernel_scratch(self, rng, cell_plans, tmp_path):
+        from repro.data.storage import SpillArena
+
+        s, t = _random_inputs(rng, 200, 220, 3, spread=5.0)
+        s_mmap = np.lib.format.open_memmap(tmp_path / "s.npy", "w+", s.dtype, s.shape)
+        s_mmap[:] = s
+        condition = BandCondition.symmetric(["A1", "A2", "A3"], 0.4)
+        with SpillArena(str(tmp_path / "scratch")) as arena:
+            with kernels.kernel_scratch(arena, 0):  # every sorted copy spills
+                assert _assert_matches_reference(s_mmap, t, condition).shape[0] > 0
+        assert all(plan is not None for plan in cell_plans)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(2, 4),
+        n_s=st.integers(1, 40),
+        n_t=st.integers(1, 40),
+        budget=st.sampled_from([1, 64, kernels.DEFAULT_MEMORY_BUDGET]),
+    )
+    def test_property_matches_nested_loop(self, data, d, n_s, n_t, budget):
+        quarters = st.integers(-24, 24).map(lambda k: k * 0.25)
+        eighths = st.integers(0, 12).map(lambda k: k * 0.125)
+        s = np.array(data.draw(st.lists(st.lists(quarters, min_size=d, max_size=d), min_size=n_s, max_size=n_s)))
+        t = np.array(data.draw(st.lists(st.lists(quarters, min_size=d, max_size=d), min_size=n_t, max_size=n_t)))
+        widths = data.draw(st.lists(st.tuples(eighths, eighths), min_size=d, max_size=d))
+        condition = BandCondition({f"A{i}": w for i, w in enumerate(widths)})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "plain_expansion_limit", lambda n, m: 0)
+            _assert_matches_reference(s, t, condition, memory_budget=budget)
+
+    def test_candidates_stay_within_three_times_the_output(self):
+        """The count the cell plan exists for (the plain windows expand ~15x)."""
+        from repro import obs
+        from repro.obs.explain.builder import kernel_counter_totals
+
+        rng = np.random.default_rng(2020)
+        s, t = (np.power(1.0 - rng.random((10_000, 2)), -1.0 / 1.5) for _ in range(2))
+        condition = BandCondition.symmetric(["A1", "A2"], 0.01)
+        was_enabled = obs.is_enabled()
+        obs.enable()
+        try:
+            before = kernel_counter_totals()
+            pairs = IntervalJoin.named("index-nested-loop").join(s, t, condition)
+            after = kernel_counter_totals()
+        finally:
+            (obs.enable if was_enabled else obs.disable)()
+        assert after["pairs"] - before["pairs"] == pairs.shape[0] > 0
+        assert after["candidates"] - before["candidates"] <= 3 * pairs.shape[0]
 
 
 class TestAgreementWithReference:
