@@ -14,6 +14,8 @@ uniformly random worker.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.exceptions import PartitioningError
@@ -39,16 +41,18 @@ def lpt_assignment(loads: np.ndarray, workers: int) -> np.ndarray:
     if np.any(loads < 0):
         raise PartitioningError("unit loads must be non-negative")
     n = loads.shape[0]
-    assignment = np.zeros(n, dtype=np.int64)
     if n == 0 or workers == 1:
-        return assignment
-    order = np.argsort(-loads, kind="stable")
-    worker_totals = np.zeros(workers, dtype=float)
-    for unit in order:
-        target = int(np.argmin(worker_totals))
-        assignment[unit] = target
-        worker_totals[target] += loads[unit]
-    return assignment
+        return np.zeros(n, dtype=np.int64)
+    # A heap of (total, worker) pops the least-loaded worker, the lowest id
+    # among equal totals.
+    heap = [(0.0, worker) for worker in range(workers)]
+    assignment = [0] * n
+    unit_loads = loads.tolist()
+    for unit in np.argsort(-loads, kind="stable").tolist():
+        total, worker = heap[0]
+        assignment[unit] = worker
+        heapq.heapreplace(heap, (total + unit_loads[unit], worker))
+    return np.array(assignment, dtype=np.int64)
 
 
 def random_assignment(n_units: int, workers: int, rng: np.random.Generator) -> np.ndarray:

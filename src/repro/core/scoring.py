@@ -95,18 +95,6 @@ def duplication_interval(
     return split_value - predicate.eps_right, split_value + predicate.eps_left
 
 
-def count_in_intervals(
-    sorted_values: np.ndarray, lows: np.ndarray, highs: np.ndarray
-) -> np.ndarray:
-    """Count, for each interval ``[low_i, high_i)``, how many sorted values fall inside."""
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-    return (
-        np.searchsorted(sorted_values, highs, side="left")
-        - np.searchsorted(sorted_values, lows, side="left")
-    )
-
-
 def sum_squared_loads(leaves: Iterable[LeafStats], ctx: OptimizationContext) -> float:
     """Return ``sum over execution units of load^2`` across all given leaves."""
     return float(sum(leaf.sum_squared_unit_loads(ctx) for leaf in leaves))
@@ -115,25 +103,6 @@ def sum_squared_loads(leaves: Iterable[LeafStats], ctx: OptimizationContext) -> 
 def variance_of_leaves(leaves: Iterable[LeafStats], ctx: OptimizationContext) -> float:
     """Return the load variance ``V[P]`` of the partitioning defined by ``leaves``."""
     return ctx.variance_factor * sum_squared_loads(leaves, ctx)
-
-
-def variance_reduction_from_loads(
-    parent_sum_sq: float, children_sum_sq: float, ctx: OptimizationContext
-) -> float:
-    """Return the variance reduction when a parent's squared-load contribution
-    ``parent_sum_sq`` is replaced by its children's ``children_sum_sq``."""
-    return ctx.variance_factor * (parent_sum_sq - children_sum_sq)
-
-
-def leaf_loads(
-    leaf_s: float,
-    leaf_t: float,
-    leaf_out: float,
-    ctx: OptimizationContext,
-) -> float:
-    """Return the load of a (hypothetical) regular leaf with the given estimated
-    S-input, T-input and output cardinalities."""
-    return ctx.weights.load(leaf_s + leaf_t, leaf_out)
 
 
 def grid_cell_load(

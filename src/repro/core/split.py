@@ -7,9 +7,9 @@ when symmetric partitioning is enabled — S-splits.  For a *small* leaf the
 only options are incrementing the row or column count of its internal
 1-Bucket grid.
 
-All candidate evaluation is vectorised: for one (leaf, dimension, split kind)
-combination every candidate boundary is scored with a handful of
-``searchsorted`` calls over the leaf's sorted sample values.
+All candidate evaluation is vectorised: every candidate of a leaf — over
+all dimensions and both split kinds — is scored in one array pass over the
+leaf's sorted sample values.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import numpy as np
 
 from repro.core.partition import LeafStats, OptimizationContext
 from repro.core.scoring import (
+    MIN_DUPLICATION_FLOOR,
+    RANK_RATIO,
     SplitScore,
-    duplication_interval,
     grid_sum_squared,
     grid_total_input,
 )
@@ -59,128 +60,105 @@ class SplitDecision:
         return f"{side} A{self.dimension + 1} < {self.value:g}"
 
 
-def candidate_boundaries(
-    leaf: LeafStats, ctx: OptimizationContext, dim: int
-) -> np.ndarray:
-    """Return candidate split boundaries in dimension ``dim`` for a leaf.
+def best_regular_split(leaf: LeafStats, ctx: OptimizationContext) -> SplitDecision | None:
+    """Return the best recursive split of a regular leaf, or ``None`` if none is useful.
 
     Candidates are the mid-points between consecutive distinct sampled values
-    (S and T combined) that fall strictly inside the leaf's region, thinned to
-    at most ``ctx.max_split_candidates`` evenly spaced choices.
+    (S and T combined) strictly inside the leaf's region, thinned to at most
+    ``ctx.max_split_candidates`` evenly spaced choices per dimension.  Every
+    (splittable dimension x duplicated side x boundary) candidate is scored in
+    one array pass over the leaf's once-sorted S, T and output-owner columns.
+    Ties go to the earlier dimension, then to T-splits over S-splits, then to
+    the last boundary among equal scores.
     """
-    values = np.concatenate(
-        [leaf.sample_values(ctx, "S", dim), leaf.sample_values(ctx, "T", dim)]
-    )
-    if values.size < 2:
-        return np.empty(0)
-    distinct = np.unique(values)
-    if distinct.size < 2:
-        return np.empty(0)
-    midpoints = 0.5 * (distinct[:-1] + distinct[1:])
-    lower, upper = leaf.region.lower[dim], leaf.region.upper[dim]
-    midpoints = midpoints[(midpoints > lower) & (midpoints < upper)]
-    if midpoints.size > ctx.max_split_candidates:
-        picks = np.linspace(0, midpoints.size - 1, ctx.max_split_candidates)
-        midpoints = midpoints[np.round(picks).astype(int)]
-        midpoints = np.unique(midpoints)
-    return midpoints
+    sample, out = ctx.input_sample, ctx.output_sample
+    s_vals = sample.s_values[leaf.s_rows]
+    t_vals = sample.t_values[leaf.t_rows]
+    n_s, n_t, n_out = s_vals.shape[0], t_vals.shape[0], leaf.out_rows.size
 
-
-def _score_regular_candidates(
-    leaf: LeafStats,
-    ctx: OptimizationContext,
-    dim: int,
-    duplicated_side: str,
-    boundaries: np.ndarray,
-) -> SplitDecision | None:
-    """Score every candidate boundary of one (dimension, split-kind) combination
-    and return the best resulting :class:`SplitDecision` (or ``None``)."""
-    if boundaries.size == 0:
+    # Candidate boundaries of every dimension, flattened dimension-major.
+    merged = np.sort(np.concatenate([s_vals, t_vals]), axis=0)
+    mids = 0.5 * (merged[:-1] + merged[1:])
+    lower, upper = np.asarray(leaf.region.lower), np.asarray(leaf.region.upper)
+    eps_left, eps_right = ctx.condition.eps_arrays()
+    splittable = ~(upper - lower <= ctx.small_partition_factor * np.maximum(eps_left, eps_right))
+    keep = (merged[1:] != merged[:-1]) & (mids > lower) & (mids < upper) & splittable
+    cap = ctx.max_split_candidates
+    if keep.shape[0] > cap:
+        for dim in np.flatnonzero(keep.sum(axis=0) > cap):
+            rows = np.flatnonzero(keep[:, dim])
+            keep[rows, dim] = False
+            keep[rows[np.round(np.linspace(0, rows.size - 1, cap)).astype(int)], dim] = True
+    dims = np.nonzero(keep.T)[0]
+    if dims.size == 0:
         return None
-    partitioned_side = "S" if duplicated_side == "T" else "T"
-    predicate = ctx.condition.predicates[dim]
+    bounds = mids.T[keep.T]
 
-    part_values = np.sort(leaf.sample_values(ctx, partitioned_side, dim))
-    dup_values = np.sort(leaf.sample_values(ctx, duplicated_side, dim))
-    out_values = np.sort(leaf.output_owner_values(ctx, partitioned_side, dim))
+    # below[f]: S (f=0) / T (f=1) values under x, under the upper end and
+    # under the lower end of the duplication interval when that side is the
+    # duplicated one (see duplication_interval); owned[f]: output pairs whose
+    # S / T tuple lies under x.  One searchsorted per sorted column.
+    zero = np.zeros_like(eps_left)
+    shifts = np.array([[zero, eps_left, -eps_right], [zero, eps_right, -eps_left]])
+    queries = bounds + shifts[:, :, dims]
+    columns = [np.sort(v, axis=0) for v in (s_vals, t_vals)]
+    owners = [np.sort(c[leaf.out_rows], axis=0) for c in (out.s_coords, out.t_coords)]
+    below = np.empty(queries.shape, dtype=np.int64)
+    owned = np.empty((2, bounds.size), dtype=np.int64)
+    edges = np.searchsorted(dims, np.arange(ctx.dimensionality + 1))
+    for dim, lo, hi in zip(range(ctx.dimensionality), edges[:-1], edges[1:]):
+        for f in (0, 1):
+            below[f, :, lo:hi] = columns[f][:, dim].searchsorted(queries[f, :, lo:hi])
+            owned[f, lo:hi] = owners[f][:, dim].searchsorted(bounds[lo:hi])
 
-    part_scale = ctx.scale_for(partitioned_side)
-    dup_scale = ctx.scale_for(duplicated_side)
-    out_scale = ctx.output_scale
-
-    n_part = part_values.size
-    n_dup = dup_values.size
-    n_out = out_values.size
-
-    # Partitioned side: disjoint split at the boundary (left = value < x).
-    part_left = np.searchsorted(part_values, boundaries, side="left")
-    part_right = n_part - part_left
-
-    # Duplicated side: copied to both children when within band width of x.
-    low, high = duplication_interval(predicate, 0.0, duplicated_side)
-    dup_left = np.searchsorted(dup_values, boundaries + high, side="left")
-    dup_right = n_dup - np.searchsorted(dup_values, boundaries + low, side="left")
-    dup_count = dup_left + dup_right - n_dup
-
-    # Output ownership follows the partitioned (non-duplicated) side.
-    out_left = np.searchsorted(out_values, boundaries, side="left")
-    out_right = n_out - out_left
+    # Row 0 scores T-splits (S partitioned, T duplicated), row 1 S-splits.
+    sides = 2 if ctx.symmetric else 1
+    part_left, dup_left, dup_below = below[[[0, 1], [1, 0], [1, 0]], [[0], [1], [2]]][:, :sides]
+    out_left = owned[:sides]
+    n_part = np.array([[n_s], [n_t]])[:sides]
+    n_dup = np.array([[n_t], [n_s]])[:sides]
+    part_scale = np.array([[ctx.s_scale], [ctx.t_scale]])[:sides]
+    dup_scale = np.array([[ctx.t_scale], [ctx.s_scale]])[:sides]
+    dup_right = n_dup - dup_below
 
     # Child loads (estimated full-relation cardinalities).
     left_input = part_left * part_scale + dup_left * dup_scale
-    right_input = part_right * part_scale + dup_right * dup_scale
-    left_load = ctx.weights.load(left_input, out_left * out_scale)
-    right_load = ctx.weights.load(right_input, out_right * out_scale)
+    right_input = (n_part - part_left) * part_scale + dup_right * dup_scale
+    left_load = ctx.weights.load(left_input, out_left * ctx.output_scale)
+    right_load = ctx.weights.load(right_input, (n_out - out_left) * ctx.output_scale)
 
     parent_sum_sq = leaf.sum_squared_unit_loads(ctx)
     children_sum_sq = left_load * left_load + right_load * right_load
     variance_reduction = ctx.variance_factor * (parent_sum_sq - children_sum_sq)
-    duplication_increase = dup_count * dup_scale
+    duplication_increase = (dup_left + dup_right - n_dup) * dup_scale
 
-    # Vectorised scoring: the ratio of variance reduction to duplication
-    # increase, with the duplication floored at one tuple (see
-    # repro.core.scoring.MIN_DUPLICATION_FLOOR for the rationale).  The
+    # The ratio of variance reduction to duplication increase, with the
+    # duplication floored at one tuple (see MIN_DUPLICATION_FLOOR).  The
     # alternative modes are only used by the scoring-measure ablation.
-    from repro.core.scoring import MIN_DUPLICATION_FLOOR
-
     if ctx.scoring_mode == "variance":
         ratios = variance_reduction
     elif ctx.scoring_mode == "duplication":
         ratios = -np.maximum(duplication_increase, 0.0)
     else:
         ratios = variance_reduction / np.maximum(duplication_increase, MIN_DUPLICATION_FLOOR)
-    ranks = np.where(variance_reduction > 0, 1, 0)
-    order = np.lexsort((ratios, ranks))
-    best_idx = order[-1]
-    score = SplitScore(int(ranks[best_idx]), float(ratios[best_idx]))
+    # A positive ratio implies a variance reduction, so the best positive
+    # ratio is the best useful split.
+    best_ratio = ratios.max()
+    if not best_ratio > 0:
+        return None
+    side, j = np.divmod(np.flatnonzero(ratios == best_ratio), bounds.size)
+    combination = 2 * dims[j] + side
+    pick = np.flatnonzero(combination == combination.min())[-1]
+    side, j = int(side[pick]), int(j[pick])
     return SplitDecision(
         kind=KIND_REGULAR,
-        score=score,
-        variance_reduction=float(variance_reduction[best_idx]),
-        duplication_increase=float(duplication_increase[best_idx]),
-        dimension=dim,
-        value=float(boundaries[best_idx]),
-        duplicated_side=duplicated_side,
+        score=SplitScore(RANK_RATIO, float(best_ratio)),
+        variance_reduction=float(variance_reduction[side, j]),
+        duplication_increase=float(duplication_increase[side, j]),
+        dimension=int(dims[j]),
+        value=float(bounds[j]),
+        duplicated_side="TS"[side],
     )
-
-
-def best_regular_split(leaf: LeafStats, ctx: OptimizationContext) -> SplitDecision | None:
-    """Return the best recursive split of a regular leaf, or ``None`` if none is useful."""
-    best: SplitDecision | None = None
-    duplicated_sides = ("T", "S") if ctx.symmetric else ("T",)
-    for dim in leaf.splittable_dimensions(ctx):
-        boundaries = candidate_boundaries(leaf, ctx, dim)
-        if boundaries.size == 0:
-            continue
-        for duplicated_side in duplicated_sides:
-            decision = _score_regular_candidates(leaf, ctx, dim, duplicated_side, boundaries)
-            if decision is None:
-                continue
-            if best is None or decision.score > best.score:
-                best = decision
-    if best is not None and not best.score.is_useful:
-        return None
-    return best
 
 
 def best_grid_split(leaf: LeafStats, ctx: OptimizationContext) -> SplitDecision | None:

@@ -64,20 +64,23 @@ def estimate_partitioning(
     """
     if not leaves:
         raise OptimizationError("cannot estimate an empty partitioning")
-    unit_loads: list[float] = []
-    unit_inputs: list[float] = []
-    unit_outputs: list[float] = []
-    total_input = 0.0
-    for leaf in leaves:
-        n_units = leaf.n_units()
-        unit_loads.extend([leaf.unit_load(ctx)] * n_units)
-        unit_inputs.extend([leaf.unit_input(ctx)] * n_units)
-        unit_outputs.extend([leaf.unit_output(ctx)] * n_units)
-        total_input += leaf.estimated_input(ctx)
+    # The LeafStats estimates, as arrays over the leaves (same float operations).
+    n_s, n_t, n_out, rows, cols = np.array(
+        [
+            (leaf.s_rows.size, leaf.t_rows.size, leaf.out_rows.size, leaf.grid_rows, leaf.grid_cols)
+            for leaf in leaves
+        ]
+    ).T
+    est_s, est_t = n_s * ctx.s_scale, n_t * ctx.t_scale
+    n_units = rows * cols
+    unit_input = est_s / rows + est_t / cols
+    unit_output = n_out * ctx.output_scale / n_units
+    # A sequential sum, as a running total over the leaves would add them.
+    total_input = float(np.cumsum(cols * est_s + rows * est_t)[-1])
 
-    loads = np.asarray(unit_loads, dtype=float)
-    inputs = np.asarray(unit_inputs, dtype=float)
-    outputs = np.asarray(unit_outputs, dtype=float)
+    loads = np.repeat(ctx.weights.load(unit_input, unit_output), n_units)
+    inputs = np.repeat(unit_input, n_units)
+    outputs = np.repeat(unit_output, n_units)
     assignment = lpt_assignment(loads, ctx.workers)
     per_worker_load = worker_loads(loads, assignment, ctx.workers)
     per_worker_input = worker_loads(inputs, assignment, ctx.workers)

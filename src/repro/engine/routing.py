@@ -214,13 +214,16 @@ def dedup_worker_copies(
     """Collapse (tuple, worker) copies so each tuple counts once per worker.
 
     Returns the worker id of every retained copy (suitable for ``bincount``);
-    this is the per-worker input accounting of paper Definition 1.
+    this is the per-worker input accounting of paper Definition 1.  Only
+    rows with several copies can collide, so only those go through
+    ``np.unique``.
     """
     if rows.size == 0:
         return np.empty(0, dtype=np.int64)
-    combined = rows.astype(np.int64) * n_workers + workers_per_copy.astype(np.int64)
-    unique = np.unique(combined)
-    return (unique % n_workers).astype(np.int64)
+    workers_per_copy = workers_per_copy.astype(np.int64, copy=False)
+    shared = np.bincount(rows)[rows] > 1
+    combined = rows[shared].astype(np.int64) * n_workers + workers_per_copy[shared]
+    return np.concatenate([workers_per_copy[~shared], np.unique(combined) % n_workers])
 
 
 def dedup_workers(partitioning: JoinPartitioning, routed: RoutedSide) -> np.ndarray:

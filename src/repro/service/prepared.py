@@ -111,7 +111,7 @@ class ResultCacheStats:
     Covers both LRU maps (full results and base results): ``hits``/``misses``
     count execute-path lookups, ``stores`` inserts, ``evictions`` capacity
     drops, and ``invalidations`` entries dropped by :meth:`PreparedQuery.invalidate`
-    (i.e. append-driven flushes).
+    or superseded by a store of the same epsilons at newer catalog versions.
     """
 
     hits: int = 0
@@ -545,11 +545,7 @@ class PreparedQuery:
             job=engine_result.job,
         )
         with self._lock:
-            self._base_results[base_key] = result
-            self.result_cache_stats.stores += 1
-            while len(self._base_results) > self.result_cache_size:
-                self._base_results.popitem(last=False)
-                self.result_cache_stats.evictions += 1
+            self._store(self._base_results, base_key, result)
         return result, False
 
     def stale_result(self, ekey: tuple) -> QueryResult | None:
@@ -585,14 +581,32 @@ class PreparedQuery:
     def store_result(self, ekey: tuple, result: QueryResult) -> None:
         """Insert a materialized result (the scheduler also stores filtered
         micro-batch members here so repeats hit the result cache)."""
-        key = (result.s_version, result.t_version, ekey)
         with self._lock:
-            self._results[key] = result
-            self._results.move_to_end(key)
-            self.result_cache_stats.stores += 1
-            while len(self._results) > self.result_cache_size:
-                self._results.popitem(last=False)
-                self.result_cache_stats.evictions += 1
+            self._store(self._results, (result.s_version, result.t_version, ekey), result)
+
+    def _store(self, cache: OrderedDict, key: tuple, result: QueryResult) -> None:
+        """Insert ``result`` under ``key = (s version, t version, epsilons)``
+        (the caller holds the lock).
+
+        Catalog versions only grow, so an entry of the same epsilons at
+        versions the new key dominates can never be served again: it is
+        dropped (counted as an invalidation) before the LRU bound applies.
+        """
+        s_version, t_version, ekey = key
+        superseded = [
+            old
+            for old in cache
+            if old[2] == ekey and old[0] <= s_version and old[1] <= t_version and old != key
+        ]
+        for old in superseded:
+            del cache[old]
+        self.result_cache_stats.invalidations += len(superseded)
+        cache[key] = result
+        cache.move_to_end(key)
+        self.result_cache_stats.stores += 1
+        while len(cache) > self.result_cache_size:
+            cache.popitem(last=False)
+            self.result_cache_stats.evictions += 1
 
     def invalidate(self) -> None:
         """Drop every cached result (full and base)."""

@@ -18,7 +18,37 @@ from repro.core.assignment import (
 from repro.exceptions import PartitioningError
 
 
+def reference_lpt_assignment(loads, workers):
+    """LPT with an ``argmin`` over the worker totals per unit (the loop the
+    heap replaced); ties go to the lowest worker id."""
+    loads = np.asarray(loads, dtype=float)
+    assignment = np.zeros(loads.shape[0], dtype=np.int64)
+    if loads.shape[0] == 0 or workers == 1:
+        return assignment
+    worker_totals = np.zeros(workers, dtype=float)
+    for unit in np.argsort(-loads, kind="stable"):
+        target = int(np.argmin(worker_totals))
+        assignment[unit] = target
+        worker_totals[target] += loads[unit]
+    return assignment
+
+
 class TestLPT:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        loads=st.one_of(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]), max_size=60),
+            st.lists(st.floats(0, 1e6), max_size=60),
+        ),
+        workers=st.integers(1, 9),
+    )
+    def test_matches_argmin_reference(self, loads, workers):
+        """Tied loads and tied worker totals resolve exactly as argmin does."""
+        np.testing.assert_array_equal(
+            lpt_assignment(np.array(loads), workers),
+            reference_lpt_assignment(np.array(loads), workers),
+        )
+
     def test_balances_equal_loads(self):
         loads = np.ones(8)
         assignment = lpt_assignment(loads, 4)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.grid import GridEpsilonPartitioner
 from repro.baselines.one_bucket import OneBucketPartitioner
@@ -34,6 +36,7 @@ from repro.engine import (
     unit_offset_step,
     worker_input_counts,
 )
+from repro.engine.routing import dedup_worker_copies
 from repro.exceptions import ExecutionError
 from repro.geometry.band import BandCondition
 from repro.local_join.base import canonical_pair_order
@@ -109,6 +112,39 @@ class TestRouting:
         counts = worker_input_counts(partitioning, s_routed)
         for stats in result.job.workers:
             assert stats.input_s == counts[stats.worker_id]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 400), workers=st.integers(1, 9))
+    def test_dedup_matches_unique_reference(self, seed, n, workers):
+        """Single-copy rows bypass np.unique; the counts must not change."""
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, n // int(rng.integers(1, 5)) + 1, size=n)
+        owners = rng.integers(0, workers, size=n)
+        reference = np.unique(rows * workers + owners) % workers
+        np.testing.assert_array_equal(
+            np.bincount(dedup_worker_copies(rows, owners, workers), minlength=workers),
+            np.bincount(reference, minlength=workers),
+        )
+
+    @pytest.mark.parametrize("partitioner", [RecPartPartitioner(), GridEpsilonPartitioner()])
+    def test_streamed_input_counts_match_in_memory(self, partitioner, tmp_path):
+        """Chunk-local dedup over small chunks sums to the in-memory counts."""
+        s, t, condition = _small_problem(n=900)
+        partitioning = partitioner.partition(s, t, condition, workers=4)
+        expected = {
+            side: worker_input_counts(
+                partitioning, route_side(partitioning, r.join_matrix(condition.attributes), side)
+            )
+            for r, side in ((s, "S"), (t, "T"))
+        }
+        engine = ParallelJoinEngine(backend="serial", spill_dir=str(tmp_path), chunk_bytes=2048)
+        result = engine.execute(
+            s.spill(str(tmp_path / "s")), t.spill(str(tmp_path / "t")), condition, partitioning
+        )
+        assert sum(expected["T"]) > len(t)  # some T-tuples reach several workers
+        for stats in result.job.workers:
+            assert stats.input_s == expected["S"][stats.worker_id]
+            assert stats.input_t == expected["T"][stats.worker_id]
 
 
 class TestBackendEquivalence:

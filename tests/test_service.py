@@ -191,6 +191,26 @@ class TestPreparedQueryPaths:
             assert after_append.path == PATH_DELTA
             assert service.query("q").path == PATH_RESULT_CACHE
 
+    def test_result_cache_keeps_only_the_newest_versions(self):
+        """Append+query cycles (with compactions) leave one full and one base
+        result per epsilon binding, and the stale path serves the newest."""
+        rng = np.random.default_rng(11)
+        with sync_service(staleness_threshold=0.05) as service:
+            service.register("S", _columns(rng, 500))
+            service.register("T", _columns(rng, 500))
+            prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.02)
+            for _ in range(8):
+                service.append("S", _columns(rng, 10))
+                service.query("q")
+                service.query("q", 0.01)
+            assert service.catalog.get("S").base_version > 2  # compactions ran
+            assert prepared.cached_results() == 2
+            assert len(prepared._base_results) == 2
+            assert prepared.result_cache_stats.invalidations > 0
+            newest = prepared.stale_result(prepared.epsilon_key())
+            assert (newest.s_version, newest.t_version) == prepared.current_versions()
+            assert newest.stale and newest.version_lag == 0
+
     def test_delta_path_matches_full_reference_with_out_of_bounds_values(self):
         rng = np.random.default_rng(6)
         with sync_service(staleness_threshold=10.0) as service:

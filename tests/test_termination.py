@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import LoadWeights
+from repro.core.assignment import lpt_assignment, worker_loads
 from repro.core.partition import LeafStats, OptimizationContext
 from repro.core.split import find_best_split
 from repro.core.split_tree import SplitTree
 from repro.core.termination import (
     CostModelTermination,
+    PartitioningEstimate,
     TheoreticalTermination,
     estimate_partitioning,
 )
@@ -18,8 +22,41 @@ from repro.cost.model import default_running_time_model
 from repro.data.generators import correlated_pair
 from repro.exceptions import OptimizationError
 from repro.geometry.band import BandCondition
-from repro.sampling.input_sampler import draw_input_sample
-from repro.sampling.output_sampler import draw_output_sample
+from repro.geometry.region import Region
+from repro.sampling.input_sampler import InputSample, draw_input_sample
+from repro.sampling.output_sampler import OutputSample, draw_output_sample
+
+
+def reference_estimate_partitioning(leaves, ctx):
+    """The per-leaf loop over LeafStats estimates that the array version replaced."""
+    unit_loads, unit_inputs, unit_outputs = [], [], []
+    total_input = 0.0
+    for leaf in leaves:
+        n_units = leaf.n_units()
+        unit_loads.extend([leaf.unit_load(ctx)] * n_units)
+        unit_inputs.extend([leaf.unit_input(ctx)] * n_units)
+        unit_outputs.extend([leaf.unit_output(ctx)] * n_units)
+        total_input += leaf.estimated_input(ctx)
+    loads = np.asarray(unit_loads, dtype=float)
+    assignment = lpt_assignment(loads, ctx.workers)
+    per_worker_load = worker_loads(loads, assignment, ctx.workers)
+    per_worker_input = worker_loads(np.asarray(unit_inputs), assignment, ctx.workers)
+    per_worker_output = worker_loads(np.asarray(unit_outputs), assignment, ctx.workers)
+    most_loaded = int(np.argmax(per_worker_load))
+    baseline_input = float(ctx.input_sample.total_input)
+    lower_bound_load = (
+        ctx.weights.load(baseline_input, float(ctx.output_sample.estimated_output)) / ctx.workers
+    )
+    max_load = float(per_worker_load[most_loaded])
+    return PartitioningEstimate(
+        total_input=float(total_input),
+        max_worker_load=max_load,
+        max_worker_input=float(per_worker_input[most_loaded]),
+        max_worker_output=float(per_worker_output[most_loaded]),
+        n_units=int(loads.size),
+        duplication_overhead=float((total_input - baseline_input) / baseline_input),
+        load_overhead=float((max_load - lower_bound_load) / lower_bound_load),
+    )
 
 
 @pytest.fixture
@@ -80,6 +117,42 @@ class TestEstimatePartitioning:
         states = _grow(tree, 10)
         inputs = [estimate_partitioning(state, context).total_input for state in states]
         assert all(b >= a - 1e-9 for a, b in zip(inputs, inputs[1:]))
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_leaves=st.integers(1, 60),
+        workers=st.integers(1, 12),
+        tied=st.booleans(),
+    )
+    def test_matches_per_leaf_reference(self, seed, n_leaves, workers, tied):
+        """Random leaves (tied loads when ``tied``): the array estimate is
+        bit-identical to summing LeafStats estimates leaf by leaf."""
+        rng = np.random.default_rng(seed)
+        scales = [1.0, 3.0, 3.0] if tied else list(rng.uniform(0.1, 9.0, size=3))
+        one = np.zeros((1, 1))
+        ctx = OptimizationContext(
+            condition=BandCondition.symmetric(["A1"], 0.1),
+            workers=workers,
+            weights=LoadWeights(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.1, 2.0))),
+            input_sample=InputSample(one, one, scales[0], scales[1], 5000, 7000),
+            output_sample=OutputSample(one, one, float(rng.uniform(1.0, 1e5)), scales[2]),
+        )
+        high = 3 if tied else 400
+        leaves = [
+            LeafStats(
+                node_id=i,
+                region=Region.from_bounds([0.0], [1.0]),
+                s_rows=np.zeros(rng.integers(0, high), dtype=int),
+                t_rows=np.zeros(rng.integers(0, high), dtype=int),
+                out_rows=np.zeros(rng.integers(0, high), dtype=int),
+                grid_rows=int(rng.integers(1, 4)),
+                grid_cols=int(rng.integers(1, 4)),
+            )
+            for i in range(n_leaves)
+        ]
+        assert estimate_partitioning(leaves, ctx) == reference_estimate_partitioning(leaves, ctx)
 
 
 class TestTheoreticalTermination:
