@@ -7,15 +7,18 @@ output pairs whose distribution over the join-attribute space approximates
 the true output distribution, together with an estimate of the total output
 cardinality.
 
-This module implements that contract with a progressive cross-sample join:
+This module implements that contract with one growing cross-sample join:
 
 1. draw random samples ``S_c ⊆ S`` and ``T_c ⊆ T``,
 2. join the samples exactly (index-nested-loop),
 3. estimate the full output as ``|pairs| * (|S| / |S_c|) * (|T| / |T_c|)``
    (every pair of the cross product is included in the sample join with
    probability ``(|S_c|/|S|) * (|T_c|/|T|)``, so this estimator is unbiased),
-4. if too few pairs were found, grow the samples and repeat; finally
-   subsample the pairs down to the requested output-sample size.
+4. if too few pairs were found, add uniformly drawn unused rows to both
+   samples — straight to the first scheduled fraction at which the pair
+   count, which grows with the square of the fraction, predicts enough
+   pairs — and join again; finally subsample the pairs down to the
+   requested output-sample size.
 
 The sampled pairs keep both their S-side and T-side join-attribute
 coordinates because split ownership follows the *non-duplicated* side, which
@@ -64,6 +67,24 @@ class OutputSample:
         return len(self) == 0
 
 
+def _grow_rows(
+    rows: np.ndarray, size: int, fraction: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Extend the distinct row sample ``rows`` of a ``size``-row relation to
+    ``fraction`` of it with uniformly drawn rows it does not hold yet.
+
+    From an empty sample this draws exactly what :meth:`Relation.sample`
+    draws, so a first round consumes the same random numbers.
+    """
+    target = max(1, min(size, int(round(fraction * size))))
+    free = np.ones(size, dtype=bool)
+    free[rows] = False
+    free = np.flatnonzero(free)
+    if target - rows.size < free.size:
+        free = free[rng.choice(free.size, size=target - rows.size, replace=False)]
+    return np.concatenate([rows, free])
+
+
 def draw_output_sample(
     s: Relation,
     t: Relation,
@@ -80,8 +101,10 @@ def draw_output_sample(
     ----------
     initial_fraction / max_fraction / growth:
         Control the progressive enlargement of the cross-sample: start with
-        ``initial_fraction`` of each relation, multiply by ``growth`` until
-        either enough pairs are found or ``max_fraction`` is reached.  The cap
+        ``initial_fraction`` of each relation and, while too few pairs were
+        found, grow the same samples along the schedule ``initial_fraction *
+        growth**k`` (capped at ``max_fraction``), skipping the fractions at
+        which the last round's pair count predicts too few pairs.  The cap
         bounds sampling cost (the paper bounds statistics time at 5% of join
         time); if the join output is tiny the final sample may simply hold
         fewer pairs, which is fine because a small output has negligible
@@ -101,24 +124,25 @@ def draw_output_sample(
         return OutputSample(empty, empty, 0.0, 0.0)
 
     joiner = default_local_join()
+    s_rows = t_rows = np.empty(0, dtype=np.int64)
     fraction = initial_fraction
-    best: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
     while True:
-        n_s = max(1, min(len(s), int(round(fraction * len(s)))))
-        n_t = max(1, min(len(t), int(round(fraction * len(t)))))
-        s_sub = s.sample(n_s, rng)
-        t_sub = t.sample(n_t, rng)
-        s_matrix = s_sub.join_matrix(attrs)
-        t_matrix = t_sub.join_matrix(attrs)
+        s_rows = _grow_rows(s_rows, len(s), fraction, rng)
+        t_rows = _grow_rows(t_rows, len(t), fraction, rng)
+        s_matrix = s.take(s_rows).join_matrix(attrs)
+        t_matrix = t.take(t_rows).join_matrix(attrs)
         pairs = joiner.join(s_matrix, t_matrix, condition)
-        scale = (len(s) / len(s_sub)) * (len(t) / len(t_sub))
-        estimated_output = float(pairs.shape[0]) * scale
-        best = (pairs, s_matrix, t_matrix, estimated_output)
-        if pairs.shape[0] >= sample_size or fraction >= max_fraction:
+        found = pairs.shape[0]
+        if found >= sample_size or fraction >= max_fraction:
             break
+        # Pairs grow with the square of the fraction: skip the scheduled
+        # fractions at which this round's count predicts too few of them.
+        start = fraction
         fraction = min(max_fraction, fraction * growth)
-
-    pairs, s_matrix, t_matrix, estimated_output = best
+        while fraction < max_fraction and found * (fraction / start) ** 2 < sample_size:
+            fraction = min(max_fraction, fraction * growth)
+    scale = (len(s) / s_rows.size) * (len(t) / t_rows.size)
+    estimated_output = float(found) * scale
     if pairs.shape[0] == 0:
         empty = np.empty((0, condition.dimensionality))
         return OutputSample(empty, empty, estimated_output, 0.0)

@@ -9,8 +9,10 @@ from repro.data.generators import correlated_pair, uniform_relation
 from repro.exceptions import SamplingError
 from repro.geometry.band import BandCondition
 from repro.local_join.base import join_pair_count
+from repro.local_join.interval import default_local_join
+from repro.sampling import output_sampler
 from repro.sampling.input_sampler import draw_input_sample
-from repro.sampling.output_sampler import draw_output_sample
+from repro.sampling.output_sampler import _grow_rows, draw_output_sample
 
 
 class TestInputSampler:
@@ -138,6 +140,66 @@ class TestOutputSampler:
             draw_output_sample(s, t, condition, 10, rng, initial_fraction=0.6, max_fraction=0.5)
         with pytest.raises(SamplingError):
             draw_output_sample(s, t, condition, 10, rng, growth=1.0)
+
+
+    def test_first_round_keeps_the_single_draw_stream(self):
+        """When the first round finds enough pairs the sample is exactly one
+        draw of each side plus one subsample, as a one-shot sampler draws it."""
+        s = uniform_relation("S", 6000, dimensions=2, seed=3)
+        t = uniform_relation("T", 5000, dimensions=2, seed=4)
+        condition = BandCondition.symmetric(["A1", "A2"], 0.05)
+        sample = draw_output_sample(s, t, condition, 50, np.random.default_rng(8))
+
+        rng = np.random.default_rng(8)
+        s_sub, t_sub = s.sample(120, rng), t.sample(100, rng)
+        s_matrix, t_matrix = s_sub.join_matrix(["A1", "A2"]), t_sub.join_matrix(["A1", "A2"])
+        pairs = default_local_join().join(s_matrix, t_matrix, condition)
+        assert pairs.shape[0] >= 50
+        estimated = pairs.shape[0] * (6000 / 120) * (5000 / 100)
+        pairs = pairs[rng.choice(pairs.shape[0], size=50, replace=False)]
+        np.testing.assert_array_equal(sample.s_coords, s_matrix[pairs[:, 0]])
+        np.testing.assert_array_equal(sample.t_coords, t_matrix[pairs[:, 1]])
+        assert sample.estimated_output == estimated
+
+    def test_grown_rows_never_repeat(self):
+        rng = np.random.default_rng(2)
+        rows = np.empty(0, dtype=np.int64)
+        for fraction in (0.02, 0.08, 0.35, 0.9, 1.0):
+            grown = _grow_rows(rows, 5000, fraction, rng)
+            assert grown.size == round(fraction * 5000)
+            assert np.unique(grown).size == grown.size
+            np.testing.assert_array_equal(grown[: rows.size], rows)
+            rows = grown
+
+    def test_growth_skips_to_the_predicted_fraction(self, monkeypatch):
+        """A pilot that finds a tenth of the pairs goes straight to the first
+        scheduled fraction predicted to find them all: two joins, not five."""
+        joins = []
+
+        class Counting:
+            def join(self, s_matrix, t_matrix, condition):
+                joins.append((s_matrix.shape[0], t_matrix.shape[0]))
+                return default_local_join().join(s_matrix, t_matrix, condition)
+
+        monkeypatch.setattr(output_sampler, "default_local_join", Counting)
+        s = uniform_relation("S", 20_000, dimensions=1, seed=0)
+        t = uniform_relation("T", 20_000, dimensions=1, seed=1)
+        condition = BandCondition.symmetric(["A1"], 0.002)
+        sample = draw_output_sample(s, t, condition, 10 * 640, np.random.default_rng(0))
+        assert len(joins) == 2
+        assert joins[1][0] in (round(0.02 * 2**k * 20_000) for k in range(1, 5))
+        assert len(sample) == 10 * 640
+        # The grown pairs are distinct (no row was drawn twice).
+        coords = np.column_stack([sample.s_coords, sample.t_coords])
+        assert np.unique(coords, axis=0).shape[0] == len(sample)
+
+    def test_grown_sample_estimates_total_output(self, rng):
+        s = uniform_relation("S", 8000, dimensions=1, seed=0)
+        t = uniform_relation("T", 8000, dimensions=1, seed=1)
+        condition = BandCondition.symmetric(["A1"], 0.001)
+        sample = draw_output_sample(s, t, condition, 400, rng, initial_fraction=0.01)
+        exact = join_pair_count(s.join_matrix(["A1"]), t.join_matrix(["A1"]), condition)
+        assert 0.5 * exact < sample.estimated_output < 1.6 * exact
 
 
 class TestSelectivityEstimates:
