@@ -97,17 +97,35 @@ class GridPartitioning(JoinPartitioning):
         shifted = indices - self._key_minimums
         return (shifted * self._key_strides).sum(axis=1)
 
-    def _lookup_units(self, keys: np.ndarray) -> np.ndarray:
-        """Map flattened cell keys to unit ids (hash-fallback for unseen cells)."""
+    def _lookup_units(self, keys: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Map flattened cell keys to unit ids (hash-fallback for unseen cells).
+
+        Also returns whether every key was a cell the optimizer saw.
+        """
         positions = np.searchsorted(self._cell_keys, keys)
         positions = np.clip(positions, 0, self._cell_keys.size - 1)
         known = self._cell_keys[positions] == keys
-        if not np.all(known):
+        all_known = bool(np.all(known))
+        if not all_known:
             # Cells never seen at optimization time (possible when routing data
             # the optimizer did not observe): fall back to hashing the key.
             positions = positions.copy()
             positions[~known] = np.abs(keys[~known]) % self._cell_keys.size
-        return positions.astype(np.int64)
+        return positions.astype(np.int64), all_known
+
+    def _leaves_key_box(self, t_matrix: np.ndarray) -> bool:
+        """Return whether some T-range reaches a cell outside the optimizer's
+        index box on a dimension past the first, where flat keys alias."""
+        if t_matrix.shape[1] < 2:
+            return False
+        lower, upper = self._condition.epsilon_range(t_matrix, around="t")
+        low = np.floor(lower.min(axis=0) / self._cell_sizes).astype(np.int64)
+        high = np.floor(upper.max(axis=0) / self._cell_sizes).astype(np.int64)
+        extents = self._key_strides[:-1] // self._key_strides[1:]
+        return bool(
+            np.any(low[1:] < self._key_minimums[1:])
+            or np.any(high[1:] >= self._key_minimums[1:] + extents)
+        )
 
     # ------------------------------------------------------------------ #
     # JoinPartitioning API
@@ -123,12 +141,18 @@ class GridPartitioning(JoinPartitioning):
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         if side == "S":
             indices = self.cell_indices(matrix, self._cell_sizes)
-            units = self._lookup_units(self._encode(indices))
+            units, _ = self._lookup_units(self._encode(indices))
             return np.arange(n, dtype=np.int64), units
         rows, keys = expand_epsilon_cells(
             matrix, self._condition, self._cell_sizes, self._key_minimums, self._key_strides
         )
-        return rows, self._lookup_units(keys)
+        units, all_known = self._lookup_units(keys)
+        if not all_known or self._leaves_key_box(matrix):
+            # Hashed or aliased cells can put two cells of one tuple in the
+            # same unit; one copy per (row, unit) keeps every pair unique.
+            copies = np.unique(rows * self.n_units + units)
+            rows, units = copies // self.n_units, copies % self.n_units
+        return rows, units
 
     def describe(self) -> dict:
         info = super().describe()

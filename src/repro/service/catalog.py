@@ -13,8 +13,8 @@ catalog reports it and fires the ``on_stale`` callback, which the service
 wires to background compaction — merging the delta into a new base, after
 which the next query re-optimizes over the full data.  Until then, queries
 answer through the delta-join path of
-:class:`~repro.service.prepared.PreparedQuery`, which routes only the
-appended rows through the existing partitioning.
+:class:`~repro.service.prepared.PreparedQuery`, which extends its newest
+cached result by joining only the rows appended since.
 
 All mutation happens under one lock; readers receive immutable
 :class:`RelationSnapshot` objects and are never blocked by an append racing
@@ -108,8 +108,8 @@ class RelationSnapshot:
         caches key off this, so stale results can never be served.
     base_version:
         Partitioning lineage; bumped when the base changes (registration or
-        compaction) but *not* on appends — cached plans and base results
-        stay valid across appends.
+        compaction) but *not* on appends — cached plans and results stay
+        valid anchors across appends.
     base / delta:
         The optimized part and the appended tail (``None`` when no rows have
         been appended since the last compaction).
@@ -371,10 +371,9 @@ class RelationCatalog:
         """Append rows to a relation's delta and return the new snapshot.
 
         The appended rows are schema-checked against the base; the base
-        itself (and therefore every cached plan and base result) is
-        untouched.  When the grown delta pushes the relation past the
-        staleness threshold, ``on_stale(name)`` fires after the catalog
-        lock is released.
+        itself (and therefore every cached plan) is untouched.  When the
+        grown delta pushes the relation past the staleness threshold,
+        ``on_stale(name)`` fires after the catalog lock is released.
         """
         delta_rows = _admitted(name, rows)
         stale = False

@@ -9,16 +9,22 @@ and through a per-query **result cache** of materialized pair sets keyed by
 ``(s version, t version, epsilons)`` — appending to either relation bumps
 its version, which invalidates every affected result automatically.
 
-The interesting path is the **delta join**.  With base results cached and
-rows appended since, the full answer decomposes as::
+The interesting path is the **delta join**.  Every cached result records
+its *lineage*: the base versions and the row counts ``(s_rows, t_rows)`` it
+answers.  Appends only ever add rows after those, so the newest cached
+result on the current base lineage is an *anchor* the new answer extends::
 
-    J(S ∪ ΔS, T ∪ ΔT)  =  J(S, T)  ∪  J(ΔS, T ∪ ΔT)  ∪  J(S, ΔT)
+    J(S', T')  =  anchor  ∪  J(S'[s_rows:], T')  ∪  J(S'[:s_rows], T'[t_rows:])
 
-The first term is the cached base result; the other two route only the
-appended rows through the *existing* partitioning
-(:meth:`~repro.engine.engine.ParallelJoinEngine.execute` with the cached
-plan), so an append of ``k`` rows costs O(k · matching output) instead of a
-re-optimization plus a full re-join.
+Each query therefore joins only the rows appended since its anchor.  The
+other side of each term is *probed*, not streamed: a sorted index of its
+first join column (memoized per base lineage) yields the rows inside the new
+rows' ε-windows, only those rows are gathered (touching only their pages on
+mmap storage), and the two small matrices run through the engine under the
+cached partitioning, whose kernel decides every pair.  A delta query thus
+costs O(new rows + matching output), not a pass over either relation.
+Without an anchor (first query, eviction, compaction, re-registration) the
+base join runs through the plan cache and is extended the same way.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.config import DEFAULT_RESULT_CACHE_SIZE, DEFAULT_WORKERS
+from repro.data.relation import Relation
 from repro.distributed.stats import JobStats, merge_job_stats
 from repro.engine.engine import ParallelJoinEngine
 from repro.exceptions import ServiceError
@@ -50,7 +57,7 @@ __all__ = [
 #: Execution paths a query can take, slowest to fastest.
 PATH_COLD = "cold"                  # optimize + full join
 PATH_PLAN_CACHE = "plan_cache"      # cached plan + full join
-PATH_DELTA = "delta"                # cached base result + delta joins
+PATH_DELTA = "delta"                # cached result + joins of the new rows
 PATH_RESULT_CACHE = "result_cache"  # cached materialized result
 PATH_MICRO_BATCH = "micro_batch"    # filtered from a batched wide dispatch
 PATH_STALE = "stale"                # version-stale cached result (degraded mode)
@@ -80,6 +87,9 @@ class QueryResult:
     #: than current; ``version_lag`` is the summed version distance.
     stale: bool = False
     version_lag: int = 0
+    #: ``(s base version, t base version, s rows, t rows)`` the pairs answer;
+    #: a later query on the same base lineage extends them (see module doc).
+    lineage: tuple | None = None
 
     @property
     def n_pairs(self) -> int:
@@ -106,12 +116,12 @@ class QueryResult:
 
 @dataclass
 class ResultCacheStats:
-    """Accounting of one prepared query's materialized-result caches.
+    """Accounting of one prepared query's materialized-result cache.
 
-    Covers both LRU maps (full results and base results): ``hits``/``misses``
-    count execute-path lookups, ``stores`` inserts, ``evictions`` capacity
-    drops, and ``invalidations`` entries dropped by :meth:`PreparedQuery.invalidate`
-    or superseded by a store of the same epsilons at newer catalog versions.
+    ``hits``/``misses`` count execute-path lookups, ``stores`` inserts,
+    ``evictions`` capacity drops, and ``invalidations`` entries dropped by
+    :meth:`PreparedQuery.invalidate` or superseded by a store of the same
+    epsilons at newer catalog versions.
     """
 
     hits: int = 0
@@ -226,8 +236,8 @@ class PreparedQuery:
         #: the workload capture records it as the replayable query identity.
         self.name: str | None = None
         self._lock = threading.Lock()
-        self._results: OrderedDict = OrderedDict()       # (sv, tv, ekey) -> QueryResult
-        self._base_results: OrderedDict = OrderedDict()  # (sbv, tbv, ekey) -> QueryResult
+        self._results: OrderedDict = OrderedDict()  # (sv, tv, ekey) -> QueryResult
+        self._sorted_index: dict = {}  # (relation, base version) -> (values, rows)
         self._sampled_estimates: OrderedDict = OrderedDict()  # (sv, tv, ekey, k) -> float
         # Validate the schema eagerly so prepare() fails fast.
         for name in (s_name, t_name):
@@ -308,11 +318,12 @@ class PreparedQuery:
         """Answer the query, taking the cheapest valid path.
 
         In order of preference: the materialized-result cache, the delta
-        path (cached base result + delta joins of the appended rows), a
-        full join under a cached plan, and finally the cold path (optimize,
-        then join).  ``snapshots`` pins an explicit snapshot pair — the
-        scheduler uses it to serve a whole micro-batch from one consistent
-        catalog state.
+        path (the newest cached result on the current base lineage extended
+        by the rows appended since), and otherwise the base join under a
+        cached plan or, on a plan-cache miss, the cold path (optimize, then
+        join), extended by the appended rows.  ``snapshots`` pins an explicit
+        snapshot pair — the scheduler uses it to serve a whole micro-batch
+        from one consistent catalog state.
         """
         start = time.perf_counter()
         s_snap, t_snap = snapshots if snapshots is not None else self.snapshots()
@@ -325,6 +336,7 @@ class PreparedQuery:
                 self.result_cache_stats.hits += 1
             else:
                 self.result_cache_stats.misses += 1
+                anchor = self._anchor(s_snap, t_snap, ekey)
         if hit is not None:
             self.stats.record(PATH_RESULT_CACHE)
             return replace(
@@ -332,50 +344,117 @@ class PreparedQuery:
             )
 
         condition = self.condition(ekey)
-        base, base_cached = self._base_result(s_snap, t_snap, condition, ekey)
-        if s_snap.delta is None and t_snap.delta is None:
-            result = replace(
-                base,
-                path=PATH_RESULT_CACHE if base_cached else base.path,
-                s_version=s_snap.version,
-                t_version=t_snap.version,
-                seconds=time.perf_counter() - start,
-            )
+        if anchor is not None:
+            path, optimization_seconds, jobs = PATH_DELTA, 0.0, []
+            pairs, (s_rows, t_rows) = anchor.pairs, anchor.lineage[2:]
         else:
-            jobs = [base.job] if base.job is not None else []
-            chunks = [base.pairs]
-            opt_seconds = 0.0 if base_cached else base.optimization_seconds
-            partitioning = self._plan(s_snap, t_snap, condition)
-            if s_snap.delta is not None:
-                delta = self.engine.execute(
-                    s_snap.delta, t_snap.full, condition, partitioning, materialize=True
-                )
-                chunks.append(
-                    _shift_pairs(delta.pairs, s_shift=len(s_snap.base), t_shift=0)
-                )
-                jobs.append(delta.job)
-            if t_snap.delta is not None:
-                delta = self.engine.execute(
-                    s_snap.base, t_snap.delta, condition, partitioning, materialize=True
-                )
-                chunks.append(
-                    _shift_pairs(delta.pairs, s_shift=0, t_shift=len(t_snap.base))
-                )
-                jobs.append(delta.job)
-            result = QueryResult(
-                pairs=np.concatenate(chunks),
-                path=PATH_DELTA if base_cached else base.path,
-                s_name=self.s_name,
-                t_name=self.t_name,
-                s_version=s_snap.version,
-                t_version=t_snap.version,
-                seconds=time.perf_counter() - start,
-                optimization_seconds=opt_seconds,
-                job=merge_job_stats(jobs) if jobs else None,
+            base = self.engine.join(
+                s_snap.base, t_snap.base, condition,
+                workers=self.workers, partitioner=self.partitioner, materialize=True,
             )
+            path = PATH_PLAN_CACHE if base.plan_from_cache else PATH_COLD
+            optimization_seconds = 0.0 if base.plan_from_cache else base.optimization_seconds
+            pairs, jobs = base.pairs, [base.job]
+            s_rows, t_rows = len(s_snap.base), len(t_snap.base)
+        chunks = [pairs]
+        # J(S'[s_rows:], T')  and  J(S'[:s_rows], T'[t_rows:]).
+        for new, new_start, other, other_stop, probe_s in (
+            (s_snap, s_rows, t_snap, t_snap.rows, True),
+            (t_snap, t_rows, s_snap, s_rows, False),
+        ):
+            if new_start < new.rows:
+                pairs, job = self._probe(new, new_start, other, other_stop, probe_s, condition)
+                chunks.append(pairs)
+                jobs.append(job)
+        result = QueryResult(
+            pairs=np.concatenate(chunks),
+            path=path,
+            s_name=self.s_name,
+            t_name=self.t_name,
+            s_version=s_snap.version,
+            t_version=t_snap.version,
+            seconds=time.perf_counter() - start,
+            optimization_seconds=optimization_seconds,
+            job=merge_job_stats(jobs) if jobs else None,
+            lineage=(s_snap.base_version, t_snap.base_version, s_snap.rows, t_snap.rows),
+        )
         self.store_result(ekey, result)
         self.stats.record(result.path)
         return result
+
+    def _anchor(self, s_snap, t_snap, ekey) -> QueryResult | None:
+        """Return the newest cached result the snapshots extend (lock held):
+        same epsilons, same base lineage on both sides, no more rows."""
+        best = None
+        for (_, _, key), result in self._results.items():
+            lineage = result.lineage
+            if (
+                key == ekey
+                and lineage is not None
+                and lineage[:2] == (s_snap.base_version, t_snap.base_version)
+                and lineage[2] <= s_snap.rows
+                and lineage[3] <= t_snap.rows
+                and (best is None or sum(lineage[2:]) > sum(best.lineage[2:]))
+            ):
+                best = result
+        return best
+
+    def _probe(self, new, new_start, other, other_stop, probe_s, condition):
+        """Join rows ``[new_start:]`` of ``new`` against rows ``[:other_stop]``
+        of ``other`` (``probe_s``: ``new`` is the S side) under the cached
+        partitioning; returns ``(global pairs, job)``.
+
+        Only the other side's rows whose first join attribute lies in a new
+        row's ε-window are gathered; the engine's kernel decides every pair.
+        """
+        attributes = self.attributes
+        new_matrix = new.delta.join_matrix_slice(
+            attributes, new_start - len(new.base), new.rows - len(new.base)
+        )
+        lo, hi = condition.epsilon_range(new_matrix, around="s" if probe_s else "t")
+        lo, hi = np.sort(lo[:, 0]), np.sort(hi[:, 0])
+        # Widen every window by a few ulps of the largest magnitude involved:
+        # the kernel may round ``x ± ε`` the other way, so the probe must
+        # gather a superset and leave the edge decision to the kernel.
+        pad = 4 * np.spacing(max(abs(lo[0]), abs(lo[-1]), abs(hi[0]), abs(hi[-1])))
+        sides = [(other.base, 0, *self._sorted_first_column(other))]
+        if other_stop > len(other.base):
+            column = other.delta.join_matrix_slice(
+                attributes[:1], 0, other_stop - len(other.base)
+            )[:, 0]
+            order = np.argsort(column, kind="stable")
+            sides.append((other.delta, len(other.base), column[order], order))
+        parts, ids = [], []
+        for relation, offset, values, order in sides:
+            rows = np.sort(order[_window_positions(values, lo - pad, hi + pad)])
+            parts.append(gather_rows(relation, attributes, rows))
+            ids.append(offset + rows)
+        new_rel = Relation.from_rows(new.name, new_matrix, attributes)
+        other_rel = Relation.from_rows(other.name, np.concatenate(parts), attributes)
+        sides = [
+            (new, new_rel, np.arange(new_start, new.rows)),
+            (other, other_rel, np.concatenate(ids)),
+        ]
+        (s_snap, s_rel, s_ids), (t_snap, t_rel, t_ids) = sides if probe_s else sides[::-1]
+        joined = self.engine.execute(
+            s_rel, t_rel, condition, self._plan(s_snap, t_snap, condition), materialize=True
+        )
+        pairs = np.column_stack((s_ids[joined.pairs[:, 0]], t_ids[joined.pairs[:, 1]]))
+        return pairs, joined.job
+
+    def _sorted_first_column(self, snap) -> tuple[np.ndarray, np.ndarray]:
+        """Return the base's first join column sorted, with its row ids
+        (memoized per relation and base version, built on first use)."""
+        key = (snap.name, snap.base_version)
+        index = self._sorted_index.get(key)
+        if index is None:
+            column = np.asarray(snap.base.column(self.attributes[0]), dtype=float)
+            order = np.argsort(column, kind="stable")
+            index = (column[order], order)
+            # Rebinding, never mutating, keeps readers on other threads safe.
+            kept = {k: v for k, v in self._sorted_index.items() if k[0] != snap.name}
+            self._sorted_index = {**kept, key: index}
+        return index
 
     def __call__(self, epsilons=None) -> QueryResult:
         return self.execute(epsilons)
@@ -511,43 +590,6 @@ class PreparedQuery:
         )
         return cached
 
-    def _base_result(self, s_snap, t_snap, condition, ekey) -> tuple[QueryResult, bool]:
-        """Return the materialized base-pair join (cached per base lineage)."""
-        base_key = (s_snap.base_version, t_snap.base_version, ekey)
-        with self._lock:
-            cached = self._base_results.get(base_key)
-            if cached is not None:
-                self._base_results.move_to_end(base_key)
-                self.result_cache_stats.hits += 1
-            else:
-                self.result_cache_stats.misses += 1
-        if cached is not None:
-            return cached, True
-        engine_result = self.engine.join(
-            s_snap.base,
-            t_snap.base,
-            condition,
-            workers=self.workers,
-            partitioner=self.partitioner,
-            materialize=True,
-        )
-        result = QueryResult(
-            pairs=engine_result.pairs,
-            path=PATH_PLAN_CACHE if engine_result.plan_from_cache else PATH_COLD,
-            s_name=self.s_name,
-            t_name=self.t_name,
-            s_version=s_snap.version,
-            t_version=t_snap.version,
-            seconds=engine_result.wall_seconds,
-            optimization_seconds=(
-                0.0 if engine_result.plan_from_cache else engine_result.optimization_seconds
-            ),
-            job=engine_result.job,
-        )
-        with self._lock:
-            self._store(self._base_results, base_key, result)
-        return result, False
-
     def stale_result(self, ekey: tuple) -> QueryResult | None:
         """Return the freshest cached result for ``ekey``, whatever its versions.
 
@@ -580,42 +622,36 @@ class PreparedQuery:
     # ------------------------------------------------------------------ #
     def store_result(self, ekey: tuple, result: QueryResult) -> None:
         """Insert a materialized result (the scheduler also stores filtered
-        micro-batch members here so repeats hit the result cache)."""
-        with self._lock:
-            self._store(self._results, (result.s_version, result.t_version, ekey), result)
-
-    def _store(self, cache: OrderedDict, key: tuple, result: QueryResult) -> None:
-        """Insert ``result`` under ``key = (s version, t version, epsilons)``
-        (the caller holds the lock).
+        micro-batch members here, lineage included, so repeats hit the result
+        cache and later appends extend them).
 
         Catalog versions only grow, so an entry of the same epsilons at
-        versions the new key dominates can never be served again: it is
-        dropped (counted as an invalidation) before the LRU bound applies.
+        versions the new one dominates can never be served again, and the new
+        one is the better anchor: it is dropped (counted as an invalidation)
+        before the LRU bound applies.
         """
-        s_version, t_version, ekey = key
-        superseded = [
-            old
-            for old in cache
-            if old[2] == ekey and old[0] <= s_version and old[1] <= t_version and old != key
-        ]
-        for old in superseded:
-            del cache[old]
-        self.result_cache_stats.invalidations += len(superseded)
-        cache[key] = result
-        cache.move_to_end(key)
-        self.result_cache_stats.stores += 1
-        while len(cache) > self.result_cache_size:
-            cache.popitem(last=False)
-            self.result_cache_stats.evictions += 1
+        key = (result.s_version, result.t_version, ekey)
+        with self._lock:
+            superseded = [
+                old
+                for old in self._results
+                if old[2] == ekey and old[0] <= key[0] and old[1] <= key[1] and old != key
+            ]
+            for old in superseded:
+                del self._results[old]
+            self.result_cache_stats.invalidations += len(superseded)
+            self._results[key] = result
+            self._results.move_to_end(key)
+            self.result_cache_stats.stores += 1
+            while len(self._results) > self.result_cache_size:
+                self._results.popitem(last=False)
+                self.result_cache_stats.evictions += 1
 
     def invalidate(self) -> None:
-        """Drop every cached result (full and base)."""
+        """Drop every cached result."""
         with self._lock:
-            self.result_cache_stats.invalidations += len(self._results) + len(
-                self._base_results
-            )
+            self.result_cache_stats.invalidations += len(self._results)
             self._results.clear()
-            self._base_results.clear()
 
     def cached_results(self) -> int:
         """Return the number of materialized results currently cached."""
@@ -674,20 +710,17 @@ def _sampled_join_matrix(relation, attributes, sample_size: int) -> np.ndarray:
     return gather_rows(relation, attributes, idx)
 
 
-def _shift_pairs(pairs: np.ndarray, s_shift: int, t_shift: int) -> np.ndarray:
-    """Lift a delta join's local pair indices into full-relation coordinates.
-
-    Also deduplicates: a partitioning's fallback routing of values it never
-    observed at optimization time (e.g. the grid's unseen-cell hashing) may
-    place one tuple copy twice in the same unit, which would produce a pair
-    twice.
-    """
-    if pairs.shape[0] == 0:
-        return pairs
-    shifted = pairs.copy()
-    shifted[:, 0] += s_shift
-    shifted[:, 1] += t_shift
-    return np.unique(shifted, axis=0)
+def _window_positions(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Return the positions of sorted ``values`` inside any window
+    ``[lo[i], hi[i]]``, each once; ``lo`` and ``hi`` must be non-decreasing."""
+    starts = np.searchsorted(values, lo, side="left")
+    stops = np.searchsorted(values, hi, side="right")
+    # Windows only move right, so each one adds what lies past its
+    # predecessors' furthest stop.
+    starts = np.maximum(starts, np.concatenate(([0], stops[:-1])))
+    lengths = np.maximum(stops - starts, 0)
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return offsets + np.arange(offsets.size)
 
 
 # Re-exported for callers composing their own schedulers.

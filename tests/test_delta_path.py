@@ -1,0 +1,264 @@
+"""The delta path: cached results extended by the rows appended since.
+
+After every append the answer must be exactly the join of the full
+relations, whatever the history: appends to either side in any order, empty
+appends, compactions, and anchors that are evicted, re-registered or stored
+by the scheduler's micro-batching.  Values are multiples of 1/4 and 1/8, so
+every kernel decides band-edge pairs the same way.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+from concurrent.futures import Future
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines.grid import GridEpsilonPartitioner
+from repro.config import ServiceConfig
+from repro.core.recpart import RecPartPartitioner
+from repro.engine import ParallelJoinEngine
+from repro.geometry.band import BandCondition
+from repro.local_join import default_local_join
+from repro.local_join.base import canonical_pair_order
+from repro.service import (
+    PATH_COLD,
+    PATH_DELTA,
+    PATH_PLAN_CACHE,
+    BandJoinService,
+    PreparedQuery,
+    RelationCatalog,
+)
+from repro.service.scheduler import _Request
+
+PARTITIONERS = {
+    "RecPart": lambda: RecPartPartitioner(),
+    "Grid-eps": lambda: GridEpsilonPartitioner(),
+}
+
+
+def _attributes(d: int) -> list[str]:
+    return [f"A{k + 1}" for k in range(d)]
+
+
+def _columns(matrix: np.ndarray) -> dict:
+    return {a: matrix[:, k] for k, a in enumerate(_attributes(matrix.shape[1]))}
+
+
+def _dyadic(rng: np.random.Generator, n: int, d: int, low: float = 0.0, high: float = 3.0):
+    return rng.integers(int(low * 8), int(high * 8) + 1, size=(n, d)) / 8.0
+
+
+def _check_full_join(prepared: PreparedQuery, result, condition: BandCondition) -> None:
+    """The result is the single-machine join of the current relations, with
+    every pair once."""
+    s_snap, t_snap = prepared.snapshots()
+    attributes = list(prepared.attributes)
+    expected = default_local_join().join(
+        s_snap.full.join_matrix(attributes), t_snap.full.join_matrix(attributes), condition
+    )
+    produced = canonical_pair_order(result.pairs)
+    assert np.unique(produced, axis=0).shape[0] == produced.shape[0], "duplicate pair"
+    np.testing.assert_array_equal(produced, canonical_pair_order(expected))
+
+
+_STEP = st.tuples(
+    st.sampled_from(["append S", "append T", "compact S", "compact T"]),
+    st.integers(0, 12),  # rows appended (0 = empty append)
+    st.booleans(),  # appended rows fall outside the base's range
+)
+
+
+class TestDeltaEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(1, 3),
+        eps=st.tuples(st.sampled_from([0.25, 0.5]), st.sampled_from([0.125, 0.25, 0.75])),
+        storage=st.sampled_from(["memory", "mmap"]),
+        partitioner=st.sampled_from(sorted(PARTITIONERS)),
+        steps=st.lists(_STEP, min_size=1, max_size=8),
+    )
+    def test_every_step_equals_the_full_join(
+        self, tmp_path_factory, seed, d, eps, storage, partitioner, steps
+    ):
+        rng = np.random.default_rng(seed)
+        catalog = RelationCatalog(
+            staleness_threshold=100.0,
+            storage=storage,
+            spill_dir=str(tmp_path_factory.mktemp("spill")),
+            spill_threshold_bytes=1,
+        )
+        catalog.register("S", _columns(_dyadic(rng, 40, d)))
+        catalog.register("T", _columns(_dyadic(rng, 40, d)))
+        prepared = PreparedQuery(
+            catalog,
+            ParallelJoinEngine(backend="serial"),
+            "S",
+            "T",
+            _attributes(d),
+            default_epsilons=[eps] * d,
+            workers=4,
+            partitioner=PARTITIONERS[partitioner](),
+        )
+        condition = prepared.condition()
+        _check_full_join(prepared, prepared.execute(), condition)
+        for action, rows, outside in steps:
+            kind, side = action.split()
+            if kind == "compact":
+                catalog.compact(side)
+            else:
+                low, high = (-2.0, 6.0) if outside else (0.0, 3.0)
+                catalog.append(side, _columns(_dyadic(rng, rows, d, low, high)))
+            _check_full_join(prepared, prepared.execute(), condition)
+
+
+def _service(**overrides) -> BandJoinService:
+    config = dict(compaction="sync", scheduler_workers=1, staleness_threshold=100.0)
+    config.update(overrides)
+    return BandJoinService(ServiceConfig(**config))
+
+
+def _register(service: BandJoinService, rng, rows: int = 200) -> None:
+    service.register("S", _columns(_dyadic(rng, rows, 1)), replace=True)
+    service.register("T", _columns(_dyadic(rng, rows, 1)), replace=True)
+
+
+class TestAnchors:
+    def test_delta_queries_extend_the_previous_answer(self):
+        rng = np.random.default_rng(1)
+        with _service() as service:
+            _register(service, rng)
+            prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.25)
+            service.query("q")
+            for side in "STST":
+                service.append(side, _columns(_dyadic(rng, 5, 1)))
+                result = service.query("q")
+                assert result.path == PATH_DELTA
+                _check_full_join(prepared, result, prepared.condition())
+                assert prepared.cached_results() == 1
+
+    def test_evicted_anchor_falls_back_to_the_base_join(self):
+        rng = np.random.default_rng(2)
+        with _service(result_cache_size=1) as service:
+            _register(service, rng)
+            prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.25)
+            service.query("q")
+            service.query("q", 0.5)  # evicts the 0.25 result
+            service.append("S", _columns(_dyadic(rng, 5, 1)))
+            result = service.query("q")
+            assert result.path == PATH_PLAN_CACHE
+            _check_full_join(prepared, result, prepared.condition())
+
+    def test_compaction_starts_a_new_lineage(self):
+        rng = np.random.default_rng(3)
+        with _service() as service:
+            _register(service, rng)
+            prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.25)
+            service.query("q")
+            service.append("T", _columns(_dyadic(rng, 5, 1)))
+            service.query("q")
+            service.catalog.compact("T")
+            service.append("T", _columns(_dyadic(rng, 5, 1)))
+            result = service.query("q")
+            assert result.path == PATH_COLD  # the compacted base has no plan yet
+            _check_full_join(prepared, result, prepared.condition())
+            service.append("S", _columns(_dyadic(rng, 5, 1)))
+            assert service.query("q").path == PATH_DELTA
+
+    def test_register_replace_starts_a_new_lineage(self):
+        rng = np.random.default_rng(4)
+        with _service() as service:
+            _register(service, rng)
+            prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.25)
+            service.query("q")
+            service.append("S", _columns(_dyadic(rng, 5, 1)))
+            service.query("q")
+            _register(service, rng)  # same row counts, new contents
+            service.append("S", _columns(_dyadic(rng, 5, 1)))
+            result = service.query("q")
+            assert result.path == PATH_COLD
+            _check_full_join(prepared, result, prepared.condition())
+
+    def test_micro_batch_results_anchor_later_queries(self):
+        rng = np.random.default_rng(5)
+        with _service() as service:
+            _register(service, rng)
+            prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.25)
+            batch = [
+                _Request(prepared, prepared.epsilon_key(e), None, Future(), 0.0)
+                for e in (0.5, 0.25)
+            ]
+            wide, narrowed = service.scheduler._dispatch_batch(prepared, batch)
+            assert narrowed.lineage == wide.lineage
+            service.append("T", _columns(_dyadic(rng, 5, 1)))
+            result = service.query("q")
+            assert result.path == PATH_DELTA
+            _check_full_join(prepared, result, prepared.condition())
+
+
+@pytest.mark.parametrize("side", ["S", "T"])
+def test_delta_query_input_is_proportional_to_the_delta(side):
+    """A 2% append to 20k x 20k (d=1) feeds the engine the new rows and the
+    other side's rows in their ε-windows, not the whole other relation."""
+    rng = np.random.default_rng(6)
+    with _service() as service:
+        service.register("S", {"A1": rng.pareto(1.5, 20_000)})
+        service.register("T", {"A1": rng.pareto(1.5, 20_000)})
+        service.prepare("q", "S", "T", attributes=["A1"], epsilons=1e-4)
+        before = service.query("q")
+        service.append(side, {"A1": rng.pareto(1.5, 400)})
+        result = service.query("q")
+        assert result.path == PATH_DELTA
+        found = result.n_pairs - before.n_pairs
+        assert result.job.total_input <= 3 * (400 + found)
+
+
+def test_concurrent_appends_and_queries_answer_their_reported_rows():
+    """Queries on more threads than cores, racing one appender, each return
+    the join of exactly the row prefixes their lineage names."""
+    rng = np.random.default_rng(7)
+    s_rows = [_dyadic(rng, 200, 1)] + [_dyadic(rng, 5, 1) for _ in range(12)]
+    t_rows = [_dyadic(rng, 200, 1)] + [_dyadic(rng, 5, 1) for _ in range(12)]
+    condition = BandCondition({"A1": (0.25, 0.5)})
+    results, errors = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _service(scheduler_workers=4) as service:
+            service.register("S", _columns(s_rows[0]))
+            service.register("T", _columns(t_rows[0]))
+            service.prepare("q", "S", "T", attributes=["A1"], epsilons=[(0.25, 0.5)])
+            done = threading.Event()
+
+            def query():
+                try:
+                    while not done.is_set():
+                        results.append(service.query("q", timeout=60))
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=query) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for s_chunk, t_chunk in zip(s_rows[1:], t_rows[1:]):
+                service.append("S", _columns(s_chunk))
+                service.append("T", _columns(t_chunk))
+            done.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and results
+    s_all, t_all = np.concatenate(s_rows), np.concatenate(t_rows)
+    for result in results:
+        s_count, t_count = result.lineage[2:]
+        expected = default_local_join().join(s_all[:s_count], t_all[:t_count], condition)
+        np.testing.assert_array_equal(
+            canonical_pair_order(result.pairs), canonical_pair_order(expected)
+        )

@@ -417,10 +417,10 @@ class TestResultCacheAccounting:
             service.register("S", {"A1": rng.uniform(0, 1, 600)})
             service.register("T", {"A1": rng.uniform(0, 1, 600)})
             prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.01)
-            service.query("q")  # cold: full-key miss + base miss, 2 stores
+            service.query("q")  # cold: one miss, one store
             stats = prepared.result_cache_stats
-            assert stats.misses == 2
-            assert stats.stores == 2
+            assert stats.misses == 1
+            assert stats.stores == 1
             assert stats.hits == 0
             service.query("q")  # full-key hit
             assert stats.hits == 1
@@ -433,7 +433,7 @@ class TestResultCacheAccounting:
             prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.01)
             service.query("q")
             prepared.invalidate()
-            assert prepared.result_cache_stats.invalidations == 2
+            assert prepared.result_cache_stats.invalidations == 1
             assert prepared.cached_results() == 0
 
     def test_evictions_counted_when_capacity_exceeded(self):
