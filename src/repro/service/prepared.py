@@ -417,15 +417,15 @@ class PreparedQuery:
         # the kernel may round ``x ± ε`` the other way, so the probe must
         # gather a superset and leave the edge decision to the kernel.
         pad = 4 * np.spacing(max(abs(lo[0]), abs(lo[-1]), abs(hi[0]), abs(hi[-1])))
-        sides = [(other.base, 0, *self._sorted_first_column(other))]
+        sources = [(other.base, 0, *self._sorted_first_column(other))]
         if other_stop > len(other.base):
             column = other.delta.join_matrix_slice(
                 attributes[:1], 0, other_stop - len(other.base)
             )[:, 0]
             order = np.argsort(column, kind="stable")
-            sides.append((other.delta, len(other.base), column[order], order))
+            sources.append((other.delta, len(other.base), column[order], order))
         parts, ids = [], []
-        for relation, offset, values, order in sides:
+        for relation, offset, values, order in sources:
             rows = np.sort(order[_window_positions(values, lo - pad, hi + pad)])
             parts.append(gather_rows(relation, attributes, rows))
             ids.append(offset + rows)
