@@ -4,7 +4,7 @@ Drives the whole introspection surface in-process:
 
 * EXPLAIN without execution — the plan tree carries partitioning,
   per-worker and cost-model estimates, plan-cache provenance, and the
-  AutoJoin selector decision with its rejected alternatives, and the
+  local kernel with its sampled per-dimension window fractions, and the
   prepared query's execution counter stays untouched,
 * EXPLAIN ANALYZE — every estimate node gains actuals with finite
   q-errors and the analyzed root pair count equals the executed result,
@@ -117,11 +117,7 @@ def main() -> int:
 
     s, t = correlated_pair(ROWS, ROWS, dimensions=DIMENSIONS, z=1.5, seed=0)
     attributes = [f"A{i + 1}" for i in range(DIMENSIONS)]
-    # local_algorithm="auto" so the selector node carries a real decision
-    # (the service default is a fixed kernel, reported as fixed=True).
-    config = ServiceConfig(
-        backend="threads", workers=4, scheduler_workers=4, local_algorithm="auto"
-    )
+    config = ServiceConfig(backend="threads", workers=4, scheduler_workers=4)
 
     with BandJoinService(config) as service:
         service.register("S", s)
@@ -146,9 +142,10 @@ def main() -> int:
         check(any(c["name"].startswith("worker") for c in partitioning["children"]),
               "partitioning node lost its per-worker estimates")
         selector = next(c for c in plain["plan"]["children"] if c["name"] == "selector")
-        check("chosen" in selector["attrs"], "selector decision missing")
-        check(any(c["name"].startswith("rejected") for c in selector["children"]),
-              "selector rejected-alternatives missing")
+        check(selector["attrs"].get("algorithm") == config.local_algorithm,
+              "selector node lost its kernel name")
+        check(len(selector["attrs"].get("window_fractions", ())) == DIMENSIONS,
+              "selector node lost its per-dimension window fractions")
         check(service.explain("bench").to_dict()["plan"]["children"][0]["attrs"][
             "plan_cached"] is True, "second EXPLAIN missed the plan cache")
 

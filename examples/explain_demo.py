@@ -4,8 +4,8 @@ Runs a served band join and prints the introspection surfaces in the order
 an operator would reach for them:
 
 1. **EXPLAIN** — the plan the service *would* run: chosen partitioning with
-   per-worker input/output estimates, the AutoJoin selector's decision and
-   the alternatives it rejected, and the cost-model pricing.  Nothing
+   per-worker input/output estimates, the local kernel with its sampled
+   per-dimension window fractions, and the cost-model pricing.  Nothing
    executes.
 2. **EXPLAIN ANALYZE** — the same tree after one real execution, every
    estimate annotated with its actual and q-error.
@@ -48,7 +48,6 @@ def main() -> int:
 
     config = ServiceConfig(
         backend="threads",
-        local_algorithm="auto",        # so EXPLAIN shows a real selector decision
         staleness_threshold=10.0,      # keep appends un-compacted for the drift demo
         compaction="off",
     )

@@ -65,7 +65,6 @@ LOCAL_ALGORITHM_NAMES: tuple[str, ...] = (
     "sort-sweep",
     "iejoin-local",
     "nested-loop",
-    "auto",
 )
 
 #: Default local-join kernel (the paper's choice).

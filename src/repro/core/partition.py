@@ -150,10 +150,6 @@ class LeafStats:
     # ------------------------------------------------------------------ #
     # Cardinality and load estimates
     # ------------------------------------------------------------------ #
-    def sample_counts(self) -> tuple[int, int, int]:
-        """Return the raw sample counts (S rows, T rows, output pairs) in the leaf."""
-        return int(self.s_rows.size), int(self.t_rows.size), int(self.out_rows.size)
-
     def estimated_s(self, ctx: OptimizationContext) -> float:
         """Return the estimated number of S-tuples (incl. duplicates) in the partition."""
         return self.s_rows.size * ctx.s_scale

@@ -36,7 +36,6 @@ from repro.core.termination import (
 )
 from repro.cost.model import RunningTimeModel, default_running_time_model
 from repro.data.relation import Relation
-from repro.exceptions import OptimizationError
 from repro.geometry.band import BandCondition
 from repro.sampling.input_sampler import draw_input_sample
 from repro.sampling.output_sampler import draw_output_sample
@@ -236,9 +235,3 @@ class RecPartSPartitioner(RecPartPartitioner):
             weights=base.weights,
         )
         super().__init__(config=forced, cost_model=cost_model, weights=weights, seed=seed)
-
-
-def _ensure_optimizer_invariants(partitioning: SplitTreePartitioning) -> None:
-    """Internal sanity check used by tests: a partitioning must have at least one unit."""
-    if partitioning.n_units < 1:
-        raise OptimizationError("RecPart produced a partitioning without execution units")

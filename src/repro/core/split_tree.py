@@ -88,10 +88,6 @@ class SplitTree:
         """Return the payloads of all current leaves."""
         return [self._nodes[i].leaf for i in sorted(self._leaf_ids)]
 
-    def leaf_nodes(self) -> list[SplitNode]:
-        """Return all current leaf nodes."""
-        return [self._nodes[i] for i in sorted(self._leaf_ids)]
-
     @property
     def n_leaves(self) -> int:
         """Return the current number of leaves."""

@@ -205,10 +205,6 @@ class Relation:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.column(name)
 
-    def has_columns(self, names: Sequence[str]) -> bool:
-        """Return ``True`` when every name in ``names`` is a column of this relation."""
-        return all(n in self._store.column_names for n in names)
-
     def fingerprint(self, attributes: Sequence[str]) -> str:
         """Return the memoized content hash of the given columns.
 

@@ -31,7 +31,6 @@ which is how the streaming engine keeps its own bookkeeping off the heap.
 from __future__ import annotations
 
 import abc
-import json
 import mmap as _mmap
 import os
 import shutil
@@ -464,17 +463,6 @@ class MmapColumnStore(ColumnStore):
             directory=spec.get("directory"),
             recycle_bytes=int(spec.get("recycle_bytes", MMAP_RECYCLE_BYTES)),
         )
-
-    def save_manifest(self, path: str) -> str:
-        """Persist the store layout as JSON (re-open with :meth:`load_manifest`)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.spec(), handle)
-        return path
-
-    @classmethod
-    def load_manifest(cls, path: str) -> "MmapColumnStore":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_spec(json.load(handle))
 
     # ------------------------------------------------------------------ #
     # ColumnStore API

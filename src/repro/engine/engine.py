@@ -154,7 +154,7 @@ class ParallelJoinEngine:
     algorithm:
         Local join algorithm run inside every task: an instance or a
         registry name (``"index-nested-loop"`` — the paper's default —,
-        ``"sort-sweep"``, ``"iejoin-local"``, ``"nested-loop"``, ``"auto"``).
+        ``"sort-sweep"``, ``"iejoin-local"``, ``"nested-loop"``).
     weights:
         Load weights of the per-worker load measures.
     plan_cache:

@@ -265,7 +265,7 @@ def run_workload(
     dispatched to (``"serial"``, ``"threads"`` or ``"processes"``); the
     measures are backend-independent.  ``local_algorithm``
     picks the per-worker kernel by registry name (``"index-nested-loop"``,
-    ``"sort-sweep"``, ``"iejoin-local"``, ``"nested-loop"``, ``"auto"``);
+    ``"sort-sweep"``, ``"iejoin-local"``, ``"nested-loop"``);
     the pair counts are kernel-independent, only the reduce-phase speed
     changes.
     """

@@ -4,8 +4,8 @@ After the optimization phase has assigned input tuples to workers, each
 worker computes the band-join on its local input.  The paper points out that
 the choice of local algorithm is orthogonal to the partitioning problem; it
 only shifts the relative weight of input versus output work (the
-``beta2/beta3`` ratio).  This subpackage provides several interchangeable
-local algorithms, all built on the shared vectorized kernel layer
+``beta2/beta3`` ratio).  This subpackage provides interchangeable local
+algorithms, all built on the shared vectorized kernel layer
 (:mod:`repro.local_join.kernels`):
 
 * :class:`NestedLoopJoin` — reference implementation (blocked all-pairs).
@@ -14,8 +14,6 @@ local algorithms, all built on the shared vectorized kernel layer
   ``index-nested-loop`` (the paper's default: most selective dimension,
   probe S), ``sort-sweep`` (first dimension, probe S) and ``iejoin-local``
   (first dimension, probe T) are aliases of it.
-* :class:`AutoJoin` — adaptive dispatch over the above, driven by sampled
-  band-selectivity estimates.
 
 Counting is always cheaper than joining here: every kernel answers
 ``count()`` without materializing pairs (pure window arithmetic in one
@@ -25,7 +23,6 @@ dimension, chunk-wise masked counting beyond).
 from functools import partial
 from typing import Callable
 
-from repro.local_join.auto import AutoJoin
 from repro.local_join.base import LocalJoinAlgorithm, join_pair_count
 from repro.local_join.interval import ALIASES, IntervalJoin, default_local_join
 from repro.local_join.nested_loop import NestedLoopJoin
@@ -34,7 +31,6 @@ __all__ = [
     "LocalJoinAlgorithm",
     "NestedLoopJoin",
     "IntervalJoin",
-    "AutoJoin",
     "join_pair_count",
     "default_local_join",
     "LOCAL_ALGORITHMS",
@@ -46,7 +42,6 @@ __all__ = [
 LOCAL_ALGORITHMS: dict[str, Callable[[], LocalJoinAlgorithm]] = {
     NestedLoopJoin.name: NestedLoopJoin,
     **{name: partial(IntervalJoin.named, name) for name in ALIASES},
-    AutoJoin.name: AutoJoin,
 }
 
 

@@ -11,8 +11,8 @@ registry keeps their names (:data:`ALIASES`):
 ``index-nested-loop``
     The paper's local algorithm (Section 6.1): range-index T on the most
     selective dimension, binary-search the T-range of every ``s``.  That is
-    ``dim=None`` (pick the dimension with the largest spread-to-band-width
-    ratio per call), probing with S.
+    ``dim=None`` (:func:`sweep_dimension` picks the dimension with the most
+    band-wide cells per call), probing with S.
 ``sort-sweep``
     The plane sweep over the first dimension with a window of T-tuples that
     can still join the current S-tuple: ``dim=0``, probing with S.
@@ -46,25 +46,19 @@ ALIASES: dict[str, tuple[int | None, str, int]] = {
 }
 
 
-def most_selective_dimension(
+def sweep_dimension(
     s_arr: np.ndarray, t_arr: np.ndarray, condition: BandCondition
 ) -> int:
-    """Return the dimension with the largest spread-to-band-width ratio.
-
-    Selectivity of dimension ``i`` is approximated by the ratio of the
-    combined value spread to the band width; zero-width (equality)
-    dimensions are maximally selective.
-    """
-    best_dim = 0
-    best_score = -np.inf
-    for i, pred in enumerate(condition.predicates):
-        combined = np.concatenate([s_arr[:, i], t_arr[:, i]])
-        spread = float(combined.max() - combined.min()) if combined.size else 0.0
-        score = np.inf if pred.width == 0 else spread / pred.width
-        if score > best_score:
-            best_score = score
-            best_dim = i
-    return best_dim
+    """Return the dimension whose value range over both sides spans the most
+    band-wide cells (:func:`~repro.local_join.kernels.cells_per_dimension`);
+    zero-width (equality) dimensions win, ties go to the lowest dimension."""
+    sides = [arr for arr in (s_arr, t_arr) if arr.shape[0]]
+    if not sides:
+        sides = [np.zeros((1, condition.dimensionality))]
+    lo = np.min([arr.min(axis=0) for arr in sides], axis=0)
+    hi = np.max([arr.max(axis=0) for arr in sides], axis=0)
+    eps_left, eps_right = condition.eps_arrays()
+    return int(np.argmax(kernels.cells_per_dimension(lo, hi, eps_left + eps_right)))
 
 
 class IntervalJoin(LocalJoinAlgorithm):
@@ -74,8 +68,8 @@ class IntervalJoin(LocalJoinAlgorithm):
     ----------
     dim:
         Dimension the windows are computed on.  ``None`` picks, per call, the
-        dimension with the largest spread-to-band-width ratio (the paper's
-        "A1 is the most selective dimension").
+        :func:`sweep_dimension` (the paper's "A1 is the most selective
+        dimension").
     probe:
         ``"s"``: T is sorted and every S-tuple probes it; ``"t"``: the
         reverse.  The pair set is the same, only the work shape differs.
@@ -118,7 +112,7 @@ class IntervalJoin(LocalJoinAlgorithm):
         t_arr = as_matrix(t_values, d)
         dim = self.dim
         if dim is None:
-            dim = most_selective_dimension(s_arr, t_arr, condition)
+            dim = sweep_dimension(s_arr, t_arr, condition)
         return kernel(
             s_arr,
             t_arr,

@@ -50,6 +50,7 @@ __all__ = [
     "chunk_spans",
     "iter_window_candidates",
     "residual_mask",
+    "cells_per_dimension",
     "plain_expansion_limit",
     "interval_join",
     "interval_count",
@@ -214,6 +215,20 @@ def residual_mask(
     return keep
 
 
+def cells_per_dimension(lo: np.ndarray, hi: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Return how many band-wide cells the value range ``[lo, hi]`` spans per
+    dimension, ``(hi - lo) / width``, and ``inf`` on zero-width (equality)
+    dimensions.
+
+    The one selectivity rule of the local join: the more cells, the smaller
+    the share of the other side a band window reaches.  The interval kernel
+    sweeps the dimension with the most cells (the paper's "most selective
+    dimension") and :func:`_cell_windows` buckets the next ones.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(width > 0, (hi - lo) / width, np.inf)
+
+
 def plain_expansion_limit(n: int, m: int) -> int:
     """Return the candidate count up to which ``n`` sorted and ``m`` probe
     rows expand their one-dimensional windows directly: bucketing costs a
@@ -255,8 +270,7 @@ def _cell_windows(
     key_room = (1 << 58) // (n + 1)
     width = below + above
     base, top = sorted_arr.min(axis=0), sorted_arr.max(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spread = np.where(width > 0, (top - base) / width, np.inf)
+    spread = cells_per_dimension(base, top, width)
     spread[dim] = 0
     cell = np.zeros(n, dtype=np.int64)
     reach = np.zeros((m, 1), dtype=np.int64)

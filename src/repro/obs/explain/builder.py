@@ -4,9 +4,9 @@ EXPLAIN resolves the partitioning through the engine's plan cache (recording
 whether it was cached or optimized on the spot), routes a deterministic row
 sample of both relations through it to estimate per-worker input, splits the
 sampled output estimate across workers by their candidate share, prices the
-expected kernel chunking against the byte budget, and reports the AutoJoin
-selector's decision with the per-dimension window fractions it priced and
-the alternatives it rejected.  No engine dispatch runs.
+expected kernel chunking against the byte budget, and reports the local
+kernel beside the sampled per-dimension window fractions.  No engine
+dispatch runs.
 
 EXPLAIN ANALYZE additionally executes the query (through whatever callable
 the caller supplies — the service routes it through the scheduler so
@@ -86,32 +86,6 @@ def _worker_counts(plan, matrix: np.ndarray, side: str, scale: float) -> np.ndar
     _, workers = plan.route_to_workers(matrix, side)
     counts = np.bincount(workers, minlength=plan.workers).astype(float)
     return counts * scale
-
-
-def _selector_node(prepared, s_sample, t_sample, condition, fractions) -> PlanNode:
-    """Describe the kernel selection this query's tasks would run under."""
-    from repro.local_join.auto import AutoJoin
-
-    algorithm = prepared.engine.algorithm
-    node = PlanNode("selector", attrs={"algorithm": algorithm.name})
-    node.attrs["window_fractions"] = [round(float(f), 6) for f in fractions]
-    if not isinstance(algorithm, AutoJoin):
-        node.attrs["fixed"] = True
-        return node
-    _, info = algorithm.decision(s_sample, t_sample, condition)
-    node.attrs.update(
-        chosen=info["chosen"],
-        regime=info["regime"],
-        tiny_pairs=info["tiny_pairs"],
-        dense_fraction=info["dense_fraction"],
-    )
-    if info.get("sweep_dimension") is not None:
-        node.attrs["sweep_dimension"] = info["sweep_dimension"]
-    for alternative in info["rejected"]:
-        node.child(
-            f"rejected {alternative['kernel']}", reason=alternative["reason"]
-        )
-    return node
 
 
 def build_report(
@@ -254,8 +228,10 @@ def build_report(
             )
         )
 
-    root.children.append(
-        _selector_node(prepared, s_sample, t_sample, condition, fractions)
+    root.child(
+        "selector",
+        algorithm=prepared.engine.algorithm.name,
+        window_fractions=[round(float(f), 6) for f in fractions],
     )
     cost_node = root.child(
         "cost_model",

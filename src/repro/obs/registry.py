@@ -103,10 +103,6 @@ class _Metric:
         self._lock = threading.Lock()
         self._values: dict = {}
 
-    def labelsets(self) -> list[tuple]:
-        with self._lock:
-            return list(self._values)
-
 
 class Counter(_Metric):
     """Monotonically increasing value (optionally per label set)."""

@@ -1,14 +1,12 @@
 """Input, join-output and band-selectivity sampling.
 
 Input and output samples feed the optimization phase; the selectivity
-estimates feed the local-join kernel selector and the serving layer's
-admission control.
+estimates feed EXPLAIN and the serving layer's admission control.
 """
 
 from repro.sampling.input_sampler import InputSample, draw_input_sample
 from repro.sampling.output_sampler import OutputSample, draw_output_sample
 from repro.sampling.selectivity import (
-    estimate_join_output,
     estimate_join_selectivity,
     window_fractions,
 )
@@ -20,5 +18,4 @@ __all__ = [
     "draw_output_sample",
     "window_fractions",
     "estimate_join_selectivity",
-    "estimate_join_output",
 ]

@@ -1,12 +1,12 @@
 """Cheap sampled band-selectivity estimates.
 
 The optimization phase already samples inputs and join output to balance
-load; the *kernel* layer needs a much cheaper signal: roughly what fraction
+load; the serving layer needs a much cheaper signal: roughly what fraction
 of the other relation falls inside one tuple's band window, per dimension.
-That single number drives two decisions:
+Two consumers read it:
 
-* :class:`~repro.local_join.auto.AutoJoin` picks the local kernel (and its
-  index dimension) from the per-dimension window fractions, and
+* EXPLAIN reports the per-dimension window fractions and prices the
+  expected kernel candidates from them, and
 * the serving layer's admission control prices a query by the estimated
   output cardinality before enqueueing it.
 
@@ -28,7 +28,6 @@ __all__ = [
     "evenly_spaced_indices",
     "window_fractions",
     "estimate_join_selectivity",
-    "estimate_join_output",
 ]
 
 #: Default per-side sample size of the selectivity probe.  Small enough to
@@ -96,18 +95,8 @@ def estimate_join_selectivity(
 
     The independence assumption overestimates for anti-correlated dimensions
     and underestimates for correlated ones, which is the standard trade-off
-    for a selectivity probe this cheap; the kernel selector and admission
-    control only need the right order of magnitude.
+    for a selectivity probe this cheap; admission control only needs the
+    right order of magnitude.
     """
     return float(np.prod(window_fractions(s_arr, t_arr, condition, sample_size)))
 
-
-def estimate_join_output(
-    s_arr: np.ndarray,
-    t_arr: np.ndarray,
-    condition: BandCondition,
-    sample_size: int = DEFAULT_SELECTIVITY_SAMPLE,
-) -> float:
-    """Estimate the output cardinality ``|S join T|``."""
-    selectivity = estimate_join_selectivity(s_arr, t_arr, condition, sample_size)
-    return selectivity * s_arr.shape[0] * t_arr.shape[0]

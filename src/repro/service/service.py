@@ -446,14 +446,6 @@ class BandJoinService:
             )
         return Workload.from_recorder(self.recorder)
 
-    def metrics_snapshot(self) -> dict:
-        """Return the full metric dump: this service's registry plus the
-        process-wide one (kernel counters)."""
-        return {
-            "service": self.registry.snapshot(),
-            "process": obs.registry().snapshot(),
-        }
-
     def prometheus(self) -> str:
         """Return the Prometheus text exposition of every metric scope."""
         return self.registry.render_prometheus() + obs.registry().render_prometheus()

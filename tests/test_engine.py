@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.grid import GridEpsilonPartitioner
 from repro.baselines.one_bucket import OneBucketPartitioner
-from repro.config import EngineConfig, ServiceConfig
+from repro.config import LOCAL_ALGORITHM_NAMES, EngineConfig, ServiceConfig
 from repro.core.recpart import RecPartPartitioner
 from repro.data.generators import correlated_pair, uniform_relation
 from repro.data.relation import Relation
@@ -447,9 +447,7 @@ class TestEngineConfig:
 class TestKernelSelectionAndBudget:
     """Local-algorithm names and kernel memory budgets through the engine."""
 
-    @pytest.mark.parametrize(
-        "algorithm", ["index-nested-loop", "sort-sweep", "iejoin-local", "auto"]
-    )
+    @pytest.mark.parametrize("algorithm", LOCAL_ALGORITHM_NAMES)
     def test_named_kernels_produce_the_reference_pair_set(self, algorithm):
         s, t, condition = _small_problem(seed=17)
         partitioning = RecPartPartitioner(seed=17).partition(s, t, condition, workers=4)
@@ -485,10 +483,10 @@ class TestKernelSelectionAndBudget:
 
     def test_engine_config_carries_kernel_settings(self):
         config = EngineConfig(
-            backend="serial", local_algorithm="auto", kernel_memory_budget=1 << 20
+            backend="serial", local_algorithm="sort-sweep", kernel_memory_budget=1 << 20
         )
         engine = ParallelJoinEngine.from_config(config)
-        assert engine.algorithm.name == "auto"
+        assert engine.algorithm.name == "sort-sweep"
         assert engine.backend.memory_budget == 1 << 20
 
     def test_engine_config_rejects_bad_kernel_settings(self):

@@ -20,10 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ServiceConfig
+from repro.config import LOCAL_ALGORITHM_NAMES, ServiceConfig
 from repro.exceptions import CostModelError
-from repro.geometry.band import BandCondition
-from repro.local_join.auto import AutoJoin
 from repro.obs.explain import (
     MIN_CALIBRATION_RECORDS,
     CalibrationStore,
@@ -108,46 +106,6 @@ class TestPlanNode:
         assert node.to_dict()["qerrors"]["a"] == "inf"
 
 
-class TestSelectorDecision:
-    def test_tiny_regime(self):
-        algorithm = AutoJoin(tiny_pairs=100)
-        s = np.zeros((5, 1))
-        t = np.zeros((5, 1))
-        kernel, info = algorithm.decision(s, t, BandCondition.symmetric(["A1"], 0.1))
-        assert kernel.name == "nested-loop"
-        assert info["regime"] == "tiny"
-        assert info["window_fractions"] is None
-        assert info["rejected"][0]["kernel"] == "sort-sweep"
-
-    def test_dense_regime(self, rng):
-        algorithm = AutoJoin(tiny_pairs=0, dense_fraction=0.5)
-        s = rng.uniform(0, 1, (200, 1))
-        t = rng.uniform(0, 1, (200, 1))
-        kernel, info = algorithm.decision(s, t, BandCondition.symmetric(["A1"], 10.0))
-        assert kernel.name == "nested-loop"
-        assert info["regime"] == "dense"
-        assert info["window_fractions"][0] >= 0.5
-
-    def test_selective_regime_picks_best_dimension(self, rng):
-        algorithm = AutoJoin(tiny_pairs=0, dense_fraction=0.5)
-        s = rng.uniform(0, 1, (200, 2))
-        t = rng.uniform(0, 1, (200, 2))
-        condition = BandCondition({"A1": (0.4, 0.4), "A2": (0.01, 0.01)})
-        kernel, info = algorithm.decision(s, t, condition)
-        assert kernel.name == "sort-sweep"
-        assert info["regime"] == "selective"
-        assert info["sweep_dimension"] == 1
-        assert info["chosen"] == "sort-sweep"
-
-    def test_select_consistent_with_decision(self, rng):
-        algorithm = AutoJoin()
-        s = rng.uniform(0, 1, (50, 1))
-        t = rng.uniform(0, 1, (50, 1))
-        condition = BandCondition.symmetric(["A1"], 0.05)
-        kernel, info = algorithm.decision(s, t, condition)
-        assert algorithm.select(s, t, condition).name == kernel.name == info["chosen"]
-
-
 class TestSampledEstimateMemo:
     def test_estimate_pairs_samples_once(self, rng, monkeypatch):
         """Satellite fix: repeated estimate calls must not re-sample."""
@@ -214,16 +172,15 @@ class TestExplain:
             assert plan_node(first).attrs["plan_cached"] is False
             assert plan_node(second).attrs["plan_cached"] is True
 
-    def test_selector_node_reports_auto_decision(self, rng):
-        with explain_service(local_algorithm="auto") as service:
-            register_pair(service, rng)
+    @pytest.mark.parametrize("algorithm", LOCAL_ALGORITHM_NAMES)
+    def test_selector_node_reports_kernel_and_window_fractions(self, rng, algorithm):
+        with explain_service(local_algorithm=algorithm) as service:
+            register_pair(service, rng, dims=2)
             report = service.explain("q")
             selector = next(c for c in report.root.children if c.name == "selector")
-            assert selector.attrs["algorithm"] == "auto"
-            assert selector.attrs["chosen"] in ("nested-loop", "sort-sweep")
-            assert selector.attrs["regime"] in ("tiny", "dense", "selective")
-            assert any(c.name.startswith("rejected") for c in selector.children)
-            assert "window_fractions" in selector.attrs
+            assert selector.attrs["algorithm"] == algorithm
+            fractions = selector.attrs["window_fractions"]
+            assert len(fractions) == 2 and all(0 < f < 1 for f in fractions)
 
     def test_analyze_actual_pairs_match_execution_exactly(self, rng):
         with explain_service() as service:
@@ -252,9 +209,7 @@ class TestExplain:
             assert report.root.qerrors()["pairs"] == 1.0
 
     @pytest.mark.parametrize("backend", ["serial", "threads"])
-    @pytest.mark.parametrize(
-        "algorithm", ["auto", "sort-sweep", "index-nested-loop", "nested-loop"]
-    )
+    @pytest.mark.parametrize("algorithm", LOCAL_ALGORITHM_NAMES)
     def test_analyze_matches_pair_sets_across_backends_and_kernels(
         self, backend, algorithm
     ):

@@ -7,6 +7,9 @@ and equi-join special cases.
 
 from __future__ import annotations
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,13 +23,23 @@ from repro.local_join import (
     get_local_algorithm,
 )
 from repro.local_join import kernels
-from repro.local_join.auto import AutoJoin
 from repro.local_join.base import canonical_pair_order, join_pair_count
-from repro.local_join.interval import IntervalJoin, most_selective_dimension
+from repro.local_join.interval import IntervalJoin, sweep_dimension
 from repro.local_join.nested_loop import NestedLoopJoin
 
 #: Every registry name but the reference itself.
 KERNEL_NAMES = [name for name in LOCAL_ALGORITHMS if name != "nested-loop"]
+
+#: The registry aliases sweep the first or the chosen dimension; this one
+#: sweeps the last, probing with T, so the equivalence matrix also covers
+#: windows on a later dimension with the earlier ones left to the mask/cells.
+LAST_DIMENSION = "last-dimension"
+
+
+def _equivalence_kernel(name: str, d: int):
+    if name == LAST_DIMENSION:
+        return IntervalJoin(dim=d - 1, probe="t", name=LAST_DIMENSION)
+    return get_local_algorithm(name)
 
 ALGORITHMS = [NestedLoopJoin(block_size=64)] + [
     get_local_algorithm(name) for name in KERNEL_NAMES
@@ -56,8 +69,9 @@ def _case_inputs(shape: str, d: int, rng):
 class TestKernelEquivalence:
     """Every registry name returns exactly the reference pair set and count.
 
-    One matrix over the registry names (the three ``IntervalJoin`` aliases
-    and ``auto``), the dimensionality, symmetric and asymmetric widths, and
+    One matrix over the registry names (the three ``IntervalJoin`` aliases)
+    plus an interval kernel pinned to the last dimension, the
+    dimensionality, symmetric and asymmetric widths, and
     the inputs that have broken kernels before: duplicate values sitting on
     the band edge, an empty side, and a budget of two candidates per chunk —
     once as the kernel plans them and once with the bucketed plan forced.
@@ -66,7 +80,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("shape", ["duplicates", "empty-side", "tiny-budget"])
     @pytest.mark.parametrize("eps", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    @pytest.mark.parametrize("name", KERNEL_NAMES + [LAST_DIMENSION])
     @pytest.mark.parametrize("plan", ["size-gated", "bucketed"])
     def test_same_pairs_and_count_as_nested_loop(self, plan, name, d, eps, shape, monkeypatch):
         if plan == "bucketed":  # these inputs are all far below the size gate
@@ -78,7 +92,7 @@ class TestKernelEquivalence:
             for i in range(d)
         }
         condition = BandCondition(widths)
-        algorithm = get_local_algorithm(name)
+        algorithm = _equivalence_kernel(name, d)
         if shape == "tiny-budget":
             algorithm = algorithm.with_memory_budget(64)
             assert algorithm.memory_budget == 64
@@ -287,6 +301,49 @@ class TestAgreementWithReference:
             assert algorithm.count(s, t, condition) == 40 * 30
 
 
+def most_selective_dimension(
+    s_arr: np.ndarray, t_arr: np.ndarray, condition: BandCondition
+) -> int:
+    """Return the dimension with the largest spread-to-band-width ratio.
+
+    Selectivity of dimension ``i`` is approximated by the ratio of the
+    combined value spread to the band width; zero-width (equality)
+    dimensions are maximally selective.
+    """
+    best_dim = 0
+    best_score = -np.inf
+    for i, pred in enumerate(condition.predicates):
+        combined = np.concatenate([s_arr[:, i], t_arr[:, i]])
+        spread = float(combined.max() - combined.min()) if combined.size else 0.0
+        score = np.inf if pred.width == 0 else spread / pred.width
+        if score > best_score:
+            best_score = score
+            best_dim = i
+    return best_dim
+
+
+@st.composite
+def _sweep_inputs(draw):
+    """``(s, t, condition)`` over 1..4 dimensions: zero widths, tied
+    spreads, an empty side, mixed signs and offsets up to 1e9."""
+    d = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(0, 12)) for _ in range(2)]
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, 1))] = 0
+    offset = draw(st.sampled_from([0.0, -1e9, 1e9]))
+    # Small integer grids make equal spreads (and so ties) common.
+    values = st.integers(-4, 4).map(float) | st.floats(-1e3, 1e3, allow_nan=False)
+    s, t = (
+        np.array([[draw(values) + offset for _ in range(d)] for _ in range(n)]).reshape(n, d)
+        for n in sizes
+    )
+    widths = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 100.0, allow_nan=False)
+    condition = BandCondition(
+        {f"A{i + 1}": (draw(widths), draw(widths)) for i in range(d)}
+    )
+    return s, t, condition
+
+
 class TestIntervalJoinSpecifics:
     def test_selects_most_selective_dimension(self, rng):
         # Dimension 1 has a huge spread relative to its band width, so it
@@ -294,7 +351,24 @@ class TestIntervalJoinSpecifics:
         s = np.column_stack([rng.uniform(0, 1, 200), rng.uniform(0, 1000, 200)])
         t = np.column_stack([rng.uniform(0, 1, 200), rng.uniform(0, 1000, 200)])
         condition = BandCondition.symmetric(["A1", "A2"], 0.5)
-        assert most_selective_dimension(s, t, condition) == 1
+        assert sweep_dimension(s, t, condition) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sweep_inputs())
+    def test_sweep_dimension_matches_spread_ratio_reference(self, case):
+        """``IntervalJoin(dim=None)`` sweeps the dimension the spread ÷ band
+        width reference picks, ties and degenerate inputs included."""
+        s, t, condition = case
+        swept = []
+        kernel = kernels.interval_count
+
+        def recording(s_arr, t_arr, condition, dim, **kwargs):
+            swept.append(dim)
+            return kernel(s_arr, t_arr, condition, dim, **kwargs)
+
+        with mock.patch.object(kernels, "interval_count", recording):
+            IntervalJoin().count(s, t, condition)
+        assert swept == [most_selective_dimension(s, t, condition)]
 
     @pytest.mark.parametrize("probe", ["s", "t"])
     def test_explicit_dimension(self, rng, probe):
@@ -335,6 +409,110 @@ class TestIntervalJoinSpecifics:
             "sort-sweep": (0, "s", kernels.DEFAULT_MEMORY_BUDGET),
             "iejoin-local": (0, "t", kernels.DEFAULT_MEMORY_BUDGET),
         }
+
+
+class TestSweepRule:
+    """``kernels.cells_per_dimension`` is the one rule behind the sweep
+    dimension of ``IntervalJoin(dim=None)`` and the bucketed dimensions of
+    the cell plan."""
+
+    def test_cells_are_spread_over_band_width(self):
+        cells = kernels.cells_per_dimension(
+            np.array([0.0, -2.0, 5.0]), np.array([4.0, 2.0, 5.0]), np.array([0.5, 2.0, 1.0])
+        )
+        np.testing.assert_array_equal(cells, [8.0, 2.0, 0.0])
+
+    def test_zero_width_spans_infinitely_many_cells_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = kernels.cells_per_dimension(
+                np.array([0.0, 3.0]), np.array([1.0, 3.0]), np.zeros(2)
+            )
+        # 0 / 0 on the second dimension included.
+        np.testing.assert_array_equal(cells, [np.inf, np.inf])
+
+    def test_overflowing_spread_is_infinite_not_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = kernels.cells_per_dimension(
+                np.array([-1e308]), np.array([1e308]), np.array([1e-10])
+            )
+        assert cells.tolist() == [np.inf]
+
+    @pytest.mark.parametrize(
+        ("d", "target"),
+        [(d, i) for d in range(1, 5) for i in range(d)],
+        ids=lambda v: str(v),
+    )
+    def test_sweeps_the_dimension_with_the_most_cells(self, d, target, rng):
+        stretch = np.ones(d)
+        stretch[target] = 50.0
+        s = rng.uniform(0, 1, (80, d)) * stretch
+        t = rng.uniform(0, 1, (90, d)) * stretch
+        condition = BandCondition.symmetric([f"A{i + 1}" for i in range(d)], 0.2)
+        assert sweep_dimension(s, t, condition) == target
+        np.testing.assert_array_equal(
+            _pairs(IntervalJoin(), s, t, condition), _pairs(NestedLoopJoin(), s, t, condition)
+        )
+
+    def test_equality_dimension_wins_over_any_spread(self, rng):
+        s = np.column_stack([rng.uniform(0, 1e6, 50), rng.integers(0, 3, 50), rng.uniform(0, 1e6, 50)])
+        t = np.column_stack([rng.uniform(0, 1e6, 60), rng.integers(0, 3, 60), rng.uniform(0, 1e6, 60)])
+        condition = BandCondition({"A1": 0.01, "A2": 0.0, "A3": 0.01})
+        assert sweep_dimension(s, t, condition) == 1
+
+    def test_ties_go_to_the_lowest_dimension(self, rng):
+        column = rng.uniform(0, 4, 40)
+        s = np.column_stack([column, column, column])
+        assert sweep_dimension(s, s, BandCondition.symmetric("ABC", 0.5)) == 0
+        # Two equality dimensions tie at infinity.
+        assert sweep_dimension(s, s, BandCondition({"A": 0.5, "B": 0.0, "C": 0.0})) == 1
+
+    def test_range_spans_both_sides(self):
+        # Each side alone spans 1 cell on A1 and 10 on A2; together A1 spans 101.
+        s = np.array([[0.0, 0.0], [1.0, 10.0]])
+        t = np.array([[100.0, 0.0], [101.0, 10.0]])
+        condition = BandCondition.symmetric(["A1", "A2"], 0.5)
+        assert sweep_dimension(s, t, condition) == 0
+        assert sweep_dimension(s, s, condition) == 1
+
+    def test_one_empty_side_ranks_by_the_other(self):
+        empty = np.empty((0, 2))
+        some = np.array([[0.0, 0.0], [1.0, 10.0]])
+        condition = BandCondition.symmetric(["A1", "A2"], 0.5)
+        assert sweep_dimension(empty, some, condition) == 1
+        assert sweep_dimension(some, empty, condition) == 1
+
+    def test_both_sides_empty(self):
+        empty = np.empty((0, 3))
+        assert sweep_dimension(empty, empty, BandCondition.symmetric("ABC", 1.0)) == 0
+        assert sweep_dimension(empty, empty, BandCondition({"A": 1.0, "B": 1.0, "C": 0.0})) == 2
+
+    def test_cell_plan_ranks_with_the_same_rule(self, rng, monkeypatch):
+        """The sweep choice ranks both sides' range; the cell plan then ranks
+        the sorted side's range (T when S probes) with the same function."""
+        calls = []
+        cells_per_dimension = kernels.cells_per_dimension
+
+        def recording(lo, hi, width):
+            calls.append((lo.copy(), hi.copy(), np.array(width)))
+            return cells_per_dimension(lo, hi, width)
+
+        monkeypatch.setattr(kernels, "cells_per_dimension", recording)
+        monkeypatch.setattr(kernels, "plain_expansion_limit", lambda n, m: 0)
+        s, t = _random_inputs(rng, 120, 130, 3, spread=6.0)
+        condition = BandCondition({"A1": 0.1, "A2": (0.2, 0.3), "A3": 0.4})
+        np.testing.assert_array_equal(
+            _pairs(IntervalJoin(), s, t, condition), _pairs(NestedLoopJoin(), s, t, condition)
+        )
+        widths = np.array([0.2, 0.5, 0.8])
+        (sweep_lo, sweep_hi, sweep_w), (cell_lo, cell_hi, cell_w) = calls
+        np.testing.assert_array_equal(sweep_lo, np.minimum(s.min(axis=0), t.min(axis=0)))
+        np.testing.assert_array_equal(sweep_hi, np.maximum(s.max(axis=0), t.max(axis=0)))
+        np.testing.assert_array_equal(cell_lo, t.min(axis=0))
+        np.testing.assert_array_equal(cell_hi, t.max(axis=0))
+        np.testing.assert_allclose(sweep_w, widths)
+        np.testing.assert_allclose(cell_w, widths)
 
 
 class TestHelpers:
@@ -448,41 +626,6 @@ class TestKernelPrimitives:
         assert kernels.max_candidates(kernels.CANDIDATE_BYTES * 5) == 5
 
 
-class TestAutoJoinSelection:
-    def test_tiny_inputs_use_nested_loop(self, rng):
-        s, t = rng.uniform(0, 1, size=(20, 2)), rng.uniform(0, 1, size=(20, 2))
-        condition = BandCondition.symmetric(["A1", "A2"], 0.1)
-        auto = AutoJoin()
-        assert auto.select(s, t, condition).name == "nested-loop"
-
-    def test_dense_band_uses_nested_loop(self, rng):
-        s, t = rng.uniform(0, 1, size=(400, 1)), rng.uniform(0, 1, size=(400, 1))
-        wide = BandCondition.symmetric(["A1"], 10.0)  # everything joins
-        assert AutoJoin().select(s, t, wide).name == "nested-loop"
-
-    def test_selective_band_uses_interval_kernel_on_best_dimension(self, rng):
-        # Dimension 2 has a far larger spread-to-width ratio.
-        s = np.column_stack([rng.uniform(0, 1, 500), rng.uniform(0, 1000, 500)])
-        t = np.column_stack([rng.uniform(0, 1, 500), rng.uniform(0, 1000, 500)])
-        condition = BandCondition.symmetric(["A1", "A2"], 0.5)
-        chosen = AutoJoin().select(s, t, condition)
-        assert chosen.name == "sort-sweep"
-        assert chosen.dim == 1
-
-    def test_last_choice_records_dispatch(self, rng):
-        s, t = rng.uniform(0, 5, size=(300, 1)), rng.uniform(0, 5, size=(300, 1))
-        condition = BandCondition.symmetric(["A1"], 0.05)
-        auto = AutoJoin()
-        auto.count(s, t, condition)
-        assert auto.last_choice == "sort-sweep"
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            AutoJoin(memory_budget=0)
-        with pytest.raises(ValueError):
-            AutoJoin(dense_fraction=0.0)
-
-
 class TestRegistryAndBudgets:
     def test_registry_resolves_every_name(self):
         for name in LOCAL_ALGORITHMS:
@@ -490,10 +633,12 @@ class TestRegistryAndBudgets:
 
     def test_config_names_match_registry(self):
         """config.LOCAL_ALGORITHM_NAMES is a dependency-free copy of the
-        registry keys; this pins the two in sync."""
-        from repro.config import LOCAL_ALGORITHM_NAMES
+        registry keys; this pins the two in sync, default included."""
+        from repro.config import DEFAULT_LOCAL_ALGORITHM, LOCAL_ALGORITHM_NAMES
 
         assert set(LOCAL_ALGORITHM_NAMES) == set(LOCAL_ALGORITHMS)
+        assert DEFAULT_LOCAL_ALGORITHM in LOCAL_ALGORITHM_NAMES
+        assert DEFAULT_LOCAL_ALGORITHM in LOCAL_ALGORITHMS
 
     def test_registry_rejects_unknown_names(self):
         with pytest.raises(ValueError):

@@ -215,26 +215,26 @@ class TestSelectivityEstimates:
         assert 0.07 < fraction < 0.13
 
     def test_output_estimate_tracks_exact_count(self):
-        from repro.sampling.selectivity import estimate_join_output
+        from repro.sampling.selectivity import estimate_join_selectivity
 
         rng = np.random.default_rng(9)
         s = rng.uniform(0, 2, size=(3000, 1))
         t = rng.uniform(0, 2, size=(3000, 1))
         condition = BandCondition.symmetric(["A1"], 0.02)
-        estimate = estimate_join_output(s, t, condition)
+        estimate = estimate_join_selectivity(s, t, condition) * 3000 * 3000
         exact = join_pair_count(s, t, condition)
         assert 0.5 * exact <= estimate <= 2.0 * exact
 
     def test_empty_inputs_estimate_zero(self):
         from repro.sampling.selectivity import (
-            estimate_join_output,
+            estimate_join_selectivity,
             window_fractions,
         )
 
         condition = BandCondition.symmetric(["A1"], 0.1)
         empty = np.empty((0, 1))
         some = np.ones((5, 1))
-        assert estimate_join_output(empty, some, condition) == 0.0
+        assert estimate_join_selectivity(empty, some, condition) == 0.0
         np.testing.assert_array_equal(window_fractions(some, empty, condition), [0.0])
 
     def test_invalid_sample_size(self):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import LOCAL_ALGORITHM_NAMES
 from repro.data.generators import correlated_pair
 from repro.data.relation import Relation, fingerprint_columns
 from repro.data.storage import (
@@ -259,9 +260,7 @@ class TestStreamedEngineEquivalence:
         assert streamed.total_output == memory.total_output
         assert streamed.job.total_input == memory.job.total_input
 
-    @pytest.mark.parametrize(
-        "algorithm", ["index-nested-loop", "sort-sweep", "iejoin-local", "auto"]
-    )
+    @pytest.mark.parametrize("algorithm", LOCAL_ALGORITHM_NAMES)
     def test_pair_sets_match_on_every_kernel(self, tmp_path, algorithm):
         from repro.core.recpart import RecPartPartitioner
 
