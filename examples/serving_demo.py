@@ -2,9 +2,9 @@
 
 Builds a :class:`repro.service.BandJoinService`, registers a slowly
 changing relation pair, and shows every execution path a served query can
-take — cold, plan-cached, result-cached, delta (after an append) — plus a
-concurrent burst through the scheduler with single-flight deduplication
-and micro-batching.
+take — cold, plan-cached, result-cached, delta (after an append, also
+across a compaction) — plus a concurrent burst through the scheduler with
+single-flight deduplication and micro-batching.
 
 Run with::
 
@@ -73,15 +73,19 @@ def main() -> int:
             f"{len(outputs)} distinct answers"
         )
 
-        print("6. a large append crosses the staleness threshold and re-partitions:")
+        print("6. a large append crosses the staleness threshold and compacts S:")
         service.append("S", pareto_relation("S", rows // 4, dimensions=2, z=1.5, seed=101))
         snapshot = service.catalog.get("S")
         assert snapshot.delta is None  # sync compaction ran inside the append
         print(
             f"  S compacted: base={len(snapshot.base):,} rows, "
-            f"base_version={snapshot.base_version} (plans re-optimized in the hook)"
+            f"base_version={snapshot.base_version} (rows kept in place, nothing re-planned)"
         )
-        show("query after re-partitioning", service.query("near"))
+        after = service.query("near")
+        show("after compaction (delta join)", after)
+        # A compaction keeps every row where it was, so the cached answer
+        # stays an anchor: only the appended rows are joined.
+        assert after.path == "delta", after.path
 
         scheduler = service.stats()["scheduler"]
         print(

@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--staleness-threshold",
         type=float,
         default=None,
-        help="delta fraction that triggers background re-partitioning",
+        help="delta fraction that triggers background compaction",
     )
     serve.add_argument(
         "--local-algorithm",

@@ -82,7 +82,7 @@ DEFAULT_PLAN_CACHE_SIZE: int = 32
 DEFAULT_RESULT_CACHE_SIZE: int = 64
 
 #: Default delta-to-base row fraction past which a catalog relation is
-#: considered stale and re-partitioning (compaction) is triggered.
+#: considered stale and compaction (merging the delta into the base) is triggered.
 DEFAULT_STALENESS_THRESHOLD: float = 0.25
 
 #: Default number of scheduler worker threads serving queries.
@@ -219,7 +219,7 @@ class ServiceConfig:
         materialized-result cache.
     staleness_threshold:
         Delta-to-base row fraction past which a relation is compacted
-        (deltas merged into the base, plans re-optimized).
+        (deltas merged into the base).
     compaction:
         ``"background"`` (compact on a background thread, the serving
         default), ``"sync"`` (compact inside the triggering append — used by

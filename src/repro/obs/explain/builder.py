@@ -12,8 +12,10 @@ EXPLAIN ANALYZE additionally executes the query (through whatever callable
 the caller supplies — the service routes it through the scheduler so
 analyzed runs share single-flight and admission control) and grafts the
 measured figures onto the same nodes: true pair counts, per-worker
-input/output/wall-time from the job statistics, and kernel chunk /
-candidate totals diffed from the process-wide kernel-profiling counters.  Every node with both figures then carries a q-error.
+input/output/wall-time from the partitioned base join's job statistics,
+and kernel chunk / candidate totals diffed from the process-wide
+kernel-profiling counters.  Every node with both figures then carries a
+q-error.  The inline local join of appended rows gets a node of its own.
 """
 
 from __future__ import annotations
@@ -271,18 +273,19 @@ def build_report(
 
     report.path = result.path
     root.actual(pairs=result.n_pairs, seconds=result.seconds)
-    job = result.job
+    job = result.base_job
     if result.path in _EXECUTED_PATHS:
         # The cost model prices *executing* the plan; a cache-served request
         # never did, so its wall time is not a comparable actual.
         cost_node.actual(seconds=exec_seconds)
-    if result.path not in _EXECUTED_PATHS or job is None:
+    if result.path not in _EXECUTED_PATHS or result.job is None:
         # Cache-served run: nothing dispatched *now*, so per-worker and
         # kernel actuals are structurally absent rather than zero (a cached
         # QueryResult still carries the job stats of the run that produced
         # it, which would misattribute that run's wall times to this one).
         root.attrs["served_from_cache"] = True
-    else:
+    elif job is not None:
+        # Per-worker actuals exist only when the partitioned base join ran.
         plan_node.actual(
             total_input=job.total_input,
             max_input=job.max_worker_input(weights),
@@ -323,5 +326,12 @@ def build_report(
                 candidates=deltas["candidates"],
                 pairs=deltas["pairs"],
             )
+    delta = result.delta_job
+    if result.path in _EXECUTED_PATHS and delta is not None:
+        root.child("delta_join", source="inline local join of the appended rows").actual(
+            input=delta.total_input,
+            output=delta.total_output,
+            seconds=delta.workers[0].local_seconds,
+        )
     report.seconds = time.perf_counter() - started
     return report

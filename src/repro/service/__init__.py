@@ -6,11 +6,11 @@ cache and backends:
 
 * :mod:`repro.service.catalog` — named, versioned relations with
   incremental **delta appends**: appended rows accumulate next to the
-  optimized base until a staleness threshold triggers re-partitioning.
+  base until a staleness threshold triggers compaction.
 * :mod:`repro.service.prepared` — **prepared queries** binding a relation
   pair to a band-condition template with parameterizable epsilons,
   materialized-result caching, and the delta-join fast path (appended rows
-  routed through the *existing* partitioning).
+  joined against the probed rows of the other side in one local join).
 * :mod:`repro.service.scheduler` — a concurrent **query scheduler** with
   single-flight deduplication, epsilon-union micro-batching and
   admission control, reporting per-path latency percentiles.

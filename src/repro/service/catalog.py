@@ -10,11 +10,10 @@ which is what invalidates the prepared queries' materialized results.
 Once the delta grows past a configurable fraction of the base
 (:attr:`RelationCatalog.staleness_threshold`), the relation is *stale*: the
 catalog reports it and fires the ``on_stale`` callback, which the service
-wires to background compaction — merging the delta into a new base, after
-which the next query re-optimizes over the full data.  Until then, queries
-answer through the delta-join path of
-:class:`~repro.service.prepared.PreparedQuery`, which extends its newest
-cached result by joining only the rows appended since.
+wires to background compaction — merging the delta into a new base, which
+keeps every row at its index.  Queries answer through the delta-join path of
+:class:`~repro.service.prepared.PreparedQuery` before and after it, extending
+their newest cached result by joining only the rows appended since.
 
 All mutation happens under one lock; readers receive immutable
 :class:`RelationSnapshot` objects and are never blocked by an append racing
@@ -107,27 +106,32 @@ class RelationSnapshot:
         Content version; bumped on every append and re-registration.  Result
         caches key off this, so stale results can never be served.
     base_version:
-        Partitioning lineage; bumped when the base changes (registration or
-        compaction) but *not* on appends — cached plans and results stay
-        valid anchors across appends.
+        Identity of the base; bumped when the base changes (registration or
+        compaction) but *not* on appends.
+    registration:
+        Lineage of the rows; bumped only by registration.  Appends and
+        compactions keep every row at its index, so cached results of the
+        same registration stay valid anchors across both.
     base / delta:
         The optimized part and the appended tail (``None`` when no rows have
         been appended since the last compaction).
     """
 
-    __slots__ = ("name", "version", "base_version", "base", "delta", "_full")
+    __slots__ = ("name", "version", "base_version", "registration", "base", "delta", "_full")
 
     def __init__(
         self,
         name: str,
         version: int,
         base_version: int,
+        registration: int,
         base: Relation,
         delta: Relation | None,
     ) -> None:
         self.name = name
         self.version = version
         self.base_version = base_version
+        self.registration = registration
         self.base = base
         self.delta = delta
         self._full: Relation | None = None
@@ -335,7 +339,10 @@ class RelationCatalog:
                 )
             version = existing.version + 1 if existing is not None else 1
             base_version = existing.base_version + 1 if existing is not None else 1
-            snapshot = RelationSnapshot(name, version, base_version, relation, None)
+            registration = existing.registration + 1 if existing is not None else 1
+            snapshot = RelationSnapshot(
+                name, version, base_version, registration, relation, None
+            )
             self._entries[name] = snapshot
             return snapshot
 
@@ -394,7 +401,8 @@ class RelationCatalog:
                 else current.delta.concat(delta_rows)
             )
             snapshot = RelationSnapshot(
-                name, current.version + 1, current.base_version, current.base, delta
+                name, current.version + 1, current.base_version,
+                current.registration, current.base, delta,
             )
             self._entries[name] = snapshot
             stale = snapshot.staleness >= self.staleness_threshold
@@ -403,12 +411,11 @@ class RelationCatalog:
         return snapshot
 
     def compact(self, name: str) -> RelationSnapshot:
-        """Merge a relation's delta into a fresh base (the re-partition point).
+        """Merge a relation's delta into a fresh base.
 
-        The content version is preserved — the rows are unchanged, so
-        materialized results for the current version remain servable — but
-        the base lineage is bumped: the next uncached query re-optimizes
-        over the full data instead of taking the delta path.
+        The rows, their order and the content version are preserved, so
+        cached results stay servable and stay anchors of the delta path;
+        only ``base_version`` is bumped.
 
         The merge never materializes the whole relation at once.  A heap
         base concatenates column by column (peak transient memory is one
@@ -439,7 +446,8 @@ class RelationCatalog:
             else:
                 merged = self._maybe_spill(base.concat(delta))
             snapshot = RelationSnapshot(
-                name, current.version, current.base_version + 1, merged, None
+                name, current.version, current.base_version + 1,
+                current.registration, merged, None,
             )
             self._entries[name] = snapshot
             return snapshot

@@ -10,21 +10,22 @@ and through a per-query **result cache** of materialized pair sets keyed by
 its version, which invalidates every affected result automatically.
 
 The interesting path is the **delta join**.  Every cached result records
-its *lineage*: the base versions and the row counts ``(s_rows, t_rows)`` it
-answers.  Appends only ever add rows after those, so the newest cached
-result on the current base lineage is an *anchor* the new answer extends::
+its *lineage*: the registrations and the row counts ``(s_rows, t_rows)`` it
+answers.  Appends only ever add rows after those and compactions keep every
+row at its index, so the newest cached result of the current registrations
+is an *anchor* the new answer extends::
 
     J(S', T')  =  anchor  ∪  J(S'[s_rows:], T')  ∪  J(S'[:s_rows], T'[t_rows:])
 
 Each query therefore joins only the rows appended since its anchor.  The
 other side of each term is *probed*, not streamed: a sorted index of its
-first join column (memoized per base lineage) yields the rows inside the new
-rows' ε-windows, only those rows are gathered (touching only their pages on
-mmap storage), and the two small matrices run through the engine under the
-cached partitioning, whose kernel decides every pair.  A delta query thus
-costs O(new rows + matching output), not a pass over either relation.
-Without an anchor (first query, eviction, compaction, re-registration) the
-base join runs through the plan cache and is extended the same way.
+first join column (memoized per base) yields the rows inside the new rows'
+ε-windows, only those rows are gathered (touching only their pages on mmap
+storage), and the two small matrices run as one local join on the calling
+thread, whose kernel decides every pair.  A delta query thus costs
+O(new rows + matching output), not a pass over either relation.  Without an
+anchor (first query of a registration, eviction) the base join runs through
+the plan cache and is extended the same way.
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.config import DEFAULT_RESULT_CACHE_SIZE, DEFAULT_WORKERS
-from repro.data.relation import Relation
-from repro.distributed.stats import JobStats, merge_job_stats
+from repro.distributed.stats import JobStats, WorkerStats, merge_job_stats
+from repro.engine import deadline
+from repro.engine.backends import execute_task
 from repro.engine.engine import ParallelJoinEngine
+from repro.engine.routing import WorkerTask
 from repro.exceptions import ServiceError
 from repro.geometry.band import BandCondition
+from repro.obs import tracer
 from repro.service.catalog import RelationCatalog, RelationSnapshot
 
 __all__ = [
@@ -82,14 +86,23 @@ class QueryResult:
     t_version: int
     seconds: float
     optimization_seconds: float = 0.0
-    job: JobStats | None = None
+    #: The partitioned base join run for this answer (``None`` on the delta path).
+    base_job: JobStats | None = None
+    #: The inline local join of the rows appended since (one worker).
+    delta_job: JobStats | None = None
     #: Degraded-mode marker: the result answers *older* catalog versions
     #: than current; ``version_lag`` is the summed version distance.
     stale: bool = False
     version_lag: int = 0
-    #: ``(s base version, t base version, s rows, t rows)`` the pairs answer;
-    #: a later query on the same base lineage extends them (see module doc).
+    #: ``(s registration, t registration, s rows, t rows)`` the pairs answer;
+    #: a later query of the same registrations extends them (see module doc).
     lineage: tuple | None = None
+
+    @property
+    def job(self) -> JobStats | None:
+        """Return the accounting of everything this answer executed."""
+        jobs = [job for job in (self.base_job, self.delta_job) if job is not None]
+        return merge_job_stats(jobs) if jobs else None
 
     @property
     def n_pairs(self) -> int:
@@ -237,7 +250,8 @@ class PreparedQuery:
         self.name: str | None = None
         self._lock = threading.Lock()
         self._results: OrderedDict = OrderedDict()  # (sv, tv, ekey) -> QueryResult
-        self._sorted_index: dict = {}  # (relation, base version) -> (values, rows)
+        # relation -> (registration, base version, sorted values, row ids)
+        self._sorted_index: dict = {}
         self._sampled_estimates: OrderedDict = OrderedDict()  # (sv, tv, ekey, k) -> float
         # Validate the schema eagerly so prepare() fails fast.
         for name in (s_name, t_name):
@@ -345,7 +359,7 @@ class PreparedQuery:
 
         condition = self.condition(ekey)
         if anchor is not None:
-            path, optimization_seconds, jobs = PATH_DELTA, 0.0, []
+            path, optimization_seconds, base_job = PATH_DELTA, 0.0, None
             pairs, (s_rows, t_rows) = anchor.pairs, anchor.lineage[2:]
         else:
             base = self.engine.join(
@@ -354,9 +368,9 @@ class PreparedQuery:
             )
             path = PATH_PLAN_CACHE if base.plan_from_cache else PATH_COLD
             optimization_seconds = 0.0 if base.plan_from_cache else base.optimization_seconds
-            pairs, jobs = base.pairs, [base.job]
+            pairs, base_job = base.pairs, base.job
             s_rows, t_rows = len(s_snap.base), len(t_snap.base)
-        chunks = [pairs]
+        chunks, delta_jobs = [pairs], []
         # J(S'[s_rows:], T')  and  J(S'[:s_rows], T'[t_rows:]).
         for new, new_start, other, other_stop, probe_s in (
             (s_snap, s_rows, t_snap, t_snap.rows, True),
@@ -365,7 +379,7 @@ class PreparedQuery:
             if new_start < new.rows:
                 pairs, job = self._probe(new, new_start, other, other_stop, probe_s, condition)
                 chunks.append(pairs)
-                jobs.append(job)
+                delta_jobs.append(job)
         result = QueryResult(
             pairs=np.concatenate(chunks),
             path=path,
@@ -375,8 +389,9 @@ class PreparedQuery:
             t_version=t_snap.version,
             seconds=time.perf_counter() - start,
             optimization_seconds=optimization_seconds,
-            job=merge_job_stats(jobs) if jobs else None,
-            lineage=(s_snap.base_version, t_snap.base_version, s_snap.rows, t_snap.rows),
+            base_job=base_job,
+            delta_job=merge_job_stats(delta_jobs) if delta_jobs else None,
+            lineage=(s_snap.registration, t_snap.registration, s_snap.rows, t_snap.rows),
         )
         self.store_result(ekey, result)
         self.stats.record(result.path)
@@ -384,14 +399,14 @@ class PreparedQuery:
 
     def _anchor(self, s_snap, t_snap, ekey) -> QueryResult | None:
         """Return the newest cached result the snapshots extend (lock held):
-        same epsilons, same base lineage on both sides, no more rows."""
+        same epsilons, same registrations on both sides, no more rows."""
         best = None
         for (_, _, key), result in self._results.items():
             lineage = result.lineage
             if (
                 key == ekey
                 and lineage is not None
-                and lineage[:2] == (s_snap.base_version, t_snap.base_version)
+                and lineage[:2] == (s_snap.registration, t_snap.registration)
                 and lineage[2] <= s_snap.rows
                 and lineage[3] <= t_snap.rows
                 and (best is None or sum(lineage[2:]) > sum(best.lineage[2:]))
@@ -401,60 +416,74 @@ class PreparedQuery:
 
     def _probe(self, new, new_start, other, other_stop, probe_s, condition):
         """Join rows ``[new_start:]`` of ``new`` against rows ``[:other_stop]``
-        of ``other`` (``probe_s``: ``new`` is the S side) under the cached
-        partitioning; returns ``(global pairs, job)``.
+        of ``other`` (``probe_s``: ``new`` is the S side) in one local join on
+        the calling thread; returns ``(global pairs, one-worker job)``.
 
         Only the other side's rows whose first join attribute lies in a new
-        row's ε-window are gathered; the engine's kernel decides every pair.
+        row's ε-window are gathered; the kernel decides every pair.  Either
+        range may reach into the base, where a compaction moved appended rows.
         """
         attributes = self.attributes
-        new_matrix = new.delta.join_matrix_slice(
-            attributes, new_start - len(new.base), new.rows - len(new.base)
-        )
+        new_matrix = _join_rows(new, attributes, new_start, new.rows)
         lo, hi = condition.epsilon_range(new_matrix, around="s" if probe_s else "t")
         lo, hi = np.sort(lo[:, 0]), np.sort(hi[:, 0])
         # Widen every window by a few ulps of the largest magnitude involved:
         # the kernel may round ``x ± ε`` the other way, so the probe must
         # gather a superset and leave the edge decision to the kernel.
         pad = 4 * np.spacing(max(abs(lo[0]), abs(lo[-1]), abs(hi[0]), abs(hi[-1])))
+        n_base = len(other.base)
         sources = [(other.base, 0, *self._sorted_first_column(other))]
-        if other_stop > len(other.base):
-            column = other.delta.join_matrix_slice(
-                attributes[:1], 0, other_stop - len(other.base)
-            )[:, 0]
+        if other_stop > n_base:
+            column = _join_rows(other, attributes[:1], n_base, other_stop)[:, 0]
             order = np.argsort(column, kind="stable")
-            sources.append((other.delta, len(other.base), column[order], order))
+            sources.append((other.delta, n_base, column[order], order))
         parts, ids = [], []
         for relation, offset, values, order in sources:
             rows = np.sort(order[_window_positions(values, lo - pad, hi + pad)])
+            rows = rows[: np.searchsorted(rows, other_stop - offset)]
             parts.append(gather_rows(relation, attributes, rows))
             ids.append(offset + rows)
-        new_rel = Relation.from_rows(new.name, new_matrix, attributes)
-        other_rel = Relation.from_rows(other.name, np.concatenate(parts), attributes)
         sides = [
-            (new, new_rel, np.arange(new_start, new.rows)),
-            (other, other_rel, np.concatenate(ids)),
+            (new_matrix, np.arange(new_start, new.rows)),
+            (np.concatenate(parts), np.concatenate(ids)),
         ]
-        (s_snap, s_rel, s_ids), (t_snap, t_rel, t_ids) = sides if probe_s else sides[::-1]
-        joined = self.engine.execute(
-            s_rel, t_rel, condition, self._plan(s_snap, t_snap, condition), materialize=True
+        (s_matrix, s_ids), (t_matrix, t_ids) = sides if probe_s else sides[::-1]
+        n_s, n_t = len(s_ids), len(t_ids)
+        task = WorkerTask(0, 1, np.arange(n_s), np.zeros(n_s), np.arange(n_t), np.zeros(n_t))
+        algorithm = self.engine.backend._budgeted(self.engine.algorithm, concurrency=1)
+        deadline.check("delta join")
+        with tracer().span("local_join", backend="inline", tasks=1) as span:
+            outcome = execute_task(
+                task, s_matrix, t_matrix, condition, algorithm, True, span.context
+            )
+            tracer().attach(span.context, outcome.spans or [])
+        local, output = outcome.pairs, outcome.output
+        worker = WorkerStats(0, n_s, n_t, output, 1, outcome.local_seconds)
+        return (
+            np.column_stack((s_ids[local[:, 0]], t_ids[local[:, 1]])),
+            JobStats([worker], total_output=output, baseline_input=n_s + n_t),
         )
-        pairs = np.column_stack((s_ids[joined.pairs[:, 0]], t_ids[joined.pairs[:, 1]]))
-        return pairs, joined.job
 
     def _sorted_first_column(self, snap) -> tuple[np.ndarray, np.ndarray]:
         """Return the base's first join column sorted, with its row ids
-        (memoized per relation and base version, built on first use)."""
-        key = (snap.name, snap.base_version)
-        index = self._sorted_index.get(key)
-        if index is None:
-            column = np.asarray(snap.base.column(self.attributes[0]), dtype=float)
-            order = np.argsort(column, kind="stable")
-            index = (column[order], order)
+        (memoized per relation and base version, built on first use).
+
+        A compaction keeps every row at its index, so the index of an older
+        base of the same registration covers a prefix of this one: only the
+        rows merged in since are sorted into it.
+        """
+        entry = self._sorted_index.get(snap.name)
+        if entry is None or entry[:2] != (snap.registration, snap.base_version):
+            prefix = entry is not None and entry[0] == snap.registration
+            if prefix and len(entry[3]) <= len(snap.base):
+                values, rows = entry[2:]
+            else:
+                values, rows = np.empty(0), np.empty(0, dtype=np.intp)
+            column = _join_rows(snap, self.attributes[:1], len(rows), len(snap.base))[:, 0]
+            entry = (snap.registration, snap.base_version, *_extend_index(values, rows, column))
             # Rebinding, never mutating, keeps readers on other threads safe.
-            kept = {k: v for k, v in self._sorted_index.items() if k[0] != snap.name}
-            self._sorted_index = {**kept, key: index}
-        return index
+            self._sorted_index = {**self._sorted_index, snap.name: entry}
+        return entry[2:]
 
     def __call__(self, epsilons=None) -> QueryResult:
         return self.execute(epsilons)
@@ -569,27 +598,6 @@ class PreparedQuery:
         )
         return int(result.total_output)
 
-    def _plan(self, s_snap, t_snap, condition):
-        """Resolve the partitioning of the base pair through the plan cache."""
-        plan, _ = self.engine.plan_cache.get_or_build(
-            self.partitioner, s_snap.base, t_snap.base, condition, self.workers
-        )
-        return plan
-
-    def ensure_plan(self, epsilons=None) -> bool:
-        """Pre-build (or confirm) the plan for one epsilon binding.
-
-        Returns ``True`` when the plan was already cached.  The service
-        calls this after compaction so re-partitioning happens in the
-        background rather than inside the next query.
-        """
-        s_snap, t_snap = self.snapshots()
-        condition = self.condition(epsilons)
-        _, cached = self.engine.plan_cache.get_or_build(
-            self.partitioner, s_snap.base, t_snap.base, condition, self.workers
-        )
-        return cached
-
     def stale_result(self, ekey: tuple) -> QueryResult | None:
         """Return the freshest cached result for ``ekey``, whatever its versions.
 
@@ -697,6 +705,32 @@ def gather_rows(relation, attributes, rows) -> np.ndarray:
     return np.column_stack(
         [np.asarray(relation.column(a), dtype=float)[rows] for a in attributes]
     )
+
+
+def _join_rows(snap, attributes, start: int, stop: int) -> np.ndarray:
+    """Return the join matrix of rows ``[start, stop)`` of a snapshot, which
+    may span its base and its delta."""
+    n_base = len(snap.base)
+    parts = [snap.base.join_matrix_slice(attributes, start, min(stop, n_base))]
+    if stop > n_base:
+        parts.append(snap.delta.join_matrix_slice(attributes, start - n_base, stop - n_base))
+    return np.concatenate(parts)
+
+
+def _extend_index(values: np.ndarray, rows: np.ndarray, column: np.ndarray):
+    """Extend the sorted index ``(values, rows)`` of a column's prefix by the
+    rest of the column, equal to a fresh ``argsort(kind="stable")`` of it all.
+
+    Old entries precede new ones among equal values, as their row ids do;
+    the stable sort is a timsort, which merges the two sorted runs in O(n).
+    """
+    order = np.argsort(column, kind="stable")
+    if values.size == 0:
+        return column[order], order
+    values = np.concatenate((values, column[order]))
+    rows = np.concatenate((rows, len(rows) + order))
+    merge = np.argsort(values, kind="stable")
+    return values[merge], rows[merge]
 
 
 def _sampled_join_matrix(relation, attributes, sample_size: int) -> np.ndarray:

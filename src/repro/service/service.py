@@ -10,10 +10,9 @@ queries flow through — so even single-caller usage benefits from
 single-flight deduplication, and concurrent callers share dispatches.
 
 Appends that push a relation past the staleness threshold trigger
-compaction (merging the delta into a new base) plus plan re-optimization
-for every prepared query over that relation; with the default
-``compaction="background"`` both happen on a maintenance thread while
-queries keep answering through the delta path.
+compaction (merging the delta into a new base); with the default
+``compaction="background"`` it happens on a maintenance thread.  Queries
+answer through the delta path before, during and after it.
 """
 
 from __future__ import annotations
@@ -349,11 +348,11 @@ class BandJoinService:
     # ------------------------------------------------------------------ #
     def _on_stale(self, name: str) -> None:
         if self.config.compaction == "sync":
-            self._compact_and_replan(name)
+            self._compact(name)
             return
         # One compaction per relation at a time: appends keep reporting the
-        # relation stale until the merge lands, and each re-optimization is
-        # expensive — a burst of appends must not fan out into a thread storm.
+        # relation stale until the merge lands, and each merge rewrites the
+        # base — a burst of appends must not fan out into a thread storm.
         with self._maintenance_lock:
             if self._closed or name in self._compacting:
                 return
@@ -370,7 +369,7 @@ class BandJoinService:
 
     def _background_compact(self, name: str) -> None:
         try:
-            self._compact_and_replan(name)
+            self._compact(name)
         finally:
             with self._maintenance_lock:
                 self._compacting.discard(name)
@@ -379,19 +378,11 @@ class BandJoinService:
         if not self._closed and name in self.catalog.stale_names():
             self._on_stale(name)
 
-    def _compact_and_replan(self, name: str) -> None:
-        """Merge a stale relation's delta and re-optimize affected plans."""
+    def _compact(self, name: str) -> None:
+        """Merge a stale relation's delta into its base (nothing is re-planned:
+        every cached result stays an anchor across the compaction)."""
         logger.info("compacting relation %r", name)
         self.catalog.compact(name)
-        with self._prepared_lock:
-            affected = [
-                prepared
-                for prepared in self._prepared.values()
-                if name in (prepared.s_name, prepared.t_name)
-                and prepared.default_epsilons is not None
-            ]
-        for prepared in affected:
-            prepared.ensure_plan()
 
     def drain_maintenance(self) -> None:
         """Block until every background compaction has finished (tests/benchmarks)."""

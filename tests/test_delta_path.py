@@ -29,6 +29,7 @@ from repro.service import (
     PATH_COLD,
     PATH_DELTA,
     PATH_PLAN_CACHE,
+    PATH_RESULT_CACHE,
     BandJoinService,
     PreparedQuery,
     RelationCatalog,
@@ -70,6 +71,8 @@ _STEP = st.tuples(
     st.sampled_from(["append S", "append T", "compact S", "compact T"]),
     st.integers(0, 12),  # rows appended (0 = empty append)
     st.booleans(),  # appended rows fall outside the base's range
+    st.booleans(),  # query after the step (rows appended before a skipped
+    # query and a compaction reach the next query inside the base)
 )
 
 
@@ -107,14 +110,22 @@ class TestDeltaEquivalence:
         )
         condition = prepared.condition()
         _check_full_join(prepared, prepared.execute(), condition)
-        for action, rows, outside in steps:
+        changed = False
+        for step, (action, rows, outside, query) in enumerate(steps):
             kind, side = action.split()
             if kind == "compact":
                 catalog.compact(side)
             else:
                 low, high = (-2.0, 6.0) if outside else (0.0, 3.0)
                 catalog.append(side, _columns(_dyadic(rng, rows, d, low, high)))
-            _check_full_join(prepared, prepared.execute(), condition)
+                changed = changed or rows > 0
+            if query or step == len(steps) - 1:
+                result = prepared.execute()
+                _check_full_join(prepared, result, condition)
+                # Compactions keep the versions and the anchor: every later
+                # answer is cached or extends a cached one.
+                assert result.path == (PATH_DELTA if changed else PATH_RESULT_CACHE)
+                changed = False
 
 
 def _service(**overrides) -> BandJoinService:
@@ -154,7 +165,7 @@ class TestAnchors:
             assert result.path == PATH_PLAN_CACHE
             _check_full_join(prepared, result, prepared.condition())
 
-    def test_compaction_starts_a_new_lineage(self):
+    def test_compaction_keeps_the_lineage(self):
         rng = np.random.default_rng(3)
         with _service() as service:
             _register(service, rng)
@@ -165,10 +176,18 @@ class TestAnchors:
             service.catalog.compact("T")
             service.append("T", _columns(_dyadic(rng, 5, 1)))
             result = service.query("q")
-            assert result.path == PATH_COLD  # the compacted base has no plan yet
+            assert result.path == PATH_DELTA  # the anchor survives the compaction
             _check_full_join(prepared, result, prepared.condition())
             service.append("S", _columns(_dyadic(rng, 5, 1)))
             assert service.query("q").path == PATH_DELTA
+            # New rows on both sides, the S ones compacted into the base before
+            # the query: the second term must stop at the anchor's S rows.
+            service.append("S", _columns(_dyadic(rng, 20, 1)))
+            service.catalog.compact("S")
+            service.append("T", _columns(_dyadic(rng, 20, 1)))
+            result = service.query("q")
+            assert result.path == PATH_DELTA
+            _check_full_join(prepared, result, prepared.condition())
 
     def test_register_replace_starts_a_new_lineage(self):
         rng = np.random.default_rng(4)
@@ -262,3 +281,91 @@ def test_concurrent_appends_and_queries_answer_their_reported_rows():
         np.testing.assert_array_equal(
             canonical_pair_order(result.pairs), canonical_pair_order(expected)
         )
+
+
+@pytest.mark.parametrize("storage", ["memory", "mmap"])
+def test_delta_queries_neither_plan_nor_dispatch(tmp_path, monkeypatch, storage):
+    """A delta query, also the first after a compaction moved the appended
+    rows into the base, runs no plan lookup and no backend dispatch."""
+    rng = np.random.default_rng(8)
+    with _service(
+        storage=storage, spill_dir=str(tmp_path), spill_threshold_bytes=1
+    ) as service:
+        _register(service, rng)
+        prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.25)
+        service.query("q")
+        calls = []
+        for owner, name in (
+            (service.engine.plan_cache, "get_or_build"),
+            (service.engine.backend, "run"),
+        ):
+            original = getattr(owner, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        service.append("S", _columns(_dyadic(rng, 5, 1)))
+        results = [service.query("q")]
+        service.append("T", _columns(_dyadic(rng, 5, 1)))
+        service.catalog.compact("T")  # the new T rows now sit in the base
+        results.append(service.query("q"))
+        _check_full_join(prepared, results[-1], prepared.condition())
+        service.append("S", _columns(_dyadic(rng, 5, 1)))
+        results.append(service.query("q"))
+        _check_full_join(prepared, results[-1], prepared.condition())
+        assert [result.path for result in results] == [PATH_DELTA] * 3
+        assert calls == []
+        # The T probe index, extended across the compaction, equals a fresh
+        # stable sort of the merged base.
+        t_snap = service.catalog.get("T")
+        column = np.asarray(t_snap.base.column("A1"))
+        _, rows = prepared._sorted_first_column(t_snap)
+        np.testing.assert_array_equal(rows, np.argsort(column, kind="stable"))
+
+
+def test_delta_join_runs_under_the_kernel_memory_budget(monkeypatch):
+    """With a 1 KB kernel budget the inline delta join is bound to it and
+    still returns exactly the full join's new pairs."""
+    rng = np.random.default_rng(9)
+    with _service(kernel_memory_budget=1024) as service:
+        _register(service, rng, rows=400)
+        prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.25)
+        service.query("q")
+        budgets = []
+        algorithm = service.engine.algorithm
+        original = algorithm.with_memory_budget
+
+        def spy(budget):
+            budgets.append(budget)
+            return original(budget)
+
+        monkeypatch.setattr(algorithm, "with_memory_budget", spy)
+        service.append("S", _columns(_dyadic(rng, 40, 1)))
+        service.append("T", _columns(_dyadic(rng, 40, 1)))
+        result = service.query("q")
+        assert result.path == PATH_DELTA
+        assert budgets and set(budgets) == {1024}
+        _check_full_join(prepared, result, prepared.condition())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    old=st.lists(st.integers(-3, 3), max_size=30),
+    new=st.lists(st.integers(-3, 3), min_size=1, max_size=30),
+    offset=st.sampled_from([0.0, 1e9, -1e9]),
+    scale=st.sampled_from([1.0, 0.125, 1e-9]),
+)
+def test_extended_probe_index_equals_a_fresh_stable_argsort(old, new, offset, scale):
+    """Merging the sorted rows a compaction added into the old index gives
+    exactly the index of a fresh stable sort: ties keep row order."""
+    from repro.service.prepared import _extend_index
+
+    column = offset + scale * np.asarray(old + new, dtype=float)
+    prefix = column[: len(old)]
+    order = np.argsort(prefix, kind="stable")
+    values, rows = _extend_index(prefix[order], order, column[len(old):])
+    fresh = np.argsort(column, kind="stable")
+    np.testing.assert_array_equal(rows, fresh)
+    np.testing.assert_array_equal(values, column[fresh])

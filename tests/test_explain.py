@@ -258,6 +258,44 @@ class TestExplain:
                 assert "input" in node.estimates and "input" in node.actuals
                 assert node.qerrors()["input"] >= 1.0
 
+    def test_pure_delta_answer_reports_one_inline_join(self, rng):
+        """No partitioned dispatch runs on the delta path: the workers carry
+        no actuals, and the inline join of the new rows has its own node."""
+        with explain_service() as service:
+            register_pair(service, rng)
+            before = service.query("q").n_pairs
+            service.append("S", {"A1": rng.uniform(0, 1, 30)})
+            report = service.explain("q", analyze=True)
+            assert report.path == "delta"
+            nodes = {c.name: c for c in report.root.children}
+            delta = nodes["delta_join"]
+            assert delta.actuals["output"] == report.root.actuals["pairs"] - before
+            assert delta.actuals["input"] >= 30 and delta.actuals["seconds"] >= 0
+            plan = nodes["partitioning"]
+            assert plan.actuals == {}
+            assert all(worker.actuals == {} for worker in plan.children)
+            assert "kernels" not in nodes
+            assert "served_from_cache" not in report.root.attrs
+
+    def test_base_join_extended_by_a_delta_keeps_the_two_apart(self, rng):
+        """The workers report the base join alone; the delta join of the rows
+        appended before the first query is reported beside them."""
+        with explain_service() as service:
+            register_pair(service, rng)
+            service.append("T", {"A1": rng.uniform(0, 1, 30)})
+            report = service.explain("q", analyze=True)
+            assert report.path == "plan_cache"  # EXPLAIN built the plan first
+            nodes = {c.name: c for c in report.root.children}
+            plan, delta = nodes["partitioning"], nodes["delta_join"]
+            workers = [c for c in plan.children if c.name.startswith("worker")]
+            assert sum(w.actuals["output"] for w in workers) == plan.actuals["output"]
+            assert sum(w.actuals["input"] for w in workers) == plan.actuals["total_input"]
+            assert (
+                plan.actuals["output"] + delta.actuals["output"]
+                == report.root.actuals["pairs"]
+            )
+            assert delta.actuals["input"] >= 30
+
     def test_report_serialization_and_render(self, rng):
         with explain_service() as service:
             register_pair(service, rng)

@@ -34,7 +34,6 @@ from repro.service import (
     PATH_COLD,
     PATH_DELTA,
     PATH_MICRO_BATCH,
-    PATH_PLAN_CACHE,
     PATH_RESULT_CACHE,
     BandJoinService,
     PreparedQuery,
@@ -258,9 +257,9 @@ class TestPreparedQueryPaths:
             assert snapshot.delta is None  # sync compaction already ran
             assert snapshot.base_version == 2
             after = service.query("q")
-            # Plan was re-built by the compaction hook, so the full join runs
-            # under a cached plan rather than paying optimization again.
-            assert after.path == PATH_PLAN_CACHE
+            # Compaction keeps the rows and their order, so the cached answer
+            # stays an anchor and only the appended rows are joined.
+            assert after.path == PATH_DELTA
             s_full = service.catalog.get("S").full
             t_full = service.catalog.get("T").full
             np.testing.assert_array_equal(
