@@ -10,14 +10,14 @@ on the standard Table-2-style Pareto workload:
 ``result_cache``
     Repeat query: answered from the materialized-result cache.
 ``delta``
-    Query after appending a 1% delta: cached base result plus delta joins
-    of only the appended rows through the existing partitioning.
+    Query after appending a 1% delta: cached result plus one local join of
+    only the appended rows against the probed rows of the other side.
 
 Each path is sampled across several epsilon parameters of one prepared
 query (and several repeats for the sub-millisecond paths), then a
 concurrent section pushes a mixed epsilon workload through the scheduler
-to measure sustained throughput with single-flight dedup and
-micro-batching enabled.
+to measure sustained throughput with single-flight dedup (one execution
+per distinct request).
 
 The machine-readable record lands in ``BENCH_service.json`` at the
 repository root (override with ``REPRO_BENCH_SERVICE_OUT``), including the

@@ -4,7 +4,8 @@ Builds a :class:`repro.service.BandJoinService`, registers a slowly
 changing relation pair, and shows every execution path a served query can
 take — cold, plan-cached, result-cached, delta (after an append, also
 across a compaction) — plus a concurrent burst through the scheduler with
-single-flight deduplication and micro-batching.
+single-flight deduplication, checking that every burst answer equals the
+answer its epsilon gets on its own.
 
 Run with::
 
@@ -18,8 +19,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 from repro.config import ServiceConfig  # noqa: E402
 from repro.data.generators import correlated_pair, pareto_relation  # noqa: E402
+from repro.local_join.base import canonical_pair_order  # noqa: E402
 from repro.service import BandJoinService  # noqa: E402
 
 
@@ -62,15 +66,21 @@ def main() -> int:
 
         print("5. concurrent burst through the scheduler:")
         before = service.scheduler.metrics.snapshot()
-        futures = [service.submit("near", eps) for eps in (0.01, 0.02, 0.005, 0.01, 0.02) * 4]
-        outputs = {f.result().n_pairs for f in futures}
+        burst = (0.01, 0.02, 0.005, 0.01, 0.02) * 4
+        futures = [service.submit("near", eps) for eps in burst]
+        answers = [future.result() for future in futures]
         metrics = service.scheduler.metrics.snapshot()
+        # An answer never depends on what was queued with it: drop the cached
+        # answers and recompute each epsilon on its own to compare.
+        service.prepared("near").invalidate()
+        alone = {eps: canonical_pair_order(service.query("near", eps).pairs) for eps in burst}
+        for eps, answer in zip(burst, answers):
+            assert np.array_equal(canonical_pair_order(answer.pairs), alone[eps]), eps
         print(
             f"  {len(futures)} requests -> "
             f"{metrics['submitted'] - before['submitted']} executions "
-            f"({metrics['deduplicated'] - before['deduplicated']} deduplicated, "
-            f"{metrics['batched'] - before['batched']} micro-batched), "
-            f"{len(outputs)} distinct answers"
+            f"({metrics['deduplicated'] - before['deduplicated']} deduplicated), "
+            f"each answer equal to its epsilon queried alone"
         )
 
         print("6. a large append crosses the staleness threshold and compacts S:")

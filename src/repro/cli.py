@@ -193,14 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="capacity of the in-memory capture ring (REPRO_TRACE_RING-style)",
-    )
-    serve.add_argument(
-        "--trace-ring",
-        type=int,
-        default=None,
-        metavar="N",
-        help="capacity of the finished-trace ring (default from REPRO_TRACE_RING)",
+        help="capacity of the in-memory capture ring, in events",
     )
     serve.add_argument(
         "--slo-p99",
@@ -562,8 +555,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         overrides["capture_log"] = args.capture_log
     if args.capture_ring is not None:
         overrides["capture_ring_size"] = args.capture_ring
-    if args.trace_ring is not None:
-        overrides["trace_ring_size"] = args.trace_ring
     if args.slo_p99 is not None:
         overrides["slo_p99_seconds"] = args.slo_p99
     if args.slo_error_rate is not None:

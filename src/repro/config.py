@@ -91,10 +91,6 @@ DEFAULT_SCHEDULER_WORKERS: int = 4
 #: Default admission-control limit on pending (queued + executing) queries.
 DEFAULT_MAX_PENDING: int = 128
 
-#: Default maximum number of compatible requests micro-batched onto one
-#: engine dispatch.
-DEFAULT_MAX_BATCH: int = 8
-
 #: Default capacity of the workload recorder's in-memory event ring.
 DEFAULT_CAPTURE_RING: int = 4096
 
@@ -224,9 +220,9 @@ class ServiceConfig:
         ``"background"`` (compact on a background thread, the serving
         default), ``"sync"`` (compact inside the triggering append — used by
         tests and single-threaded scripts) or ``"off"``.
-    scheduler_workers / max_pending / max_batch:
-        Query-scheduler thread count, admission-control limit on pending
-        queries, and micro-batching fan-in per engine dispatch.
+    scheduler_workers / max_pending:
+        Query-scheduler thread count (each worker runs one request at a
+        time) and admission-control limit on pending queries.
     local_algorithm / kernel_memory_budget:
         Local-join kernel of the underlying engine and the machine-wide
         byte budget of its transient candidate buffers.
@@ -246,10 +242,6 @@ class ServiceConfig:
         ``capture_ring_size`` events; ``capture_log`` additionally spools
         every event (including relation data, so the log is replayable) to a
         JSONL file.
-    trace_ring_size:
-        Capacity of the process-wide finished-trace ring (``None`` keeps the
-        current size — the :data:`~repro.obs.tracing.DEFAULT_TRACE_BUFFER`
-        default or whatever ``REPRO_TRACE_RING`` selected).
     slo_p99_seconds / slo_error_rate / slo_cache_hit_floor / slo_queue_depth:
         Declarative service-level objectives, each ``None`` (disabled) by
         default: p99 total-latency ceiling in seconds, failed-request
@@ -263,12 +255,11 @@ class ServiceConfig:
     slo_interval:
         Background evaluation cadence of the SLO monitor in seconds
         (``0`` evaluates only on demand, i.e. per ``health`` request).
-    calibration_log / calibration_max_records:
-        Persistent cost-model calibration: when ``calibration_log`` is set,
-        every executed query appends one ``(estimate, actual, features)``
-        JSON line to that spool (bounded at ``calibration_max_records``
-        records), from which ``CalibrationStore.calibrate()`` refits the
-        running-time betas.
+    calibration_log:
+        Persistent cost-model calibration: when set, every executed query
+        appends one ``(estimate, actual, features)`` JSON line to that spool
+        (bounded at :data:`DEFAULT_CALIBRATION_MAX_RECORDS` records), from
+        which ``CalibrationStore.calibrate()`` refits the running-time betas.
     storage / spill_dir / spill_threshold_bytes:
         Relation storage: ``storage="mmap"`` spills registered relations of
         at least ``spill_threshold_bytes`` bytes to memory-mapped ``.npy``
@@ -305,7 +296,6 @@ class ServiceConfig:
     compaction: str = "background"
     scheduler_workers: int = DEFAULT_SCHEDULER_WORKERS
     max_pending: int = DEFAULT_MAX_PENDING
-    max_batch: int = DEFAULT_MAX_BATCH
     local_algorithm: str = DEFAULT_LOCAL_ALGORITHM
     kernel_memory_budget: int = DEFAULT_KERNEL_MEMORY_BUDGET
     max_estimated_pairs: int | None = None
@@ -313,7 +303,6 @@ class ServiceConfig:
     capture: bool = True
     capture_ring_size: int = DEFAULT_CAPTURE_RING
     capture_log: str | None = None
-    trace_ring_size: int | None = None
     slo_p99_seconds: float | None = None
     slo_error_rate: float | None = None
     slo_cache_hit_floor: float | None = None
@@ -321,7 +310,6 @@ class ServiceConfig:
     slo_max_estimate_qerror: float | None = None
     slo_interval: float = DEFAULT_SLO_INTERVAL
     calibration_log: str | None = None
-    calibration_max_records: int = DEFAULT_CALIBRATION_MAX_RECORDS
     storage: str = DEFAULT_STORAGE_BACKEND
     spill_dir: str | None = None
     spill_threshold_bytes: int = DEFAULT_SPILL_THRESHOLD_BYTES
@@ -346,8 +334,6 @@ class ServiceConfig:
             raise ValueError("scheduler_workers must be at least 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
         if self.local_algorithm not in LOCAL_ALGORITHM_NAMES:
             raise ValueError(
                 f"local_algorithm must be one of {LOCAL_ALGORITHM_NAMES}, "
@@ -359,8 +345,6 @@ class ServiceConfig:
             raise ValueError("max_estimated_pairs must be positive when set")
         if self.capture_ring_size < 1:
             raise ValueError("capture_ring_size must be at least 1")
-        if self.trace_ring_size is not None and self.trace_ring_size < 1:
-            raise ValueError("trace_ring_size must be at least 1 when set")
         if self.slo_p99_seconds is not None and self.slo_p99_seconds <= 0:
             raise ValueError("slo_p99_seconds must be positive when set")
         if self.slo_error_rate is not None and not 0 <= self.slo_error_rate <= 1:
@@ -376,8 +360,6 @@ class ServiceConfig:
             )
         if self.slo_interval < 0:
             raise ValueError("slo_interval must be non-negative")
-        if self.calibration_max_records < 1:
-            raise ValueError("calibration_max_records must be at least 1")
         if self.storage not in STORAGE_BACKENDS:
             raise ValueError(
                 f"storage must be one of {STORAGE_BACKENDS}, got {self.storage!r}"

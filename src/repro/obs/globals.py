@@ -8,26 +8,11 @@ adapters and renders both on the exposition surface.
 
 from __future__ import annotations
 
-import os
-
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import DEFAULT_TRACE_BUFFER, Tracer
-
-
-def _initial_trace_ring() -> int:
-    """Return the trace-ring capacity selected by ``REPRO_TRACE_RING``."""
-    raw = os.environ.get("REPRO_TRACE_RING", "").strip()
-    if not raw:
-        return DEFAULT_TRACE_BUFFER
-    try:
-        size = int(raw)
-    except ValueError:
-        return DEFAULT_TRACE_BUFFER
-    return size if size >= 1 else DEFAULT_TRACE_BUFFER
-
+from repro.obs.tracing import Tracer
 
 _REGISTRY = MetricsRegistry()
-_TRACER = Tracer(max_traces=_initial_trace_ring())
+_TRACER = Tracer()
 
 
 def registry() -> MetricsRegistry:

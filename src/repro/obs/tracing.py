@@ -252,24 +252,6 @@ class Tracer:
         self._live: dict[str, Trace] = {}
         self._finished: deque[Trace] = deque(maxlen=max_traces)
 
-    @property
-    def max_traces(self) -> int:
-        """Return the current capacity of the finished-trace ring."""
-        return self._finished.maxlen
-
-    def resize(self, max_traces: int) -> None:
-        """Change the finished-trace ring capacity, keeping the newest traces.
-
-        Services apply ``ServiceConfig.trace_ring_size`` here; the initial
-        capacity comes from ``REPRO_TRACE_RING`` (see
-        :mod:`repro.obs.globals`) or :data:`DEFAULT_TRACE_BUFFER`.
-        """
-        if max_traces < 1:
-            raise ValueError("max_traces must be at least 1")
-        with self._lock:
-            if max_traces != self._finished.maxlen:
-                self._finished = deque(self._finished, maxlen=max_traces)
-
     # ------------------------------------------------------------------ #
     # Span creation
     # ------------------------------------------------------------------ #

@@ -12,8 +12,8 @@ cache and backends:
   materialized-result caching, and the delta-join fast path (appended rows
   joined against the probed rows of the other side in one local join).
 * :mod:`repro.service.scheduler` — a concurrent **query scheduler** with
-  single-flight deduplication, epsilon-union micro-batching and
-  admission control, reporting per-path latency percentiles.
+  single-flight deduplication and admission control, running one
+  execution per request and reporting per-path latency percentiles.
 * :mod:`repro.service.service` — the synchronous :class:`BandJoinService`
   facade tying the pieces together.
 * :mod:`repro.service.server` — the JSON-lines protocol behind
@@ -36,13 +36,11 @@ from repro.service.catalog import RelationCatalog, RelationSnapshot
 from repro.service.prepared import (
     PATH_COLD,
     PATH_DELTA,
-    PATH_MICRO_BATCH,
     PATH_PLAN_CACHE,
     PATH_RESULT_CACHE,
     PreparedQuery,
     PreparedQueryStats,
     QueryResult,
-    epsilon_union,
 )
 from repro.service.scheduler import QueryScheduler, SchedulerMetrics
 from repro.service.server import LineProtocolServer, handle_request, serve_lines
@@ -60,10 +58,8 @@ __all__ = [
     "LineProtocolServer",
     "handle_request",
     "serve_lines",
-    "epsilon_union",
     "PATH_COLD",
     "PATH_PLAN_CACHE",
     "PATH_DELTA",
     "PATH_RESULT_CACHE",
-    "PATH_MICRO_BATCH",
 ]

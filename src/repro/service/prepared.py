@@ -31,10 +31,11 @@ the plan cache and is extended the same way.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,7 +64,6 @@ PATH_COLD = "cold"                  # optimize + full join
 PATH_PLAN_CACHE = "plan_cache"      # cached plan + full join
 PATH_DELTA = "delta"                # cached result + joins of the new rows
 PATH_RESULT_CACHE = "result_cache"  # cached materialized result
-PATH_MICRO_BATCH = "micro_batch"    # filtered from a batched wide dispatch
 PATH_STALE = "stale"                # version-stale cached result (degraded mode)
 
 
@@ -242,8 +242,8 @@ class PreparedQuery:
         )
         self.stats = PreparedQueryStats()
         self.result_cache_stats = ResultCacheStats()
-        #: Stable identity used by the scheduler for single-flight dedup and
-        #: micro-batch grouping: equal keys answer from the same caches.
+        #: Stable identity used by the scheduler for single-flight dedup:
+        #: equal keys answer from the same caches.
         self.key = (s_name, t_name, self.attributes, self.workers, partitioner.name)
         #: Service-registered query name (set by BandJoinService.prepare);
         #: the workload capture records it as the replayable query identity.
@@ -273,8 +273,12 @@ class PreparedQuery:
             if missing:
                 raise ServiceError(f"epsilons missing for attributes {missing}")
             values = [epsilons[a] for a in self.attributes]
-        elif isinstance(epsilons, (int, float)):
-            values = [float(epsilons)] * d
+        elif isinstance(epsilons, numbers.Real):
+            values = [epsilons] * d
+        elif isinstance(epsilons, (str, bytes)) or not isinstance(epsilons, Iterable):
+            raise ServiceError(
+                f"epsilons must be a number, a sequence or a mapping, got {epsilons!r}"
+            )
         else:
             values = list(epsilons)
             if len(values) != d:
@@ -286,9 +290,9 @@ class PreparedQuery:
             if isinstance(value, (tuple, list)):
                 if len(value) != 2:
                     raise ServiceError("asymmetric epsilons must be (left, right) pairs")
-                pairs.append((float(value[0]), float(value[1])))
+                pairs.append((_epsilon(value[0]), _epsilon(value[1])))
             else:
-                pairs.append((float(value), float(value)))
+                pairs.append((_epsilon(value), _epsilon(value)))
         return tuple(pairs)
 
     def resolve_epsilons(self, epsilons=None) -> tuple[tuple[float, float], ...]:
@@ -328,19 +332,17 @@ class PreparedQuery:
         """
         return self.catalog.get(self.s_name).version, self.catalog.get(self.t_name).version
 
-    def execute(self, epsilons=None, snapshots=None) -> QueryResult:
+    def execute(self, epsilons=None) -> QueryResult:
         """Answer the query, taking the cheapest valid path.
 
         In order of preference: the materialized-result cache, the delta
         path (the newest cached result on the current base lineage extended
         by the rows appended since), and otherwise the base join under a
         cached plan or, on a plan-cache miss, the cold path (optimize, then
-        join), extended by the appended rows.  ``snapshots`` pins an explicit
-        snapshot pair — the scheduler uses it to serve a whole micro-batch
-        from one consistent catalog state.
+        join), extended by the appended rows.
         """
         start = time.perf_counter()
-        s_snap, t_snap = snapshots if snapshots is not None else self.snapshots()
+        s_snap, t_snap = self.snapshots()
         ekey = self.epsilon_key(epsilons)
         full_key = (s_snap.version, t_snap.version, ekey)
         with self._lock:
@@ -629,9 +631,8 @@ class PreparedQuery:
     # Result-cache management
     # ------------------------------------------------------------------ #
     def store_result(self, ekey: tuple, result: QueryResult) -> None:
-        """Insert a materialized result (the scheduler also stores filtered
-        micro-batch members here, lineage included, so repeats hit the result
-        cache and later appends extend them).
+        """Insert a materialized result, lineage included, so repeats hit the
+        result cache and later appends extend it.
 
         Catalog versions only grow, so an entry of the same epsilons at
         versions the new one dominates can never be served again, and the new
@@ -689,6 +690,13 @@ class PreparedQuery:
             f"PreparedQuery({self.s_name!r} ⋈ {self.t_name!r} on "
             f"{list(self.attributes)}, workers={self.workers})"
         )
+
+
+def _epsilon(value) -> float:
+    """Return one band width as a float; anything but a number is a client error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ServiceError(f"epsilons must be numbers, got {value!r}")
+    return float(value)
 
 
 def gather_rows(relation, attributes, rows) -> np.ndarray:
@@ -756,23 +764,3 @@ def _window_positions(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.
     offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     return offsets + np.arange(offsets.size)
 
-
-# Re-exported for callers composing their own schedulers.
-def epsilon_union(ekeys: "Sequence[tuple]") -> tuple:
-    """Return the per-attribute widest epsilon pair across several bindings.
-
-    Used by the scheduler's micro-batching: one dispatch with the union
-    band covers every member, whose exact answers are then recovered by
-    filtering (a pair satisfies a narrower band iff its values do — checked
-    directly, so filtering is exact regardless of the widening).
-    """
-    if not ekeys:
-        raise ServiceError("epsilon_union needs at least one epsilon binding")
-    widest = [list(pair) for pair in ekeys[0]]
-    for ekey in ekeys[1:]:
-        if len(ekey) != len(widest):
-            raise ServiceError("epsilon bindings of one batch must align")
-        for i, (left, right) in enumerate(ekey):
-            widest[i][0] = max(widest[i][0], left)
-            widest[i][1] = max(widest[i][1], right)
-    return tuple((left, right) for left, right in widest)

@@ -1,23 +1,17 @@
-"""Concurrent query scheduler: single-flight, micro-batching, admission control.
+"""Concurrent query scheduler: single-flight, admission control.
 
 The scheduler is the serving layer's control plane.  Callers submit
 ``(prepared query, epsilons)`` requests and receive futures; a small pool of
-worker threads drains the queue.  Three mechanisms keep heavy traffic
-efficient:
+worker threads drains the queue, each popping one request and running it as
+one :meth:`PreparedQuery.execute` under that request's own deadline — an
+answer never depends on what else was queued with it.  Two mechanisms keep
+heavy traffic efficient:
 
 **Single-flight deduplication** — a request identical to one already queued
 or executing (same prepared-query key, same epsilons) does not enqueue a
 second execution; it attaches to the in-flight future and both callers get
 the same result.  Under a thundering herd of popular queries only one engine
 dispatch runs.
-
-**Micro-batching** — when a worker picks up a request it also drains queued
-requests for the *same prepared query* with different epsilons (up to
-``max_batch``).  The batch runs as one engine dispatch with the per-attribute
-union of the epsilon bands; each member's exact answer is recovered by
-filtering the wide pair set against its own band condition (exact, because
-the filter re-checks the member's condition on the actual values — a pair
-satisfies a narrower band iff its values do).
 
 **Admission control** — at most ``max_pending`` requests may be queued or
 executing; beyond that :meth:`QueryScheduler.submit` raises
@@ -35,14 +29,15 @@ latency percentiles over a sliding window.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.config import DEFAULT_MAX_BATCH, DEFAULT_MAX_PENDING, DEFAULT_SCHEDULER_WORKERS
+from repro.config import DEFAULT_MAX_PENDING, DEFAULT_SCHEDULER_WORKERS
 from repro.engine import deadline as deadline_mod
 from repro.exceptions import (
     CorruptSegmentError,
@@ -60,13 +55,7 @@ from repro.obs import (
     tracer,
 )
 from repro.obs.workload.recorder import pair_fingerprint
-from repro.service.prepared import (
-    PATH_MICRO_BATCH,
-    PreparedQuery,
-    QueryResult,
-    epsilon_union,
-    gather_rows,
-)
+from repro.service.prepared import PreparedQuery, QueryResult
 
 __all__ = ["QueryScheduler", "SchedulerMetrics"]
 
@@ -147,9 +136,6 @@ class SchedulerMetrics:
         self._events.inc(event="degraded")
         self._degraded.inc()
 
-    def record_batched(self, count: int) -> None:
-        self._events.inc(count, event="batched")
-
     def record(self, path: str, queue_seconds: float, exec_seconds: float) -> None:
         """Record one completed request."""
         self._events.inc(event="completed")
@@ -166,7 +152,7 @@ class SchedulerMetrics:
         self._failures.inc(cause=cause)
 
     def sample_rss(self) -> None:
-        """Refresh the peak-RSS gauge (called after each executed batch)."""
+        """Refresh the peak-RSS gauge (called after each execution)."""
         self._peak_rss.set(peak_rss_bytes())
 
     @property
@@ -192,10 +178,6 @@ class SchedulerMetrics:
     @property
     def deduplicated(self) -> int:
         return self._event("deduplicated")
-
-    @property
-    def batched(self) -> int:
-        return self._event("batched")
 
     @property
     def rejected(self) -> int:
@@ -237,7 +219,6 @@ class SchedulerMetrics:
             "completed": self.completed,
             "failed": self.failed,
             "deduplicated": self.deduplicated,
-            "batched": self.batched,
             "rejected": self.rejected,
             "degraded": self.degraded,
             "failures": self.failures,
@@ -286,8 +267,6 @@ class QueryScheduler:
         time; the engine's own backend parallelizes within a dispatch).
     max_pending:
         Admission-control limit on requests queued or executing.
-    max_batch:
-        Maximum number of compatible requests served by one dispatch.
     max_estimated_pairs:
         Reject queries whose sampled output estimate exceeds this many
         pairs (``None`` disables output-size admission control).
@@ -305,7 +284,6 @@ class QueryScheduler:
         self,
         max_workers: int = DEFAULT_SCHEDULER_WORKERS,
         max_pending: int = DEFAULT_MAX_PENDING,
-        max_batch: int = DEFAULT_MAX_BATCH,
         max_estimated_pairs: int | None = None,
         registry: MetricsRegistry | None = None,
         recorder=None,
@@ -318,8 +296,6 @@ class QueryScheduler:
             raise ServiceError("max_workers must be at least 1")
         if max_pending < 1:
             raise ServiceError("max_pending must be at least 1")
-        if max_batch < 1:
-            raise ServiceError("max_batch must be at least 1")
         if max_estimated_pairs is not None and max_estimated_pairs < 1:
             raise ServiceError("max_estimated_pairs must be positive when set")
         if default_deadline is not None and default_deadline <= 0:
@@ -331,7 +307,6 @@ class QueryScheduler:
         if drain_timeout < 0:
             raise ServiceError("drain_timeout must be non-negative")
         self.max_pending = max_pending
-        self.max_batch = max_batch
         self.max_estimated_pairs = max_estimated_pairs
         self.default_deadline = default_deadline
         self.degraded_mode = degraded_mode
@@ -442,8 +417,8 @@ class QueryScheduler:
         if seconds is None:
             return None
         seconds = float(seconds)
-        if seconds <= 0:
-            raise ServiceError("deadline must be positive seconds")
+        if not 0 < seconds < math.inf:
+            raise ServiceError("deadline must be positive, finite seconds")
         return time.monotonic() + seconds
 
     def _degraded_future(self, prepared, ekey) -> Future | None:
@@ -614,28 +589,13 @@ class QueryScheduler:
                     self._work_ready.wait()
                 if not self._queue:  # shutdown with a drained queue
                     return
-                head = self._queue.popleft()
-                batch = [head]
-                if self.max_batch > 1 and self._queue:
-                    remaining: deque[_Request] = deque()
-                    for request in self._queue:
-                        if (
-                            len(batch) < self.max_batch
-                            and request.prepared.key == head.prepared.key
-                        ):
-                            batch.append(request)
-                        else:
-                            remaining.append(request)
-                    self._queue = remaining
-                now = time.perf_counter()
-                for request in batch:
-                    request.started_at = now
+                request = self._queue.popleft()
+                request.started_at = time.perf_counter()
             try:
-                self._execute_batch(batch)
+                self._execute(request)
             finally:
                 with self._work_ready:
-                    for request in batch:
-                        self._inflight.pop(request.key, None)
+                    self._inflight.pop(request.key, None)
                     # Wake a graceful close() waiting for in-flight work to
                     # drain (and idle peers re-checking the shutdown flag).
                     self._work_ready.notify_all()
@@ -657,122 +617,55 @@ class QueryScheduler:
         request.span.end()
         request.future.set_exception(exc)
 
-    def _execute_batch(self, batch: list[_Request]) -> None:
-        # Deadlines expired while queued fail fast — a worker slot is never
+    def _execute(self, request: _Request) -> None:
+        # A deadline expired while queued fails fast — a worker slot is never
         # spent computing an answer the caller has already given up on.
-        live: list[_Request] = []
-        for request in batch:
-            if (
-                request.deadline_at is not None
-                and time.monotonic() >= request.deadline_at
-            ):
-                self._fail_request(
-                    request,
-                    DeadlineExceededError("deadline expired while queued"),
-                    "timeout",
-                )
-            else:
-                live.append(request)
-        if not live:
+        if request.deadline_at is not None and time.monotonic() >= request.deadline_at:
+            self._fail_request(
+                request, DeadlineExceededError("deadline expired while queued"), "timeout"
+            )
             return
-        batch = live
-        prepared = batch[0].prepared
-        head = batch[0]
-        for request in batch:
-            if request.span.context is not None:
-                tracer().record(
-                    "queue",
-                    request.span.context,
-                    start=request.submitted_wall,
-                    duration=max(0.0, request.started_at - request.submitted_at),
-                )
-        exec_wall = time.time()
+        prepared = request.prepared
+        if request.span.context is not None:
+            tracer().record(
+                "queue",
+                request.span.context,
+                start=request.submitted_wall,
+                duration=max(0.0, request.started_at - request.submitted_at),
+            )
         exec_span = (
-            tracer().span("execute", parent=head.span.context, batch=len(batch))
-            if head.span.context is not None
+            tracer().span("execute", parent=request.span.context)
+            if request.span.context is not None
             else NOOP_SPAN
         )
-        # One dispatch serves the whole batch, so it runs under the *most
-        # permissive* member deadline (any unbounded member unbinds it);
-        # members whose own deadline lapsed meanwhile still fail below.
-        deadlines = [request.deadline_at for request in batch]
-        batch_deadline = None if any(d is None for d in deadlines) else max(deadlines)
         try:
-            with exec_span, deadline_mod.deadline_scope(batch_deadline):
-                if len(batch) == 1:
-                    results = [prepared.execute(head.ekey)]
-                else:
-                    results = self._dispatch_batch(prepared, batch)
+            with exec_span, deadline_mod.deadline_scope(request.deadline_at):
+                result = prepared.execute(request.ekey)
         except Exception as exc:  # noqa: BLE001 - failures propagate via futures
             cause = _failure_cause(exc)
             logger.warning(
                 "query %s failed (%s): %s", _query_label(prepared), cause, exc
             )
-            for request in batch:
-                self._fail_request(request, exc, cause)
+            self._fail_request(request, exc, cause)
             return
         done = time.perf_counter()
-        for request, result in zip(batch, results):
-            self.metrics.record(
-                result.path,
-                queue_seconds=request.started_at - request.submitted_at,
-                exec_seconds=done - request.started_at,
-            )
-            self._record_completed(request, result, done)
-            if self.calibration is not None:
-                # observe() itself skips cache-served paths and never raises.
-                self.calibration.observe(
-                    request.prepared, request.ekey, result, done - request.started_at
-                )
-        if len(batch) > 1:
-            self.metrics.record_batched(len(batch) - 1)
+        exec_seconds = done - request.started_at
+        self.metrics.record(
+            result.path,
+            queue_seconds=request.started_at - request.submitted_at,
+            exec_seconds=exec_seconds,
+        )
+        self._record_completed(request, result, done)
+        if self.calibration is not None:
+            # observe() itself skips cache-served paths and never raises.
+            self.calibration.observe(prepared, request.ekey, result, exec_seconds)
         self.metrics.sample_rss()
-        # Telemetry is finalised before the futures resolve: a caller ending
-        # the enclosing request span right after .result() must find every
-        # member's "query" span already ended.
-        for request, result in zip(batch, results):
-            if request is not head and request.span.context is not None:
-                tracer().record(
-                    "execute",
-                    request.span.context,
-                    start=exec_wall,
-                    duration=done - request.started_at,
-                    batched=True,
-                    path=result.path,
-                )
-            request.span.set(path=result.path)
-            request.span.end()
-        for request, result in zip(batch, results):
-            request.future.set_result(result)
-
-    def _dispatch_batch(
-        self, prepared: PreparedQuery, batch: list[_Request]
-    ) -> list[QueryResult]:
-        """Serve a micro-batch from one wide engine dispatch.
-
-        The snapshot pair is pinned once so every member answers from the
-        same catalog state even if appends land mid-batch.
-        """
-        snapshots = prepared.snapshots()
-        widest = epsilon_union([request.ekey for request in batch])
-        wide = prepared.execute(widest, snapshots=snapshots)
-        s_values = t_values = None
-        if wide.pairs.shape[0]:
-            s_values = gather_rows(snapshots[0].full, prepared.attributes, wide.pairs[:, 0])
-            t_values = gather_rows(snapshots[1].full, prepared.attributes, wide.pairs[:, 1])
-        results: list[QueryResult] = []
-        for request in batch:
-            if request.ekey == widest:
-                results.append(wide)
-                continue
-            pairs = wide.pairs
-            if pairs.shape[0]:
-                condition = prepared.condition(request.ekey)
-                pairs = pairs[condition.matches(s_values, t_values)]
-            narrowed = replace(wide, pairs=pairs, path=PATH_MICRO_BATCH)
-            prepared.store_result(request.ekey, narrowed)
-            results.append(narrowed)
-        return results
+        # Telemetry is finalised before the future resolves: a caller ending
+        # the enclosing request span right after .result() must find the
+        # "query" span already ended.
+        request.span.set(path=result.path)
+        request.span.end()
+        request.future.set_result(result)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -819,5 +712,5 @@ class QueryScheduler:
     def __repr__(self) -> str:
         return (
             f"QueryScheduler(workers={len(self._threads)}, "
-            f"max_pending={self.max_pending}, max_batch={self.max_batch})"
+            f"max_pending={self.max_pending})"
         )

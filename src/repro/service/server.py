@@ -51,11 +51,34 @@ __all__ = ["handle_request", "serve_lines", "LineProtocolServer"]
 logger = get_logger(__name__)
 
 
-def _require(request: dict, field: str):
+_TYPE_NAMES = {str: "a string", int: "an integer", (int, float): "a number"}
+
+
+def _check(field: str, value, kind):
+    """Return ``value`` if it has the JSON type ``kind`` (``None`` passes:
+    the field is absent), else raise a client error naming the field."""
+    if value is None or (isinstance(value, kind) and not isinstance(value, bool)):
+        return value
+    raise ServiceError(f"field {field!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _require(request: dict, field: str, kind=None):
     try:
-        return request[field]
+        value = request[field]
     except KeyError:
         raise ServiceError(f"request is missing the {field!r} field") from None
+    return value if kind is None else _check(field, value, kind)
+
+
+def _optional(request: dict, field: str, kind):
+    return _check(field, request.get(field), kind)
+
+
+def _attributes(request: dict) -> list:
+    attributes = _require(request, "attributes")
+    if not isinstance(attributes, list) or not all(isinstance(a, str) for a in attributes):
+        raise ServiceError(f"field 'attributes' must be a list of strings, got {attributes!r}")
+    return attributes
 
 
 def handle_request(service: BandJoinService, request: dict) -> dict:
@@ -65,35 +88,34 @@ def handle_request(service: BandJoinService, request: dict) -> dict:
         return {"ok": True, "op": "pong"}
     if op == "register":
         snapshot = service.register(
-            _require(request, "name"),
+            _require(request, "name", str),
             _require(request, "columns"),
             replace=bool(request.get("replace", False)),
         )
         return {"ok": True, "relation": snapshot.describe()}
     if op == "append":
-        snapshot = service.append(_require(request, "name"), _require(request, "columns"))
+        snapshot = service.append(_require(request, "name", str), _require(request, "columns"))
         return {"ok": True, "relation": snapshot.describe()}
     if op == "prepare":
         prepared = service.prepare(
-            _require(request, "query"),
-            _require(request, "s"),
-            _require(request, "t"),
-            attributes=_require(request, "attributes"),
+            _require(request, "query", str),
+            _require(request, "s", str),
+            _require(request, "t", str),
+            attributes=_attributes(request),
             epsilons=request.get("epsilons"),
-            workers=request.get("workers"),
+            workers=_optional(request, "workers", int),
             replace=bool(request.get("replace", False)),
         )
         return {"ok": True, "prepared": prepared.describe()}
     if op == "query":
         # Epsilon lists (including [left, right] pairs) pass through as-is;
         # PreparedQuery normalization accepts sequences directly.
-        deadline = request.get("deadline")
         result = service.query(
-            _require(request, "query"),
+            _require(request, "query", str),
             request.get("epsilons"),
-            deadline=float(deadline) if deadline is not None else None,
+            deadline=_optional(request, "deadline", (int, float)),
         )
-        return {"ok": True, **result.describe(sample=int(request.get("sample", 0)))}
+        return {"ok": True, **result.describe(sample=_optional(request, "sample", int) or 0)}
     if op == "catalog":
         return {"ok": True, "catalog": service.catalog.describe()}
     if op == "stats":
@@ -101,24 +123,20 @@ def handle_request(service: BandJoinService, request: dict) -> dict:
     if op == "metrics":
         return {"ok": True, "metrics": service.prometheus()}
     if op == "trace":
-        n = request.get("n")
-        return {"ok": True, "traces": service.traces(int(n) if n is not None else None)}
+        return {"ok": True, "traces": service.traces(_optional(request, "n", int))}
     if op == "health":
         return {"ok": True, "health": service.health()}
     if op == "workload":
         return {"ok": True, "workload": service.workload_snapshot().to_dict()}
     if op == "explain":
         report = service.explain(
-            _require(request, "query"),
+            _require(request, "query", str),
             request.get("epsilons"),
             analyze=bool(request.get("analyze", False)),
         )
         return {"ok": True, "explain": report.to_dict()}
     if op == "calibrate":
-        min_records = request.get("min_records")
-        report = service.calibrate(
-            int(min_records) if min_records is not None else None
-        )
+        report = service.calibrate(_optional(request, "min_records", int))
         return {"ok": True, "calibration": report.to_dict()}
     raise ServiceError(f"unknown operation {op!r}")
 

@@ -88,8 +88,6 @@ class BandJoinService:
                 )
             )
             logger.info("fault injection active: %r", self._fault_injector)
-        if self.config.trace_ring_size is not None:
-            obs.tracer().resize(self.config.trace_ring_size)
         #: Workload capture (``None`` when ``config.capture`` is off); the
         #: scheduler records every request outcome here, the service adds
         #: catalog mutations — with column data when spooling, so the
@@ -123,10 +121,7 @@ class BandJoinService:
         #: Persistent (estimate, actual, features) spool when a calibration
         #: log is configured; in-memory otherwise.  ``calibrate()`` on it
         #: refits the running-time betas from analyzed runs.
-        self.calibration_store = CalibrationStore(
-            path=self.config.calibration_log,
-            max_records=self.config.calibration_max_records,
-        )
+        self.calibration_store = CalibrationStore(path=self.config.calibration_log)
         #: Live estimate-vs-actual accounting: the scheduler hands it every
         #: executed completion; it feeds the ``repro_estimate_qerror``
         #: histogram, the ``estimate_qerror`` SLO probe and the store.
@@ -136,7 +131,6 @@ class BandJoinService:
         self.scheduler = QueryScheduler(
             max_workers=self.config.scheduler_workers,
             max_pending=self.config.max_pending,
-            max_batch=self.config.max_batch,
             max_estimated_pairs=self.config.max_estimated_pairs,
             registry=self.registry,
             recorder=self.recorder,

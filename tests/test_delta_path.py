@@ -2,8 +2,7 @@
 
 After every append the answer must be exactly the join of the full
 relations, whatever the history: appends to either side in any order, empty
-appends, compactions, and anchors that are evicted, re-registered or stored
-by the scheduler's micro-batching.  Values are multiples of 1/4 and 1/8, so
+appends, compactions, and anchors that are evicted or re-registered.  Values are multiples of 1/4 and 1/8, so
 every kernel decides band-edge pairs the same way.
 """
 
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -34,7 +32,6 @@ from repro.service import (
     PreparedQuery,
     RelationCatalog,
 )
-from repro.service.scheduler import _Request
 
 PARTITIONERS = {
     "RecPart": lambda: RecPartPartitioner(),
@@ -201,22 +198,6 @@ class TestAnchors:
             service.append("S", _columns(_dyadic(rng, 5, 1)))
             result = service.query("q")
             assert result.path == PATH_COLD
-            _check_full_join(prepared, result, prepared.condition())
-
-    def test_micro_batch_results_anchor_later_queries(self):
-        rng = np.random.default_rng(5)
-        with _service() as service:
-            _register(service, rng)
-            prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.25)
-            batch = [
-                _Request(prepared, prepared.epsilon_key(e), None, Future(), 0.0)
-                for e in (0.5, 0.25)
-            ]
-            wide, narrowed = service.scheduler._dispatch_batch(prepared, batch)
-            assert narrowed.lineage == wide.lineage
-            service.append("T", _columns(_dyadic(rng, 5, 1)))
-            result = service.query("q")
-            assert result.path == PATH_DELTA
             _check_full_join(prepared, result, prepared.condition())
 
 

@@ -394,7 +394,7 @@ class _FailingPrepared:
     def current_versions(self):
         return (1, 1)
 
-    def execute(self, epsilons=None, snapshots=None):
+    def execute(self, epsilons=None):
         raise self.exc
 
 
@@ -415,7 +415,7 @@ class _BlockingPrepared:
     def current_versions(self):
         return (3, 3)
 
-    def execute(self, epsilons=None, snapshots=None):
+    def execute(self, epsilons=None):
         self.started.set()
         self.gate.wait(timeout=30)
         return QueryResult(
@@ -430,12 +430,6 @@ class _BlockingPrepared:
 
     def stale_result(self, ekey):
         return self.stale
-
-    def snapshots(self):
-        return (None, None)
-
-    def store_result(self, ekey, result):
-        pass
 
 
 def _stale_result():

@@ -568,51 +568,6 @@ class TestPrometheusExpositionLint:
             assert values[-1] == counts[key]
 
 
-class TestTraceRingConfiguration:
-    @pytest.fixture(autouse=True)
-    def _restore_global_ring(self):
-        tracer_ = obs.tracer()
-        original = tracer_.max_traces
-        yield
-        tracer_.resize(original)
-
-    def test_resize_shrinks_keeping_newest(self):
-        local = Tracer()
-        obs.enable()
-        for i in range(6):
-            with local.span("op", i=i):
-                pass
-        local.resize(2)
-        assert local.max_traces == 2
-        kept = local.recent()
-        assert len(kept) == 2
-        assert [trace["root"]["attrs"]["i"] for trace in kept] == [5, 4]
-        local.resize(8)  # growing keeps contents
-        assert local.max_traces == 8
-        assert len(local.recent()) == 2
-        with pytest.raises(ValueError):
-            local.resize(0)
-
-    def test_service_config_resizes_global_ring(self):
-        config = ServiceConfig(trace_ring_size=7, compaction="sync")
-        with BandJoinService(config=config):
-            assert obs.tracer().max_traces == 7
-
-    def test_trace_ring_env_parsing(self, monkeypatch):
-        from repro.obs.globals import _initial_trace_ring
-        from repro.obs.tracing import DEFAULT_TRACE_BUFFER
-
-        monkeypatch.delenv("REPRO_TRACE_RING", raising=False)
-        assert _initial_trace_ring() == DEFAULT_TRACE_BUFFER
-        monkeypatch.setenv("REPRO_TRACE_RING", "17")
-        assert _initial_trace_ring() == 17
-        monkeypatch.setenv("REPRO_TRACE_RING", "garbage")
-        assert _initial_trace_ring() == DEFAULT_TRACE_BUFFER
-        monkeypatch.setenv("REPRO_TRACE_RING", "0")
-        assert _initial_trace_ring() == DEFAULT_TRACE_BUFFER
-
-    def test_config_validates_ring_sizes(self):
-        with pytest.raises(Exception):
-            ServiceConfig(trace_ring_size=0)
-        with pytest.raises(Exception):
-            ServiceConfig(capture_ring_size=0)
+def test_config_rejects_an_empty_capture_ring():
+    with pytest.raises(ValueError):
+        ServiceConfig(capture_ring_size=0)

@@ -1,12 +1,12 @@
 """Tests for the online band-join serving layer (repro.service).
 
 The load-bearing property is delta-append correctness: serving a query
-after appends through the delta path (cached base result + appended rows
-routed through the existing partitioning) must produce exactly the pair
-set of a from-scratch join over the full data — for every partitioner and
-engine backend.  On top of that: catalog versioning and staleness
-maintenance, result-cache invalidation on append, scheduler single-flight /
-micro-batching / admission control, and the service facade + line protocol.
+after appends through the delta path (cached result + the appended rows
+joined against the other side) must produce exactly the pair set of a
+from-scratch join over the full data — for every partitioner and engine
+backend.  On top of that: catalog versioning and staleness maintenance,
+result-cache invalidation on append, scheduler single-flight / admission
+control / scheduling independence, and the service facade + line protocol.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from repro.local_join.base import canonical_pair_order
 from repro.service import (
     PATH_COLD,
     PATH_DELTA,
-    PATH_MICRO_BATCH,
     PATH_RESULT_CACHE,
     BandJoinService,
     PreparedQuery,
     QueryScheduler,
     RelationCatalog,
-    epsilon_union,
     serve_lines,
 )
 
@@ -421,7 +419,7 @@ class _StubPrepared:
     def current_versions(self):
         return self.versions
 
-    def execute(self, epsilons=None, snapshots=None):
+    def execute(self, epsilons=None):
         from repro.service.prepared import QueryResult
 
         self.calls += 1
@@ -437,15 +435,6 @@ class _StubPrepared:
             t_version=1,
             seconds=0.0,
         )
-
-    def snapshots(self):
-        return (None, None)
-
-    def condition(self, epsilons=None):  # pragma: no cover - no pairs to filter
-        raise AssertionError("empty wide results never reach the filter")
-
-    def store_result(self, ekey, result):
-        pass
 
 
 class TestQueryScheduler:
@@ -515,32 +504,46 @@ class TestQueryScheduler:
         with pytest.raises(ServiceError):
             scheduler.submit(_StubPrepared(), 0.1)
 
-    def test_micro_batch_filters_are_exact(self):
-        rng = np.random.default_rng(13)
-        with sync_service(scheduler_workers=1, max_batch=8) as service:
-            service.register("S", _columns(rng, 800))
-            service.register("T", _columns(rng, 800))
-            service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.02)
-            gate_future = service.submit("q", 0.015)  # occupies the single worker
-            burst = [service.submit("q", e) for e in (0.02, 0.01, 0.005)]
-            results = [f.result(timeout=60) for f in [gate_future, *burst]]
-            paths = {r.path for r in results}
-            assert PATH_MICRO_BATCH in paths or service.scheduler.metrics.batched == 0
-            for eps, result in zip((0.02, 0.01, 0.005), results[1:]):
-                direct = service.prepared("q").execute(eps)
-                np.testing.assert_array_equal(
-                    canonical_pair_order(result.pairs),
-                    canonical_pair_order(direct.pairs),
-                )
+    def test_answer_does_not_depend_on_what_is_queued_with_it(self):
+        """A burst queued behind one worker answers pair-for-pair what each
+        query answers alone, on values (multiples of 0.1) where the kernel
+        and a second band predicate would disagree on edge pairs."""
+        values = {"A1": np.round(np.arange(400) * 0.1, 10)}
+        burst_epsilons = (0.3, 0.2, 0.1)
 
-    def test_epsilon_union(self):
-        assert epsilon_union([((0.1, 0.2),), ((0.3, 0.05),)]) == ((0.3, 0.2),)
-        with pytest.raises(ServiceError):
-            epsilon_union([])
+        def fresh_service(**overrides):
+            service = sync_service(**overrides)
+            service.register("S", values)
+            service.register("T", values)
+            service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.3)
+            return service
+
+        gate = threading.Event()
+        with fresh_service(scheduler_workers=1) as service:
+            prepared = service.prepared("q")
+            execute = prepared.execute
+
+            def gated_execute(*args, **kwargs):
+                gate.wait(timeout=30)
+                return execute(*args, **kwargs)
+
+            prepared.execute = gated_execute
+            gate_future = service.submit("q", 0.05)  # occupies the single worker
+            burst = [service.submit("q", eps) for eps in burst_epsilons]
+            gate.set()
+            gate_future.result(timeout=60)
+            queued = [future.result(timeout=60) for future in burst]
+        for eps, result in zip(burst_epsilons, queued):
+            with fresh_service() as alone:
+                expected = alone.query("q", eps)
+            np.testing.assert_array_equal(
+                canonical_pair_order(result.pairs),
+                canonical_pair_order(expected.pairs),
+            )
 
     def test_concurrent_mixed_queries_are_consistent(self):
         rng = np.random.default_rng(14)
-        with sync_service(scheduler_workers=4, max_batch=4) as service:
+        with sync_service(scheduler_workers=4) as service:
             service.register("S", _columns(rng, 600))
             service.register("T", _columns(rng, 600))
             service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.01)
@@ -647,11 +650,45 @@ class TestServiceFacadeAndServer:
             assert "'S'" in responses[0]["error"] and "'A1'" in responses[0]["error"]
             assert responses[-1] == {"ok": True, "op": "pong"}
 
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ({"op": "query", "query": "q", "deadline": "soon"}, "'deadline'"),
+            ({"op": "query", "query": "q", "deadline": float("inf")}, "finite"),
+            ({"op": "query", "query": "q", "sample": "x"}, "'sample'"),
+            ({"op": "trace", "n": "x"}, "'n'"),
+            ({"op": "prepare", "query": "p", "s": "S", "t": "T",
+              "attributes": ["A1"], "workers": "x"}, "'workers'"),
+            ({"op": "query", "query": "q", "epsilons": ["a"]}, "epsilons must be numbers"),
+            ({"op": "register", "name": ["x"], "columns": {"A1": [0.5]}}, "'name'"),
+            ({"op": "prepare", "query": "p", "s": "S", "t": "T", "attributes": "A1"},
+             "'attributes'"),
+        ],
+        ids=["deadline", "deadline-inf", "sample", "trace-n", "workers", "epsilons", "name", "attributes"],
+    )
+    def test_malformed_fields_are_client_errors(self, bad, named):
+        """A field of the wrong JSON type answers ``{"ok": false}`` naming
+        it, without an ``internal`` cause, and the next request is served."""
+        requests = [
+            {"op": "register", "name": "S", "columns": {"A1": [0.1, 0.2]}},
+            {"op": "register", "name": "T", "columns": {"A1": [0.15]}},
+            {"op": "prepare", "query": "q", "s": "S", "t": "T",
+             "attributes": ["A1"], "epsilons": [0.06]},
+            bad,
+            {"op": "query", "query": "q"},
+        ]
+        out = io.StringIO()
+        with sync_service() as service:
+            serve_lines(service, [json.dumps(r) for r in requests], out)
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert responses[3]["ok"] is False and "cause" not in responses[3]
+        assert named in responses[3]["error"]
+        assert responses[4]["ok"] and responses[4]["pairs"] == 2
+
     def test_internal_errors_answer_and_keep_serving(self, monkeypatch):
         """Any exception, not only a ``ReproError``, becomes ``{"ok": false}``."""
         rng = np.random.default_rng(19)
         requests = [
-            {"op": "trace", "n": "many"},  # int("many") raises ValueError
             {"op": "register", "name": "S", "columns": {"A1": rng.random(50).tolist()}},
             {"op": "register", "name": "T", "columns": {"A1": rng.random(50).tolist()}},
             {"op": "prepare", "query": "q", "s": "S", "t": "T",
@@ -668,10 +705,9 @@ class TestServiceFacadeAndServer:
         with sync_service() as service:
             serve_lines(service, [json.dumps(r) for r in requests], out)
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
-        assert [r["ok"] for r in responses] == [False, True, True, True, False, True]
-        for failed in (responses[0], responses[4]):
-            assert failed["cause"] == "internal"
-        assert "kernel exploded" in responses[4]["error"]
+        assert [r["ok"] for r in responses] == [True, True, True, False, True]
+        assert responses[3]["cause"] == "internal"
+        assert "kernel exploded" in responses[3]["error"]
         assert responses[-1] == {"ok": True, "op": "pong"}
 
     def test_tcp_transport(self):
