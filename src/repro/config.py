@@ -15,6 +15,12 @@ from dataclasses import dataclass, field
 #: Default number of simulated workers (the paper uses 15/30/60 EMR nodes).
 DEFAULT_WORKERS: int = 8
 
+#: Largest worker budget a served query accepts: 4x the paper's largest
+#: cluster (60 nodes).  Planning and routing grow with the budget, so one
+#: request naming millions of workers would stall or exhaust the server.
+#: Library calls to ``ParallelJoinEngine.join`` are not bounded by it.
+MAX_WORKERS: int = 256
+
 #: Default combined sample size ``k`` (input sample + output sample) used by
 #: the optimization phase.  The paper samples 100,000 input records from
 #: 400M and sizes the output sample so statistics time stays below 5% of join
@@ -322,8 +328,8 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.backend not in ENGINE_BACKENDS:
             raise ValueError(f"backend must be one of {ENGINE_BACKENDS}, got {self.backend!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
         if self.plan_cache_size < 1 or self.result_cache_size < 1:
             raise ValueError("cache sizes must be at least 1")
         if self.staleness_threshold <= 0:

@@ -10,8 +10,9 @@ planning layer (the partitioners of :mod:`repro.core` and
   into one batched local-join task per worker.
 * :mod:`repro.engine.backends` — pluggable execution backends: ``serial``
   (reference), ``threads`` (``ThreadPoolExecutor``, exploiting numpy's GIL
-  release) and ``processes`` (``ProcessPoolExecutor`` fed through shared
-  memory so join matrices are never pickled per task).
+  release) and ``processes`` (a forked ``ProcessPoolExecutor``: workers
+  inherit the join inputs at fork, and a task crosses the process boundary
+  as its index).
 * :mod:`repro.engine.plan_cache` — a partitioning cache keyed by relation
   content fingerprints, band condition and worker budget, so repeated
   queries over the same data skip the optimization phase entirely.

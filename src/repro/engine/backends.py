@@ -12,10 +12,11 @@ hardware:
     numpy kernels, which release the GIL, so worker tasks genuinely overlap
     on multi-core machines without any data transfer at all.
 ``processes``
-    A ``ProcessPoolExecutor`` fed through shared memory: the join matrices
-    and routed row indices are written to ``multiprocessing.shared_memory``
-    once per join (see :mod:`repro.engine.shared`), so a task crosses the
-    process boundary as a few integers instead of a pickled matrix.
+    A ``ProcessPoolExecutor`` whose workers are forked per join: they
+    inherit the join matrices (in-memory arrays or out-of-core sources) and
+    the routed tasks from the driver's memory, so nothing is copied or
+    pickled on the way in and a task crosses the process boundary as its
+    index.
 
 Backends are stateless; pools live only for the duration of one
 :meth:`ExecutionBackend.run` call.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import abc
 import copy
+import multiprocessing
 import os
 import time
 from concurrent.futures import (
@@ -44,14 +46,6 @@ from repro import faults
 from repro.data.storage import SpillArena, block_spans, madvise_dontneed
 from repro.engine import deadline
 from repro.engine.routing import WorkerTask, gather_task_inputs
-from repro.engine.shared import (
-    SharedStoreDescriptor,
-    SharedTaskReader,
-    SharedTaskStore,
-    SpilledStoreDescriptor,
-    SpilledTaskReader,
-    SpilledTaskStore,
-)
 from repro.exceptions import DeadlineExceededError, ExecutionError
 from repro.faults import InjectedWorkerCrash
 from repro.geometry.band import BandCondition
@@ -464,17 +458,20 @@ _PROCESS_STATE: dict = {}
 
 
 def _process_initializer(
-    descriptor: SharedStoreDescriptor | SpilledStoreDescriptor,
+    s_matrix,
+    t_matrix,
+    tasks: list[WorkerTask],
     condition: BandCondition,
     algorithm: LocalJoinAlgorithm,
     materialize: bool,
     trace_ctx: SpanContext | None = None,
     fault_state: tuple | None = None,
 ) -> None:
-    if isinstance(descriptor, SpilledStoreDescriptor):
-        _PROCESS_STATE["reader"] = SpilledTaskReader(descriptor)
-    else:
-        _PROCESS_STATE["reader"] = SharedTaskReader(descriptor)
+    # The pool forks, so these arguments are the driver's own objects,
+    # inherited with its memory rather than pickled.
+    _PROCESS_STATE["s_matrix"] = s_matrix
+    _PROCESS_STATE["t_matrix"] = t_matrix
+    _PROCESS_STATE["tasks"] = tasks
     _PROCESS_STATE["condition"] = condition
     _PROCESS_STATE["algorithm"] = algorithm
     _PROCESS_STATE["materialize"] = materialize
@@ -494,11 +491,10 @@ def _process_run_task(index: int, attempt: int = 0) -> TaskOutcome:
         # Simulated segfault/OOM kill: die without cleanup, exactly like the
         # real thing.  The driver sees BrokenProcessPool and recovers.
         os._exit(17)
-    reader: SharedTaskReader = _PROCESS_STATE["reader"]
     return execute_task(
-        reader.task(index),
-        reader.s_matrix,
-        reader.t_matrix,
+        _PROCESS_STATE["tasks"][index],
+        _PROCESS_STATE["s_matrix"],
+        _PROCESS_STATE["t_matrix"],
         _PROCESS_STATE["condition"],
         _PROCESS_STATE["algorithm"],
         _PROCESS_STATE["materialize"],
@@ -507,13 +503,13 @@ def _process_run_task(index: int, attempt: int = 0) -> TaskOutcome:
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Process-pool backend with shared-memory column transfer and crash
-    recovery.
+    """Process-pool backend over forked workers, with crash recovery.
 
-    The join matrices and the routed row-index/offset arrays are placed into
-    shared memory once; each task is submitted as a single integer index.
-    Only the output (pair arrays or counts) crosses the process boundary by
-    pickling.
+    The pool is built with the ``fork`` start method, so every worker
+    inherits the join matrices (in-memory arrays or out-of-core sources)
+    and the routed tasks from the driver's memory; each task is submitted
+    as its integer index.  Only the output (pair arrays or counts) crosses
+    the process boundary by pickling.
 
     A worker death (``BrokenProcessPool`` — OOM kill, segfault, injected
     crash) or a hang past ``task_timeout`` loses only the tasks that had not
@@ -581,38 +577,28 @@ class ProcessPoolBackend(ExecutionBackend):
             return []
         pool_size = min(self.max_workers or _default_parallelism(), len(tasks))
         algorithm = self._budgeted(algorithm, concurrency=pool_size)
-        # Out-of-core joins skip shared memory entirely: workers receive the
-        # mmap segment paths (pickled sources) plus per-task spill-file refs
-        # and map everything read-only themselves.
-        streamed = not (
-            isinstance(s_matrix, np.ndarray) and isinstance(t_matrix, np.ndarray)
+        injector = faults.active()
+        fault_state = (
+            (injector.rates, injector.seed, injector.slow_seconds)
+            if injector is not None
+            else None
         )
-        store_cls = SpilledTaskStore if streamed else SharedTaskStore
-        with store_cls(s_matrix, t_matrix, tasks) as store:
-            injector = faults.active()
-            fault_state = (
-                (injector.rates, injector.seed, injector.slow_seconds)
-                if injector is not None
-                else None
-            )
-            initargs = (
-                store.descriptor, condition, algorithm, materialize, trace_ctx,
-                fault_state,
-            )
-            outcomes = self._run_with_recovery(
-                tasks, pool_size, initargs, trace_ctx
-            )
-            lost = [index for index in range(len(tasks)) if index not in outcomes]
-            if lost:
-                for index, outcome in zip(
-                    lost,
-                    self._run_fallback(
-                        [tasks[index] for index in lost], s_matrix, t_matrix,
-                        condition, algorithm, materialize, trace_ctx,
-                    ),
-                ):
-                    outcomes[index] = outcome
-            return [outcomes[index] for index in range(len(tasks))]
+        initargs = (
+            s_matrix, t_matrix, tasks, condition, algorithm, materialize,
+            trace_ctx, fault_state,
+        )
+        outcomes = self._run_with_recovery(tasks, pool_size, initargs, trace_ctx)
+        lost = [index for index in range(len(tasks)) if index not in outcomes]
+        if lost:
+            for index, outcome in zip(
+                lost,
+                self._run_fallback(
+                    [tasks[index] for index in lost], s_matrix, t_matrix,
+                    condition, algorithm, materialize, trace_ctx,
+                ),
+            ):
+                outcomes[index] = outcome
+        return [outcomes[index] for index in range(len(tasks))]
 
     # ------------------------------------------------------------------ #
     # Crash recovery
@@ -632,13 +618,14 @@ class ProcessPoolBackend(ExecutionBackend):
             remaining_idx = [i for i in range(len(tasks)) if i not in outcomes]
             pool = ProcessPoolExecutor(
                 max_workers=min(pool_size, len(remaining_idx)),
+                mp_context=multiprocessing.get_context("fork"),
                 initializer=_process_initializer,
                 initargs=initargs,
             )
             try:
                 self._dispatch_round(pool, tasks, remaining_idx, crashes, outcomes)
                 # Every future resolved: workers are idle, the join is quick,
-                # and waiting keeps the shared-memory store's teardown clean.
+                # and waiting joins them so no worker outlives the dispatch.
                 pool.shutdown(wait=True)
                 break
             except (BrokenProcessPool, _WorkerStall) as exc:

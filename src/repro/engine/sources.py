@@ -3,15 +3,10 @@
 The legacy execution path materializes ``relation.join_matrix(attrs)`` — an
 ``(n, d)`` float array — before routing.  For out-of-core relations that
 materialization is exactly what must not happen, so the streamed path works
-against a :class:`StoreMatrixSource` instead: a thin, *picklable* adapter
-over a :class:`~repro.data.storage.ColumnStore` that hands out bounded row
-slices (``slice`` / ``iter_chunks``) and bounded gathers (``take``), while
-the whole matrix never exists anywhere.
-
-Pickling a source moves only the store *spec* (segment file paths + shapes)
-across a process boundary — this is how the process-pool backend passes
-mmap segment paths to workers instead of copying matrices into shared
-memory.
+against a :class:`StoreMatrixSource` instead: a thin adapter over a
+:class:`~repro.data.storage.ColumnStore` that hands out bounded row slices
+(``slice`` / ``iter_chunks``) and bounded gathers (``take``), while the
+whole matrix never exists anywhere.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ import numpy as np
 from repro.data.storage import (
     DEFAULT_BLOCK_BYTES,
     ColumnStore,
-    MmapColumnStore,
     block_spans,
     madvise_dontneed,
 )
@@ -154,17 +148,8 @@ class StoreMatrixSource:
         if release is not None:
             release()
 
-    def __reduce__(self):
-        if isinstance(self.store, MmapColumnStore):
-            return (_source_from_spec, (self.store.spec(), self.attributes))
-        return (StoreMatrixSource, (self.store, self.attributes))
-
     def __repr__(self) -> str:
         return (
             f"StoreMatrixSource(rows={self.rows}, attributes={list(self.attributes)}, "
             f"storage={self.storage!r})"
         )
-
-
-def _source_from_spec(spec: dict, attributes: tuple) -> StoreMatrixSource:
-    return StoreMatrixSource(MmapColumnStore.from_spec(spec), attributes)

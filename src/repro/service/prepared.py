@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.config import DEFAULT_RESULT_CACHE_SIZE, DEFAULT_WORKERS
+from repro.config import DEFAULT_RESULT_CACHE_SIZE, DEFAULT_WORKERS, MAX_WORKERS
 from repro.distributed.stats import JobStats, WorkerStats, merge_job_stats
 from repro.engine import deadline
 from repro.engine.backends import execute_task
@@ -221,8 +221,8 @@ class PreparedQuery:
     ) -> None:
         if not attributes:
             raise ServiceError("a prepared query needs at least one join attribute")
-        if workers < 1:
-            raise ServiceError("workers must be at least 1")
+        if not 1 <= workers <= MAX_WORKERS:
+            raise ServiceError(f"workers must be between 1 and {MAX_WORKERS}")
         if result_cache_size < 1:
             raise ServiceError("result_cache_size must be at least 1")
         self.catalog = catalog

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import LoadWeights, RecPartConfig
+from repro.config import MAX_WORKERS, LoadWeights, RecPartConfig, ServiceConfig
 
 
 class TestLoadWeights:
@@ -53,3 +53,12 @@ class TestRecPartConfig:
             RecPartConfig(termination="other")
         with pytest.raises(ValueError):
             RecPartConfig(improvement_threshold=1.5)
+
+
+class TestServiceConfig:
+    def test_worker_budget_is_bounded(self):
+        assert ServiceConfig(workers=MAX_WORKERS).workers == MAX_WORKERS
+        with pytest.raises(ValueError, match="workers must be between 1 and"):
+            ServiceConfig(workers=MAX_WORKERS + 1)
+        with pytest.raises(ValueError, match="workers must be between 1 and"):
+            ServiceConfig(workers=0)

@@ -23,6 +23,7 @@ from repro.data.relation import Relation
 from repro.engine import (
     ParallelJoinEngine,
     PlanCache,
+    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     available_backends,
@@ -190,6 +191,39 @@ class TestBackendEquivalence:
         )
         assert result.total_output == 0
         assert result.pairs.shape == (0, 2)
+
+    def test_process_workers_inherit_inputs_without_shared_memory(
+        self, tmp_path, monkeypatch
+    ):
+        """Forked workers read the driver's matrices directly: with shared
+        memory unavailable, memory and mmap inputs both still join on the
+        pool itself (no in-driver fallback) to the serial pair set."""
+        import multiprocessing.shared_memory
+
+        def unavailable(*args, **kwargs):
+            raise OSError("shared memory unavailable")
+
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("tasks fell back to in-driver execution")
+
+        monkeypatch.setattr(multiprocessing.shared_memory, "SharedMemory", unavailable)
+        monkeypatch.setattr(ProcessPoolBackend, "_run_fallback", no_fallback)
+        s, t, condition = _small_problem(seed=37)
+        partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
+        expected = canonical_pair_order(
+            ParallelJoinEngine(backend="serial")
+            .execute(s, t, condition, partitioning, materialize=True)
+            .pairs
+        )
+        engine = ParallelJoinEngine(
+            backend=ProcessPoolBackend(max_workers=2), spill_dir=str(tmp_path)
+        )
+        for s_in, t_in in (
+            (s, t),
+            (s.spill(str(tmp_path / "s")), t.spill(str(tmp_path / "t"))),
+        ):
+            result = engine.execute(s_in, t_in, condition, partitioning, materialize=True)
+            np.testing.assert_array_equal(canonical_pair_order(result.pairs), expected)
 
 
 class TestPlanCache:

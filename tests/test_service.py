@@ -659,16 +659,20 @@ class TestServiceFacadeAndServer:
             ({"op": "trace", "n": "x"}, "'n'"),
             ({"op": "prepare", "query": "p", "s": "S", "t": "T",
               "attributes": ["A1"], "workers": "x"}, "'workers'"),
+            ({"op": "prepare", "query": "p", "s": "S", "t": "T",
+              "attributes": ["A1"], "workers": 10**7}, "workers must be between 1 and"),
             ({"op": "query", "query": "q", "epsilons": ["a"]}, "epsilons must be numbers"),
             ({"op": "register", "name": ["x"], "columns": {"A1": [0.5]}}, "'name'"),
             ({"op": "prepare", "query": "p", "s": "S", "t": "T", "attributes": "A1"},
              "'attributes'"),
         ],
-        ids=["deadline", "deadline-inf", "sample", "trace-n", "workers", "epsilons", "name", "attributes"],
+        ids=["deadline", "deadline-inf", "sample", "trace-n", "workers",
+             "workers-too-many", "epsilons", "name", "attributes"],
     )
     def test_malformed_fields_are_client_errors(self, bad, named):
-        """A field of the wrong JSON type answers ``{"ok": false}`` naming
-        it, without an ``internal`` cause, and the next request is served."""
+        """A field of the wrong JSON type or out of range answers
+        ``{"ok": false}`` naming it, without an ``internal`` cause, and the
+        next request is served."""
         requests = [
             {"op": "register", "name": "S", "columns": {"A1": [0.1, 0.2]}},
             {"op": "register", "name": "T", "columns": {"A1": [0.15]}},

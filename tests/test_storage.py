@@ -288,7 +288,7 @@ class TestStreamedEngineEquivalence:
         assert counted.total_output == _reference_pairs(s, t, condition).shape[0]
 
     def test_spilled_task_path_matches(self, tmp_path, monkeypatch):
-        """Force the disk-backed task store even for small inputs."""
+        """Force the in-task gather spill (``TASK_SPILL_BYTES``) on small inputs."""
         import repro.engine.backends as backends_mod
         from repro.core.recpart import RecPartPartitioner
 
