@@ -2,7 +2,8 @@
 
 Drives a live :class:`repro.service.BandJoinService` with capture spooling
 enabled through a mixed workload (registrations, prepares, every query
-path, a delta append), then closes the loop the observatory promises:
+path, a chain of delta appends crossing the compaction threshold), then
+closes the loop the observatory promises:
 
 * the SLO monitor — configured with generous objectives — reports the
   service healthy and records **zero breaches** over the run,
@@ -37,7 +38,13 @@ OUT_PATH = ROOT / "WORKLOAD_snapshot.json"
 
 ROWS = 3000
 DELTA_ROWS = 150
+#: Appends to S (the fifth crosses the 25% staleness threshold, so the sync
+#: compaction merges the delta into the base mid-chain), then one to T.
+APPENDS = ("S",) * 6 + ("T",)
 EPSILONS = (0.005, 0.01, 0.02)
+#: Cold per epsilon, result-cache repeats, one "wide" query, then a delta
+#: query per epsilon after every append.
+QUERIES = 2 * len(EPSILONS) + 1 + len(APPENDS) * len(EPSILONS)
 
 
 def check(condition: bool, message: str) -> None:
@@ -78,10 +85,14 @@ def drive_capture(spool_path: str):
             service.query("near", eps)
         service.query("wide")
 
-        delta = pareto_relation("S", DELTA_ROWS, dimensions=2, z=1.5, seed=3)
-        service.append("S", delta)
-        for eps in EPSILONS:  # delta path after the append
-            service.query("near", eps)
+        # Each delta answer extends the previous one: its captured
+        # fingerprint is a chained hash sum over merged pair segments, which
+        # both replays below recompute from scratch.
+        for seed, side in enumerate(APPENDS, start=3):
+            delta = pareto_relation(side, DELTA_ROWS, dimensions=2, z=1.5, seed=seed)
+            service.append(side, delta)
+            for eps in EPSILONS:
+                service.query("near", eps)
 
         health = service.health()
         snapshot = service.workload_snapshot()
@@ -101,7 +112,7 @@ def main() -> int:
         print(f"health: OK ({len(health['objectives'])} objectives, 0 breaches)")
 
         queries = snapshot.total_arrivals
-        check(queries == 10, f"expected 10 captured query arrivals, saw {queries}")
+        check(queries == QUERIES, f"expected {QUERIES} captured query arrivals, saw {queries}")
 
         # The ring view and the spooled log must describe the same workload.
         from_log = Workload.from_log_file(spool)
@@ -127,8 +138,8 @@ def main() -> int:
             )
             report = replay_log(spool, config=config, speed=None)
             check(report.ok, f"replay on {backend} diverged:\n{report.describe()}")
-            check(report.verified == 10,
-                  f"replay on {backend} verified {report.verified}/10 fingerprints")
+            check(report.verified == QUERIES,
+                  f"replay on {backend} verified {report.verified}/{QUERIES} fingerprints")
             print(f"replay[{backend}]: {report.events} events, "
                   f"{report.verified} fingerprints verified, 0 mismatches")
 

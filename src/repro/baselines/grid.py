@@ -309,9 +309,14 @@ class GridEpsilonPartitioner(Partitioner):
     def _key_geometry(
         s_idx: np.ndarray, t_low: np.ndarray, t_high: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Compute per-dimension index minimums and mixed-radix strides for flat keys."""
-        stacked_min = np.minimum(s_idx.min(axis=0), t_low.min(axis=0))
-        stacked_max = np.maximum(s_idx.max(axis=0), t_high.max(axis=0))
+        """Compute per-dimension index minimums and mixed-radix strides for flat keys
+        (an empty side spans no cells)."""
+        lows = [idx.min(axis=0) for idx in (s_idx, t_low) if len(idx)]
+        highs = [idx.max(axis=0) for idx in (s_idx, t_high) if len(idx)]
+        if not lows:
+            lows = highs = [np.zeros(s_idx.shape[1], dtype=np.int64)]
+        stacked_min = np.min(lows, axis=0)
+        stacked_max = np.max(highs, axis=0)
         extents = (stacked_max - stacked_min + 1).astype(np.int64)
         # The flat cell key is a mixed-radix number over the per-dimension cell
         # counts; refuse grids whose key space does not fit in an int64 (this

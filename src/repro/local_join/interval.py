@@ -55,8 +55,9 @@ def sweep_dimension(
     sides = [arr for arr in (s_arr, t_arr) if arr.shape[0]]
     if not sides:
         sides = [np.zeros((1, condition.dimensionality))]
-    lo = np.min([arr.min(axis=0) for arr in sides], axis=0)
-    hi = np.max([arr.max(axis=0) for arr in sides], axis=0)
+    ranges = [kernels.column_range(arr) for arr in sides]
+    lo = np.min([low for low, _ in ranges], axis=0)
+    hi = np.max([high for _, high in ranges], axis=0)
     eps_left, eps_right = condition.eps_arrays()
     return int(np.argmax(kernels.cells_per_dimension(lo, hi, eps_left + eps_right)))
 

@@ -10,7 +10,7 @@ objectives into breach events on a background cadence, and
 result fingerprints — so every capture doubles as an integration test.
 """
 
-from repro.obs.workload.recorder import QueryLogRecorder, pair_fingerprint
+from repro.obs.workload.recorder import QueryLogRecorder, pair_fingerprint, pair_hash
 from repro.obs.workload.replay import (
     ReplayMismatch,
     ReplayReport,
@@ -32,6 +32,7 @@ __all__ = [
     "Workload",
     "load_events",
     "pair_fingerprint",
+    "pair_hash",
     "replay_events",
     "replay_log",
     "service_probes",

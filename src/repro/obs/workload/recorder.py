@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.config import DEFAULT_CAPTURE_RING
 
-__all__ = ["QueryLogRecorder", "pair_fingerprint"]
+__all__ = ["QueryLogRecorder", "format_fingerprint", "pair_fingerprint", "pair_hash"]
 
 # splitmix64-style mixing constants: each pair hashes independently, the
 # combine is modular addition — order-independent and duplicate-sensitive.
@@ -47,18 +47,18 @@ _C3 = np.uint64(0xBF58476D1CE4E5B9)
 _C4 = np.uint64(0x94D049BB133111EB)
 
 
-def pair_fingerprint(pairs: np.ndarray) -> str:
-    """Return an order-independent content hash of an ``(n, 2)`` pair set.
+def pair_hash(pairs: np.ndarray) -> int:
+    """Return the sum, mod 2⁶⁴, of a per-pair hash over an ``(n, 2)`` pair set.
 
-    Two results fingerprint equally iff they contain the same multiset of
-    ``(s_row, t_row)`` pairs, regardless of pair order — so captures and
-    replays running different backends (which emit pairs in different
-    orders) still compare equal.  The format is ``"<count>:<hash16hex>"``.
+    The sum is additive: the hash of a union of disjoint pair sets is the sum
+    of their hashes mod 2⁶⁴, however the pairs are split or ordered.  The
+    serving delta path relies on this — an answer that extends a cached one
+    adds the hash of its new pairs to the cached sum instead of rehashing
+    everything (:meth:`~repro.service.prepared.QueryResult.fingerprint`).
     """
     pairs = np.asarray(pairs)
-    n = int(pairs.shape[0]) if pairs.ndim == 2 else 0
-    if n == 0:
-        return "0:0000000000000000"
+    if pairs.ndim != 2 or pairs.shape[0] == 0:
+        return 0
     with np.errstate(over="ignore"):
         x = pairs[:, 0].astype(np.uint64) * _C1 + pairs[:, 1].astype(np.uint64) * _C2
         x ^= x >> np.uint64(30)
@@ -66,8 +66,28 @@ def pair_fingerprint(pairs: np.ndarray) -> str:
         x ^= x >> np.uint64(27)
         x *= _C4
         x ^= x >> np.uint64(31)
-        total = int(np.add.reduce(x, dtype=np.uint64))
-    return f"{n}:{total:016x}"
+        return int(np.add.reduce(x, dtype=np.uint64))
+
+
+def format_fingerprint(n_pairs: int, total: int) -> str:
+    """Return the ``"<count>:<hash16hex>"`` form of a pair count and its
+    :func:`pair_hash`."""
+    return f"{n_pairs}:{total:016x}"
+
+
+def pair_fingerprint(pairs: np.ndarray) -> str:
+    """Return an order-independent content hash of an ``(n, 2)`` pair set.
+
+    Two results fingerprint equally iff they contain the same multiset of
+    ``(s_row, t_row)`` pairs, regardless of pair order — so captures and
+    replays running different backends (which emit pairs in different
+    orders) still compare equal.  The format is ``"<count>:<hash16hex>"``,
+    the hash being :func:`pair_hash`, whose additivity lets a served answer
+    fingerprint only the pairs it added to a cached one.
+    """
+    pairs = np.asarray(pairs)
+    n = int(pairs.shape[0]) if pairs.ndim == 2 else 0
+    return format_fingerprint(n, pair_hash(pairs))
 
 
 class QueryLogRecorder:

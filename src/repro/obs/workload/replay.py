@@ -186,6 +186,8 @@ def replay_events(events, service, speed: float | None = None) -> ReplayReport:
             if expected is None:
                 report.skipped += 1
                 continue
+            # Rehash the pairs rather than read ``result.fingerprint()``: the
+            # served hash is a chained sum, and replay must check it afresh.
             replayed = pair_fingerprint(result.pairs)
             report.verified += 1
             if replayed != expected:

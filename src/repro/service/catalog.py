@@ -112,6 +112,8 @@ class RelationSnapshot:
         Lineage of the rows; bumped only by registration.  Appends and
         compactions keep every row at its index, so cached results of the
         same registration stay valid anchors across both.
+
+        All three only grow per name, also across a drop and re-registration.
     base / delta:
         The optimized part and the appended tail (``None`` when no rows have
         been appended since the last compaction).
@@ -256,6 +258,9 @@ class RelationCatalog:
             self.spill_dir = spill_dir
         self._lock = threading.Lock()
         self._entries: dict[str, RelationSnapshot] = {}
+        # Counters of dropped relations: a name registered again continues
+        # them, so no cache keyed on (registration, version) sees it reused.
+        self._dropped: dict[str, tuple[int, int, int]] = {}
         self._spill_lock = threading.Lock()
         self._spill_serial = 0
 
@@ -337,11 +342,12 @@ class RelationCatalog:
                 raise ServiceError(
                     f"relation {name!r} is already registered; pass replace=True to overwrite"
                 )
-            version = existing.version + 1 if existing is not None else 1
-            base_version = existing.base_version + 1 if existing is not None else 1
-            registration = existing.registration + 1 if existing is not None else 1
+            if existing is not None:
+                last = (existing.version, existing.base_version, existing.registration)
+            else:
+                last = self._dropped.pop(name, (0, 0, 0))
             snapshot = RelationSnapshot(
-                name, version, base_version, registration, relation, None
+                name, *(counter + 1 for counter in last), relation, None
             )
             self._entries[name] = snapshot
             return snapshot
@@ -366,10 +372,16 @@ class RelationCatalog:
             return sorted(self._entries)
 
     def drop(self, name: str) -> None:
-        """Remove a relation from the catalog."""
+        """Remove a relation from the catalog.
+
+        Its counters are kept: registering the name again continues them, so
+        results cached for the dropped relation never answer the new one.
+        """
         with self._lock:
-            if self._entries.pop(name, None) is None:
+            dropped = self._entries.pop(name, None)
+            if dropped is None:
                 raise ServiceError(f"unknown relation {name!r}")
+            self._dropped[name] = (dropped.version, dropped.base_version, dropped.registration)
 
     # ------------------------------------------------------------------ #
     # Incremental maintenance

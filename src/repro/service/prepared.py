@@ -19,13 +19,24 @@ is an *anchor* the new answer extends::
 
 Each query therefore joins only the rows appended since its anchor.  The
 other side of each term is *probed*, not streamed: a sorted index of its
-first join column (memoized per base) yields the rows inside the new rows'
-ε-windows, only those rows are gathered (touching only their pages on mmap
-storage), and the two small matrices run as one local join on the calling
-thread, whose kernel decides every pair.  A delta query thus costs
-O(new rows + matching output), not a pass over either relation.  Without an
-anchor (first query of a registration, eviction) the base join runs through
-the plan cache and is extended the same way.
+first join column (one for the base and one for the rows appended to it,
+each memoized and extended by the rows added since it was built, so every
+row is sorted once) yields the rows inside the new rows' ε-windows, only
+those rows are gathered (touching only their pages on mmap storage), and the
+two small matrices run as one local join on the calling thread, whose kernel
+decides every pair.
+
+The answer is O(delta) too.  A result holds its pairs as a chain of
+segments: a delta answer reuses its anchor's segments and appends the new
+pairs, merging the two newest segments while the older is at most twice the
+newer (so a chain of n pairs has at most 1 + log₂ n segments and every pair
+is copied O(log n) times over its lifetime).  Its content hash is the
+anchor's plus :func:`~repro.obs.workload.recorder.pair_hash` of the new
+pairs, so the workload capture's fingerprint costs O(delta) as well.  A
+delta query thus costs O(new rows + new output), not a pass over either
+relation or over the answer.  Without an anchor (first query of a
+registration, eviction) the base join runs through the plan cache and is
+extended the same way.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ from repro.engine.routing import WorkerTask
 from repro.exceptions import ServiceError
 from repro.geometry.band import BandCondition
 from repro.obs import tracer
+from repro.obs.workload.recorder import format_fingerprint, pair_hash
 from repro.service.catalog import RelationCatalog, RelationSnapshot
 
 __all__ = [
@@ -71,14 +83,17 @@ PATH_STALE = "stale"                # version-stale cached result (degraded mode
 class QueryResult:
     """Materialized outcome of one prepared-query execution.
 
-    ``pairs`` holds globally indexed ``(s_row, t_row)`` output pairs; row
-    indices address the *full* relations (base rows first, appended rows
-    after, in append order).  Pair order is unspecified — it depends on the
-    execution path; canonicalize with
-    :func:`~repro.local_join.base.canonical_pair_order` when comparing.
+    ``segments`` holds globally indexed ``(s_row, t_row)`` output pairs as a
+    chain of ``(k, 2)`` arrays; row indices address the *full* relations
+    (base rows first, appended rows after, in append order).  A delta answer
+    shares its anchor's older segments (see the module doc); :attr:`pairs`
+    concatenates the chain on demand, which nothing on the serving path
+    needs.  Pair order is unspecified — it depends on the execution path;
+    canonicalize with :func:`~repro.local_join.base.canonical_pair_order`
+    when comparing.
     """
 
-    pairs: np.ndarray
+    segments: tuple[np.ndarray, ...]
     path: str
     s_name: str
     t_name: str
@@ -97,6 +112,30 @@ class QueryResult:
     #: ``(s registration, t registration, s rows, t rows)`` the pairs answer;
     #: a later query of the same registrations extends them (see module doc).
     lineage: tuple | None = None
+    #: :func:`~repro.obs.workload.recorder.pair_hash` of every pair (mod
+    #: 2⁶⁴); a delta answer is built with its anchor's plus the new pairs'.
+    pair_sum: int | None = None
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """Return every pair as one ``(n, 2)`` array (concatenated on demand)."""
+        if len(self.segments) == 1:
+            return self.segments[0]
+        if not self.segments:
+            return np.empty((0, 2), dtype=np.int64)
+        return np.concatenate(self.segments)
+
+    def hash_sum(self) -> int:
+        """Return :attr:`pair_sum`, hashing the segments on first use."""
+        if self.pair_sum is None:
+            total = sum(pair_hash(segment) for segment in self.segments) % 2**64
+            object.__setattr__(self, "pair_sum", total)
+        return self.pair_sum
+
+    def fingerprint(self) -> str:
+        """Return :func:`~repro.obs.workload.recorder.pair_fingerprint` of
+        the pairs, from the memoized hash sum: O(1) after the first call."""
+        return format_fingerprint(self.n_pairs, self.hash_sum())
 
     @property
     def job(self) -> JobStats | None:
@@ -107,7 +146,7 @@ class QueryResult:
     @property
     def n_pairs(self) -> int:
         """Return the number of output pairs."""
-        return int(self.pairs.shape[0])
+        return sum(len(segment) for segment in self.segments)
 
     def describe(self, sample: int = 0) -> dict:
         """Return a JSON-friendly summary (optionally with sample pairs)."""
@@ -123,7 +162,12 @@ class QueryResult:
             info["stale"] = True
             info["version_lag"] = self.version_lag
         if sample > 0:
-            info["sample"] = self.pairs[:sample].tolist()
+            head = []
+            for segment in self.segments:
+                head.extend(segment[: sample - len(head)].tolist())
+                if len(head) >= sample:
+                    break
+            info["sample"] = head
         return info
 
 
@@ -250,8 +294,10 @@ class PreparedQuery:
         self.name: str | None = None
         self._lock = threading.Lock()
         self._results: OrderedDict = OrderedDict()  # (sv, tv, ekey) -> QueryResult
-        # relation -> (registration, base version, sorted values, row ids)
+        # relation -> (registration, base version, sorted values, row ids),
+        # of the base and of the appended rows
         self._sorted_index: dict = {}
+        self._delta_index: dict = {}
         self._sampled_estimates: OrderedDict = OrderedDict()  # (sv, tv, ekey, k) -> float
         # Validate the schema eagerly so prepare() fails fast.
         for name in (s_name, t_name):
@@ -362,7 +408,9 @@ class PreparedQuery:
         condition = self.condition(ekey)
         if anchor is not None:
             path, optimization_seconds, base_job = PATH_DELTA, 0.0, None
-            pairs, (s_rows, t_rows) = anchor.pairs, anchor.lineage[2:]
+            segments, total, (s_rows, t_rows) = (
+                anchor.segments, anchor.hash_sum(), anchor.lineage[2:]
+            )
         else:
             base = self.engine.join(
                 s_snap.base, t_snap.base, condition,
@@ -370,9 +418,10 @@ class PreparedQuery:
             )
             path = PATH_PLAN_CACHE if base.plan_from_cache else PATH_COLD
             optimization_seconds = 0.0 if base.plan_from_cache else base.optimization_seconds
-            pairs, base_job = base.pairs, base.job
+            segments, total = _chain((), base.pairs), pair_hash(base.pairs)
+            base_job = base.job
             s_rows, t_rows = len(s_snap.base), len(t_snap.base)
-        chunks, delta_jobs = [pairs], []
+        chunks, delta_jobs = [], []
         # J(S'[s_rows:], T')  and  J(S'[:s_rows], T'[t_rows:]).
         for new, new_start, other, other_stop, probe_s in (
             (s_snap, s_rows, t_snap, t_snap.rows, True),
@@ -382,8 +431,11 @@ class PreparedQuery:
                 pairs, job = self._probe(new, new_start, other, other_stop, probe_s, condition)
                 chunks.append(pairs)
                 delta_jobs.append(job)
+        if chunks:
+            new = np.concatenate(chunks)
+            segments, total = _chain(segments, new), (total + pair_hash(new)) % 2**64
         result = QueryResult(
-            pairs=np.concatenate(chunks),
+            segments=segments,
             path=path,
             s_name=self.s_name,
             t_name=self.t_name,
@@ -394,6 +446,7 @@ class PreparedQuery:
             base_job=base_job,
             delta_job=merge_job_stats(delta_jobs) if delta_jobs else None,
             lineage=(s_snap.registration, t_snap.registration, s_snap.rows, t_snap.rows),
+            pair_sum=total,
         )
         self.store_result(ekey, result)
         self.stats.record(result.path)
@@ -436,9 +489,7 @@ class PreparedQuery:
         n_base = len(other.base)
         sources = [(other.base, 0, *self._sorted_first_column(other))]
         if other_stop > n_base:
-            column = _join_rows(other, attributes[:1], n_base, other_stop)[:, 0]
-            order = np.argsort(column, kind="stable")
-            sources.append((other.delta, n_base, column[order], order))
+            sources.append((other.delta, n_base, *self._sorted_delta_column(other, other_stop)))
         parts, ids = [], []
         for relation, offset, values, order in sources:
             rows = np.sort(order[_window_positions(values, lo - pad, hi + pad)])
@@ -485,6 +536,27 @@ class PreparedQuery:
             entry = (snap.registration, snap.base_version, *_extend_index(values, rows, column))
             # Rebinding, never mutating, keeps readers on other threads safe.
             self._sorted_index = {**self._sorted_index, snap.name: entry}
+        return entry[2:]
+
+    def _sorted_delta_column(self, snap, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Return the first join column of the appended rows sorted, with
+        their row ids relative to the delta, covering at least rows
+        ``[len(base), stop)`` (memoized per relation and base version).
+
+        Appends only add rows after the memoized ones, so only those are
+        sorted into the index.  It may cover rows past ``stop`` (a newer
+        snapshot built it); the caller drops those.
+        """
+        n_base = len(snap.base)
+        entry = self._delta_index.get(snap.name)
+        if entry is None or entry[:2] != (snap.registration, snap.base_version):
+            entry = (
+                snap.registration, snap.base_version, np.empty(0), np.empty(0, dtype=np.intp)
+            )
+        if n_base + len(entry[3]) < stop:
+            column = _join_rows(snap, self.attributes[:1], n_base + len(entry[3]), stop)[:, 0]
+            entry = (*entry[:2], *_extend_index(*entry[2:], column))
+            self._delta_index = {**self._delta_index, snap.name: entry}
         return entry[2:]
 
     def __call__(self, epsilons=None) -> QueryResult:
@@ -739,6 +811,23 @@ def _extend_index(values: np.ndarray, rows: np.ndarray, column: np.ndarray):
     rows = np.concatenate((rows, len(rows) + order))
     merge = np.argsort(values, kind="stable")
     return values[merge], rows[merge]
+
+
+def _chain(segments: tuple, new: np.ndarray) -> tuple:
+    """Return ``segments`` followed by ``new``, merging the two newest
+    segments while the older is at most twice the newer.
+
+    Every segment then holds more than twice the pairs of the next one, so n
+    pairs span at most 1 + log₂ n segments, and the segments left unmerged
+    are the very arrays of ``segments``.
+    """
+    if not len(new):
+        return segments
+    chain = [*segments, new]
+    while len(chain) > 1 and len(chain[-2]) <= 2 * len(chain[-1]):
+        newer = chain.pop()
+        chain[-1] = np.concatenate((chain[-1], newer))
+    return tuple(chain)
 
 
 def _sampled_join_matrix(relation, attributes, sample_size: int) -> np.ndarray:

@@ -54,7 +54,6 @@ from repro.obs import (
     percentile,
     tracer,
 )
-from repro.obs.workload.recorder import pair_fingerprint
 from repro.service.prepared import PreparedQuery, QueryResult
 
 __all__ = ["QueryScheduler", "SchedulerMetrics"]
@@ -524,7 +523,9 @@ class QueryScheduler:
 
         Memoized per (query, epsilons, result versions): those determine the
         relation row counts, the output size and the content fingerprint, so
-        cache-served repeats skip the catalog lookups and the pair-set hash.
+        cache-served repeats skip the catalog lookups.  The fingerprint reads
+        the result's memoized hash sum, which a delta answer was built with
+        (its anchor's sum plus its new pairs'), so capturing it is O(1).
         """
         template = {
             "type": "query",
@@ -536,7 +537,7 @@ class QueryScheduler:
             "s_version": result.s_version,
             "t_version": result.t_version,
             "pairs": result.n_pairs,
-            "fingerprint": pair_fingerprint(result.pairs),
+            "fingerprint": result.fingerprint(),
         }
         catalog = getattr(prepared, "catalog", None)
         if catalog is not None:

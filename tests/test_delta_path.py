@@ -3,13 +3,17 @@
 After every append the answer must be exactly the join of the full
 relations, whatever the history: appends to either side in any order, empty
 appends, compactions, and anchors that are evicted or re-registered.  Values are multiples of 1/4 and 1/8, so
-every kernel decides band-edge pairs the same way.
+every kernel decides band-edge pairs the same way.  A delta answer must also
+cost only the delta: it shares its anchor's pair segments, hashes only its
+new pairs, and sorts only the rows appended since the last query.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from repro.engine import ParallelJoinEngine
 from repro.geometry.band import BandCondition
 from repro.local_join import default_local_join
 from repro.local_join.base import canonical_pair_order
+from repro.obs.workload import pair_fingerprint
+from repro.service import prepared as prepared_module
 from repro.service import (
     PATH_COLD,
     PATH_DELTA,
@@ -125,6 +131,126 @@ class TestDeltaEquivalence:
                 changed = False
 
 
+_HISTORY_STEP = st.tuples(
+    st.sampled_from(["append S", "append T", "compact S", "compact T", "register S"]),
+    st.integers(0, 12),  # rows appended or registered
+    st.booleans(),  # query after the step
+)
+
+
+def _check_chain(result, anchor, hashed: list[int]) -> None:
+    """A delta answer reuses its anchor's segments and hashed only its new
+    pairs; every chain obeys the segment merge rule."""
+    sizes = [len(segment) for segment in result.segments]
+    assert all(size > 0 for size in sizes)
+    assert all(older > 2 * newer for older, newer in zip(sizes, sizes[1:]))
+    assert len(sizes) <= 1 + math.log2(max(result.n_pairs, 1))
+    if result.path == PATH_DELTA:
+        assert len(result.segments) - 1 <= len(anchor.segments)
+        assert all(a is b for a, b in zip(result.segments[:-1], anchor.segments))
+        assert sum(hashed) == result.n_pairs - anchor.n_pairs
+    else:
+        assert sum(hashed) == result.n_pairs
+
+
+def _check_delta_index(prepared: PreparedQuery) -> None:
+    """Every memoized index of appended rows that is still current equals a
+    fresh stable argsort of the rows it covers."""
+    for name, (registration, base_version, values, rows) in prepared._delta_index.items():
+        snap = prepared.catalog.get(name)
+        if (registration, base_version) != (snap.registration, snap.base_version):
+            continue
+        column = np.asarray(snap.delta.column("A1"), dtype=float)[: len(rows)]
+        fresh = np.argsort(column, kind="stable")
+        np.testing.assert_array_equal(rows, fresh)
+        np.testing.assert_array_equal(values, column[fresh])
+
+
+class TestDeltaCost:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(1, 2),
+        storage=st.sampled_from(["memory", "mmap"]),
+        steps=st.lists(_HISTORY_STEP, min_size=1, max_size=10),
+    )
+    def test_delta_answers_chain_segments_and_hash_only_new_pairs(
+        self, tmp_path_factory, seed, d, storage, steps
+    ):
+        rng = np.random.default_rng(seed)
+        catalog = RelationCatalog(
+            staleness_threshold=100.0,
+            storage=storage,
+            spill_dir=str(tmp_path_factory.mktemp("spill")),
+            spill_threshold_bytes=1,
+        )
+        catalog.register("S", _columns(_dyadic(rng, 30, d)))
+        catalog.register("T", _columns(_dyadic(rng, 30, d)))
+        prepared = PreparedQuery(
+            catalog,
+            ParallelJoinEngine(backend="serial"),
+            "S",
+            "T",
+            _attributes(d),
+            default_epsilons=0.25,
+            workers=2,
+            partitioner=GridEpsilonPartitioner(),
+        )
+        condition = prepared.condition()
+        hashed: list[int] = []
+        original = prepared_module.pair_hash
+
+        def spy(pairs):
+            hashed.append(len(pairs))
+            return original(pairs)
+
+        anchor = None
+        with mock.patch.object(prepared_module, "pair_hash", spy):
+            for step, (action, rows, query) in enumerate(steps):
+                kind, side = action.split()
+                if kind == "compact":
+                    catalog.compact(side)  # what compaction="sync" runs
+                elif kind == "register":
+                    catalog.register(side, _columns(_dyadic(rng, rows, d)), replace=True)
+                else:
+                    catalog.append(side, _columns(_dyadic(rng, rows, d, -1.0, 4.0)))
+                if not (query or step == len(steps) - 1):
+                    continue
+                hashed.clear()
+                result = prepared.execute()
+                _check_full_join(prepared, result, condition)
+                assert result.fingerprint() == pair_fingerprint(result.pairs)
+                if result.path != PATH_RESULT_CACHE:
+                    _check_chain(result, anchor, hashed)
+                _check_delta_index(prepared)
+                anchor = result
+
+    def test_a_delta_query_sorts_only_the_rows_appended_since(self):
+        """Each base is sorted once, and each appended row once, however many
+        delta queries probe the rows appended before it."""
+        rng = np.random.default_rng(11)
+        with _service() as service:
+            _register(service, rng)
+            service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.25)
+            service.query("q")
+            sorted_rows = []
+            original = prepared_module._extend_index
+
+            def spy(values, rows, column):
+                sorted_rows.append(len(column))
+                return original(values, rows, column)
+
+            with mock.patch.object(prepared_module, "_extend_index", spy):
+                for count in (5, 7, 3):
+                    service.append("T", _columns(_dyadic(rng, count, 1)))
+                    assert service.query("q").path == PATH_DELTA  # probes S
+                    service.append("S", _columns(_dyadic(rng, 2, 1)))
+                    assert service.query("q").path == PATH_DELTA  # probes T
+            # S base, T base + T's 5 appended rows, then only the rows
+            # appended since: S's 2, T's 7, S's 2, T's 3.
+            assert sorted_rows == [200, 200, 5, 2, 7, 2, 3]
+
+
 def _service(**overrides) -> BandJoinService:
     config = dict(compaction="sync", scheduler_workers=1, staleness_threshold=100.0)
     config.update(overrides)
@@ -201,6 +327,28 @@ class TestAnchors:
             _check_full_join(prepared, result, prepared.condition())
 
 
+def test_drop_and_register_never_answers_from_the_dropped_relation():
+    """The counters continue across a drop, so the cached answer over the
+    dropped S (same version numbers at the parent) is not served."""
+    catalog = RelationCatalog()
+    catalog.register("S", {"A1": np.arange(100.0)})
+    catalog.register("T", {"A1": np.arange(100.0)})
+    prepared = PreparedQuery(
+        catalog, ParallelJoinEngine(backend="serial"), "S", "T", ["A1"], workers=2
+    )
+    first = prepared.execute(0.5)
+    assert (first.path, first.n_pairs) == (PATH_COLD, 100)
+    old = catalog.get("S")
+    catalog.drop("S")
+    new = catalog.register("S", {"A1": np.arange(1000.0, 1100.0)})
+    assert new.version > old.version
+    assert new.base_version > old.base_version
+    assert new.registration > old.registration
+    result = prepared.execute(0.5)
+    assert result.path in (PATH_COLD, PATH_PLAN_CACHE)
+    assert result.n_pairs == 0
+
+
 @pytest.mark.parametrize("side", ["S", "T"])
 def test_delta_query_input_is_proportional_to_the_delta(side):
     """A 2% append to 20k x 20k (d=1) feeds the engine the new rows and the
@@ -220,7 +368,8 @@ def test_delta_query_input_is_proportional_to_the_delta(side):
 
 def test_concurrent_appends_and_queries_answer_their_reported_rows():
     """Queries on more threads than cores, racing one appender, each return
-    the join of exactly the row prefixes their lineage names."""
+    the join of exactly the row prefixes their lineage names, with the hash
+    sum of exactly those pairs."""
     rng = np.random.default_rng(7)
     s_rows = [_dyadic(rng, 200, 1)] + [_dyadic(rng, 5, 1) for _ in range(12)]
     t_rows = [_dyadic(rng, 200, 1)] + [_dyadic(rng, 5, 1) for _ in range(12)]
@@ -262,6 +411,7 @@ def test_concurrent_appends_and_queries_answer_their_reported_rows():
         np.testing.assert_array_equal(
             canonical_pair_order(result.pairs), canonical_pair_order(expected)
         )
+        assert result.fingerprint() == pair_fingerprint(result.pairs)
 
 
 @pytest.mark.parametrize("storage", ["memory", "mmap"])

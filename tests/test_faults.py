@@ -419,7 +419,7 @@ class _BlockingPrepared:
         self.started.set()
         self.gate.wait(timeout=30)
         return QueryResult(
-            pairs=np.empty((0, 2), dtype=np.int64),
+            segments=(),
             path="cold",
             s_name="S",
             t_name="T",
@@ -434,7 +434,7 @@ class _BlockingPrepared:
 
 def _stale_result():
     return QueryResult(
-        pairs=np.array([[0, 1]], dtype=np.int64),
+        segments=(np.array([[0, 1]], dtype=np.int64),),
         path=PATH_STALE,
         s_name="S",
         t_name="T",

@@ -62,6 +62,17 @@ class TestGridPartitioner:
         partitioning = GridEpsilonPartitioner().partition(s, t, condition, workers=4)
         ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning, verify="pairs")
 
+    @pytest.mark.parametrize("empty", ["S", "T"])
+    def test_one_empty_side_partitions_to_an_empty_join(self, empty):
+        s, t = correlated_pair(200, 200, dimensions=2, z=1.5, seed=5)
+        s, t = (s.head(0), t) if empty == "S" else (s, t.head(0))
+        condition = BandCondition.symmetric(["A1", "A2"], 0.1)
+        partitioning = GridEpsilonPartitioner().partition(s, t, condition, workers=4)
+        result = ParallelJoinEngine(backend="serial").execute(
+            s, t, condition, partitioning, verify="pairs"
+        )
+        assert result.total_output == 0
+
     def test_s_tuples_not_duplicated(self):
         s, t = correlated_pair(1000, 1000, dimensions=1, z=1.5, seed=6)
         condition = BandCondition.symmetric(["A1"], 0.1)

@@ -439,6 +439,21 @@ class TestSweepRule:
             )
         assert cells.tolist() == [np.inf]
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        d=st.integers(1, 4),
+        order=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_column_range_equals_the_axis_reductions(self, rows, d, order, seed):
+        values = np.random.default_rng(seed).integers(-50, 50, (rows, d)) / 8.0
+        arr = np.asarray(values, order=order)
+        lo, hi = kernels.column_range(arr)
+        np.testing.assert_array_equal(lo, arr.min(axis=0))
+        np.testing.assert_array_equal(hi, arr.max(axis=0))
+        assert lo.dtype == hi.dtype == arr.dtype
+
     @pytest.mark.parametrize(
         ("d", "target"),
         [(d, i) for d in range(1, 5) for i in range(d)],

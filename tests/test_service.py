@@ -427,7 +427,7 @@ class _StubPrepared:
         if self.block is not None:
             self.block.wait(timeout=30)
         return QueryResult(
-            pairs=np.empty((0, 2), dtype=np.int64),
+            segments=(),
             path=PATH_COLD,
             s_name="S",
             t_name="T",
