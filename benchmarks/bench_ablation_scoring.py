@@ -6,7 +6,8 @@ This bench compares the paper's choices against the ablated variants on the
 skewed 3D Pareto workload:
 
 * scoring "ratio" (paper) vs "variance" (greedy balance, ignores duplication)
-  vs "duplication" (avoid duplication at all costs),
+  vs "duplication" (least duplication first among the splits that reduce
+  load variance, ignoring how much they reduce it),
 * applied (cost model) vs theoretical (lower-bound) termination.
 """
 
@@ -43,6 +44,7 @@ def _run_variants(scale: float) -> list[list]:
             [
                 label,
                 partitioning.stats.iterations,
+                partitioning.n_units,
                 result.total_input,
                 bounds.input_overhead(result.total_input),
                 result.max_worker_input,
@@ -56,7 +58,7 @@ def _run_variants(scale: float) -> list[list]:
 def test_ablation_scoring_and_termination(benchmark):
     rows = benchmark.pedantic(lambda: _run_variants(bench_scale()), rounds=1, iterations=1)
     table = format_table(
-        ["variant", "iterations", "I", "dup overhead", "I_m", "O_m", "load overhead"],
+        ["variant", "iterations", "units", "I", "dup overhead", "I_m", "O_m", "load overhead"],
         rows,
         title="Ablation: split scoring measure and termination condition",
     )
@@ -66,5 +68,7 @@ def test_ablation_scoring_and_termination(benchmark):
     duplication_only = by_label["duplication-only scoring"]
     variance_only = by_label["variance-only scoring"]
     # Ignoring duplication must cost extra input; ignoring balance must cost load.
-    assert variance_only[3] >= paper[3] - 0.05
-    assert duplication_only[6] >= paper[6] - 0.05
+    assert variance_only[4] >= paper[4] - 0.05
+    assert duplication_only[7] >= paper[7] - 0.05
+    # Least-duplication scoring still splits: its plan is not the root alone.
+    assert duplication_only[2] > 1

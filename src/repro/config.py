@@ -412,7 +412,8 @@ class RecPartConfig:
     scoring:
         Split-scoring measure: ``"ratio"`` (the paper's variance-reduction /
         duplication-increase ratio), ``"variance"`` (variance reduction only)
-        or ``"duplication"`` (least duplication first).  The non-default
+        or ``"duplication"`` (least duplication first among the splits that
+        reduce load variance).  The non-default
         modes exist for the ablation study of the scoring measure.
     """
 

@@ -15,6 +15,7 @@ mutable per-leaf payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +80,9 @@ class OptimizationContext:
         """Return the number of join dimensions."""
         return self.condition.dimensionality
 
-    @property
+    @cached_property
     def epsilons(self) -> np.ndarray:
-        """Return the symmetric band widths per dimension."""
+        """Return the symmetric band widths per dimension (built once per context)."""
         return self.condition.epsilons
 
     @property
@@ -144,8 +145,7 @@ class LeafStats:
     grid_rows: int = 1
     grid_cols: int = 1
     version: int = 0
-    best_split: object | None = field(default=None, repr=False)
-    top_score: object | None = field(default=None, repr=False)
+    small: bool | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # Cardinality and load estimates
@@ -204,8 +204,14 @@ class LeafStats:
     # Small-partition logic
     # ------------------------------------------------------------------ #
     def is_small(self, ctx: OptimizationContext) -> bool:
-        """Return ``True`` when the leaf is small in every dimension (1-Bucket mode)."""
-        return self.region.is_small(ctx.epsilons, ctx.small_partition_factor)
+        """Return ``True`` when the leaf is small in every dimension (1-Bucket mode).
+
+        Computed once: a leaf's region never changes, and a leaf belongs to
+        the one context its tree was grown in.
+        """
+        if self.small is None:
+            self.small = self.region.is_small(ctx.epsilons, ctx.small_partition_factor)
+        return self.small
 
     def splittable_dimensions(self, ctx: OptimizationContext) -> list[int]:
         """Return the dimensions in which regular recursive splitting is still allowed."""

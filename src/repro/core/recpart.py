@@ -3,11 +3,13 @@
 The optimizer grows a split tree from a single root partition.  In every
 iteration it pops the leaf with the highest split score from a priority
 queue, applies that leaf's best split (a regular recursive split, or an
-internal 1-Bucket grid refinement for small leaves), re-scores the affected
+internal 1-Bucket grid refinement for small leaves), queues the affected
 leaves, and records the quality of the resulting partitioning with a
-termination tracker.  When the tracker signals convergence, the best
-partitioning seen so far is frozen into an executable
-:class:`~repro.core.split_tree.SplitTreePartitioning`.
+termination tracker.  A leaf is queued under a cheap upper bound on its
+score and its candidate splits are searched only when it reaches the top of
+the queue, so leaves that are never split are rarely searched at all.  When
+the tracker signals convergence, the best partitioning seen so far is frozen
+into an executable :class:`~repro.core.split_tree.SplitTreePartitioning`.
 
 Two public partitioner classes are exported:
 
@@ -27,7 +29,8 @@ import numpy as np
 from repro.config import DEFAULT_SEED, LoadWeights, RecPartConfig
 from repro.core.partition import OptimizationContext
 from repro.core.partitioner import Partitioner, PartitioningStats
-from repro.core.split import find_best_split
+from repro.core.scoring import RANK_RATIO
+from repro.core.split import find_best_split, split_score_bound
 from repro.core.split_tree import SplitTree, SplitTreePartitioning
 from repro.core.termination import (
     CostModelTermination,
@@ -168,39 +171,53 @@ class RecPartPartitioner(Partitioner):
     def _grow_tree(
         self, tree: SplitTree, tracker: TerminationTracker, workers: int
     ) -> int:
-        """Run the repeat-loop of Algorithm 1; returns the number of iterations."""
+        """Run the repeat-loop of Algorithm 1; returns the number of iterations.
+
+        The queue is min-ordered on ``(key, push order)`` with ``key =
+        (-rank, -score)``.  A new leaf is queued under its score bound
+        (:func:`split_score_bound`) and searched only when that entry reaches
+        the top; the search's exact entry is applied at once if it still
+        sorts before the top of the queue, and queued otherwise.  Every other
+        entry sorts no later than its leaf's exact entry, so the leaves are
+        split in the same order as when every leaf is searched on arrival
+        (Minoux's accelerated greedy).
+        """
         ctx = tree.ctx
-        heap: list[tuple[tuple[int, float], int, int, int]] = []
+        # (key, push order, decision or None for a bound entry, node id, version)
+        heap: list[tuple] = []
         counter = 0
 
         def push(leaf) -> None:
             nonlocal counter
-            decision = find_best_split(leaf, ctx)
-            leaf.best_split = decision
-            leaf.top_score = decision.score if decision is not None else None
-            if decision is None:
+            bound = split_score_bound(leaf, ctx)
+            if bound <= 0:
                 return
             counter += 1
-            # heapq is a min-heap; negate the score ordering key.
-            key = (-decision.score.rank, -decision.score.value)
-            heapq.heappush(heap, (key, counter, leaf.node_id, leaf.version))
+            entry = ((-RANK_RATIO, -bound), counter, None, leaf.node_id, leaf.version)
+            heapq.heappush(heap, entry)
 
-        root_leaf = tree.root.leaf
-        push(root_leaf)
-        tracker.record(tree.leaves(), tree.snapshot())
+        push(tree.root.leaf)
+        tracker.record(tree)
 
         iteration = 0
         cap = self.config.iteration_cap(workers)
         while heap and iteration < cap:
-            _, _, node_id, version = heapq.heappop(heap)
+            _, order, decision, node_id, version = heapq.heappop(heap)
             leaf = tree.node(node_id).leaf
-            if leaf.version != version or leaf.best_split is None:
-                continue  # Stale queue entry (leaf already split or re-scored).
-            affected = tree.apply_split(node_id, leaf.best_split)
-            iteration += 1
-            for new_leaf in affected:
+            if leaf.version != version:
+                continue  # Stale queue entry (the leaf was split since).
+            if decision is None:
+                decision = find_best_split(leaf, ctx)
+                if decision is None:
+                    continue
+                key = (-decision.score.rank, -decision.score.value)
+                if heap and heap[0][:2] < (key, order):
+                    heapq.heappush(heap, (key, order, decision, node_id, version))
+                    continue
+            for new_leaf in tree.apply_split(node_id, decision):
                 push(new_leaf)
-            tracker.record(tree.leaves(), tree.snapshot())
+            iteration += 1
+            tracker.record(tree)
             if tracker.should_stop():
                 break
         return iteration

@@ -9,7 +9,9 @@ only options are incrementing the row or column count of its internal
 
 All candidate evaluation is vectorised: every candidate of a leaf — over
 all dimensions and both split kinds — is scored in one array pass over the
-leaf's sorted sample values.
+leaf's sorted sample values.  :func:`split_score_bound` bounds a leaf's best
+score from its load alone, so the optimizer searches a leaf only when that
+bound reaches the top of its queue.
 """
 
 from __future__ import annotations
@@ -77,22 +79,27 @@ def best_regular_split(leaf: LeafStats, ctx: OptimizationContext) -> SplitDecisi
     n_s, n_t, n_out = s_vals.shape[0], t_vals.shape[0], leaf.out_rows.size
 
     # Candidate boundaries of every dimension, flattened dimension-major.
-    merged = np.sort(np.concatenate([s_vals, t_vals]), axis=0)
-    mids = 0.5 * (merged[:-1] + merged[1:])
-    lower, upper = np.asarray(leaf.region.lower), np.asarray(leaf.region.upper)
+    merged = np.sort(np.concatenate([s_vals, t_vals]), axis=0).T
+    lower, upper = leaf.region.lower, leaf.region.upper
     eps_left, eps_right = ctx.condition.eps_arrays()
-    splittable = ~(upper - lower <= ctx.small_partition_factor * np.maximum(eps_left, eps_right))
-    keep = (merged[1:] != merged[:-1]) & (mids > lower) & (mids < upper) & splittable
+    small_extent = ctx.small_partition_factor * np.maximum(eps_left, eps_right)
     cap = ctx.max_split_candidates
-    if keep.shape[0] > cap:
-        for dim in np.flatnonzero(keep.sum(axis=0) > cap):
-            rows = np.flatnonzero(keep[:, dim])
-            keep[rows, dim] = False
-            keep[rows[np.round(np.linspace(0, rows.size - 1, cap)).astype(int)], dim] = True
-    dims = np.nonzero(keep.T)[0]
-    if dims.size == 0:
+    per_dim = []
+    for dim, values in enumerate(merged):
+        if upper[dim] - lower[dim] <= small_extent[dim]:
+            per_dim.append(values[:0])  # Too small to split in this dimension.
+            continue
+        mids = 0.5 * (values[:-1] + values[1:])
+        distinct = values[1:] != values[:-1]
+        rows = np.flatnonzero(distinct & (mids > lower[dim]) & (mids < upper[dim]))
+        if rows.size > cap:
+            rows = rows[np.round(np.linspace(0, rows.size - 1, cap)).astype(int)]
+        per_dim.append(mids[rows])
+    sizes = [candidates.size for candidates in per_dim]
+    bounds = np.concatenate(per_dim)
+    if bounds.size == 0:
         return None
-    bounds = mids.T[keep.T]
+    dims = np.repeat(np.arange(ctx.dimensionality), sizes)
 
     # below[f]: S (f=0) / T (f=1) values under x, under the upper end and
     # under the lower end of the duplication interval when that side is the
@@ -105,8 +112,11 @@ def best_regular_split(leaf: LeafStats, ctx: OptimizationContext) -> SplitDecisi
     owners = [np.sort(c[leaf.out_rows], axis=0) for c in (out.s_coords, out.t_coords)]
     below = np.empty(queries.shape, dtype=np.int64)
     owned = np.empty((2, bounds.size), dtype=np.int64)
-    edges = np.searchsorted(dims, np.arange(ctx.dimensionality + 1))
-    for dim, lo, hi in zip(range(ctx.dimensionality), edges[:-1], edges[1:]):
+    hi = 0
+    for dim, size in enumerate(sizes):
+        lo, hi = hi, hi + size
+        if size == 0:
+            continue
         for f in (0, 1):
             below[f, :, lo:hi] = columns[f][:, dim].searchsorted(queries[f, :, lo:hi])
             owned[f, lo:hi] = owners[f][:, dim].searchsorted(bounds[lo:hi])
@@ -134,11 +144,12 @@ def best_regular_split(leaf: LeafStats, ctx: OptimizationContext) -> SplitDecisi
 
     # The ratio of variance reduction to duplication increase, with the
     # duplication floored at one tuple (see MIN_DUPLICATION_FLOOR).  The
-    # alternative modes are only used by the scoring-measure ablation.
+    # alternative modes are only used by the scoring-measure ablation;
+    # "duplication" ranks the splits that reduce variance by least duplication.
     if ctx.scoring_mode == "variance":
         ratios = variance_reduction
     elif ctx.scoring_mode == "duplication":
-        ratios = -np.maximum(duplication_increase, 0.0)
+        ratios = np.where(variance_reduction > 0, 1.0 / (1.0 + duplication_increase), 0.0)
     else:
         ratios = variance_reduction / np.maximum(duplication_increase, MIN_DUPLICATION_FLOOR)
     # A positive ratio implies a variance reduction, so the best positive
@@ -196,6 +207,39 @@ def best_grid_split(leaf: LeafStats, ctx: OptimizationContext) -> SplitDecision 
     if not best.score.is_useful:
         return None
     return best
+
+
+#: Relative slack of :func:`split_score_bound` over the float rounding of the
+#: scores it bounds.
+BOUND_SLACK = 1e-9
+
+
+def split_score_bound(leaf: LeafStats, ctx: OptimizationContext) -> float:
+    """Return an upper bound on ``find_best_split(leaf, ctx).score.value``.
+
+    A bound <= 0 means ``find_best_split`` returns ``None``.  The bound is
+    cheap (no candidate is scored), so the optimizer can queue a leaf under it
+    and search its splits only when the leaf reaches the top of the queue.
+
+    * Small leaf: a grid refinement cannot lower the sum of squared unit
+      loads below zero, and its ratio divides by at least one tuple, so the
+      score is at most ``variance_factor * sum of unit loads^2``.
+    * Regular leaf of load ``P``: both children together hold every tuple
+      and output pair of the parent, so their loads ``L + R >= P`` and
+      ``L^2 + R^2 >= P^2 / 2``; the variance reduction, and with it the
+      "ratio" and "variance" scores, is at most ``variance_factor * P^2 / 2``.
+      A "duplication" score ``1 / (1 + dup)`` is at most 1 whenever some
+      split can reduce variance.
+    """
+    if leaf.s_rows.size == 0 and leaf.t_rows.size == 0:
+        return 0.0
+    if leaf.is_small(ctx):
+        bound = ctx.variance_factor * leaf.sum_squared_unit_loads(ctx)
+    else:
+        bound = 0.5 * ctx.variance_factor * leaf.sum_squared_unit_loads(ctx)
+        if ctx.scoring_mode == "duplication" and bound > 0:
+            bound = 1.0
+    return bound * (1.0 + BOUND_SLACK)
 
 
 def find_best_split(leaf: LeafStats, ctx: OptimizationContext) -> SplitDecision | None:

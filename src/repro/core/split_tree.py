@@ -18,7 +18,7 @@ The module provides
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.core.scoring import duplication_interval, grid_cell_load
 from repro.core.split import KIND_GRID, KIND_REGULAR, SplitDecision
 from repro.exceptions import PartitioningError
 from repro.geometry.band import BandCondition
+from repro.geometry.region import Region
 
 
 @dataclass
@@ -55,27 +56,45 @@ class SplitNode:
         return self.split_dim is None
 
 
+#: Columns of :meth:`SplitTree.leaf_counts`.
+COUNT_COLUMNS = ("n_s", "n_t", "n_out", "grid_rows", "grid_cols")
+
+
 class SplitTree:
-    """Mutable split tree grown by the RecPart optimizer."""
+    """Mutable split tree grown by the RecPart optimizer.
+
+    Besides the nodes, the tree keeps every node's sample counts and grid
+    shape in one array indexed by node id, plus a mask of the current
+    leaves, so that pricing the current partitioning (once per optimizer
+    iteration) is array arithmetic rather than a walk over the leaves.
+    """
 
     def __init__(self, ctx: OptimizationContext) -> None:
         self.ctx = ctx
-        self._next_id = 0
-        root_leaf = LeafStats(
-            node_id=0,
-            region=ctx.root_region(),
+        self._nodes: dict[int, SplitNode] = {}
+        self._counts = np.zeros((16, len(COUNT_COLUMNS)), dtype=np.int64)
+        self._alive = np.zeros(16, dtype=bool)
+        self.root = self._add_leaf(
+            ctx.root_region(),
             s_rows=np.arange(ctx.input_sample.s_values.shape[0]),
             t_rows=np.arange(ctx.input_sample.t_values.shape[0]),
             out_rows=np.arange(len(ctx.output_sample)),
         )
-        self.root = SplitNode(node_id=self._take_id(), leaf=root_leaf)
-        self._nodes: dict[int, SplitNode] = {self.root.node_id: self.root}
-        self._leaf_ids: set[int] = {self.root.node_id}
 
-    def _take_id(self) -> int:
-        node_id = self._next_id
-        self._next_id += 1
-        return node_id
+    def _add_leaf(
+        self, region: Region, s_rows: np.ndarray, t_rows: np.ndarray, out_rows: np.ndarray
+    ) -> SplitNode:
+        """Create a leaf node under the next node id."""
+        node_id = len(self._nodes)
+        if node_id == self._alive.size:
+            self._counts = np.concatenate([self._counts, np.zeros_like(self._counts)])
+            self._alive = np.concatenate([self._alive, np.zeros_like(self._alive)])
+        leaf = LeafStats(node_id, region, s_rows, t_rows, out_rows)
+        node = SplitNode(node_id=node_id, leaf=leaf)
+        self._nodes[node_id] = node
+        self._counts[node_id] = (s_rows.size, t_rows.size, out_rows.size, 1, 1)
+        self._alive[node_id] = True
+        return node
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -84,20 +103,29 @@ class SplitTree:
         """Return the node with the given id."""
         return self._nodes[node_id]
 
+    def _leaf_ids(self) -> np.ndarray:
+        """Return the node ids of the current leaves, ascending."""
+        return np.flatnonzero(self._alive)
+
     def leaves(self) -> list[LeafStats]:
-        """Return the payloads of all current leaves."""
-        return [self._nodes[i].leaf for i in sorted(self._leaf_ids)]
+        """Return the payloads of all current leaves (ascending node id)."""
+        return [self._nodes[i].leaf for i in self._leaf_ids().tolist()]
 
     @property
     def n_leaves(self) -> int:
         """Return the current number of leaves."""
-        return len(self._leaf_ids)
+        return int(np.count_nonzero(self._alive))
+
+    def leaf_counts(self) -> np.ndarray:
+        """Return a ``(5, leaves)`` array of the current leaves' sample counts
+        and grid shapes (rows :data:`COUNT_COLUMNS`), in ascending node id."""
+        return self._counts[self._alive].T
 
     def snapshot(self) -> dict[int, tuple[int, int]]:
         """Return the current partitioning as ``{leaf node id: (grid rows, grid cols)}``."""
         return {
             node_id: (self._nodes[node_id].leaf.grid_rows, self._nodes[node_id].leaf.grid_cols)
-            for node_id in sorted(self._leaf_ids)
+            for node_id in self._leaf_ids().tolist()
         }
 
     # ------------------------------------------------------------------ #
@@ -106,7 +134,7 @@ class SplitTree:
     def apply_split(self, node_id: int, decision: SplitDecision) -> list[LeafStats]:
         """Apply a split decision to a leaf and return the new/updated leaf payloads."""
         node = self._nodes[node_id]
-        if not node.is_leaf or node_id not in self._leaf_ids:
+        if not node.is_leaf:
             raise PartitioningError(f"node {node_id} is not a leaf")
         if decision.kind == KIND_GRID:
             return self._apply_grid_split(node, decision)
@@ -120,6 +148,7 @@ class SplitTree:
             leaf.grid_cols += 1
         else:
             raise PartitioningError(f"unknown grid increment {decision.grid_increment!r}")
+        self._counts[node.node_id, 3:] = (leaf.grid_rows, leaf.grid_cols)
         leaf.bump_version()
         return [leaf]
 
@@ -160,22 +189,18 @@ class SplitTree:
             mask = dup_left_mask if left else dup_right_mask
             return dup_rows[mask]
 
-        left_leaf = LeafStats(
-            node_id=self._next_id,
-            region=left_region,
+        left_node = self._add_leaf(
+            left_region,
             s_rows=side_rows("S", left=True),
             t_rows=side_rows("T", left=True),
             out_rows=leaf.out_rows[out_left_mask],
         )
-        left_node = SplitNode(node_id=self._take_id(), leaf=left_leaf)
-        right_leaf = LeafStats(
-            node_id=self._next_id,
-            region=right_region,
+        right_node = self._add_leaf(
+            right_region,
             s_rows=side_rows("S", left=False),
             t_rows=side_rows("T", left=False),
             out_rows=leaf.out_rows[~out_left_mask],
         )
-        right_node = SplitNode(node_id=self._take_id(), leaf=right_leaf)
 
         node.split_dim = dim
         node.split_value = value
@@ -183,13 +208,8 @@ class SplitTree:
         node.left = left_node
         node.right = right_node
         leaf.bump_version()
-
-        self._nodes[left_node.node_id] = left_node
-        self._nodes[right_node.node_id] = right_node
-        self._leaf_ids.discard(node.node_id)
-        self._leaf_ids.add(left_node.node_id)
-        self._leaf_ids.add(right_node.node_id)
-        return [left_leaf, right_leaf]
+        self._alive[node.node_id] = False
+        return [left_node.leaf, right_node.leaf]
 
     # ------------------------------------------------------------------ #
     # Freezing into an executable partitioning

@@ -15,7 +15,7 @@ and which of the intermediate partitionings to keep (Section 4.2,
   the last ``w`` iterations.
 
 Both are implemented as trackers fed once per repeat-loop iteration with the
-current set of leaves.
+split tree, whose per-leaf counts they price.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 
 from repro.config import TERMINATION_IMPROVEMENT_THRESHOLD
 from repro.core.assignment import lpt_assignment, worker_loads
-from repro.core.partition import LeafStats, OptimizationContext
+from repro.core.partition import OptimizationContext
+from repro.core.split_tree import SplitTree
 from repro.exceptions import OptimizationError
 
 
@@ -53,24 +54,20 @@ class PartitioningEstimate:
         return max(self.duplication_overhead, self.load_overhead)
 
 
-def estimate_partitioning(
-    leaves: list[LeafStats], ctx: OptimizationContext
-) -> PartitioningEstimate:
+def estimate_partitioning(counts: np.ndarray, ctx: OptimizationContext) -> PartitioningEstimate:
     """Estimate total input, max worker load and lower-bound overheads of a partitioning.
 
-    Execution units (leaves, or 1-Bucket cells of small leaves) are assigned
-    to workers with the same LPT heuristic the final partitioning uses, so
-    the estimate matches what execution would see (up to sampling error).
+    ``counts`` holds one column per leaf — its sampled S, T and output
+    counts and its grid rows and columns, as :meth:`SplitTree.leaf_counts
+    <repro.core.split_tree.SplitTree.leaf_counts>` returns them.  Execution
+    units (leaves, or 1-Bucket cells of small leaves) are assigned to workers
+    with the same LPT heuristic the final partitioning uses, so the estimate
+    matches what execution would see (up to sampling error).
     """
-    if not leaves:
+    if counts.shape[1] == 0:
         raise OptimizationError("cannot estimate an empty partitioning")
     # The LeafStats estimates, as arrays over the leaves (same float operations).
-    n_s, n_t, n_out, rows, cols = np.array(
-        [
-            (leaf.s_rows.size, leaf.t_rows.size, leaf.out_rows.size, leaf.grid_rows, leaf.grid_cols)
-            for leaf in leaves
-        ]
-    ).T
+    n_s, n_t, n_out, rows, cols = counts
     est_s, est_t = n_s * ctx.s_scale, n_t * ctx.t_scale
     n_units = rows * cols
     unit_input = est_s / rows + est_t / cols
@@ -122,15 +119,13 @@ class TerminationTracker(abc.ABC):
         self.best_estimate: PartitioningEstimate | None = None
         self.iterations: int = 0
 
-    def record(
-        self, leaves: list[LeafStats], snapshot: dict[int, tuple[int, int]]
-    ) -> PartitioningEstimate:
-        """Record the current partitioning; returns its estimate."""
-        estimate = estimate_partitioning(leaves, self.ctx)
+    def record(self, tree: SplitTree) -> PartitioningEstimate:
+        """Record the tree's current partitioning; returns its estimate."""
+        estimate = estimate_partitioning(tree.leaf_counts(), self.ctx)
         objective = self.objective(estimate)
         if objective < self.best_objective:
             self.best_objective = objective
-            self.best_snapshot = dict(snapshot)
+            self.best_snapshot = tree.snapshot()
             self.best_estimate = estimate
         self.iterations += 1
         self._after_record(estimate, objective)

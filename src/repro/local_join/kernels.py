@@ -211,7 +211,7 @@ def residual_mask(
     for i in range(s_arr.shape[1]):
         if i == skip_dim:
             continue
-        diff = t_arr[t_pos, i] - s_arr[s_pos, i]
+        diff = t_arr[:, i].take(t_pos) - s_arr[:, i].take(s_pos)
         keep &= (diff >= -eps_left[i]) & (diff <= eps_right[i])
     return keep
 

@@ -12,6 +12,7 @@ from repro.cost.lower_bounds import compute_lower_bounds
 from repro.data.generators import correlated_pair, uniform_relation
 from repro.engine import ParallelJoinEngine
 from repro.exceptions import PartitioningError
+from repro.experiments.workloads import pareto_workload
 from repro.geometry.band import BandCondition
 
 
@@ -176,6 +177,15 @@ class TestRecPartConfiguration:
         ParallelJoinEngine(backend="serial").execute(
             s, t, condition_3d_wide, partitioning, verify="count"
         )
+
+    def test_duplication_scoring_splits(self):
+        """Least-duplication scoring still splits wherever a split reduces
+        load variance (it used to score every split <= 0 and never split)."""
+        s, t, condition = pareto_workload(0.05, dimensions=3, rows_per_input=4000).build()
+        config = RecPartConfig(scoring="duplication")
+        partitioning = RecPartPartitioner(config=config).partition(s, t, condition, workers=8)
+        assert partitioning.stats.iterations > 0
+        assert partitioning.n_units > 1
 
     def test_grid_mode_used_when_band_width_huge(self):
         """When the whole space is smaller than twice the band width, the root is a

@@ -88,7 +88,7 @@ def _reference_score(leaf, ctx, dim, duplicated_side, boundaries):
     if ctx.scoring_mode == "variance":
         ratios = variance_reduction
     elif ctx.scoring_mode == "duplication":
-        ratios = -np.maximum(duplication_increase, 0.0)
+        ratios = np.where(variance_reduction > 0, 1.0 / (1.0 + duplication_increase), 0.0)
     else:
         ratios = variance_reduction / np.maximum(duplication_increase, MIN_DUPLICATION_FLOOR)
     ranks = np.where(variance_reduction > 0, 1, 0)

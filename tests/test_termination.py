@@ -72,9 +72,20 @@ def context(rng) -> OptimizationContext:
     )
 
 
-def _grow(tree: SplitTree, steps: int) -> list[list[LeafStats]]:
-    """Grow the tree greedily, returning the leaf list after every step."""
-    states = [tree.leaves()]
+def leaf_counts(leaves: list[LeafStats]) -> np.ndarray:
+    """The ``SplitTree.leaf_counts`` columns of a list of leaves."""
+    return np.array(
+        [
+            (leaf.s_rows.size, leaf.t_rows.size, leaf.out_rows.size, leaf.grid_rows, leaf.grid_cols)
+            for leaf in leaves
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 5).T
+
+
+def _grow(tree: SplitTree, steps: int) -> list[np.ndarray]:
+    """Grow the tree greedily, returning the leaf counts after every step."""
+    states = [tree.leaf_counts()]
     for _ in range(steps):
         best_leaf, best_decision = None, None
         for leaf in tree.leaves():
@@ -86,14 +97,14 @@ def _grow(tree: SplitTree, steps: int) -> list[list[LeafStats]]:
         if best_decision is None:
             break
         tree.apply_split(best_leaf.node_id, best_decision)
-        states.append(tree.leaves())
+        states.append(tree.leaf_counts())
     return states
 
 
 class TestEstimatePartitioning:
     def test_root_estimate_matches_totals(self, context):
         tree = SplitTree(context)
-        estimate = estimate_partitioning(tree.leaves(), context)
+        estimate = estimate_partitioning(tree.leaf_counts(), context)
         assert estimate.total_input == pytest.approx(context.input_sample.total_input)
         assert estimate.n_units == 1
         assert estimate.duplication_overhead == pytest.approx(0.0)
@@ -102,13 +113,13 @@ class TestEstimatePartitioning:
 
     def test_empty_partitioning_rejected(self, context):
         with pytest.raises(OptimizationError):
-            estimate_partitioning([], context)
+            estimate_partitioning(leaf_counts([]), context)
 
     def test_splitting_reduces_load_overhead(self, context):
         tree = SplitTree(context)
-        before = estimate_partitioning(tree.leaves(), context)
+        before = estimate_partitioning(tree.leaf_counts(), context)
         _grow(tree, 8)
-        after = estimate_partitioning(tree.leaves(), context)
+        after = estimate_partitioning(tree.leaf_counts(), context)
         assert after.load_overhead < before.load_overhead
 
     def test_duplication_monotonically_non_decreasing(self, context):
@@ -152,16 +163,17 @@ class TestEstimatePartitioning:
             )
             for i in range(n_leaves)
         ]
-        assert estimate_partitioning(leaves, ctx) == reference_estimate_partitioning(leaves, ctx)
+        estimate = estimate_partitioning(leaf_counts(leaves), ctx)
+        assert estimate == reference_estimate_partitioning(leaves, ctx)
 
 
 class TestTheoreticalTermination:
     def test_tracks_best_snapshot(self, context):
         tree = SplitTree(context)
         tracker = TheoreticalTermination(context)
-        tracker.record(tree.leaves(), tree.snapshot())
+        tracker.record(tree)
         _grow(tree, 6)
-        tracker.record(tree.leaves(), tree.snapshot())
+        tracker.record(tree)
         assert tracker.best_snapshot is not None
         assert tracker.best_estimate is not None
         assert tracker.iterations == 2
@@ -169,14 +181,14 @@ class TestTheoreticalTermination:
     def test_stops_when_duplication_exceeds_best_load_overhead(self, context):
         tracker = TheoreticalTermination(context)
         tree = SplitTree(context)
-        tracker.record(tree.leaves(), tree.snapshot())
+        tracker.record(tree)
         assert not tracker.should_stop()
         # Simulate a later state whose duplication overhead exceeds the best
         # load overhead recorded so far by monkey-patching the estimate inputs:
         # grow until that happens or the tree is exhausted.
         for _ in range(60):
             _grow(tree, 1)
-            tracker.record(tree.leaves(), tree.snapshot())
+            tracker.record(tree)
             if tracker.should_stop():
                 break
         # The tracker must never report a best objective worse than the first one.
@@ -201,7 +213,7 @@ class TestCostModelTermination:
         tree = SplitTree(context)
         # Record the same (unchanged) partitioning repeatedly: zero improvement.
         for _ in range(6):
-            tracker.record(tree.leaves(), tree.snapshot())
+            tracker.record(tree)
         assert tracker.should_stop()
 
     def test_does_not_stop_while_improving(self, context):
@@ -209,11 +221,11 @@ class TestCostModelTermination:
             context, cost_model=default_running_time_model(), window=3, improvement_threshold=0.01
         )
         tree = SplitTree(context)
-        tracker.record(tree.leaves(), tree.snapshot())
+        tracker.record(tree)
         stopped_early = False
         for _ in range(4):
             _grow(tree, 1)
-            tracker.record(tree.leaves(), tree.snapshot())
+            tracker.record(tree)
             if tracker.should_stop():
                 stopped_early = True
         # While each iteration still improves the predicted time, no stop signal.
@@ -224,8 +236,8 @@ class TestCostModelTermination:
             context, cost_model=default_running_time_model(), window=4
         )
         tree = SplitTree(context)
-        tracker.record(tree.leaves(), tree.snapshot())
+        tracker.record(tree)
         for _ in range(10):
             _grow(tree, 1)
-            tracker.record(tree.leaves(), tree.snapshot())
+            tracker.record(tree)
         assert tracker.best_objective == pytest.approx(min(tracker._history))

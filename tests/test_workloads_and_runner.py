@@ -215,7 +215,7 @@ class TestRunner:
 #: RecPart-S and CSIO rows were re-recorded when the output sampler started
 #: growing one sample instead of re-drawing it (the other two methods draw no
 #: output sample).  Per method: (I, I_m, O_m, total output, units, predicted
-#: join time).
+#: join time).  The d=3 row was recorded at commit c4a56bd.
 GOLDEN_MEASURES = {
     (0.001, 1, 4000, 4): {
         "RecPart-S": (8028, 2057, 4655, 18119, 28, 20911.0),
@@ -229,6 +229,12 @@ GOLDEN_MEASURES = {
         "1-Bucket": (15000, 2502, 4868, 26667, 6, 29876.0),
         "Grid-eps": (18030, 3145, 4763, 26667, 8223, 35373.0),
     },
+    (0.05, 3, 3000, 6): {
+        "RecPart-S": (6222, 1098, 120, 1408, 36, 10734.0),
+        "CSIO": (7250, 1375, 421, 1408, 6, 13171.0),
+        "1-Bucket": (15000, 2523, 266, 1408, 6, 25358.0),
+        "Grid-eps": (20927, 3542, 257, 1408, 60652, 35352.0),
+    },
 }
 
 
@@ -238,7 +244,7 @@ class TestGoldenPaperMeasures:
     rewritten."""
 
     @pytest.mark.parametrize(
-        "band_width, dimensions, rows, workers", GOLDEN_MEASURES, ids=["d1", "d2"]
+        "band_width, dimensions, rows, workers", GOLDEN_MEASURES, ids=["d1", "d2", "d3"]
     )
     def test_run_workload_reproduces_recorded_measures(
         self, band_width, dimensions, rows, workers
