@@ -4,9 +4,13 @@ Measures the four execution paths of :class:`repro.service.BandJoinService`
 on the standard Table-2-style Pareto workload:
 
 ``cold``
-    First query for an epsilon: RecPart optimization plus a full join.
+    First query for an epsilon: a full join, either as one inline kernel
+    call or after a RecPart optimization, whichever the service's measured
+    prices say is cheaper (the first epsilon always plans: its plan price is
+    not known yet).
 ``plan_cache``
-    Result caches dropped, plans kept: full join under a cached plan.
+    Result caches dropped, plans kept: full join under a cached plan (only
+    the epsilons whose cold query planned have one).
 ``result_cache``
     Repeat query: answered from the materialized-result cache.
 ``delta``
@@ -117,20 +121,28 @@ def run_service_benchmark(rows_per_input: int) -> dict:
             "bench", "S", "T", attributes=attributes, epsilons=EPSILONS[0]
         )
 
-        # Path 1: cold — every epsilon optimizes its own plan and joins.
+        # Path 1: cold — every epsilon joins inline or optimizes and joins.
+        planned: dict[float, bool] = {}
         for eps in EPSILONS:
             result = service.query("bench", eps)
             assert result.path == "cold", result.path
             latencies["cold"].append(result.seconds)
             outputs[eps] = result.n_pairs
+            planned[eps] = not result.inline
 
         # Path 2: plan-cached — drop materialized results, keep the plans.
+        # An epsilon whose cold query planned runs its cached plan; one that
+        # joined inline built no plan and joins inline again.
         prepared.invalidate()
         for eps in EPSILONS:
             result = service.query("bench", eps)
-            assert result.path == "plan_cache", result.path
-            latencies["plan_cache"].append(result.seconds)
+            expected_path = "plan_cache" if planned[eps] else "cold"
+            assert (result.path, result.inline) == (expected_path, not planned[eps]), (
+                eps, result.path, result.inline,
+            )
             assert result.n_pairs == outputs[eps]
+            if planned[eps]:
+                latencies["plan_cache"].append(result.seconds)
 
         # Path 3: result-cached — repeats answer from the result cache.
         for _ in range(RESULT_CACHE_REPEATS):
@@ -194,6 +206,10 @@ def run_service_benchmark(rows_per_input: int) -> dict:
             if throughput_seconds
             else float("inf"),
             "scheduler": scheduler_snapshot,
+        },
+        "cold_decisions": {
+            "planned": sum(planned.values()),
+            "inline": len(planned) - sum(planned.values()),
         },
         "output_pairs": {str(eps): count for eps, count in sorted(outputs.items())},
         "capture": capture,

@@ -1,18 +1,23 @@
 """Builds :class:`~repro.obs.explain.report.QueryPlanReport` trees.
 
-EXPLAIN resolves the partitioning through the engine's plan cache (recording
-whether it was cached or optimized on the spot), routes a deterministic row
-sample of both relations through it to estimate per-worker input, splits the
-sampled output estimate across workers by their candidate share, prices the
-expected kernel chunking against the byte budget, and reports the local
-kernel beside the sampled per-dimension window fractions.  No engine
-dispatch runs.
+EXPLAIN first takes the prepared query's cold decision: an ``inline`` node
+carries the parallelism p and the two prices that chose between one inline
+kernel call and a plan.  When the base join would run under a plan, EXPLAIN
+resolves the partitioning through the engine's plan cache (recording
+whether it was cached or optimized on the spot) and routes a deterministic
+row sample of both relations through it to estimate per-worker input; an
+inline join builds no plan and is estimated as one worker holding
+everything.  Either way it splits the sampled output estimate across
+workers by their candidate share, prices the expected kernel chunking
+against the byte budget, and reports the local kernel beside the sampled
+per-dimension window fractions.  No engine dispatch runs.
 
 EXPLAIN ANALYZE additionally executes the query (through whatever callable
 the caller supplies — the service routes it through the scheduler so
 analyzed runs share single-flight and admission control) and grafts the
 measured figures onto the same nodes: true pair counts, per-worker
-input/output/wall-time from the partitioned base join's job statistics,
+input/output/wall-time from the base join's job statistics (the inline
+node's seconds when it ran inline),
 and kernel chunk / candidate totals diffed from the process-wide
 kernel-profiling counters.  Every node with both figures then carries a
 q-error.  The inline local join of appended rows gets a node of its own.
@@ -123,14 +128,22 @@ def build_report(
     condition = prepared.condition(ekey)
     s_snap, t_snap = prepared.snapshots()
 
-    plan, plan_cached = prepared.engine.plan_cache.get_or_build(
-        prepared.partitioner, s_snap.base, t_snap.base, condition, prepared.workers
-    )
+    decision = prepared.cold_decision(ekey, (s_snap, t_snap))
+    plan, plan_cached = decision.plan, decision.plan is not None
+    if plan is None and not decision.inline:
+        plan, plan_cached = prepared.engine.plan_cache.get_or_build(
+            prepared.partitioner, s_snap.base, t_snap.base, condition, prepared.workers
+        )
 
     s_sample, s_scale = _sampled_matrix(s_snap.full, prepared.attributes)
     t_sample, t_scale = _sampled_matrix(t_snap.full, prepared.attributes)
-    s_counts = _worker_counts(plan, s_sample, "S", s_scale)
-    t_counts = _worker_counts(plan, t_sample, "T", t_scale)
+    if plan is None:  # one inline task holds both relations
+        s_counts = np.array([s_sample.shape[0] * s_scale])
+        t_counts = np.array([t_sample.shape[0] * t_scale])
+    else:
+        s_counts = _worker_counts(plan, s_sample, "S", s_scale)
+        t_counts = _worker_counts(plan, t_sample, "T", t_scale)
+    n_workers = s_counts.size
     fractions = window_fractions(s_sample, t_sample, condition)
     best_fraction = float(fractions.min()) if fractions.size else 0.0
 
@@ -143,7 +156,7 @@ def build_report(
     output_shares = (
         products / product_total
         if product_total > 0
-        else np.full(plan.workers, 1.0 / plan.workers)
+        else np.full(n_workers, 1.0 / n_workers)
     )
     est_outputs = est_output_total * output_shares
     # The kernel expands the 1-D windows of its sweep dimension while that is
@@ -183,7 +196,7 @@ def build_report(
             )
         )
     est_total_input = float(s_counts.sum() + t_counts.sum())
-    est_max_input = float((s_counts + t_counts).max()) if plan.workers else 0.0
+    est_max_input = float((s_counts + t_counts).max())
     est_max_output = float(est_outputs.max()) if est_outputs.size else 0.0
 
     root = PlanNode(
@@ -198,29 +211,40 @@ def build_report(
         },
     ).estimate(pairs=est_pairs)
 
-    plan_node = root.child(
-        "partitioning",
-        method=plan.method,
-        units=plan.n_units,
-        plan_cached=plan_cached,
-        optimization_seconds=round(plan.stats.optimization_seconds, 6),
-    ).estimate(
-        total_input=est_total_input,
-        max_input=est_max_input,
-        output=est_output_total,
-    )
-    stats = plan.stats
-    if stats.estimated_total_input is not None or stats.estimated_output is not None:
-        plan_node.child("optimizer", source="partitioning sample over base rows").estimate(
-            total_input=stats.estimated_total_input,
-            max_load=stats.estimated_max_load,
-            output=stats.estimated_output,
+    plan_node = None
+    if plan is not None:
+        plan_node = root.child(
+            "partitioning",
+            method=plan.method,
+            units=plan.n_units,
+            plan_cached=plan_cached,
+            optimization_seconds=round(plan.stats.optimization_seconds, 6),
+        ).estimate(
+            total_input=est_total_input,
+            max_input=est_max_input,
+            output=est_output_total,
         )
+        stats = plan.stats
+        if stats.estimated_total_input is not None or stats.estimated_output is not None:
+            plan_node.child("optimizer", source="partitioning sample over base rows").estimate(
+                total_input=stats.estimated_total_input,
+                max_load=stats.estimated_max_load,
+                output=stats.estimated_output,
+            )
+    # The prices of the cold decision: κ·L is the inline node's seconds
+    # estimate (EXPLAIN ANALYZE grafts the measured ones when it ran inline).
+    inline_node = root.child(
+        "inline",
+        chosen=decision.inline,
+        parallelism=decision.parallelism,
+        **({} if decision.plan_seconds is None else {"plan_seconds": decision.plan_seconds}),
+    ).estimate(seconds=decision.inline_seconds)
     worker_nodes = []
-    for w in range(plan.workers):
+    for w in range(n_workers):
         candidates = float(est_candidates[w])
+        node = inline_node if plan_node is None else plan_node.child(f"worker {w}")
         worker_nodes.append(
-            plan_node.child(f"worker {w}").estimate(
+            node.estimate(
                 input=float(s_counts[w] + t_counts[w]),
                 output=float(est_outputs[w]),
                 candidates=candidates,
@@ -284,20 +308,22 @@ def build_report(
         # QueryResult still carries the job stats of the run that produced
         # it, which would misattribute that run's wall times to this one).
         root.attrs["served_from_cache"] = True
-    elif job is not None:
-        # Per-worker actuals exist only when the partitioned base join ran.
-        plan_node.actual(
-            total_input=job.total_input,
-            max_input=job.max_worker_input(weights),
-            output=job.total_output,
-        )
-        for child in plan_node.children:
-            if child.name == "optimizer":
-                child.actual(
-                    total_input=job.total_input,
-                    max_load=job.max_worker_load(weights),
-                    output=job.total_output,
-                )
+    elif job is not None and result.inline == (plan_node is None):
+        # Per-worker actuals exist only when the base join ran the way
+        # EXPLAIN decided: under the plan, or as the one inline task.
+        if plan_node is not None:
+            plan_node.actual(
+                total_input=job.total_input,
+                max_input=job.max_worker_input(weights),
+                output=job.total_output,
+            )
+            for child in plan_node.children:
+                if child.name == "optimizer":
+                    child.actual(
+                        total_input=job.total_input,
+                        max_load=job.max_worker_load(weights),
+                        output=job.total_output,
+                    )
         by_id = {w.worker_id: w for w in job.workers}
         for w, node in enumerate(worker_nodes):
             actual = by_id.get(w)

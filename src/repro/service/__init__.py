@@ -26,7 +26,7 @@ Quickstart
 >>> service.register("S", {"A1": s_values})
 >>> service.register("T", {"A1": t_values})
 >>> service.prepare("near", "S", "T", attributes=["A1"], epsilons=0.01)
->>> service.query("near").path      # 'cold' — optimizes, joins, caches
+>>> service.query("near").path      # 'cold' — plans or joins inline, caches
 >>> service.query("near").path      # 'result_cache'
 >>> service.append("T", {"A1": more_values})
 >>> service.query("near").path      # 'delta' — joins only the new rows
@@ -40,6 +40,7 @@ from repro.service.prepared import (
     PATH_RESULT_CACHE,
     PreparedQuery,
     PreparedQueryStats,
+    PriceList,
     QueryResult,
 )
 from repro.service.scheduler import QueryScheduler, SchedulerMetrics
@@ -52,6 +53,7 @@ __all__ = [
     "RelationSnapshot",
     "PreparedQuery",
     "PreparedQueryStats",
+    "PriceList",
     "QueryResult",
     "QueryScheduler",
     "SchedulerMetrics",

@@ -4,8 +4,8 @@ A :class:`PreparedQuery` binds a catalog relation pair to a band-condition
 *template*: the join attributes are fixed at prepare time, the epsilon
 widths are parameters supplied per execution.  Execution resolves through
 the engine's :class:`~repro.engine.plan_cache.PlanCache` (so the expensive
-RecPart optimization runs once per (base contents, epsilon) combination)
-and through a per-query **result cache** of materialized pair sets keyed by
+RecPart optimization runs at most once per (base contents, epsilon)
+combination, and only where a plan pays for itself) and through a per-query **result cache** of materialized pair sets keyed by
 ``(s version, t version, epsilons)`` — appending to either relation bumps
 its version, which invalidates every affected result automatically.
 
@@ -47,16 +47,19 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.config import DEFAULT_RESULT_CACHE_SIZE, DEFAULT_WORKERS, MAX_WORKERS
+from repro.core.partitioner import JoinPartitioning
 from repro.distributed.stats import JobStats, WorkerStats, merge_job_stats
-from repro.engine import deadline
+from repro.engine import backends, deadline
 from repro.engine.backends import execute_task
 from repro.engine.engine import ParallelJoinEngine
+from repro.engine.plan_cache import plan_key
 from repro.engine.routing import WorkerTask
+from repro.engine.sources import StoreMatrixSource
 from repro.exceptions import ServiceError
 from repro.geometry.band import BandCondition
 from repro.obs import tracer
@@ -64,6 +67,8 @@ from repro.obs.workload.recorder import format_fingerprint, pair_hash
 from repro.service.catalog import RelationCatalog, RelationSnapshot
 
 __all__ = [
+    "ColdDecision",
+    "PriceList",
     "QueryResult",
     "PreparedQuery",
     "PreparedQueryStats",
@@ -72,7 +77,7 @@ __all__ = [
 ]
 
 #: Execution paths a query can take, slowest to fastest.
-PATH_COLD = "cold"                  # optimize + full join
+PATH_COLD = "cold"                  # full join: one inline call, or optimize + plan
 PATH_PLAN_CACHE = "plan_cache"      # cached plan + full join
 PATH_DELTA = "delta"                # cached result + joins of the new rows
 PATH_RESULT_CACHE = "result_cache"  # cached materialized result
@@ -101,7 +106,7 @@ class QueryResult:
     t_version: int
     seconds: float
     optimization_seconds: float = 0.0
-    #: The partitioned base join run for this answer (``None`` on the delta path).
+    #: The base join run for this answer (``None`` on the delta path).
     base_job: JobStats | None = None
     #: The inline local join of the rows appended since (one worker).
     delta_job: JobStats | None = None
@@ -115,6 +120,9 @@ class QueryResult:
     #: :func:`~repro.obs.workload.recorder.pair_hash` of every pair (mod
     #: 2⁶⁴); a delta answer is built with its anchor's plus the new pairs'.
     pair_sum: int | None = None
+    #: The base join ran as one inline kernel call, not under a plan
+    #: (``base_job`` is then a one-worker job).
+    inline: bool = False
 
     @property
     def pairs(self) -> np.ndarray:
@@ -169,6 +177,52 @@ class QueryResult:
                     break
             info["sample"] = head
         return info
+
+
+@dataclass
+class PriceList:
+    """The last measured prices a cold query is decided with.
+
+    One list is shared by all prepared queries of a service.  It holds two
+    kinds of number, each simply the last measurement:
+
+    ``seconds_per_load`` (κ)
+        Σ local-join seconds ÷ Σ load (β_in·input + β_out·output, the
+        engine's :class:`~repro.config.LoadWeights`) over the tasks of the
+        last cold execution, inline or planned.  Delta joins are too small
+        to give a good rate and do not update it.
+    ``plan_seconds`` (P)
+        Optimization plus routing seconds of the last plan built per
+        ``(partitioner.plan_cache_key(), workers, d)``.
+    """
+
+    seconds_per_load: float | None = None
+    plan_seconds: dict = field(default_factory=dict)
+
+    def record_rate(self, job: JobStats, weights) -> None:
+        """Take κ from the tasks of one executed job (kept when it had no load)."""
+        load = float(job.worker_loads(weights).sum())
+        if load > 0:
+            self.seconds_per_load = job.total_local_seconds / load
+
+
+@dataclass(frozen=True)
+class ColdDecision:
+    """How the base join of a query without an anchor runs, and why.
+
+    ``plan`` is the cached plan when there is one, which always runs.
+    Otherwise the join goes ``inline`` (one kernel call on the calling
+    thread) when ``parallelism`` p is 1, or when the plan's price
+    κ·L/p + P is known and not below the inline price κ·L, where L is the
+    load of both bases and the sampled output estimate.  The prices are
+    ``None`` when a number they need was never measured.
+    """
+
+    inline: bool
+    parallelism: int
+    inline_seconds: float | None = None
+    plan_seconds: float | None = None
+    plan: JoinPartitioning | None = None
 
 
 @dataclass
@@ -246,9 +300,12 @@ class PreparedQuery:
     workers:
         Partition-worker budget of the optimized plans.
     partitioner:
-        Optimizer used on plan-cache misses (RecPart by default).
+        Optimizer used when a cold query plans (RecPart by default).
     result_cache_size:
         LRU capacity of the materialized-result cache.
+    prices:
+        The :class:`PriceList` cold queries are decided with (a service
+        shares one across its prepared queries); a fresh one when ``None``.
     """
 
     def __init__(
@@ -262,6 +319,7 @@ class PreparedQuery:
         workers: int = DEFAULT_WORKERS,
         partitioner=None,
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
+        prices: PriceList | None = None,
     ) -> None:
         if not attributes:
             raise ServiceError("a prepared query needs at least one join attribute")
@@ -280,6 +338,10 @@ class PreparedQuery:
 
             partitioner = RecPartPartitioner(weights=engine.weights)
         self.partitioner = partitioner
+        self.prices = prices if prices is not None else PriceList()
+        self._plan_config = partitioner.plan_cache_key()
+        #: Key of this query's plan price P in ``prices.plan_seconds``.
+        self.price_key = (self._plan_config, self.workers, len(self.attributes))
         self.result_cache_size = result_cache_size
         self.default_epsilons = (
             None if default_epsilons is None else self._normalize(default_epsilons)
@@ -384,8 +446,9 @@ class PreparedQuery:
         In order of preference: the materialized-result cache, the delta
         path (the newest cached result on the current base lineage extended
         by the rows appended since), and otherwise the base join under a
-        cached plan or, on a plan-cache miss, the cold path (optimize, then
-        join), extended by the appended rows.
+        cached plan or, on a plan-cache miss, the cold path (one inline
+        kernel call or optimize-then-join, as :meth:`cold_decision`
+        prices them), extended by the appended rows.
         """
         start = time.perf_counter()
         s_snap, t_snap = self.snapshots()
@@ -407,19 +470,15 @@ class PreparedQuery:
 
         condition = self.condition(ekey)
         if anchor is not None:
-            path, optimization_seconds, base_job = PATH_DELTA, 0.0, None
+            path, optimization_seconds, base_job, inline = PATH_DELTA, 0.0, None, False
             segments, total, (s_rows, t_rows) = (
                 anchor.segments, anchor.hash_sum(), anchor.lineage[2:]
             )
         else:
-            base = self.engine.join(
-                s_snap.base, t_snap.base, condition,
-                workers=self.workers, partitioner=self.partitioner, materialize=True,
+            path, optimization_seconds, pairs, base_job, inline = self._base_join(
+                s_snap, t_snap, ekey, condition
             )
-            path = PATH_PLAN_CACHE if base.plan_from_cache else PATH_COLD
-            optimization_seconds = 0.0 if base.plan_from_cache else base.optimization_seconds
-            segments, total = _chain((), base.pairs), pair_hash(base.pairs)
-            base_job = base.job
+            segments, total = _chain((), pairs), pair_hash(pairs)
             s_rows, t_rows = len(s_snap.base), len(t_snap.base)
         chunks, delta_jobs = [], []
         # J(S'[s_rows:], T')  and  J(S'[:s_rows], T'[t_rows:]).
@@ -447,10 +506,84 @@ class PreparedQuery:
             delta_job=merge_job_stats(delta_jobs) if delta_jobs else None,
             lineage=(s_snap.registration, t_snap.registration, s_snap.rows, t_snap.rows),
             pair_sum=total,
+            inline=inline,
         )
         self.store_result(ekey, result)
         self.stats.record(result.path)
         return result
+
+    def _base_join(self, s_snap, t_snap, ekey, condition) -> tuple:
+        """Join the two bases; returns ``(path, optimization seconds, pairs,
+        job, inline)``.  A cold execution leaves its measurements in the
+        prices: κ always, P when it built a plan."""
+        with tracer().span("decide", workers=self.workers) as span:
+            decision = self.cold_decision(ekey, (s_snap, t_snap))
+            span.set(inline=decision.inline, cached=decision.plan is not None)
+        s, t = s_snap.base, t_snap.base
+        weights = self.engine.weights
+        if decision.plan is not None:
+            base = self.engine.execute(s, t, condition, decision.plan, materialize=True)
+            return PATH_PLAN_CACHE, 0.0, base.pairs, base.job, False
+        if decision.inline:
+            sides = [
+                relation.join_matrix(self.attributes)
+                if relation.storage == "memory"
+                else StoreMatrixSource.from_relation(relation, self.attributes)
+                for relation in (s, t)
+            ]
+            try:
+                pairs, job = self._inline_join(*sides, condition)
+            finally:
+                for side in sides:
+                    if isinstance(side, StoreMatrixSource):
+                        side.release()
+            self.prices.record_rate(job, weights)
+            return PATH_COLD, 0.0, pairs, job, True
+        base = self.engine.join(
+            s, t, condition,
+            workers=self.workers, partitioner=self.partitioner, materialize=True,
+        )
+        if base.plan_from_cache:  # another thread built it meanwhile
+            return PATH_PLAN_CACHE, 0.0, base.pairs, base.job, False
+        self.prices.plan_seconds[self.price_key] = (
+            base.optimization_seconds + base.routing_seconds
+        )
+        self.prices.record_rate(base.job, weights)
+        return PATH_COLD, base.optimization_seconds, base.pairs, base.job, False
+
+    def cold_decision(self, epsilons=None, snapshots=None) -> ColdDecision:
+        """Decide how the base join of one epsilon binding runs when no
+        cached result anchors it (see :class:`ColdDecision`).
+
+        ``p`` is ``min(workers, pool size)``, the pool size being the
+        backend's ``max_workers`` or else the CPUs available to the process.
+        A plan-cache lookup is counted only when it hits.
+        """
+        ekey = self.epsilon_key(epsilons)
+        s_snap, t_snap = snapshots if snapshots is not None else self.snapshots()
+        pool = getattr(self.engine.backend, "max_workers", None)
+        p = min(self.workers, pool or backends._default_parallelism())
+        kappa = self.prices.seconds_per_load
+        inline_seconds = plan_seconds = None
+        if kappa is not None:
+            load = self.engine.weights.load(
+                len(s_snap.base) + len(t_snap.base),
+                self.sampled_estimate(ekey),
+            )
+            inline_seconds = kappa * load
+            known = self.prices.plan_seconds.get(self.price_key)
+            if known is not None:
+                plan_seconds = inline_seconds / p + known
+        prices = dict(parallelism=p, inline_seconds=inline_seconds, plan_seconds=plan_seconds)
+        if p == 1:
+            return ColdDecision(inline=True, **prices)
+        key = plan_key(
+            s_snap.base, t_snap.base, self.condition(ekey), self.workers,
+            self.partitioner.name, extra=(self._plan_config, ()),
+        )
+        plan = self.engine.plan_cache.get(key, count_miss=False)
+        inline = plan is None and plan_seconds is not None and inline_seconds <= plan_seconds
+        return ColdDecision(inline=inline, plan=plan, **prices)
 
     def _anchor(self, s_snap, t_snap, ekey) -> QueryResult | None:
         """Return the newest cached result the snapshots extend (lock held):
@@ -501,20 +634,25 @@ class PreparedQuery:
             (np.concatenate(parts), np.concatenate(ids)),
         ]
         (s_matrix, s_ids), (t_matrix, t_ids) = sides if probe_s else sides[::-1]
-        n_s, n_t = len(s_ids), len(t_ids)
+        local, job = self._inline_join(s_matrix, t_matrix, condition)
+        return np.column_stack((s_ids[local[:, 0]], t_ids[local[:, 1]])), job
+
+    def _inline_join(self, s_matrix, t_matrix, condition) -> tuple[np.ndarray, JobStats]:
+        """Join two whole join matrices (arrays or out-of-core
+        :class:`StoreMatrixSource` views) as one task on the calling thread;
+        returns ``(pairs of row positions, one-worker job)``."""
+        n_s, n_t = s_matrix.shape[0], t_matrix.shape[0]
         task = WorkerTask(0, 1, np.arange(n_s), np.zeros(n_s), np.arange(n_t), np.zeros(n_t))
         algorithm = self.engine.backend._budgeted(self.engine.algorithm, concurrency=1)
-        deadline.check("delta join")
+        deadline.check("inline join")
         with tracer().span("local_join", backend="inline", tasks=1) as span:
             outcome = execute_task(
                 task, s_matrix, t_matrix, condition, algorithm, True, span.context
             )
             tracer().attach(span.context, outcome.spans or [])
-        local, output = outcome.pairs, outcome.output
-        worker = WorkerStats(0, n_s, n_t, output, 1, outcome.local_seconds)
-        return (
-            np.column_stack((s_ids[local[:, 0]], t_ids[local[:, 1]])),
-            JobStats([worker], total_output=output, baseline_input=n_s + n_t),
+        worker = WorkerStats(0, n_s, n_t, outcome.output, 1, outcome.local_seconds)
+        return outcome.pairs, JobStats(
+            [worker], total_output=outcome.output, baseline_input=n_s + n_t
         )
 
     def _sorted_first_column(self, snap) -> tuple[np.ndarray, np.ndarray]:
@@ -765,10 +903,17 @@ class PreparedQuery:
 
 
 def _epsilon(value) -> float:
-    """Return one band width as a float; anything but a number is a client error."""
+    """Return one band width as a float; anything but a finite, non-negative
+    number is a client error."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ServiceError(f"epsilons must be numbers, got {value!r}")
-    return float(value)
+    try:
+        width = float(value)
+    except OverflowError:
+        width = math.inf
+    if not math.isfinite(width) or width < 0:
+        raise ServiceError(f"epsilons must be finite and non-negative, got {value!r}")
+    return width
 
 
 def gather_rows(relation, attributes, rows) -> np.ndarray:

@@ -37,7 +37,7 @@ from repro.obs.workload import (
     service_probes,
 )
 from repro.service.catalog import RelationCatalog, RelationSnapshot, _as_relation
-from repro.service.prepared import PreparedQuery, QueryResult
+from repro.service.prepared import PreparedQuery, PriceList, QueryResult
 from repro.service.scheduler import QueryScheduler
 
 __all__ = ["BandJoinService"]
@@ -62,7 +62,7 @@ class BandJoinService:
     >>> service.register("S", {"A1": s_values})
     >>> service.register("T", {"A1": t_values})
     >>> service.prepare("close_pairs", "S", "T", attributes=["A1"], epsilons=0.01)
-    >>> service.query("close_pairs").n_pairs          # cold: optimize + join
+    >>> service.query("close_pairs").n_pairs          # cold: plan + join, or inline
     >>> service.query("close_pairs").path             # 'result_cache'
     >>> service.append("S", {"A1": new_values})
     >>> service.query("close_pairs").path             # 'delta'
@@ -140,6 +140,9 @@ class BandJoinService:
             drain_timeout=self.config.shutdown_drain_seconds,
         )
         self.partitioner = partitioner
+        #: Measured kernel rate and plan prices every prepared query's cold
+        #: path is decided with (see :class:`~repro.service.prepared.PriceList`).
+        self.prices = PriceList()
         self._prepared: dict[str, PreparedQuery] = {}
         self._prepared_lock = threading.Lock()
         self._maintenance_lock = threading.Lock()
@@ -240,6 +243,7 @@ class BandJoinService:
             workers=workers if workers is not None else self.config.workers,
             partitioner=partitioner if partitioner is not None else self.partitioner,
             result_cache_size=self.config.result_cache_size,
+            prices=self.prices,
         )
         with self._prepared_lock:
             if query_name in self._prepared and not replace:

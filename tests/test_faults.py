@@ -634,12 +634,15 @@ class TestServiceChaos:
         with BandJoinService(config) as chaotic:
             chaotic.register("S", dict(s_cols))
             chaotic.register("T", dict(t_cols))
-            chaotic.prepare("q", "S", "T", attributes=["A1"], epsilons=0.05)
+            prepared = chaotic.prepare("q", "S", "T", attributes=["A1"], epsilons=0.05)
+            # The faults hit pool workers: pin the planned path with a free plan.
+            chaotic.prices.seconds_per_load = 1.0
+            chaotic.prices.plan_seconds[prepared.price_key] = 0.0
             result = chaotic.query("q")
             np.testing.assert_array_equal(
                 canonical_pair_order(result.pairs), expected
             )
-            assert not result.stale
+            assert not result.stale and not result.inline
             health = chaotic.health()
             assert health["fault_injection"]["rates"]
         assert faults.active() is None  # close() uninstalled the injector

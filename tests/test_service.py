@@ -54,6 +54,12 @@ def _reference_pairs(s: Relation, t: Relation, eps: float) -> np.ndarray:
     return canonical_pair_order(result.pairs)
 
 
+def pin_planned(prepared: PreparedQuery) -> None:
+    """Seed the shared prices so the query's cold path plans (a free plan)."""
+    prepared.prices.seconds_per_load = 1.0
+    prepared.prices.plan_seconds[prepared.price_key] = 0.0
+
+
 def sync_service(**overrides) -> BandJoinService:
     defaults = dict(compaction="sync", scheduler_workers=2)
     defaults.update(overrides)
@@ -689,8 +695,39 @@ class TestServiceFacadeAndServer:
         assert named in responses[3]["error"]
         assert responses[4]["ok"] and responses[4]["pairs"] == 2
 
+    def test_negative_or_non_finite_epsilons_are_client_errors(self):
+        """A negative, NaN or infinite band width answers ``{"ok": false}``
+        at the door, in a query and as a prepared default, and never counts
+        as an internal failure."""
+        lines = [
+            json.dumps({"op": "register", "name": "S", "columns": {"A1": [0.1, 0.2]}}),
+            json.dumps({"op": "register", "name": "T", "columns": {"A1": [0.15]}}),
+            json.dumps({"op": "prepare", "query": "q", "s": "S", "t": "T",
+                        "attributes": ["A1"], "epsilons": [0.06]}),
+            '{"op": "query", "query": "q", "epsilons": [-0.1]}',
+            '{"op": "query", "query": "q", "epsilons": [NaN]}',
+            '{"op": "query", "query": "q", "epsilons": [1e309]}',
+            '{"op": "query", "query": "q", "epsilons": [[0.1, -0.1]]}',
+            '{"op": "prepare", "query": "p", "s": "S", "t": "T", '
+            '"attributes": ["A1"], "epsilons": -1}',
+            json.dumps({"op": "query", "query": "q"}),
+        ]
+        out = io.StringIO()
+        with sync_service() as service:
+            serve_lines(service, lines, out)
+            failures = service.scheduler.metrics.failures
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [r["ok"] for r in responses] == [True] * 3 + [False] * 5 + [True]
+        for response in responses[3:8]:
+            assert "cause" not in response
+            assert "finite and non-negative" in response["error"]
+        assert failures.get("internal", 0) == 0
+        assert responses[-1]["pairs"] == 2
+
     def test_internal_errors_answer_and_keep_serving(self, monkeypatch):
         """Any exception, not only a ``ReproError``, becomes ``{"ok": false}``."""
+        from repro.engine import backends
+
         rng = np.random.default_rng(19)
         requests = [
             {"op": "register", "name": "S", "columns": {"A1": rng.random(50).tolist()}},
@@ -705,9 +742,14 @@ class TestServiceFacadeAndServer:
             raise RuntimeError("kernel exploded")
 
         monkeypatch.setattr(ParallelJoinEngine, "execute", broken_execute)
+        # The failure is injected into the engine: keep the query on the
+        # planned path, which a one-CPU pool or cheap prices would skip.
+        monkeypatch.setattr(backends, "_default_parallelism", lambda: 2)
         out = io.StringIO()
         with sync_service() as service:
-            serve_lines(service, [json.dumps(r) for r in requests], out)
+            serve_lines(service, [json.dumps(r) for r in requests[:3]], out)
+            pin_planned(service.prepared("q"))
+            serve_lines(service, [json.dumps(r) for r in requests[3:]], out)
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [r["ok"] for r in responses] == [True, True, True, False, True]
         assert responses[3]["cause"] == "internal"
