@@ -2,21 +2,19 @@
 
 Drives the whole introspection surface in-process:
 
-* EXPLAIN without execution — the plan tree carries partitioning,
-  per-worker and cost-model estimates, plan-cache provenance, and the
-  local kernel with its sampled per-dimension window fractions, and the
-  prepared query's execution counter stays untouched,
+* EXPLAIN without execution — the plan tree carries the cold decision's
+  ``inline`` node, partitioning and per-worker estimates, plan-cache
+  provenance, and the local kernel with its sampled per-dimension window
+  fractions, and the prepared query's execution counter stays untouched,
 * EXPLAIN ANALYZE — every estimate node gains actuals with finite
   q-errors and the analyzed root pair count equals the executed result,
-* calibration — after 20+ analyzed runs ``calibrate()`` refits the
-  running-time betas and the next EXPLAIN prices the plan in seconds,
 * hot-path cost — the estimate-accuracy tracker is toggled on every other
-  cached-path request and the interleaved medians must agree within the
-  1% ISSUE budget.
+  cached-path request and the interleaved medians must agree within a
+  1% budget.
 
 Writes the analyzed report to ``EXPLAIN_sample.json`` so CI can upload it
-as an artifact, and merges an ``explain`` block (overhead + calibration
-figures) into ``BENCH_service.json`` at the repository root (override with
+as an artifact, and merges an ``explain`` block (the overhead figures) into
+``BENCH_service.json`` at the repository root (override with
 ``REPRO_BENCH_SERVICE_OUT``).  Exits non-zero on any violation.
 
 Run with::
@@ -43,7 +41,6 @@ SAMPLE_PATH = ROOT / "EXPLAIN_sample.json"
 ROWS = 4000
 DIMENSIONS = 2
 EPSILONS = (0.004, 0.006, 0.008, 0.010, 0.012, 0.014)
-ANALYZED_RUNS = 24
 OVERHEAD_BURST = 500
 OVERHEAD_REPEAT = 9
 OVERHEAD_BUDGET = 0.01
@@ -132,7 +129,7 @@ def main() -> int:
               "plain EXPLAIN must not carry an execution path")
         check(prepared.stats.executions == 0, "EXPLAIN executed the query")
         children = {c["name"] for c in plain["plan"]["children"]}
-        for expected in ("partitioning", "selector", "cost_model"):
+        for expected in ("inline", "partitioning", "selector"):
             check(expected in children, f"plan tree lost its {expected} node")
         partitioning = next(
             c for c in plain["plan"]["children"] if c["name"] == "partitioning"
@@ -164,27 +161,9 @@ def main() -> int:
               "repro_estimate_qerror missing from the Prometheus exposition")
         print(rendered)
 
-        # ---- calibration: 20+ analyzed runs refit the betas ------------ #
-        for i in range(ANALYZED_RUNS):
-            eps = 0.004 + 0.0005 * i
-            service.explain("bench", epsilons=eps, analyze=True)
-        report = service.calibrate()
-        check(report.n_records >= 20, f"only {report.n_records} calibration records")
-        check(report.after_error >= 0.0, "refit error must be non-negative")
-        betas = report.to_dict()["betas"]
-        check(set(betas) == {"beta0", "beta1", "beta2", "beta3"},
-              f"unexpected beta set {sorted(betas)}")
-        print(f"calibrated over {report.n_records} runs: "
-              f"relative error {report.before_error:.3g} -> {report.after_error:.3g}, "
-              f"mean output q-error {report.mean_output_qerror:.3f}")
-        calibrated = service.explain("bench", analyze=True)
-        cost = next(c for c in calibrated.root.children if c.name == "cost_model")
-        check(cost.attrs["calibrated"] is True and "seconds" in cost.estimates,
-              "post-calibration EXPLAIN still prices in load units")
-
         SAMPLE_PATH.write_text(json.dumps(
-            {"explain": plain, "explain_analyze": calibrated.to_dict(),
-             "rendered": calibrated.render().splitlines()},
+            {"explain": plain, "explain_analyze": analyzed.to_dict(),
+             "rendered": rendered.splitlines()},
             indent=2, sort_keys=True) + "\n")
         print(f"wrote {SAMPLE_PATH.name}")
 
@@ -200,7 +179,6 @@ def main() -> int:
     block = {
         "overhead": overhead,
         "overhead_ok": overhead["overhead_fraction"] < OVERHEAD_BUDGET,
-        "calibration": report.to_dict(),
     }
     path = merge_bench_block(block)
     print(f"merged explain block into {path}")

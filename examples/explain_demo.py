@@ -1,20 +1,20 @@
-"""EXPLAIN / EXPLAIN ANALYZE walkthrough: estimates, actuals, calibration.
+"""EXPLAIN / EXPLAIN ANALYZE walkthrough: estimates, actuals, prices.
 
 Runs a served band join and prints the introspection surfaces in the order
 an operator would reach for them:
 
 1. **EXPLAIN** — the plan the service *would* run: chosen partitioning with
-   per-worker input/output estimates, the local kernel with its sampled
-   per-dimension window fractions, and the cost-model pricing.  Nothing
-   executes.
+   per-worker input/output estimates, and the local kernel with its
+   sampled per-dimension window fractions.  Nothing executes.
 2. **EXPLAIN ANALYZE** — the same tree after one real execution, every
    estimate annotated with its actual and q-error.
 3. **Drift** — a batch of appends grows the S side by 30%; the sampled
    estimate tracks the new size, but the *partitioning* was optimized over
    the original base rows, so its per-worker q-errors visibly drift.
-4. **Calibration** — enough analyzed runs accumulate in the calibration
-   store for ``calibrate()`` to refit the running-time betas, after which
-   EXPLAIN prices plans in real seconds instead of abstract load units.
+4. **Prices** — a cold query measures the kernel rate κ and the plan's
+   cost P, so the ``inline`` node of a new epsilon prices one inline
+   kernel call (κ·L) against a plan (κ·L/p + P) in seconds; the cheaper
+   one is what the cold path runs.
 
 Run with::
 
@@ -78,26 +78,17 @@ def main() -> int:
         print(f"max q-error before {analyzed.max_qerror():.2f} "
               f"vs after {drifted.max_qerror():.2f}")
 
-        print("\n=== 4. calibration after 20+ analyzed runs ===")
-        for i in range(22):
-            service.explain("near", epsilons=0.008 + 0.0004 * i, analyze=True)
-        report = service.calibrate()
-        betas = report.model.coefficients
-        print(f"refit over {report.n_records} analyzed runs: "
-              f"relative error {report.before_error:.3g} -> {report.after_error:.3g}")
-        print(f"betas: beta0={betas.beta0:.3g} beta1={betas.beta1:.3g} "
-              f"beta2={betas.beta2:.3g} beta3={betas.beta3:.3g}")
-        print(f"mean output q-error of the window: {report.mean_output_qerror:.3f}")
-
-        # EXPLAIN now auto-picks the calibrated model: the cost node prices
-        # the plan in seconds, comparable against the measured wall time.
-        # A fresh epsilon forces a real execution (a cache-served analyze
-        # would have no wall time to price against).
-        calibrated = service.explain("near", epsilons=0.0175, analyze=True)
-        cost = next(c for c in calibrated.root.children if c.name == "cost_model")
-        print(f"\ncalibrated cost node: predicted {cost.estimates['seconds'] * 1e3:.2f} ms, "
-              f"measured {cost.actuals['seconds'] * 1e3:.2f} ms "
-              f"(q={cost.qerrors()['seconds']:.2f})")
+        print("\n=== 4. the cold decision's prices ===")
+        # The plans so far were built by EXPLAIN, which measures nothing; a
+        # cold query of a new epsilon measures κ and P.
+        service.query("near", epsilons=0.0125)
+        priced = service.explain("near", epsilons=0.0175)
+        inline = next(c for c in priced.root.children if c.name == "inline")
+        plan_seconds = inline.attrs.get("plan_seconds")
+        print(f"one inline call {inline.estimates['seconds'] * 1e3:.2f} ms vs a plan "
+              + ("(not priced yet)" if plan_seconds is None else f"{plan_seconds * 1e3:.2f} ms")
+              + f" at p={inline.attrs['parallelism']} -> "
+              + ("inline" if inline.attrs["chosen"] else "plan"))
     return 0
 
 

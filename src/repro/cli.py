@@ -238,14 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="background SLO evaluation cadence (0 evaluates only on demand)",
     )
     serve.add_argument(
-        "--calibration-log",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="spool (estimate, actual, features) records of executed queries "
-        "to this JSONL file for cost-model recalibration",
-    )
-    serve.add_argument(
         "--inject-fault",
         type=str,
         default=None,
@@ -567,8 +559,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         overrides["slo_max_estimate_qerror"] = args.slo_max_estimate_qerror
     if args.slo_interval is not None:
         overrides["slo_interval"] = args.slo_interval
-    if args.calibration_log is not None:
-        overrides["calibration_log"] = args.calibration_log
     if args.inject_fault is not None:
         overrides["inject_faults"] = args.inject_fault
     if args.fault_seed is not None:

@@ -103,9 +103,6 @@ DEFAULT_CAPTURE_RING: int = 4096
 #: Default background cadence (seconds) of the SLO monitor's evaluations.
 DEFAULT_SLO_INTERVAL: float = 5.0
 
-#: Default retention bound of the on-disk cost-model calibration spool.
-DEFAULT_CALIBRATION_MAX_RECORDS: int = 4096
-
 #: Relation storage backends accepted by the catalog and the service:
 #: ``"memory"`` keeps every relation on the heap (the historical behavior);
 #: ``"mmap"`` spills large relations to memory-mapped ``.npy`` segments so
@@ -256,16 +253,11 @@ class ServiceConfig:
         service registry and surfaced by ``{"op": "health"}``.
     slo_max_estimate_qerror:
         Ceiling on the mean output-cardinality estimate q-error over the
-        recent executed-query window — sustained miscalibration of the cost
-        model becomes a health breach.  ``None`` disables it.
+        recent executed-query window — sustained mis-estimation of output
+        sizes becomes a health breach.  ``None`` disables it.
     slo_interval:
         Background evaluation cadence of the SLO monitor in seconds
         (``0`` evaluates only on demand, i.e. per ``health`` request).
-    calibration_log:
-        Persistent cost-model calibration: when set, every executed query
-        appends one ``(estimate, actual, features)`` JSON line to that spool
-        (bounded at :data:`DEFAULT_CALIBRATION_MAX_RECORDS` records), from
-        which ``CalibrationStore.calibrate()`` refits the running-time betas.
     storage / spill_dir / spill_threshold_bytes:
         Relation storage: ``storage="mmap"`` spills registered relations of
         at least ``spill_threshold_bytes`` bytes to memory-mapped ``.npy``
@@ -315,7 +307,6 @@ class ServiceConfig:
     slo_queue_depth: int | None = None
     slo_max_estimate_qerror: float | None = None
     slo_interval: float = DEFAULT_SLO_INTERVAL
-    calibration_log: str | None = None
     storage: str = DEFAULT_STORAGE_BACKEND
     spill_dir: str | None = None
     spill_threshold_bytes: int = DEFAULT_SPILL_THRESHOLD_BYTES

@@ -16,14 +16,13 @@ One import surface for the whole system:
   :class:`Workload` snapshots, SLO monitoring, capture/replay); its main
   names are re-exported here.
 * :mod:`repro.obs.explain` — EXPLAIN / EXPLAIN ANALYZE plan reports with
-  estimate-vs-actual q-error accounting and the persistent cost-model
-  calibration store; its main names are re-exported here.
+  estimate-vs-actual q-error accounting; its main names are re-exported
+  here.
 """
 
 from repro.obs._state import disable, enable, is_enabled
 from repro.obs.adapters import bind_plan_cache, bind_prepared_query
 from repro.obs.explain import (
-    CalibrationStore,
     EstimateAccuracyTracker,
     QueryPlanReport,
     format_plan_tree,
@@ -105,7 +104,6 @@ __all__ = [
     "service_probes",
     "pair_fingerprint",
     "replay_log",
-    "CalibrationStore",
     "EstimateAccuracyTracker",
     "QueryPlanReport",
     "format_plan_tree",

@@ -4,13 +4,10 @@ The package answers *why the planner chose this plan and how wrong its
 estimates were*:
 
 * :func:`build_report` builds a :class:`QueryPlanReport` for one prepared
-  query — the chosen partitioning with per-worker cost-model estimates,
-  plan-cache provenance and the kernel selector's decision; with
-  ``analyze=True`` it executes and grafts measured actuals plus per-node
-  q-errors onto the same tree.
-* :class:`CalibrationStore` persists one ``(estimate, actual, features)``
-  record per analyzed run and :meth:`CalibrationStore.calibrate` refits the
-  running-time betas from them.
+  query — the cold decision's prices, the chosen partitioning with
+  per-worker estimates, plan-cache provenance and the kernel selector's
+  decision; with ``analyze=True`` it executes and grafts measured actuals
+  plus per-node q-errors onto the same tree.
 * :class:`EstimateAccuracyTracker` is the always-on live half: q-error per
   executed completion into the ``repro_estimate_qerror`` histogram and the
   ``estimate_qerror`` SLO window.
@@ -23,19 +20,9 @@ from repro.obs.explain.report import (
     format_plan_tree,
     qerror,
 )
-from repro.obs.explain.store import (
-    DEFAULT_CALIBRATION_MAX_RECORDS,
-    MIN_CALIBRATION_RECORDS,
-    CalibrationReport,
-    CalibrationStore,
-    EstimateAccuracyTracker,
-)
+from repro.obs.explain.store import EstimateAccuracyTracker
 
 __all__ = [
-    "DEFAULT_CALIBRATION_MAX_RECORDS",
-    "MIN_CALIBRATION_RECORDS",
-    "CalibrationReport",
-    "CalibrationStore",
     "EstimateAccuracyTracker",
     "PlanNode",
     "QueryPlanReport",

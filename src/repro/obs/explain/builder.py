@@ -30,7 +30,6 @@ import time
 
 import numpy as np
 
-from repro.cost.model import ModelCoefficients, RunningTimeModel
 from repro.local_join import kernels
 from repro.obs.explain.report import PlanNode, QueryPlanReport
 from repro.obs.explain.store import _EXECUTED_PATHS
@@ -100,7 +99,6 @@ def build_report(
     epsilons=None,
     analyze: bool = False,
     execute=None,
-    model: RunningTimeModel | None = None,
 ) -> QueryPlanReport:
     """Build the EXPLAIN (ANALYZE) report of one prepared-query binding.
 
@@ -116,10 +114,6 @@ def build_report(
         Execution callable ``(ekey) -> QueryResult`` used under ``analyze``
         (defaults to ``prepared.execute``; the service passes a
         scheduler-routed closure).
-    model:
-        Running-time model pricing the plan; defaults to the betas derived
-        from the engine's load weights (pass a calibrated model to price in
-        real seconds).
     """
     from repro.sampling.selectivity import window_fractions
 
@@ -179,25 +173,8 @@ def build_report(
         budget = kernels.DEFAULT_MEMORY_BUDGET
     chunk_capacity = kernels.max_candidates(budget)
 
-    weights = prepared.engine.weights
-    # A caller-supplied model is calibrated in wall seconds, so its
-    # prediction is comparable to the measured execution time (q-error
-    # applies).  The default, derived from the load weights, prices the plan
-    # in abstract load units — recorded under a distinct key so EXPLAIN
-    # ANALYZE never derives a unitless-vs-seconds q-error.
-    calibrated = model is not None
-    if model is None:
-        model = RunningTimeModel(
-            ModelCoefficients(
-                beta0=0.0,
-                beta1=1.0,
-                beta2=float(weights.beta_input),
-                beta3=float(weights.beta_output),
-            )
-        )
     est_total_input = float(s_counts.sum() + t_counts.sum())
     est_max_input = float((s_counts + t_counts).max())
-    est_max_output = float(est_outputs.max()) if est_outputs.size else 0.0
 
     root = PlanNode(
         "band_join",
@@ -259,22 +236,6 @@ def build_report(
         algorithm=prepared.engine.algorithm.name,
         window_fractions=[round(float(f), 6) for f in fractions],
     )
-    cost_node = root.child(
-        "cost_model",
-        calibrated=calibrated,
-        betas={
-            "beta0": model.coefficients.beta0,
-            "beta1": model.coefficients.beta1,
-            "beta2": model.coefficients.beta2,
-            "beta3": model.coefficients.beta3,
-        },
-    )
-    predicted = model.predict(est_total_input, est_max_input, est_max_output)
-    if calibrated:
-        cost_node.estimate(seconds=predicted)
-    else:
-        cost_node.estimate(cost=predicted)
-        cost_node.attrs["cost_units"] = "load units (uncalibrated)"
 
     report = QueryPlanReport(
         query=root.attrs["query"],
@@ -290,18 +251,13 @@ def build_report(
 
     # ---------------- EXPLAIN ANALYZE: execute and graft actuals ---------- #
     counters_before = kernel_counter_totals()
-    exec_started = time.perf_counter()
     result = (execute or prepared.execute)(ekey)
-    exec_seconds = time.perf_counter() - exec_started
     counters_after = kernel_counter_totals()
 
     report.path = result.path
     root.actual(pairs=result.n_pairs, seconds=result.seconds)
     job = result.base_job
-    if result.path in _EXECUTED_PATHS:
-        # The cost model prices *executing* the plan; a cache-served request
-        # never did, so its wall time is not a comparable actual.
-        cost_node.actual(seconds=exec_seconds)
+    weights = prepared.engine.weights
     if result.path not in _EXECUTED_PATHS or result.job is None:
         # Cache-served run: nothing dispatched *now*, so per-worker and
         # kernel actuals are structurally absent rather than zero (a cached

@@ -1,8 +1,8 @@
 """Structured EXPLAIN / EXPLAIN ANALYZE plan reports.
 
 A :class:`QueryPlanReport` is a tree of :class:`PlanNode` objects, one per
-introspectable plan element (the join itself, the chosen partitioning, each
-partition worker, the kernel selector, the cost model).  Every node carries
+introspectable plan element (the join itself, the cold decision, the chosen
+partitioning, each partition worker, the kernel selector).  Every node carries
 two parallel dicts — ``estimates`` (what the planner believed) and
 ``actuals`` (what execution measured) — and derives a per-key **q-error**
 ``max(estimate/actual, actual/estimate)`` for every key present in both.

@@ -1,243 +1,21 @@
-"""Persistent estimate-vs-actual records and cost-model recalibration.
+"""Live estimate-vs-actual accounting of executed queries.
 
-Every analyzed (executed) query yields one ``(estimate, actual, features)``
-record; :class:`CalibrationStore` keeps them as one JSON line each in a
-bounded on-disk spool — the same idiom as the workload capture spool — so
-estimate accuracy survives process restarts and accumulates across serving
-sessions.  :meth:`CalibrationStore.calibrate` is the reducer: it refits the
-running-time model's betas (non-negative least squares over the recorded
-``(I, I_m, O_m) -> seconds`` observations) and reports how far the estimates
-have drifted from reality before vs after the refit.
-
-:class:`EstimateAccuracyTracker` is the live half: the scheduler hands it
-every *executed* completion (cache-served paths are skipped — their
-"estimate" would be the cached exact answer), it derives the output q-error,
-feeds the ``repro_estimate_qerror`` histogram, keeps a bounded window for
-the ``estimate_qerror`` SLO probe, and appends the durable record to the
-store when one is configured.
+:class:`EstimateAccuracyTracker` is fed by the scheduler: it receives every
+*executed* completion (cache-served paths are skipped — their "estimate"
+would be the cached exact answer), derives the output q-error, feeds the
+``repro_estimate_qerror`` histogram and keeps a bounded window for the
+``estimate_qerror`` SLO probe.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
 import threading
-import time
 from collections import deque
-from dataclasses import dataclass
 
-from repro.config import DEFAULT_CALIBRATION_MAX_RECORDS
 from repro.obs.explain.report import qerror
 from repro.obs.registry import DEFAULT_RATIO_BUCKETS
 
-__all__ = [
-    "CalibrationStore",
-    "CalibrationReport",
-    "EstimateAccuracyTracker",
-    "DEFAULT_CALIBRATION_MAX_RECORDS",
-    "MIN_CALIBRATION_RECORDS",
-]
-
-#: Minimum analyzed runs before :meth:`CalibrationStore.calibrate` will refit.
-MIN_CALIBRATION_RECORDS: int = 20
-
-
-@dataclass
-class CalibrationReport:
-    """Outcome of one :meth:`CalibrationStore.calibrate` reduction."""
-
-    #: Refit :class:`~repro.cost.model.RunningTimeModel`.
-    model: object
-    n_records: int
-    #: Mean absolute relative error of the betas in force when the records
-    #: were written (the drift the refit corrects).
-    before_error: float
-    #: Mean absolute relative error of the refit betas over the same records.
-    after_error: float
-    #: Mean output-cardinality q-error across the records (finite ones).
-    mean_output_qerror: float
-
-    @property
-    def drift(self) -> float:
-        """Return how much error the refit removed (before - after)."""
-        return self.before_error - self.after_error
-
-    def to_dict(self) -> dict:
-        c = self.model.coefficients
-        return {
-            "betas": {
-                "beta0": c.beta0,
-                "beta1": c.beta1,
-                "beta2": c.beta2,
-                "beta3": c.beta3,
-            },
-            "records": self.n_records,
-            "before_error": self.before_error,
-            "after_error": self.after_error,
-            "drift": self.drift,
-            "mean_output_qerror": self.mean_output_qerror,
-        }
-
-
-class CalibrationStore:
-    """Bounded JSONL spool of per-query estimate-vs-actual records.
-
-    Parameters
-    ----------
-    path:
-        Spool file (created on first append); ``None`` keeps the records in
-        memory only — same API, no persistence (tests, embedded use).
-    max_records:
-        Retention bound.  Appends past twice the bound trigger a compacting
-        rewrite that keeps the newest ``max_records`` lines, so steady-state
-        disk usage stays within a factor of two of the bound.
-    """
-
-    def __init__(
-        self,
-        path: str | None = None,
-        max_records: int = DEFAULT_CALIBRATION_MAX_RECORDS,
-    ) -> None:
-        if max_records < 1:
-            raise ValueError("max_records must be at least 1")
-        self.path = str(path) if path is not None else None
-        self.max_records = max_records
-        self._lock = threading.Lock()
-        self._memory: deque[dict] = deque(maxlen=max_records)
-        self._count = 0
-        if self.path is not None and os.path.exists(self.path):
-            for record in self._read_disk():
-                self._memory.append(record)
-            self._count = len(self._memory)
-
-    def append(self, record: dict) -> None:
-        """Append one record (adds a ``ts`` when missing)."""
-        if "ts" not in record:
-            record["ts"] = time.time()
-        with self._lock:
-            self._memory.append(record)
-            self._count += 1
-            if self.path is None:
-                return
-            with open(self.path, "a", encoding="utf-8") as spool:
-                spool.write(json.dumps(record) + "\n")
-            if self._count >= 2 * self.max_records:
-                self._compact_locked()
-
-    def _compact_locked(self) -> None:
-        """Rewrite the spool keeping only the newest ``max_records`` lines."""
-        newest = list(self._read_disk())[-self.max_records:]
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as spool:
-            for record in newest:
-                spool.write(json.dumps(record) + "\n")
-        os.replace(tmp, self.path)
-        self._count = len(newest)
-
-    def _read_disk(self):
-        with open(self.path, encoding="utf-8") as spool:
-            for line in spool:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # a torn tail line must not poison the store
-
-    def records(self) -> list[dict]:
-        """Return the retained records, oldest first."""
-        with self._lock:
-            if self.path is not None and os.path.exists(self.path):
-                return list(self._read_disk())[-self.max_records:]
-            return list(self._memory)
-
-    def __len__(self) -> int:
-        return len(self.records())
-
-    def calibrate(
-        self,
-        min_records: int = MIN_CALIBRATION_RECORDS,
-        fit_intercept: bool = True,
-    ) -> CalibrationReport:
-        """Refit the running-time betas over the recorded observations.
-
-        Raises :class:`~repro.exceptions.CostModelError` with fewer than
-        ``min_records`` usable records (an analyzed run is usable when it
-        carries the ``features`` block and a positive execution time).
-        """
-        import numpy as np
-
-        from repro.cost.model import ModelCoefficients, RunningTimeModel
-        from repro.exceptions import CostModelError
-
-        usable = [
-            r
-            for r in self.records()
-            if r.get("features") and float(r.get("seconds", 0.0)) > 0.0
-        ]
-        if len(usable) < max(min_records, 3):
-            raise CostModelError(
-                f"calibration needs at least {max(min_records, 3)} analyzed runs, "
-                f"have {len(usable)}"
-            )
-        total = np.array([r["features"]["total_input"] for r in usable], dtype=float)
-        max_in = np.array([r["features"]["max_input"] for r in usable], dtype=float)
-        max_out = np.array([r["features"]["max_output"] for r in usable], dtype=float)
-        seconds = np.array([r["seconds"] for r in usable], dtype=float)
-        model = RunningTimeModel.fit(
-            total, max_in, max_out, seconds, fit_intercept=fit_intercept
-        )
-
-        def mean_abs_error(m: RunningTimeModel) -> float:
-            predicted = m.predict_many(total, max_in, max_out)
-            return float(np.mean(np.abs(predicted - seconds) / seconds))
-
-        # "Before" = the betas in force when the newest record was written;
-        # older records may carry other betas, but the newest are what a
-        # running service would keep using without this refit.
-        before = usable[-1].get("betas")
-        before_model = (
-            RunningTimeModel(
-                ModelCoefficients(
-                    float(before["beta0"]),
-                    float(before["beta1"]),
-                    float(before["beta2"]),
-                    float(before["beta3"]),
-                )
-            )
-            if before
-            else RunningTimeModel()
-        )
-        finite_q = [
-            float(r["qerror"])
-            for r in usable
-            if r.get("qerror") is not None and math.isfinite(float(r["qerror"]))
-        ]
-        return CalibrationReport(
-            model=model,
-            n_records=len(usable),
-            before_error=mean_abs_error(before_model),
-            after_error=mean_abs_error(model),
-            mean_output_qerror=(
-                sum(finite_q) / len(finite_q) if finite_q else float("nan")
-            ),
-        )
-
-    def describe(self) -> dict:
-        """Return a JSON-friendly summary of the store's state."""
-        with self._lock:
-            return {
-                "path": self.path,
-                "records": len(self._memory) if self.path is None else self._count,
-                "max_records": self.max_records,
-                "appended": self._count,
-            }
-
-    def __repr__(self) -> str:
-        return f"CalibrationStore(path={self.path!r}, max_records={self.max_records})"
-
+__all__ = ["EstimateAccuracyTracker"]
 
 #: Execution paths whose completions carry genuine (non-cache) estimates.
 _EXECUTED_PATHS = frozenset({"cold", "plan_cache", "delta"})
@@ -251,17 +29,12 @@ class EstimateAccuracyTracker:
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry` receiving the
         ``repro_estimate_qerror`` histogram (ratio buckets).
-    store:
-        Optional :class:`CalibrationStore` receiving one durable record per
-        executed completion.
     window:
         Bound on the recent-q-error window behind :meth:`mean_qerror` (the
         ``estimate_qerror`` SLO probe).
     """
 
-    def __init__(self, registry=None, store: CalibrationStore | None = None,
-                 window: int = 256) -> None:
-        self.store = store
+    def __init__(self, registry=None, window: int = 256) -> None:
         self._lock = threading.Lock()
         self._recent: deque[float] = deque(maxlen=window)
         self._observed = 0
@@ -275,7 +48,7 @@ class EstimateAccuracyTracker:
             else None
         )
 
-    def observe(self, prepared, ekey: tuple, result, exec_seconds: float) -> None:
+    def observe(self, prepared, ekey: tuple, result) -> None:
         """Account one completed request (no-op for cache-served paths).
 
         Never raises: estimate accounting must not fail a query.
@@ -283,49 +56,22 @@ class EstimateAccuracyTracker:
         if result.path not in _EXECUTED_PATHS:
             return
         try:
-            self._observe(prepared, ekey, result, exec_seconds)
+            self._observe(prepared, ekey, result)
         except Exception:  # noqa: BLE001 - accounting must never fail serving
             pass
 
-    def _observe(self, prepared, ekey, result, exec_seconds: float) -> None:
-        estimate = prepared.sampled_estimate(ekey)
-        q = qerror(estimate, result.n_pairs)
+    def _observe(self, prepared, ekey, result) -> None:
+        q = qerror(prepared.sampled_estimate(ekey), result.n_pairs)
         with self._lock:
             self._recent.append(min(q, 1e9))  # keep the window mean finite
             self._observed += 1
         if self._histogram is not None:
             self._histogram.observe(min(q, 1e9), query=_query_name(prepared))
-        if self.store is None:
-            return
-        job = result.job
-        record = {
-            "query": _query_name(prepared),
-            "epsilons": [list(pair) for pair in ekey],
-            "path": result.path,
-            "estimate": float(estimate),
-            "actual": int(result.n_pairs),
-            "qerror": None if math.isinf(q) else float(q),
-            "seconds": float(exec_seconds),
-            "betas": _current_betas(prepared),
-        }
-        if job is not None:
-            weights = prepared.engine.weights
-            record["features"] = {
-                "total_input": int(job.total_input),
-                "max_input": int(job.max_worker_input(weights)),
-                "max_output": int(job.max_worker_output(weights)),
-            }
-            try:
-                record["features"]["s_rows"] = prepared.catalog.get(result.s_name).rows
-                record["features"]["t_rows"] = prepared.catalog.get(result.t_name).rows
-            except Exception:  # noqa: BLE001
-                pass
-        self.store.append(record)
 
     def mean_qerror(self) -> float:
         """Return the mean q-error over the recent window (1.0 when empty).
 
-        The empty default reads as "perfectly calibrated", so an
+        The empty default reads as "every estimate exact", so an
         ``estimate_qerror`` SLO stays green until there is evidence."""
         with self._lock:
             if not self._recent:
@@ -343,7 +89,6 @@ class EstimateAccuracyTracker:
             "observed": self.observed,
             "mean_qerror": self.mean_qerror(),
             "window": self._recent.maxlen,
-            "store": self.store.describe() if self.store is not None else None,
         }
 
 
@@ -351,19 +96,3 @@ def _query_name(prepared) -> str:
     return getattr(prepared, "name", None) or (
         f"{getattr(prepared, 's_name', '?')}⋈{getattr(prepared, 't_name', '?')}"
     )
-
-
-def _current_betas(prepared) -> dict:
-    """Return the load-model betas in force for this prepared query.
-
-    The optimizer's load weights supply beta2/beta3; beta1 (per shuffled
-    tuple) and beta0 default to the running-time model's defaults since the
-    serving layer does not currently calibrate them per query.
-    """
-    weights = prepared.engine.weights
-    return {
-        "beta0": 0.0,
-        "beta1": 1.0,
-        "beta2": float(weights.beta_input),
-        "beta3": float(weights.beta_output),
-    }

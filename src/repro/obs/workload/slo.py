@@ -2,15 +2,16 @@
 
 An :class:`SLO` names one objective over one measurable signal — currently
 the p99 total latency, the failed-request fraction, the result-cache hit
-rate, the scheduler queue depth and the cost model's recent estimate
-q-error (sustained miscalibration is a health problem like any other).  :class:`SLOMonitor` evaluates a set of
-objectives against *probes* (zero-argument callables the owning service
-supplies, so the monitor never reaches into service internals), either on a
-background cadence or on demand, and turns violations into structured
-breach events: a bounded history, a ``repro_slo_breaches_total`` counter in
-the service registry, a warning log line, and — when a workload recorder is
-attached — an ``slo_breach`` capture event so breaches land in workload
-snapshots next to the traffic that caused them.
+rate, the scheduler queue depth and the recent output-estimate q-error
+(sustained mis-estimation is a health problem like any other).
+:class:`SLOMonitor` evaluates a set of objectives against *probes*
+(zero-argument callables the owning service supplies, so the monitor never
+reaches into service internals), either on a background cadence or on
+demand, and turns violations into structured breach events: a bounded
+history, a ``repro_slo_breaches_total`` counter in the service registry, a
+warning log line, and — when a workload recorder is attached — an
+``slo_breach`` capture event so breaches land in workload snapshots next to
+the traffic that caused them.
 
 :meth:`SLOMonitor.health` is the serving surface behind ``{"op": "health"}``
 and ``repro-bandjoin stats --health``.

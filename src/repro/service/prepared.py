@@ -725,7 +725,7 @@ class PreparedQuery:
 
         Unlike :meth:`estimate_pairs` this never consults the result cache —
         it is what the *planner believed* before execution, which is what
-        EXPLAIN ANALYZE and the calibration store must compare actuals
+        EXPLAIN ANALYZE and the estimate-accuracy tracker must compare actuals
         against (otherwise an analyzed run whose result was just stored would
         report a tautological q-error of 1.0).
 
@@ -770,19 +770,17 @@ class PreparedQuery:
                 self._sampled_estimates.popitem(last=False)
         return estimate
 
-    def explain(self, epsilons=None, analyze: bool = False, execute=None, model=None):
+    def explain(self, epsilons=None, analyze: bool = False, execute=None):
         """Return the :class:`~repro.obs.explain.report.QueryPlanReport`.
 
         Plain EXPLAIN plans without executing; ``analyze=True`` executes
         (through ``execute`` when given — the service passes a
         scheduler-routed closure so analyzed runs share admission control)
         and grafts measured actuals plus q-errors onto every estimate node.
-        ``model`` prices the plan with a calibrated running-time model (in
-        seconds) instead of the default load-weight pricing.
         """
         from repro.obs.explain import build_report
 
-        return build_report(self, epsilons, analyze=analyze, execute=execute, model=model)
+        return build_report(self, epsilons, analyze=analyze, execute=execute)
 
     def count(self, epsilons=None) -> int:
         """Return the exact output cardinality without materializing pairs.

@@ -659,7 +659,7 @@ class QueryScheduler:
         self._record_completed(request, result, done)
         if self.calibration is not None:
             # observe() itself skips cache-served paths and never raises.
-            self.calibration.observe(prepared, request.ekey, result, exec_seconds)
+            self.calibration.observe(prepared, request.ekey, result)
         self.metrics.sample_rss()
         # Telemetry is finalised before the future resolves: a caller ending
         # the enclosing request span right after .result() must find the

@@ -12,10 +12,10 @@ a JSON parser.  Two transports share the same handler:
 
 Operations::
 
-    {"op": "register", "name": "S", "columns": {"A1": [...]}}
+    {"op": "register", "name": "S", "columns": {"A1": [...]}, "replace": false}
     {"op": "append",   "name": "S", "columns": {"A1": [...]}}
     {"op": "prepare",  "query": "q", "s": "S", "t": "T",
-     "attributes": ["A1"], "epsilons": [0.01]}
+     "attributes": ["A1"], "epsilons": [0.01], "replace": false}
     {"op": "query",    "query": "q", "epsilons": [0.02], "sample": 5}
     {"op": "catalog"} | {"op": "stats"} | {"op": "ping"} | {"op": "quit"}
     {"op": "metrics"}           — Prometheus text exposition (one string)
@@ -24,15 +24,17 @@ Operations::
     {"op": "workload"}          — Workload snapshot of the captured traffic
     {"op": "explain", "query": "q", "epsilons": [0.02], "analyze": true}
                                 — EXPLAIN (ANALYZE) plan report as JSON
-    {"op": "calibrate"}         — refit the cost-model betas from the store
 
-Responses are ``{"ok": true, ...}`` or ``{"ok": false, "error": "..."}``;
-the connection survives malformed requests, and a request that fails with
-anything but a library error answers ``{"ok": false, ..., "cause":
-"internal"}`` instead of ending the server.  Query requests are traced end
-to end: the server opens a ``request`` root span (with a ``parse`` child
-covering JSON decoding), so ``{"op": "trace"}`` returns the full
-parse → queue → execute → plan/route/kernel/merge tree of recent queries.
+``replace`` and ``analyze`` take a JSON boolean only; an absent flag is
+``false``.  ``sample`` (the answer pairs a query echoes back, default 0) is
+an integer in ``0..MAX_SAMPLE``.  Responses are ``{"ok": true, ...}`` or
+``{"ok": false, "error": "..."}``; the connection survives malformed
+requests, and a request that fails with anything but a library error
+answers ``{"ok": false, ..., "cause": "internal"}`` instead of ending the
+server.  Query requests are traced end to end: the server opens a
+``request`` root span (with a ``parse`` child covering JSON decoding), so
+``{"op": "trace"}`` returns the full parse → queue → execute →
+plan/route/kernel/merge tree of recent queries.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ __all__ = ["handle_request", "serve_lines", "LineProtocolServer"]
 
 logger = get_logger(__name__)
 
+
+#: Most answer pairs a ``query`` response echoes back (its ``"sample"``).
+MAX_SAMPLE: int = 1000
 
 _TYPE_NAMES = {str: "a string", int: "an integer", (int, float): "a number"}
 
@@ -74,6 +79,14 @@ def _optional(request: dict, field: str, kind):
     return _check(field, request.get(field), kind)
 
 
+def _flag(request: dict, field: str) -> bool:
+    """Return a JSON boolean field; absent means ``False``."""
+    value = request.get(field, False)
+    if isinstance(value, bool):
+        return value
+    raise ServiceError(f"field {field!r} must be a boolean, got {value!r}")
+
+
 def _attributes(request: dict) -> list:
     attributes = _require(request, "attributes")
     if not isinstance(attributes, list) or not all(isinstance(a, str) for a in attributes):
@@ -90,7 +103,7 @@ def handle_request(service: BandJoinService, request: dict) -> dict:
         snapshot = service.register(
             _require(request, "name", str),
             _require(request, "columns"),
-            replace=bool(request.get("replace", False)),
+            replace=_flag(request, "replace"),
         )
         return {"ok": True, "relation": snapshot.describe()}
     if op == "append":
@@ -104,10 +117,15 @@ def handle_request(service: BandJoinService, request: dict) -> dict:
             attributes=_attributes(request),
             epsilons=request.get("epsilons"),
             workers=_optional(request, "workers", int),
-            replace=bool(request.get("replace", False)),
+            replace=_flag(request, "replace"),
         )
         return {"ok": True, "prepared": prepared.describe()}
     if op == "query":
+        sample = _optional(request, "sample", int) or 0
+        if not 0 <= sample <= MAX_SAMPLE:
+            raise ServiceError(
+                f"field 'sample' must be between 0 and {MAX_SAMPLE}, got {sample}"
+            )
         # Epsilon lists (including [left, right] pairs) pass through as-is;
         # PreparedQuery normalization accepts sequences directly.
         result = service.query(
@@ -115,7 +133,7 @@ def handle_request(service: BandJoinService, request: dict) -> dict:
             request.get("epsilons"),
             deadline=_optional(request, "deadline", (int, float)),
         )
-        return {"ok": True, **result.describe(sample=_optional(request, "sample", int) or 0)}
+        return {"ok": True, **result.describe(sample=sample)}
     if op == "catalog":
         return {"ok": True, "catalog": service.catalog.describe()}
     if op == "stats":
@@ -132,12 +150,9 @@ def handle_request(service: BandJoinService, request: dict) -> dict:
         report = service.explain(
             _require(request, "query", str),
             request.get("epsilons"),
-            analyze=bool(request.get("analyze", False)),
+            analyze=_flag(request, "analyze"),
         )
         return {"ok": True, "explain": report.to_dict()}
-    if op == "calibrate":
-        report = service.calibrate(_optional(request, "min_records", int))
-        return {"ok": True, "calibration": report.to_dict()}
     raise ServiceError(f"unknown operation {op!r}")
 
 

@@ -28,7 +28,7 @@ from repro.engine.engine import ParallelJoinEngine
 from repro.engine.plan_cache import PlanCache
 from repro.exceptions import ServiceError
 from repro.obs import MetricsRegistry, bind_plan_cache, bind_prepared_query, get_logger
-from repro.obs.explain import CalibrationStore, EstimateAccuracyTracker
+from repro.obs.explain import EstimateAccuracyTracker
 from repro.obs.workload import (
     SLO,
     QueryLogRecorder,
@@ -118,16 +118,10 @@ class BandJoinService:
             spill_dir=self.config.spill_dir,
             spill_threshold_bytes=self.config.spill_threshold_bytes,
         )
-        #: Persistent (estimate, actual, features) spool when a calibration
-        #: log is configured; in-memory otherwise.  ``calibrate()`` on it
-        #: refits the running-time betas from analyzed runs.
-        self.calibration_store = CalibrationStore(path=self.config.calibration_log)
         #: Live estimate-vs-actual accounting: the scheduler hands it every
         #: executed completion; it feeds the ``repro_estimate_qerror``
-        #: histogram, the ``estimate_qerror`` SLO probe and the store.
-        self.calibration = EstimateAccuracyTracker(
-            registry=self.registry, store=self.calibration_store
-        )
+        #: histogram and the ``estimate_qerror`` SLO probe.
+        self.calibration = EstimateAccuracyTracker(registry=self.registry)
         self.scheduler = QueryScheduler(
             max_workers=self.config.scheduler_workers,
             max_pending=self.config.max_pending,
@@ -306,40 +300,20 @@ class BandJoinService:
         """EXPLAIN (ANALYZE) one prepared query.
 
         Returns the :class:`~repro.obs.explain.report.QueryPlanReport`:
-        the chosen partitioning with per-worker cost-model estimates, the
-        plan-cache provenance and the kernel selector's decision.  With
-        ``analyze=True`` the query executes *through the scheduler* (so
-        analyzed runs share single-flight, admission control and the
-        calibration accounting) and every estimate node carries the measured
-        actual plus its q-error.
-
-        Once the calibration store holds enough analyzed runs, the plan is
-        priced with the refit running-time model (in seconds); before that
-        the cost-model node reports abstract load units.
+        the cold decision's prices, the chosen partitioning with per-worker
+        estimates, the plan-cache provenance and the kernel selector's
+        decision.  With ``analyze=True`` the query executes *through the
+        scheduler* (so analyzed runs share single-flight, admission control
+        and the estimate-accuracy accounting) and every estimate node
+        carries the measured actual plus its q-error.
         """
         self._check_open()
         prepared = self.prepared(query_name)
-        try:
-            model = self.calibration_store.calibrate().model
-        except Exception:  # noqa: BLE001 - pricing falls back to load units
-            model = None
         return prepared.explain(
             epsilons,
             analyze=analyze,
             execute=lambda ekey: self.scheduler.query(prepared, ekey),
-            model=model,
         )
-
-    def calibrate(self, min_records: int | None = None):
-        """Refit the cost-model betas from the calibration store's records.
-
-        Returns the :class:`~repro.obs.explain.store.CalibrationReport`;
-        raises :class:`~repro.exceptions.CostModelError` until enough
-        executed runs have been recorded.
-        """
-        if min_records is not None:
-            return self.calibration_store.calibrate(min_records=min_records)
-        return self.calibration_store.calibrate()
 
     # ------------------------------------------------------------------ #
     # Staleness maintenance

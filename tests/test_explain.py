@@ -1,12 +1,12 @@
-"""Tests for EXPLAIN / EXPLAIN ANALYZE and the cost-model calibration store.
+"""Tests for EXPLAIN / EXPLAIN ANALYZE and the estimate-accuracy tracker.
 
 The load-bearing properties: EXPLAIN never executes anything; EXPLAIN
 ANALYZE's actual pair counts match the executed pair-set sizes exactly (for
 every backend and local kernel), with finite q-errors — exactly 1.0 in the
 deterministic cases (1-D inputs small enough that the selectivity probe
 samples the full relations, and analyzed runs served from the result
-cache); and the calibration store is a bounded, torn-line-tolerant JSONL
-spool whose ``calibrate()`` refits betas once enough runs are recorded.
+cache); and the only price in seconds on the tree is the ``inline`` node's,
+the one the cold path is decided with.
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import LOCAL_ALGORITHM_NAMES, ServiceConfig
-from repro.exceptions import CostModelError
 from repro.obs.explain import (
-    MIN_CALIBRATION_RECORDS,
-    CalibrationStore,
     EstimateAccuracyTracker,
     PlanNode,
     format_plan_tree,
@@ -33,7 +30,6 @@ from repro.obs.explain import (
 from repro.obs.registry import MetricsRegistry
 from repro.obs.workload.slo import SLO, SLO_KINDS, SLOMonitor
 from repro.service import BandJoinService, serve_lines
-from repro.service.server import handle_request
 
 
 def explain_service(**overrides) -> BandJoinService:
@@ -296,6 +292,25 @@ class TestExplain:
             )
             assert delta.actuals["input"] >= 30
 
+    @pytest.mark.parametrize("analyze", [False, True], ids=["explain", "analyze"])
+    def test_only_the_inline_node_prices_in_seconds(self, rng, analyze):
+        """The cold decision's κ·L is the tree's one time estimate: there is
+        no second, load-unit cost-model node beside it."""
+        with explain_service() as service:
+            register_pair(service, rng)
+            service.query("q", epsilons=0.02)  # measures κ, so κ·L is priced
+            report = service.explain("q", analyze=analyze)
+
+            def walk(node):
+                yield node
+                for child in node.children:
+                    yield from walk(child)
+
+            nodes = list(walk(report.root))
+            assert "cost_model" not in {node.name for node in nodes}
+            priced = [node.name for node in nodes if "seconds" in node.estimates]
+            assert priced == ["inline"]
+
     def test_report_serialization_and_render(self, rng):
         with explain_service() as service:
             register_pair(service, rng)
@@ -309,96 +324,6 @@ class TestExplain:
             assert report.render() == text
 
 
-class TestCalibrationStore:
-    def _record(self, i, qerr=1.0):
-        return {
-            "estimate": 100.0 + i,
-            "actual": 100 + i,
-            "qerror": qerr,
-            "seconds": 0.01 + 0.001 * i,
-            "betas": {"beta0": 0.0, "beta1": 1.0, "beta2": 4.0, "beta3": 1.0},
-            "features": {
-                "total_input": 1000 + 10 * i,
-                "max_input": 200 + i,
-                "max_output": 300 + 2 * i,
-            },
-        }
-
-    def test_in_memory_bounding(self):
-        store = CalibrationStore(max_records=5)
-        for i in range(12):
-            store.append(self._record(i))
-        records = store.records()
-        assert len(records) == 5
-        assert records[-1]["estimate"] == 111.0
-
-    def test_disk_spool_compacts(self, tmp_path):
-        path = tmp_path / "calibration.jsonl"
-        store = CalibrationStore(path=str(path), max_records=10)
-        for i in range(25):
-            store.append(self._record(i))
-        lines = [l for l in path.read_text().splitlines() if l.strip()]
-        assert len(lines) <= 2 * 10
-        assert len(store.records()) == 10
-
-    def test_reopen_recovers_records(self, tmp_path):
-        path = tmp_path / "calibration.jsonl"
-        CalibrationStore(path=str(path)).append(self._record(1))
-        reopened = CalibrationStore(path=str(path))
-        assert len(reopened) == 1
-        assert reopened.records()[0]["estimate"] == 101.0
-
-    def test_torn_tail_line_tolerated(self, tmp_path):
-        path = tmp_path / "calibration.jsonl"
-        store = CalibrationStore(path=str(path))
-        store.append(self._record(1))
-        with open(path, "a", encoding="utf-8") as spool:
-            spool.write('{"torn": tru')  # interrupted write
-        assert len(CalibrationStore(path=str(path)).records()) == 1
-
-    def test_calibrate_needs_enough_records(self):
-        store = CalibrationStore()
-        for i in range(MIN_CALIBRATION_RECORDS - 1):
-            store.append(self._record(i))
-        with pytest.raises(CostModelError):
-            store.calibrate()
-
-    def test_calibrate_refits_on_enough_records(self, rng):
-        store = CalibrationStore()
-        # Synthesize observations from known betas with mild noise.
-        true = (0.002, 1e-6, 4e-6, 1e-6)
-        for i in range(30):
-            total = float(rng.uniform(1000, 20000))
-            max_in = float(rng.uniform(100, 2000))
-            max_out = float(rng.uniform(100, 5000))
-            seconds = (
-                true[0] + true[1] * total + true[2] * max_in + true[3] * max_out
-            ) * float(rng.uniform(0.95, 1.05))
-            record = self._record(i, qerr=float(rng.uniform(1.0, 2.0)))
-            record["features"] = {
-                "total_input": total, "max_input": max_in, "max_output": max_out
-            }
-            record["seconds"] = seconds
-            store.append(record)
-        report = store.calibrate()
-        assert report.n_records == 30
-        assert report.after_error < 0.1
-        # The recorded betas (load weights) are wildly off in seconds, so the
-        # refit must remove nearly all of that drift.
-        assert report.drift > 0
-        assert 1.0 <= report.mean_output_qerror <= 2.0
-        assert report.to_dict()["betas"]["beta2"] >= 0.0
-
-    def test_unusable_records_do_not_count(self):
-        store = CalibrationStore()
-        for i in range(25):
-            record = self._record(i)
-            del record["features"]  # cache-path style record: no job stats
-            store.append(record)
-        with pytest.raises(CostModelError):
-            store.calibrate()
-
-
 class TestEstimateAccuracyTracker:
     def test_service_records_executed_queries_only(self, rng):
         with explain_service() as service:
@@ -407,11 +332,6 @@ class TestEstimateAccuracyTracker:
             assert service.calibration.observed == 1
             service.query("q")  # result cache: skipped
             assert service.calibration.observed == 1
-            assert len(service.calibration_store) == 1
-            record = service.calibration_store.records()[0]
-            assert record["path"] == "cold"
-            assert record["actual"] >= 0 and record["estimate"] >= 0
-            assert "features" in record and record["features"]["total_input"] > 0
 
     def test_qerror_histogram_in_prometheus(self, rng):
         with explain_service() as service:
@@ -434,7 +354,7 @@ class TestEstimateAccuracyTracker:
             job = None
 
         tracker = EstimateAccuracyTracker()
-        tracker.observe(Broken(), (), Result(), 0.1)  # must swallow the error
+        tracker.observe(Broken(), (), Result())  # must swallow the error
         assert tracker.observed == 0
 
     def test_stats_surface_includes_calibration(self, rng):
@@ -444,6 +364,7 @@ class TestEstimateAccuracyTracker:
             info = service.stats()["calibration"]
             assert info["observed"] == 1
             assert info["mean_qerror"] >= 1.0
+            assert set(info) == {"observed", "mean_qerror", "window"}
 
 
 class TestEstimateQErrorSLO:
@@ -494,27 +415,6 @@ class TestProtocolAndCli:
         assert analyzed["path"] in ("cold", "plan_cache")
         assert analyzed["plan"]["actuals"]["pairs"] >= 0
         assert analyzed["max_qerror"] is not None
-
-    def test_calibrate_op_before_enough_records(self, rng):
-        with explain_service() as service:
-            register_pair(service, rng)
-            with pytest.raises(CostModelError):
-                handle_request(service, {"op": "calibrate"})
-            with pytest.raises(CostModelError):
-                # min_records=0 clamps to the fit minimum of 3 in the store.
-                handle_request(service, {"op": "calibrate", "min_records": 0})
-
-    def test_calibrate_op_with_enough_records(self, rng):
-        with explain_service() as service:
-            register_pair(service, rng)
-            for i in range(22):
-                service.explain("q", epsilons=0.01 + 0.003 * i, analyze=True)
-            response = handle_request(service, {"op": "calibrate"})
-            assert response["ok"]
-            assert response["calibration"]["records"] >= MIN_CALIBRATION_RECORDS
-            assert set(response["calibration"]["betas"]) == {
-                "beta0", "beta1", "beta2", "beta3"
-            }
 
     def test_cli_explain_over_tcp(self, rng, capsys):
         import socket

@@ -671,9 +671,17 @@ class TestServiceFacadeAndServer:
             ({"op": "register", "name": ["x"], "columns": {"A1": [0.5]}}, "'name'"),
             ({"op": "prepare", "query": "p", "s": "S", "t": "T", "attributes": "A1"},
              "'attributes'"),
+            ({"op": "register", "name": "S", "columns": {"x": [5.0]},
+              "replace": "false"}, "'replace'"),
+            ({"op": "explain", "query": "q", "analyze": "false"}, "'analyze'"),
+            ({"op": "query", "query": "q", "sample": 1001}, "'sample'"),
+            ({"op": "query", "query": "q", "sample": -1}, "'sample'"),
+            ({"op": "calibrate"}, "unknown operation 'calibrate'"),
         ],
         ids=["deadline", "deadline-inf", "sample", "trace-n", "workers",
-             "workers-too-many", "epsilons", "name", "attributes"],
+             "workers-too-many", "epsilons", "name", "attributes",
+             "replace-string", "analyze-string", "sample-too-large",
+             "sample-negative", "calibrate-removed"],
     )
     def test_malformed_fields_are_client_errors(self, bad, named):
         """A field of the wrong JSON type or out of range answers
