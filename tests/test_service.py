@@ -40,6 +40,7 @@ from repro.service import (
     RelationCatalog,
     serve_lines,
 )
+from repro.service.server import MAX_SAMPLE
 
 
 def _columns(rng: np.random.Generator, n: int, low: float = 0.0, high: float = 1.0):
@@ -702,6 +703,44 @@ class TestServiceFacadeAndServer:
         assert responses[3]["ok"] is False and "cause" not in responses[3]
         assert named in responses[3]["error"]
         assert responses[4]["ok"] and responses[4]["pairs"] == 2
+
+    @pytest.mark.parametrize(
+        "good, answered, pairs_after",
+        [
+            ({"op": "query", "query": "q", "sample": 0},
+             lambda r: r["ok"] and "sample" not in r, 2),
+            ({"op": "query", "query": "q", "sample": MAX_SAMPLE},
+             lambda r: r["ok"] and len(r["sample"]) == 2, 2),
+            ({"op": "register", "name": "S", "columns": {"A1": [0.1]},
+              "replace": True}, lambda r: r["ok"] and r["relation"]["rows"] == 1, 1),
+            ({"op": "register", "name": "S", "columns": {"A1": [0.1]},
+              "replace": False}, lambda r: not r["ok"] and "already" in r["error"], 2),
+            ({"op": "explain", "query": "q", "analyze": True},
+             lambda r: r["ok"] and r["explain"]["analyze"] is True, 2),
+            ({"op": "explain", "query": "q", "analyze": False},
+             lambda r: r["ok"] and r["explain"]["analyze"] is False, 2),
+        ],
+        ids=["sample-zero", "sample-max", "replace-true", "replace-false",
+             "analyze-true", "analyze-false"],
+    )
+    def test_boolean_flags_and_sample_bounds_are_served(self, good, answered, pairs_after):
+        """The JSON booleans and the ends of ``0..MAX_SAMPLE`` keep their
+        meaning: ``"replace": false`` leaves a registered relation alone,
+        ``true`` replaces it, and ``analyze`` is echoed on the report."""
+        requests = [
+            {"op": "register", "name": "S", "columns": {"A1": [0.1, 0.2]}},
+            {"op": "register", "name": "T", "columns": {"A1": [0.15]}},
+            {"op": "prepare", "query": "q", "s": "S", "t": "T",
+             "attributes": ["A1"], "epsilons": [0.06]},
+            good,
+            {"op": "query", "query": "q"},
+        ]
+        out = io.StringIO()
+        with sync_service() as service:
+            serve_lines(service, [json.dumps(r) for r in requests], out)
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert answered(responses[3]), responses[3]
+        assert responses[4]["ok"] and responses[4]["pairs"] == pairs_after
 
     def test_negative_or_non_finite_epsilons_are_client_errors(self):
         """A negative, NaN or infinite band width answers ``{"ok": false}``
