@@ -13,9 +13,8 @@ Drives the whole introspection surface in-process:
   1% budget.
 
 Writes the analyzed report to ``EXPLAIN_sample.json`` so CI can upload it
-as an artifact, and merges an ``explain`` block (the overhead figures) into
-``BENCH_service.json`` at the repository root (override with
-``REPRO_BENCH_SERVICE_OUT``).  Exits non-zero on any violation.
+as an artifact, and prints the overhead figures.  Exits non-zero on any
+violation.
 
 Run with::
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -55,10 +53,9 @@ def check(condition: bool, message: str) -> None:
 def measure_tracker_overhead(service, repeat: int = OVERHEAD_REPEAT) -> dict:
     """Median cached-path latency with the accuracy tracker off vs on.
 
-    Same interleaved-median protocol as the capture-overhead measurement in
-    ``bench_service.py``: the tracker is toggled on every other request so
-    both configurations see identical machine load, and the median discards
-    scheduler-jitter outliers.  On the cached path the tracker's whole job
+    The tracker is toggled on every other request so both configurations
+    see identical machine load, and the median discards scheduler-jitter
+    outliers.  On the cached path the tracker's whole job
     is one "not an executed path" check, so this bounds the cost EXPLAIN
     support adds to requests that never asked for it.
     """
@@ -82,27 +79,6 @@ def measure_tracker_overhead(service, repeat: int = OVERHEAD_REPEAT) -> dict:
         "enabled_seconds": enabled,
         "overhead_fraction": (enabled - disabled) / disabled if disabled else 0.0,
     }
-
-
-def bench_record_path() -> Path:
-    override = os.environ.get("REPRO_BENCH_SERVICE_OUT")
-    if override:
-        return Path(override)
-    return ROOT / "BENCH_service.json"
-
-
-def merge_bench_block(block: dict) -> Path:
-    """Merge the explain block into BENCH_service.json, keeping other keys."""
-    path = bench_record_path()
-    record: dict = {}
-    if path.exists():
-        try:
-            record = json.loads(path.read_text())
-        except ValueError:
-            record = {}
-    record["explain"] = block
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def main() -> int:
@@ -176,13 +152,7 @@ def main() -> int:
           f"{overhead['enabled_seconds'] * 1e6:.1f}us on, interleaved over "
           f"{overhead['requests_per_config']} requests per configuration)")
 
-    block = {
-        "overhead": overhead,
-        "overhead_ok": overhead["overhead_fraction"] < OVERHEAD_BUDGET,
-    }
-    path = merge_bench_block(block)
-    print(f"merged explain block into {path}")
-    check(block["overhead_ok"],
+    check(overhead["overhead_fraction"] < OVERHEAD_BUDGET,
           f"non-analyze explain overhead {overhead['overhead_fraction'] * 100:.2f}% "
           f"exceeds the {OVERHEAD_BUDGET * 100:.0f}% budget")
     print("explain smoke: OK")

@@ -594,7 +594,7 @@ class MmapColumnStore(ColumnStore):
         # one fancy index, charge the mapping, move on.  Peak resident pages
         # per gather are bounded by one segment.
         seg_of_row = np.searchsorted(self._starts, rows, side="right") - 1
-        for index in np.unique(seg_of_row):
+        for index in np.flatnonzero(np.bincount(seg_of_row, minlength=len(self._segments))):
             segment = self._segments[int(index)]
             mask = seg_of_row == index
             local = rows[mask] - int(self._starts[int(index)])

@@ -161,13 +161,17 @@ def execute_task(
     algorithm: LocalJoinAlgorithm,
     materialize: bool,
     trace_ctx: SpanContext | None = None,
+    gathered: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TaskOutcome:
     """Run one worker task against the given join matrices.
 
     Either matrix may be a plain ndarray or a
     :class:`~repro.engine.sources.StoreMatrixSource` over an out-of-core
     relation; large source-backed tasks run with scratch spilling so the
-    whole task never needs to fit in memory.
+    whole task never needs to fit in memory.  A caller already holding the
+    task's shifted ``(S, T)`` inputs passes them as ``gathered``; the
+    matrices are then not read, and the pairs still map through the task's
+    rows.
     """
     if task.s_rows.size == 0 or task.t_rows.size == 0:
         return TaskOutcome(
@@ -183,17 +187,18 @@ def execute_task(
     # chunk loop's unkeyed hook only covers windowed kernels).
     faults.maybe_slow("task", task.worker_id)
     streamed = not (isinstance(s_matrix, np.ndarray) and isinstance(t_matrix, np.ndarray))
-    if streamed and max(
+    if gathered is None and streamed and max(
         _side_bytes(s_matrix, task.s_rows), _side_bytes(t_matrix, task.t_rows)
     ) > TASK_SPILL_BYTES:
         with SpillArena() as arena:
             with kernel_scratch(arena, TASK_SPILL_BYTES):
                 return _execute_task_inner(
                     task, s_matrix, t_matrix, condition, algorithm, materialize,
-                    trace_ctx, arena,
+                    trace_ctx, arena, None,
                 )
     return _execute_task_inner(
-        task, s_matrix, t_matrix, condition, algorithm, materialize, trace_ctx, None
+        task, s_matrix, t_matrix, condition, algorithm, materialize, trace_ctx, None,
+        gathered,
     )
 
 
@@ -206,10 +211,13 @@ def _execute_task_inner(
     materialize: bool,
     trace_ctx: SpanContext | None,
     arena,
+    gathered,
 ) -> TaskOutcome:
     task_wall = time.time() if trace_ctx is not None else 0.0
     task_start = time.perf_counter()
-    if arena is not None:
+    if gathered is not None:
+        worker_s, worker_t = gathered
+    elif arena is not None:
         worker_s = _gather_task_side(s_matrix, task.s_rows, task.s_offsets, arena)
         worker_t = _gather_task_side(t_matrix, task.t_rows, task.t_offsets, arena)
     else:
@@ -218,12 +226,11 @@ def _execute_task_inner(
     if materialize:
         local = algorithm.join(worker_s, worker_t, condition)
         local_seconds = time.perf_counter() - join_start
-        if local.shape[0]:
-            pairs = np.column_stack(
-                [task.s_rows[local[:, 0]], task.t_rows[local[:, 1]]]
-            ).astype(np.int64)
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
+        # Map to original rows in place: one pair array and one column live.
+        pairs = np.asarray(local, dtype=np.int64)
+        if pairs.shape[0]:
+            pairs[:, 0] = task.s_rows[pairs[:, 0]]
+            pairs[:, 1] = task.t_rows[pairs[:, 1]]
         output = int(local.shape[0])
     else:
         output = int(algorithm.count(worker_s, worker_t, condition))

@@ -128,6 +128,8 @@ def build_report(
         plan, plan_cached = prepared.engine.plan_cache.get_or_build(
             prepared.partitioner, s_snap.base, t_snap.base, condition, prepared.workers
         )
+        if not plan_cached:
+            prepared.record_plan_seconds(plan.stats.optimization_seconds)
 
     s_sample, s_scale = _sampled_matrix(s_snap.full, prepared.attributes)
     t_sample, t_scale = _sampled_matrix(t_snap.full, prepared.attributes)

@@ -53,15 +53,26 @@ class EstimateAccuracyTracker:
 
         Never raises: estimate accounting must not fail a query.
         """
-        if result.path not in _EXECUTED_PATHS:
+        if not self.accounts(result):
             return
         try:
             self._observe(prepared, ekey, result)
         except Exception:  # noqa: BLE001 - accounting must never fail serving
             pass
 
+    @staticmethod
+    def accounts(result) -> bool:
+        """Return whether :meth:`observe` accounts this completion (only
+        executed paths carry an estimate to compare)."""
+        return result.path in _EXECUTED_PATHS
+
     def _observe(self, prepared, ekey, result) -> None:
-        q = qerror(prepared.sampled_estimate(ekey), result.n_pairs)
+        # Estimated for the rows the answer covers: the relations may have
+        # grown since it was handed back.
+        estimate = prepared.sampled_estimate(ekey, answered=result)
+        if estimate is None:  # registered again since: nothing to compare
+            return
+        q = qerror(estimate, result.n_pairs)
         with self._lock:
             self._recent.append(min(q, 1e9))  # keep the window mean finite
             self._observed += 1

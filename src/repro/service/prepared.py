@@ -36,7 +36,9 @@ pairs, so the workload capture's fingerprint costs O(delta) as well.  A
 delta query thus costs O(new rows + new output), not a pass over either
 relation or over the answer.  Without an anchor (first query of a
 registration, eviction) the base join runs through the plan cache and is
-extended the same way.
+extended the same way.  When that base join runs inline it reads both bases
+through the same sorted indexes, so each base column is sorted once per
+registration, for the cold query and every delta probe after it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ from repro.engine.routing import WorkerTask
 from repro.engine.sources import StoreMatrixSource
 from repro.exceptions import ServiceError
 from repro.geometry.band import BandCondition
+from repro.local_join import IntervalJoin
+from repro.local_join.kernels import stable_argsort
 from repro.obs import tracer
 from repro.obs.workload.recorder import format_fingerprint, pair_hash
 from repro.service.catalog import RelationCatalog, RelationSnapshot
@@ -523,33 +527,59 @@ class PreparedQuery:
         weights = self.engine.weights
         if decision.plan is not None:
             base = self.engine.execute(s, t, condition, decision.plan, materialize=True)
+            self.prices.record_rate(base.job, weights)
             return PATH_PLAN_CACHE, 0.0, base.pairs, base.job, False
         if decision.inline:
-            sides = [
-                relation.join_matrix(self.attributes)
-                if relation.storage == "memory"
-                else StoreMatrixSource.from_relation(relation, self.attributes)
-                for relation in (s, t)
-            ]
-            try:
-                pairs, job = self._inline_join(*sides, condition)
-            finally:
-                for side in sides:
-                    if isinstance(side, StoreMatrixSource):
-                        side.release()
+            pairs, job = self._inline_base_join(s_snap, t_snap, condition)
             self.prices.record_rate(job, weights)
             return PATH_COLD, 0.0, pairs, job, True
         base = self.engine.join(
             s, t, condition,
             workers=self.workers, partitioner=self.partitioner, materialize=True,
         )
+        self.prices.record_rate(base.job, weights)
         if base.plan_from_cache:  # another thread built it meanwhile
             return PATH_PLAN_CACHE, 0.0, base.pairs, base.job, False
-        self.prices.plan_seconds[self.price_key] = (
-            base.optimization_seconds + base.routing_seconds
-        )
-        self.prices.record_rate(base.job, weights)
+        self.record_plan_seconds(base.optimization_seconds + base.routing_seconds)
         return PATH_COLD, base.optimization_seconds, base.pairs, base.job, False
+
+    def record_plan_seconds(self, seconds: float) -> None:
+        """Keep the seconds a new plan of this query took to build as its P."""
+        self.prices.plan_seconds[self.price_key] = seconds
+
+    def _inline_base_join(self, s_snap, t_snap, condition) -> tuple[np.ndarray, JobStats]:
+        """Join the two bases as one task on the calling thread.
+
+        When the kernel sweeps the first join attribute (always at d = 1) the
+        task reads both bases in the order of their memoized sort indexes, so
+        the kernel finds both sides sorted and sorts neither; at d = 1 the
+        sorted values are the whole input and no row is gathered.  The same
+        indexes then serve every delta probe of these registrations.
+        """
+        snaps = (s_snap, t_snap)
+        if len(self.attributes) == 1:
+            indexes = [self._sorted_first_column(snap) for snap in snaps]
+            return self._inline_join(
+                *(rows for _, rows in indexes), condition,
+                gathered=tuple(values[:, None] for values, _ in indexes),
+            )
+        sides = [
+            snap.base.join_matrix(self.attributes)
+            if snap.base.storage == "memory"
+            else StoreMatrixSource.from_relation(snap.base, self.attributes)
+            for snap in snaps
+        ]
+        try:
+            algorithm = self.engine.algorithm
+            if isinstance(algorithm, IntervalJoin) and algorithm.sweeps(*sides, condition) == 0:
+                rows = [self._sorted_first_column(snap)[1] for snap in snaps]
+            else:
+                rows = [np.arange(side.shape[0]) for side in sides]
+            return self._inline_join(*rows, condition, matrices=sides)
+        finally:
+            for side in sides:
+                if isinstance(side, StoreMatrixSource):
+                    side.release()
 
     def cold_decision(self, epsilons=None, snapshots=None) -> ColdDecision:
         """Decide how the base join of one epsilon binding runs when no
@@ -634,20 +664,23 @@ class PreparedQuery:
             (np.concatenate(parts), np.concatenate(ids)),
         ]
         (s_matrix, s_ids), (t_matrix, t_ids) = sides if probe_s else sides[::-1]
-        local, job = self._inline_join(s_matrix, t_matrix, condition)
-        return np.column_stack((s_ids[local[:, 0]], t_ids[local[:, 1]])), job
+        return self._inline_join(s_ids, t_ids, condition, gathered=(s_matrix, t_matrix))
 
-    def _inline_join(self, s_matrix, t_matrix, condition) -> tuple[np.ndarray, JobStats]:
-        """Join two whole join matrices (arrays or out-of-core
-        :class:`StoreMatrixSource` views) as one task on the calling thread;
-        returns ``(pairs of row positions, one-worker job)``."""
-        n_s, n_t = s_matrix.shape[0], t_matrix.shape[0]
-        task = WorkerTask(0, 1, np.arange(n_s), np.zeros(n_s), np.arange(n_t), np.zeros(n_t))
+    def _inline_join(
+        self, s_rows, t_rows, condition, matrices=(None, None), gathered=None
+    ) -> tuple[np.ndarray, JobStats]:
+        """Join rows ``s_rows`` of S with rows ``t_rows`` of T as one task on
+        the calling thread; returns ``(pairs of those row ids, one-worker
+        job)``.  The rows are read from ``matrices`` (arrays or out-of-core
+        :class:`StoreMatrixSource` views of the whole relations), or were
+        already ``gathered`` into one join matrix per side."""
+        n_s, n_t = len(s_rows), len(t_rows)
+        task = WorkerTask(0, 1, s_rows, np.zeros(n_s), t_rows, np.zeros(n_t))
         algorithm = self.engine.backend._budgeted(self.engine.algorithm, concurrency=1)
         deadline.check("inline join")
         with tracer().span("local_join", backend="inline", tasks=1) as span:
             outcome = execute_task(
-                task, s_matrix, t_matrix, condition, algorithm, True, span.context
+                task, *matrices, condition, algorithm, True, span.context, gathered=gathered
             )
             tracer().attach(span.context, outcome.spans or [])
         worker = WorkerStats(0, n_s, n_t, outcome.output, 1, outcome.local_seconds)
@@ -720,7 +753,9 @@ class PreparedQuery:
             return float(hit.n_pairs)
         return self.sampled_estimate(ekey, sample_size)
 
-    def sampled_estimate(self, epsilons=None, sample_size: int | None = None) -> float:
+    def sampled_estimate(
+        self, epsilons=None, sample_size: int | None = None, answered=None
+    ) -> float | None:
         """Return the purely sampled output-cardinality estimate.
 
         Unlike :meth:`estimate_pairs` this never consults the result cache —
@@ -734,6 +769,11 @@ class PreparedQuery:
         ``(s version, t version, epsilons, sample size)``, so repeated
         admission-control or explain calls against unchanged relations pay
         the sampling cost once.
+
+        ``answered`` is a :class:`QueryResult` whose rows to estimate instead
+        of the current ones: rows are only appended after them, so they are
+        the first rows of the current relations.  ``None`` is returned when
+        either relation was registered again since.
         """
         from repro.sampling.selectivity import (
             DEFAULT_SELECTIVITY_SAMPLE,
@@ -743,7 +783,15 @@ class PreparedQuery:
         s_snap, t_snap = self.snapshots()
         ekey = self.epsilon_key(epsilons)
         k = sample_size if sample_size is not None else DEFAULT_SELECTIVITY_SAMPLE
-        memo_key = (s_snap.version, t_snap.version, ekey, k)
+        if answered is None:
+            versions = (s_snap.version, t_snap.version)
+            s_rows, t_rows = s_snap.rows, t_snap.rows
+        elif answered.lineage[:2] == (s_snap.registration, t_snap.registration):
+            versions = (answered.s_version, answered.t_version)
+            s_rows, t_rows = answered.lineage[2:]
+        else:
+            return None
+        memo_key = (*versions, ekey, k)
         with self._lock:
             cached = self._sampled_estimates.get(memo_key)
             if cached is not None:
@@ -752,10 +800,10 @@ class PreparedQuery:
         condition = self.condition(ekey)
         # Gather only the sampled rows — never the full (n, d) join matrices;
         # the probe must stay O(k log k) however large the relations grow.
-        s_sample = _sampled_join_matrix(s_snap.full, self.attributes, k)
-        t_sample = _sampled_join_matrix(t_snap.full, self.attributes, k)
+        s_sample = _sampled_join_matrix(s_snap.full, self.attributes, k, s_rows)
+        t_sample = _sampled_join_matrix(t_snap.full, self.attributes, k, t_rows)
         selectivity = estimate_join_selectivity(s_sample, t_sample, condition, k)
-        estimate = selectivity * len(s_snap.full) * len(t_snap.full)
+        estimate = selectivity * s_rows * t_rows
         # The estimate is a pair count; the divide-then-multiply round trip
         # through the selectivity leaves ulp-level noise on what is an exact
         # integer when the probe sampled the relations in full.  Snap it so
@@ -945,9 +993,10 @@ def _extend_index(values: np.ndarray, rows: np.ndarray, column: np.ndarray):
     rest of the column, equal to a fresh ``argsort(kind="stable")`` of it all.
 
     Old entries precede new ones among equal values, as their row ids do;
-    the stable sort is a timsort, which merges the two sorted runs in O(n).
+    the merging stable sort is a timsort, which merges the two sorted runs in
+    O(n).
     """
-    order = np.argsort(column, kind="stable")
+    order = stable_argsort(column)
     if values.size == 0:
         return column[order], order
     values = np.concatenate((values, column[order]))
@@ -973,15 +1022,14 @@ def _chain(segments: tuple, new: np.ndarray) -> tuple:
     return tuple(chain)
 
 
-def _sampled_join_matrix(relation, attributes, sample_size: int) -> np.ndarray:
-    """Return a ``(min(n, sample_size), d)`` evenly spaced row sample of the
-    relation's join attributes, gathering only the sampled rows."""
+def _sampled_join_matrix(relation, attributes, sample_size: int, rows: int) -> np.ndarray:
+    """Return a ``(min(rows, sample_size), d)`` evenly spaced sample of the
+    join attributes of the relation's first ``rows`` rows, gathering only the
+    sampled rows."""
     from repro.sampling.selectivity import evenly_spaced_indices
 
-    idx = evenly_spaced_indices(len(relation), sample_size)
-    if idx is None:
-        return relation.join_matrix(attributes)
-    return gather_rows(relation, attributes, idx)
+    idx = evenly_spaced_indices(rows, sample_size)
+    return gather_rows(relation, attributes, np.arange(rows) if idx is None else idx)
 
 
 def _window_positions(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -277,3 +277,20 @@ class TestExplainDecision:
         assert inline["attrs"]["chosen"] is False
         assert inline["attrs"]["plan_seconds"] < inline["estimates"]["seconds"]
         assert len(prepared.engine.plan_cache) == 1
+
+    def test_explain_and_a_cached_plan_leave_their_prices(self):
+        """EXPLAIN keeps the seconds of the plan it builds as P, and the query
+        that runs that cached plan measures κ: the next new ε is priced."""
+        rng = np.random.default_rng(4)
+        catalog = RelationCatalog()
+        catalog.register("S", _columns(_dyadic(rng, 300, 2)))
+        catalog.register("T", _columns(_dyadic(rng, 300, 2)))
+        prepared = _prepared(catalog, 2)
+        prepared.explain(0.25)
+        assert len(prepared.engine.plan_cache) == 1
+        assert prepared.prices.plan_seconds[prepared.price_key] > 0
+        assert prepared.execute(0.25).path == PATH_PLAN_CACHE
+        assert prepared.prices.seconds_per_load > 0
+        inline = next(c for c in prepared.explain(0.5).root.children if c.name == "inline")
+        assert inline.estimates["seconds"] > 0
+        assert inline.attrs["plan_seconds"] > 0

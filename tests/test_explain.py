@@ -329,16 +329,39 @@ class TestEstimateAccuracyTracker:
         with explain_service() as service:
             register_pair(service, rng)
             service.query("q")  # cold: executed
+            # The worker accounts an answer after resolving its future.
+            assert service.scheduler.wait_idle(timeout=60)
             assert service.calibration.observed == 1
             service.query("q")  # result cache: skipped
+            assert service.scheduler.wait_idle(timeout=60)
             assert service.calibration.observed == 1
+
+    def test_an_answer_is_accounted_against_its_own_rows(self, rng):
+        """The accounting runs after the answer is handed back, so rows
+        appended meanwhile must stay out of the estimate it is compared with."""
+        with explain_service(staleness_threshold=10.0) as service:
+            register_pair(service, rng, n_s=2000, n_t=1500)
+            prepared = service.prepared("q")
+            expected = prepared.sampled_estimate()
+            result = prepared.execute()
+            service.append("S", {"A1": rng.uniform(0, 1, 300)})
+            prepared._sampled_estimates.clear()  # recompute, not recall
+            assert prepared.sampled_estimate(answered=result) == expected
+            tracker = EstimateAccuracyTracker()
+            tracker.observe(prepared, prepared.epsilon_key(), result)
+            assert tracker.mean_qerror() == qerror(expected, result.n_pairs)
+            service.register("S", {"A1": rng.uniform(0, 1, 2000)}, replace=True)
+            assert prepared.sampled_estimate(answered=result) is None
+            tracker.observe(prepared, prepared.epsilon_key(), result)
+            assert tracker.observed == 1
 
     def test_qerror_histogram_in_prometheus(self, rng):
         with explain_service() as service:
             register_pair(service, rng)
             service.query("q")
+            assert service.scheduler.wait_idle(timeout=60)
             exposition = service.prometheus()
-            assert "repro_estimate_qerror" in exposition
+            assert 'repro_estimate_qerror_count{query="q"} 1' in exposition
 
     def test_mean_qerror_defaults_to_one(self):
         tracker = EstimateAccuracyTracker(registry=MetricsRegistry())
@@ -361,6 +384,7 @@ class TestEstimateAccuracyTracker:
         with explain_service() as service:
             register_pair(service, rng)
             service.query("q")
+            assert service.scheduler.wait_idle(timeout=60)
             info = service.stats()["calibration"]
             assert info["observed"] == 1
             assert info["mean_qerror"] >= 1.0

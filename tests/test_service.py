@@ -29,10 +29,12 @@ from repro.data.relation import Relation
 from repro.engine import ParallelJoinEngine
 from repro.exceptions import ReproError, ServiceError, ServiceOverloadError
 from repro.geometry.band import BandCondition
+from repro.local_join import default_local_join
 from repro.local_join.base import canonical_pair_order
 from repro.service import (
     PATH_COLD,
     PATH_DELTA,
+    PATH_PLAN_CACHE,
     PATH_RESULT_CACHE,
     BandJoinService,
     PreparedQuery,
@@ -445,6 +447,23 @@ class _StubPrepared:
 
 
 class TestQueryScheduler:
+    def test_a_new_request_wakes_the_most_recently_idle_worker(self):
+        """A client that waits for each answer is served by one thread, so
+        one allocator arena holds its working memory."""
+        threads = []
+
+        class Recording(_StubPrepared):
+            def execute(self, epsilons=None):
+                threads.append(threading.current_thread().name)
+                return super().execute(epsilons)
+
+        stub = Recording()
+        with QueryScheduler(max_workers=4, max_pending=8) as scheduler:
+            for i in range(20):
+                scheduler.submit(stub, (i + 1) / 64).result(timeout=30)
+                assert scheduler.wait_idle(timeout=30)
+        assert len(threads) == 20 and len(set(threads)) == 1
+
     def test_single_flight_shares_one_execution(self):
         gate = threading.Event()
         stub = _StubPrepared(block=gate)
@@ -903,3 +922,69 @@ class TestOutputAdmissionControl:
             service.register("T", _columns(rng, 500))
             prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.02)
             assert prepared.count() == service.query("q").n_pairs
+
+
+class TestServingPathsAgree:
+    """Every serving path of one prepared query answers the same counts.
+
+    The non-timing checks of the retired serving benchmark, on its workload
+    shape (2-d Pareto-1.5, 8 workers, six ε) at tier-1 size: a cold query
+    per ε, then the result caches dropped (an ε whose cold query planned runs
+    its cached plan, one that joined inline joins inline again), repeats from
+    the result cache, deltas after a 1% append, and a concurrent mixed burst
+    through the scheduler.
+    """
+
+    EPSILONS = (0.004, 0.006, 0.008, 0.010, 0.012, 0.014)
+
+    def test_counts_per_path(self):
+        from repro.data.generators import correlated_pair, pareto_relation
+
+        s, t = correlated_pair(1500, 1500, dimensions=2, z=1.5, seed=0)
+        config = ServiceConfig(
+            backend="threads", workers=8, staleness_threshold=10.0,
+            compaction="off", scheduler_workers=4,
+        )
+        with BandJoinService(config) as service:
+            service.register("S", s)
+            service.register("T", t)
+            prepared = service.prepare("q", "S", "T", attributes=["A1", "A2"])
+
+            def exact(eps) -> int:
+                s_snap, t_snap = prepared.snapshots()
+                return default_local_join().count(
+                    s_snap.full.join_matrix(["A1", "A2"]),
+                    t_snap.full.join_matrix(["A1", "A2"]),
+                    prepared.condition(eps),
+                )
+
+            counts, planned = {}, {}
+            for eps in self.EPSILONS:
+                result = service.query("q", eps)
+                assert result.path == PATH_COLD
+                counts[eps], planned[eps] = result.n_pairs, not result.inline
+                assert counts[eps] == exact(eps)
+
+            prepared.invalidate()
+            for eps in self.EPSILONS:
+                result = service.query("q", eps)
+                expected_path = PATH_PLAN_CACHE if planned[eps] else PATH_COLD
+                assert (result.path, result.inline) == (expected_path, not planned[eps])
+                assert result.n_pairs == counts[eps]
+
+            for _ in range(2):
+                for eps in self.EPSILONS:
+                    result = service.query("q", eps)
+                    assert (result.path, result.n_pairs) == (PATH_RESULT_CACHE, counts[eps])
+
+            service.append("S", pareto_relation("S", 15, dimensions=2, z=1.5, seed=99))
+            for eps in self.EPSILONS:
+                result = service.query("q", eps)
+                assert result.path == PATH_DELTA
+                assert result.n_pairs >= counts[eps]
+                counts[eps] = result.n_pairs
+                assert counts[eps] == exact(eps)
+
+            futures = [service.submit("q", self.EPSILONS[i % 6]) for i in range(36)]
+            for i, future in enumerate(futures):
+                assert future.result(timeout=60).n_pairs == counts[self.EPSILONS[i % 6]]
