@@ -51,17 +51,11 @@ def sweep_dimension(
 ) -> int:
     """Return the dimension whose value range over both sides spans the most
     band-wide cells (:func:`~repro.local_join.kernels.cells_per_dimension`);
-    zero-width (equality) dimensions win, ties go to the lowest dimension.
-
-    Either side may also be a :class:`~repro.engine.sources.StoreMatrixSource`,
-    whose ``bounds()`` are read without scanning its rows."""
+    zero-width (equality) dimensions win, ties go to the lowest dimension."""
     sides = [arr for arr in (s_arr, t_arr) if arr.shape[0]]
     if not sides:
         sides = [np.zeros((1, condition.dimensionality))]
-    ranges = [
-        arr.bounds() if hasattr(arr, "bounds") else kernels.column_range(arr)
-        for arr in sides
-    ]
+    ranges = [kernels.column_range(arr) for arr in sides]
     lo = np.min([low for low, _ in ranges], axis=0)
     hi = np.max([high for _, high in ranges], axis=0)
     eps_left, eps_right = condition.eps_arrays()
@@ -111,21 +105,20 @@ class IntervalJoin(LocalJoinAlgorithm):
         dim, probe, memory_budget = ALIASES[name]
         return cls(dim, probe, memory_budget, name=name)
 
-    def sweeps(self, s_arr, t_arr, condition: BandCondition) -> int:
-        """Return the dimension a join of these two sides sorts and sweeps."""
-        return self.dim if self.dim is not None else sweep_dimension(s_arr, t_arr, condition)
-
     def _run(self, kernel, s_values, t_values, condition: BandCondition):
         d = condition.dimensionality
         if self.dim is not None and self.dim >= d:
             raise ValueError(f"dim {self.dim} out of range for {d}-dimensional join")
         s_arr = as_matrix(s_values, d)
         t_arr = as_matrix(t_values, d)
+        dim = self.dim
+        if dim is None:
+            dim = sweep_dimension(s_arr, t_arr, condition)
         return kernel(
             s_arr,
             t_arr,
             condition,
-            self.sweeps(s_arr, t_arr, condition),
+            dim,
             probe_is_s=self.probe == "s",
             memory_budget=self.memory_budget,
         )

@@ -36,9 +36,9 @@ pairs, so the workload capture's fingerprint costs O(delta) as well.  A
 delta query thus costs O(new rows + new output), not a pass over either
 relation or over the answer.  Without an anchor (first query of a
 registration, eviction) the base join runs through the plan cache and is
-extended the same way.  When that base join runs inline it reads both bases
-through the same sorted indexes, so each base column is sorted once per
-registration, for the cold query and every delta probe after it.
+extended the same way.  When a one-attribute base join runs inline it reads
+both bases through the same sorted indexes, so each base column is sorted
+once per registration, for the cold query and every delta probe after it.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from repro.engine.routing import WorkerTask
 from repro.engine.sources import StoreMatrixSource
 from repro.exceptions import ServiceError
 from repro.geometry.band import BandCondition
-from repro.local_join import IntervalJoin
 from repro.local_join.kernels import stable_argsort
 from repro.obs import tracer
 from repro.obs.workload.recorder import format_fingerprint, pair_hash
@@ -550,11 +549,10 @@ class PreparedQuery:
     def _inline_base_join(self, s_snap, t_snap, condition) -> tuple[np.ndarray, JobStats]:
         """Join the two bases as one task on the calling thread.
 
-        When the kernel sweeps the first join attribute (always at d = 1) the
-        task reads both bases in the order of their memoized sort indexes, so
-        the kernel finds both sides sorted and sorts neither; at d = 1 the
-        sorted values are the whole input and no row is gathered.  The same
-        indexes then serve every delta probe of these registrations.
+        At d = 1 the task reads both bases in the order of their memoized
+        sort indexes: the sorted values are the whole input, so no row is
+        gathered and the kernel sorts neither side.  The same indexes then
+        serve every delta probe of these registrations.
         """
         snaps = (s_snap, t_snap)
         if len(self.attributes) == 1:
@@ -570,12 +568,9 @@ class PreparedQuery:
             for snap in snaps
         ]
         try:
-            algorithm = self.engine.algorithm
-            if isinstance(algorithm, IntervalJoin) and algorithm.sweeps(*sides, condition) == 0:
-                rows = [self._sorted_first_column(snap)[1] for snap in snaps]
-            else:
-                rows = [np.arange(side.shape[0]) for side in sides]
-            return self._inline_join(*rows, condition, matrices=sides)
+            return self._inline_join(
+                *(np.arange(side.shape[0]) for side in sides), condition, matrices=sides
+            )
         finally:
             for side in sides:
                 if isinstance(side, StoreMatrixSource):

@@ -30,13 +30,11 @@ latency percentiles over a sliding window.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -331,13 +329,15 @@ class QueryScheduler:
         self._capture_lock = threading.Lock()
         self._capture_cache: dict[tuple, dict] = {}
         self._lock = threading.Lock()
-        # Notified whenever a worker finishes a request (close() and
-        # wait_idle() wait on it); idle workers sleep on their own conditions.
+        # Notified whenever a worker finishes a request or the accounting
+        # thread an answer (close() and wait_idle() wait on it); idle workers
+        # sleep on their own conditions.
         self._finished = threading.Condition(self._lock)
         self._idle: list[threading.Condition] = []  # most recently idle last
         self._queue: deque[_Request] = deque()
         self._inflight: dict[tuple, _Request] = {}
         self._busy = 0  # workers between popping a request and finishing it
+        self._accounting = 0  # answers handed to the accounting thread, not yet done
         self._shutdown = False
         self._threads = [
             threading.Thread(
@@ -691,17 +691,33 @@ class QueryScheduler:
         # "query" span already ended.
         request.span.set(path=result.path)
         request.span.end()
+        # Cache-served answers skip the accounting thread.
+        calibration = self.calibration
+        accounts = calibration is not None and calibration.accounts(result)
         # A request arriving from now on executes afresh instead of sharing
         # this future, which is resolved below.
         with self._lock:
             self._retire_locked(request)
+            self._accounting += accounts
         request.future.set_result(result)
-        calibration = self.calibration
-        if calibration is not None and calibration.accounts(result):
-            # observe() never raises; after close(wait=False) the accounting
-            # is dropped.  Cache-served answers skip the thread handoff.
-            with contextlib.suppress(RuntimeError):
-                self._accountant.submit(calibration.observe, prepared, request.ekey, result)
+        if accounts:
+            try:
+                self._accountant.submit(self._account, prepared, request.ekey, result)
+            except RuntimeError:  # closed without waiting: the accounting is dropped
+                self._accounted()
+
+    def _account(self, prepared, ekey, result) -> None:
+        """Run on the accounting thread: compare the answer with its estimate."""
+        try:
+            self.calibration.observe(prepared, ekey, result)  # never raises
+        finally:
+            self._accounted()
+
+    def _accounted(self) -> None:
+        """Count one answer handed to the accounting thread as done."""
+        with self._lock:
+            self._accounting -= 1
+            self._finished.notify_all()
 
     def _wake_idle_locked(self) -> None:
         """Wake every idle worker (caller holds the lock)."""
@@ -722,20 +738,10 @@ class QueryScheduler:
         """Block until no request is queued or executing and every answer
         handed back so far is accounted; return ``False`` if ``timeout``
         seconds pass first."""
-        deadline_at = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            if not self._finished.wait_for(
-                lambda: not self._queue and not self._busy, timeout
-            ):
-                return False
-        # The accounting thread works in submission order.
-        marker = self._accountant.submit(lambda: None)
-        remaining = None if deadline_at is None else max(0.0, deadline_at - time.monotonic())
-        try:
-            marker.result(remaining)
-        except FutureTimeoutError:
-            return False
-        return True
+            return self._finished.wait_for(
+                lambda: not (self._queue or self._busy or self._accounting), timeout
+            )
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting work, drain in-flight requests, join the workers.

@@ -1,11 +1,11 @@
 """A cold served query joins its bases in their memoized sort order.
 
-When the kernel sweeps the first join attribute (always at d = 1), the inline
-base join reads both bases through the sorted index of that attribute that
-:class:`~repro.service.prepared.PreparedQuery` keeps for its delta probes, so
-the kernel finds both sides sorted and sorts neither.  Whatever order the
-rows arrive in, the answer must be the kernel's answer on the whole
-matrices, and the index must be the one every later delta probe reads.
+At d = 1 the inline base join reads both bases through the sorted index of
+the join attribute that :class:`~repro.service.prepared.PreparedQuery` keeps
+for its delta probes, so the kernel finds both sides sorted and sorts
+neither; at d > 1 it reads them in row order.  Either way the answer must be
+the kernel's answer on the whole matrices, and at d = 1 the index must be
+the one every later delta probe reads.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ def _columns(matrix: np.ndarray) -> dict:
     return {a: matrix[:, k] for k, a in enumerate(_attributes(matrix.shape[1]))}
 
 
-def _dyadic(rng: np.random.Generator, n: int, d: int, widths=None) -> np.ndarray:
-    """Multiples of 1/8 (many duplicates, exact band edges); ``widths``
-    stretches single dimensions."""
-    values = rng.integers(0, 25, size=(n, d)) / 8.0
-    return values * (np.ones(d) if widths is None else np.asarray(widths))
+def _dyadic(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """Multiples of 1/8 (many duplicates, exact band edges)."""
+    return rng.integers(0, 25, size=(n, d)) / 8.0
 
 
 def _inline_query(catalog, d: int, epsilons) -> PreparedQuery:
@@ -99,20 +97,6 @@ class TestPresortedColdAnswer:
         catalog.compact("T")
         catalog.compact("S")
         prepared.invalidate()
-        _check_cold(prepared)
-
-    @pytest.mark.parametrize("storage", ["memory", "mmap"])
-    def test_a_sweep_of_another_dimension_keeps_row_order(self, tmp_path, storage):
-        """The second dimension spans more band-wide cells, so the kernel
-        sweeps it and the task reads the bases in row order."""
-        rng = np.random.default_rng(4)
-        catalog = RelationCatalog(
-            staleness_threshold=100.0, storage=storage,
-            spill_dir=str(tmp_path), spill_threshold_bytes=1,
-        )
-        catalog.register("S", _columns(_dyadic(rng, 300, 2, widths=(1, 8))))
-        catalog.register("T", _columns(_dyadic(rng, 280, 2, widths=(1, 8))))
-        prepared = _inline_query(catalog, 2, 0.25)
         _check_cold(prepared)
 
 

@@ -464,6 +464,27 @@ class TestQueryScheduler:
                 assert scheduler.wait_idle(timeout=30)
         assert len(threads) == 20 and len(set(threads)) == 1
 
+    def test_wait_idle_after_close_reports_the_drained_queue(self):
+        scheduler = QueryScheduler(max_workers=2, max_pending=8)
+        scheduler.submit(_StubPrepared(), 0.5).result(timeout=30)
+        scheduler.close()
+        assert scheduler.wait_idle(timeout=1)
+
+    def test_wait_idle_waits_for_the_estimate_accounting(self):
+        gate = threading.Event()
+
+        class Calibration:
+            accounts = staticmethod(lambda result: True)
+
+            def observe(self, prepared, ekey, result):
+                gate.wait(timeout=30)
+
+        with QueryScheduler(max_workers=2, max_pending=8, calibration=Calibration()) as scheduler:
+            scheduler.submit(_StubPrepared(), 0.5).result(timeout=30)
+            assert not scheduler.wait_idle(timeout=0.05)
+            gate.set()
+            assert scheduler.wait_idle(timeout=30)
+
     def test_single_flight_shares_one_execution(self):
         gate = threading.Event()
         stub = _StubPrepared(block=gate)
