@@ -55,9 +55,9 @@ def measure_tracker_overhead(service, repeat: int = OVERHEAD_REPEAT) -> dict:
 
     The tracker is toggled on every other request so both configurations
     see identical machine load, and the median discards scheduler-jitter
-    outliers.  On the cached path the tracker's whole job
-    is one "not an executed path" check, so this bounds the cost EXPLAIN
-    support adds to requests that never asked for it.
+    outliers.  A cached answer carries no estimate, so on the cached path
+    the tracker's whole job is one ``None`` check; this bounds the cost
+    EXPLAIN support adds to requests that never asked for it.
     """
     tracker = service.scheduler.calibration
     latencies: dict[bool, list[float]] = {False: [], True: []}

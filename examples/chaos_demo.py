@@ -118,7 +118,7 @@ def main() -> int:
         print(f"   under overload: {stale.n_pairs:,} pairs, path={stale.path}, "
               f"stale={stale.stale}, version_lag={stale.version_lag}")
         print(f"   degraded responses counted: "
-              f"{service.scheduler.metrics.degraded}")
+              f"{service.scheduler.metrics.snapshot()['degraded']}")
     return 0
 
 

@@ -141,7 +141,7 @@ def merge_job_stats(jobs: "list[JobStats]") -> JobStats:
     """Merge per-worker accounting of several executions into one JobStats.
 
     Used by the serving layer to report one consolidated accounting for a
-    query answered by several joins (a partitioned base join and the local
+    query served by several joins (a partitioned base join and the local
     joins of the rows appended since).  Worker lists are aligned by worker
     id; the merged job spans the widest worker range of its parts.
     """

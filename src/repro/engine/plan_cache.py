@@ -99,7 +99,7 @@ class PlanCacheStats:
 
     @property
     def hit_rate(self) -> float:
-        """Return the fraction of lookups answered from the cache."""
+        """Return the fraction of lookups served from the cache."""
         if self.lookups == 0:
             return 0.0
         return self.hits / self.lookups

@@ -16,7 +16,7 @@ Every fast local algorithm in this package reduces to the same three steps:
    verified with vectorized masks over the candidate chunk (the cells of
    step 1 only have to be a superset).
 
-Counting never materializes pairs: a one-dimensional condition is answered
+Counting never materializes pairs: a one-dimensional condition is counted
 purely from the window arithmetic (``sum(hi - lo)``, no per-row allocation at
 all), and multi-dimensional counts accumulate ``mask.sum()`` chunk by chunk,
 so the transient allocation is bounded by the memory budget rather than by

@@ -25,7 +25,7 @@ def bind_plan_cache(registry: MetricsRegistry, cache) -> None:
             f"repro_plan_cache_{field}", f"plan cache {field} since start"
         ).set_function(lambda field=field: getattr(stats, field))
     registry.gauge(
-        "repro_plan_cache_hit_rate", "fraction of plan lookups answered from cache"
+        "repro_plan_cache_hit_rate", "fraction of plan lookups served from cache"
     ).set_function(lambda: stats.hit_rate)
 
 

@@ -8,9 +8,9 @@ estimates were*:
   per-worker estimates, plan-cache provenance and the kernel selector's
   decision; with ``analyze=True`` it executes and grafts measured actuals
   plus per-node q-errors onto the same tree.
-* :class:`EstimateAccuracyTracker` is the always-on live half: q-error per
-  executed completion into the ``repro_estimate_qerror`` histogram and the
-  ``estimate_qerror`` SLO window.
+* :class:`EstimateAccuracyTracker` is the always-on live half: the q-error
+  of each answer's cold-decision estimate into the ``repro_estimate_qerror``
+  histogram and the ``estimate_qerror`` SLO window.
 """
 
 from repro.obs.explain.builder import build_report, kernel_counter_totals

@@ -32,9 +32,11 @@ import numpy as np
 
 from repro.local_join import kernels
 from repro.obs.explain.report import PlanNode, QueryPlanReport
-from repro.obs.explain.store import _EXECUTED_PATHS
 
 __all__ = ["build_report", "kernel_counter_totals"]
+
+#: Execution paths that ran a join for the answer (not served from a cache).
+_EXECUTED_PATHS = frozenset({"cold", "plan_cache", "delta"})
 
 #: Per-side row-sample size of the routing-based per-worker estimates.
 #: Larger than the selectivity probe's 512 — routing skew matters here —

@@ -1,9 +1,10 @@
 """Live estimate-vs-actual accounting of executed queries.
 
-:class:`EstimateAccuracyTracker` is fed by the scheduler: it receives every
-*executed* completion (cache-served paths are skipped — their "estimate"
-would be the cached exact answer), derives the output q-error, feeds the
-``repro_estimate_qerror`` histogram and keeps a bounded window for the
+:class:`EstimateAccuracyTracker` is fed by the scheduler: an answer carries
+the sampled output estimate its cold decision priced it with (``None`` when
+no estimate decided it: delta and cache-served answers), and the tracker
+compares each one carried with the answer's pair count in O(1).  It feeds
+the ``repro_estimate_qerror`` histogram and keeps a bounded window for the
 ``estimate_qerror`` SLO probe.
 """
 
@@ -16,9 +17,6 @@ from repro.obs.explain.report import qerror
 from repro.obs.registry import DEFAULT_RATIO_BUCKETS
 
 __all__ = ["EstimateAccuracyTracker"]
-
-#: Execution paths whose completions carry genuine (non-cache) estimates.
-_EXECUTED_PATHS = frozenset({"cold", "plan_cache", "delta"})
 
 
 class EstimateAccuracyTracker:
@@ -48,36 +46,15 @@ class EstimateAccuracyTracker:
             else None
         )
 
-    def observe(self, prepared, ekey: tuple, result) -> None:
-        """Account one completed request (no-op for cache-served paths).
-
-        Never raises: estimate accounting must not fail a query.
-        """
-        if not self.accounts(result):
-            return
-        try:
-            self._observe(prepared, ekey, result)
-        except Exception:  # noqa: BLE001 - accounting must never fail serving
-            pass
-
-    @staticmethod
-    def accounts(result) -> bool:
-        """Return whether :meth:`observe` accounts this completion (only
-        executed paths carry an estimate to compare)."""
-        return result.path in _EXECUTED_PATHS
-
-    def _observe(self, prepared, ekey, result) -> None:
-        # Estimated for the rows the answer covers: the relations may have
-        # grown since it was handed back.
-        estimate = prepared.sampled_estimate(ekey, answered=result)
-        if estimate is None:  # registered again since: nothing to compare
-            return
-        q = qerror(estimate, result.n_pairs)
+    def observe(self, query: str, estimate: float, n_pairs: int) -> None:
+        """Account one answer of ``query``: the output estimate that decided
+        it against its ``n_pairs``."""
+        q = min(qerror(estimate, n_pairs), 1e9)  # keep the window mean finite
         with self._lock:
-            self._recent.append(min(q, 1e9))  # keep the window mean finite
+            self._recent.append(q)
             self._observed += 1
         if self._histogram is not None:
-            self._histogram.observe(min(q, 1e9), query=_query_name(prepared))
+            self._histogram.observe(q, query=query)
 
     def mean_qerror(self) -> float:
         """Return the mean q-error over the recent window (1.0 when empty).
@@ -91,7 +68,7 @@ class EstimateAccuracyTracker:
 
     @property
     def observed(self) -> int:
-        """Return the number of executed completions accounted so far."""
+        """Return the number of answers accounted so far."""
         with self._lock:
             return self._observed
 
@@ -101,9 +78,3 @@ class EstimateAccuracyTracker:
             "mean_qerror": self.mean_qerror(),
             "window": self._recent.maxlen,
         }
-
-
-def _query_name(prepared) -> str:
-    return getattr(prepared, "name", None) or (
-        f"{getattr(prepared, 's_name', '?')}⋈{getattr(prepared, 't_name', '?')}"
-    )

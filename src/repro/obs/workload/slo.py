@@ -70,9 +70,9 @@ def service_probes(service) -> dict:
     """
 
     def error_rate() -> float:
-        metrics = service.scheduler.metrics
-        finished = metrics.completed + metrics.failed
-        return metrics.failed / finished if finished else 0.0
+        counts = service.scheduler.metrics.snapshot()
+        finished = counts["completed"] + counts["failed"]
+        return counts["failed"] / finished if finished else 0.0
 
     def cache_hit_rate() -> float:
         hits = misses = 0

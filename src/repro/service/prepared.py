@@ -126,6 +126,9 @@ class QueryResult:
     #: The base join ran as one inline kernel call, not under a plan
     #: (``base_job`` is then a one-worker job).
     inline: bool = False
+    #: The sampled output estimate the cold decision priced this answer's
+    #: base join with; ``None`` when no estimate decided it (delta, cached).
+    estimated_pairs: float | None = None
 
     @property
     def pairs(self) -> np.ndarray:
@@ -217,12 +220,13 @@ class ColdDecision:
     Otherwise the join goes ``inline`` (one kernel call on the calling
     thread) when ``parallelism`` p is 1, or when the plan's price
     κ·L/p + P is known and not below the inline price κ·L, where L is the
-    load of both bases and the sampled output estimate.  The prices are
-    ``None`` when a number they need was never measured.
+    load of both bases and ``estimated_pairs``, the sampled output estimate.
+    The prices are ``None`` when a number they need was never measured.
     """
 
     inline: bool
     parallelism: int
+    estimated_pairs: float
     inline_seconds: float | None = None
     plan_seconds: float | None = None
     plan: JoinPartitioning | None = None
@@ -468,17 +472,18 @@ class PreparedQuery:
         if hit is not None:
             self.stats.record(PATH_RESULT_CACHE)
             return replace(
-                hit, path=PATH_RESULT_CACHE, seconds=time.perf_counter() - start
+                hit, path=PATH_RESULT_CACHE, seconds=time.perf_counter() - start,
+                estimated_pairs=None,
             )
 
         condition = self.condition(ekey)
         if anchor is not None:
-            path, optimization_seconds, base_job, inline = PATH_DELTA, 0.0, None, False
+            path, optimization_seconds, base_job, decision = PATH_DELTA, 0.0, None, None
             segments, total, (s_rows, t_rows) = (
                 anchor.segments, anchor.hash_sum(), anchor.lineage[2:]
             )
         else:
-            path, optimization_seconds, pairs, base_job, inline = self._base_join(
+            path, optimization_seconds, pairs, base_job, decision = self._base_join(
                 s_snap, t_snap, ekey, condition
             )
             segments, total = _chain((), pairs), pair_hash(pairs)
@@ -509,7 +514,8 @@ class PreparedQuery:
             delta_job=merge_job_stats(delta_jobs) if delta_jobs else None,
             lineage=(s_snap.registration, t_snap.registration, s_snap.rows, t_snap.rows),
             pair_sum=total,
-            inline=inline,
+            inline=decision is not None and decision.inline,
+            estimated_pairs=None if decision is None else decision.estimated_pairs,
         )
         self.store_result(ekey, result)
         self.stats.record(result.path)
@@ -517,8 +523,8 @@ class PreparedQuery:
 
     def _base_join(self, s_snap, t_snap, ekey, condition) -> tuple:
         """Join the two bases; returns ``(path, optimization seconds, pairs,
-        job, inline)``.  A cold execution leaves its measurements in the
-        prices: κ always, P when it built a plan."""
+        job, cold decision)``.  A cold execution leaves its measurements in
+        the prices: κ always, P when it built a plan."""
         with tracer().span("decide", workers=self.workers) as span:
             decision = self.cold_decision(ekey, (s_snap, t_snap))
             span.set(inline=decision.inline, cached=decision.plan is not None)
@@ -527,20 +533,20 @@ class PreparedQuery:
         if decision.plan is not None:
             base = self.engine.execute(s, t, condition, decision.plan, materialize=True)
             self.prices.record_rate(base.job, weights)
-            return PATH_PLAN_CACHE, 0.0, base.pairs, base.job, False
+            return PATH_PLAN_CACHE, 0.0, base.pairs, base.job, decision
         if decision.inline:
             pairs, job = self._inline_base_join(s_snap, t_snap, condition)
             self.prices.record_rate(job, weights)
-            return PATH_COLD, 0.0, pairs, job, True
+            return PATH_COLD, 0.0, pairs, job, decision
         base = self.engine.join(
             s, t, condition,
             workers=self.workers, partitioner=self.partitioner, materialize=True,
         )
         self.prices.record_rate(base.job, weights)
         if base.plan_from_cache:  # another thread built it meanwhile
-            return PATH_PLAN_CACHE, 0.0, base.pairs, base.job, False
+            return PATH_PLAN_CACHE, 0.0, base.pairs, base.job, decision
         self.record_plan_seconds(base.optimization_seconds + base.routing_seconds)
-        return PATH_COLD, base.optimization_seconds, base.pairs, base.job, False
+        return PATH_COLD, base.optimization_seconds, base.pairs, base.job, decision
 
     def record_plan_seconds(self, seconds: float) -> None:
         """Keep the seconds a new plan of this query took to build as its P."""
@@ -585,21 +591,23 @@ class PreparedQuery:
         A plan-cache lookup is counted only when it hits.
         """
         ekey = self.epsilon_key(epsilons)
-        s_snap, t_snap = snapshots if snapshots is not None else self.snapshots()
+        snapshots = snapshots or self.snapshots()
+        s_snap, t_snap = snapshots
         pool = getattr(self.engine.backend, "max_workers", None)
         p = min(self.workers, pool or backends._default_parallelism())
+        estimate = self.sampled_estimate(ekey, snapshots=snapshots)
         kappa = self.prices.seconds_per_load
         inline_seconds = plan_seconds = None
         if kappa is not None:
-            load = self.engine.weights.load(
-                len(s_snap.base) + len(t_snap.base),
-                self.sampled_estimate(ekey),
-            )
+            load = self.engine.weights.load(len(s_snap.base) + len(t_snap.base), estimate)
             inline_seconds = kappa * load
             known = self.prices.plan_seconds.get(self.price_key)
             if known is not None:
                 plan_seconds = inline_seconds / p + known
-        prices = dict(parallelism=p, inline_seconds=inline_seconds, plan_seconds=plan_seconds)
+        prices = dict(
+            parallelism=p, estimated_pairs=estimate,
+            inline_seconds=inline_seconds, plan_seconds=plan_seconds,
+        )
         if p == 1:
             return ColdDecision(inline=True, **prices)
         key = plan_key(
@@ -734,8 +742,8 @@ class PreparedQuery:
     def estimate_pairs(self, epsilons=None, sample_size: int | None = None) -> float:
         """Cheaply estimate the output cardinality of one epsilon binding.
 
-        A cached materialized result for the current catalog versions is
-        answered exactly; otherwise the memoized sampled probe of
+        A cached materialized result for the current catalog versions gives
+        the exact count; otherwise the memoized sampled probe of
         :meth:`sampled_estimate` gives the order of magnitude without
         touching the engine.  The scheduler's admission control prices
         queries with this before enqueueing them.
@@ -749,44 +757,32 @@ class PreparedQuery:
         return self.sampled_estimate(ekey, sample_size)
 
     def sampled_estimate(
-        self, epsilons=None, sample_size: int | None = None, answered=None
-    ) -> float | None:
+        self, epsilons=None, sample_size: int | None = None, snapshots=None
+    ) -> float:
         """Return the purely sampled output-cardinality estimate.
 
         Unlike :meth:`estimate_pairs` this never consults the result cache —
-        it is what the *planner believed* before execution, which is what
-        EXPLAIN ANALYZE and the estimate-accuracy tracker must compare actuals
-        against (otherwise an analyzed run whose result was just stored would
-        report a tautological q-error of 1.0).
+        it is what the *planner believed* before execution: the cold decision
+        prices with it, and EXPLAIN ANALYZE and the estimate-accuracy tracker
+        compare actuals against it (otherwise an analyzed run whose result
+        was just stored would report a tautological q-error of 1.0).
 
         The probe (a band-selectivity estimate over evenly spaced row samples
         — one ``searchsorted`` pair per dimension) is memoized per
         ``(s version, t version, epsilons, sample size)``, so repeated
         admission-control or explain calls against unchanged relations pay
-        the sampling cost once.
-
-        ``answered`` is a :class:`QueryResult` whose rows to estimate instead
-        of the current ones: rows are only appended after them, so they are
-        the first rows of the current relations.  ``None`` is returned when
-        either relation was registered again since.
+        the sampling cost once.  ``snapshots`` is the ``(S, T)`` snapshot
+        pair to estimate over instead of the current one.
         """
         from repro.sampling.selectivity import (
             DEFAULT_SELECTIVITY_SAMPLE,
             estimate_join_selectivity,
         )
 
-        s_snap, t_snap = self.snapshots()
+        s_snap, t_snap = snapshots or self.snapshots()
         ekey = self.epsilon_key(epsilons)
         k = sample_size if sample_size is not None else DEFAULT_SELECTIVITY_SAMPLE
-        if answered is None:
-            versions = (s_snap.version, t_snap.version)
-            s_rows, t_rows = s_snap.rows, t_snap.rows
-        elif answered.lineage[:2] == (s_snap.registration, t_snap.registration):
-            versions = (answered.s_version, answered.t_version)
-            s_rows, t_rows = answered.lineage[2:]
-        else:
-            return None
-        memo_key = (*versions, ekey, k)
+        memo_key = (s_snap.version, t_snap.version, ekey, k)
         with self._lock:
             cached = self._sampled_estimates.get(memo_key)
             if cached is not None:
@@ -795,10 +791,10 @@ class PreparedQuery:
         condition = self.condition(ekey)
         # Gather only the sampled rows — never the full (n, d) join matrices;
         # the probe must stay O(k log k) however large the relations grow.
-        s_sample = _sampled_join_matrix(s_snap.full, self.attributes, k, s_rows)
-        t_sample = _sampled_join_matrix(t_snap.full, self.attributes, k, t_rows)
+        s_sample = _sampled_join_matrix(s_snap.full, self.attributes, k)
+        t_sample = _sampled_join_matrix(t_snap.full, self.attributes, k)
         selectivity = estimate_join_selectivity(s_sample, t_sample, condition, k)
-        estimate = selectivity * s_rows * t_rows
+        estimate = selectivity * s_snap.rows * t_snap.rows
         # The estimate is a pair count; the divide-then-multiply round trip
         # through the selectivity leaves ulp-level noise on what is an exact
         # integer when the probe sampled the relations in full.  Snap it so
@@ -825,32 +821,6 @@ class PreparedQuery:
 
         return build_report(self, epsilons, analyze=analyze, execute=execute)
 
-    def count(self, epsilons=None) -> int:
-        """Return the exact output cardinality without materializing pairs.
-
-        Runs the engine's count path (zero-materialization kernels: window
-        arithmetic in one dimension, chunk-wise masked counting beyond), so
-        the cost is bounded by the input scan plus the kernel budget — never
-        by the output size.  A cached materialized result is answered
-        directly.
-        """
-        s_snap, t_snap = self.snapshots()
-        ekey = self.epsilon_key(epsilons)
-        with self._lock:
-            hit = self._results.get((s_snap.version, t_snap.version, ekey))
-        if hit is not None:
-            return hit.n_pairs
-        condition = self.condition(ekey)
-        result = self.engine.join(
-            s_snap.full,
-            t_snap.full,
-            condition,
-            workers=self.workers,
-            partitioner=self.partitioner,
-            materialize=False,
-        )
-        return int(result.total_output)
-
     def stale_result(self, ekey: tuple) -> QueryResult | None:
         """Return the freshest cached result for ``ekey``, whatever its versions.
 
@@ -875,7 +845,8 @@ class PreparedQuery:
         hit = max(candidates, key=lambda r: (r.s_version + r.t_version))
         lag = max(0, cur_s - hit.s_version) + max(0, cur_t - hit.t_version)
         return replace(
-            hit, path=PATH_STALE, stale=True, version_lag=lag, seconds=0.0
+            hit, path=PATH_STALE, stale=True, version_lag=lag, seconds=0.0,
+            estimated_pairs=None,
         )
 
     # ------------------------------------------------------------------ #
@@ -1017,12 +988,12 @@ def _chain(segments: tuple, new: np.ndarray) -> tuple:
     return tuple(chain)
 
 
-def _sampled_join_matrix(relation, attributes, sample_size: int, rows: int) -> np.ndarray:
-    """Return a ``(min(rows, sample_size), d)`` evenly spaced sample of the
-    join attributes of the relation's first ``rows`` rows, gathering only the
-    sampled rows."""
+def _sampled_join_matrix(relation, attributes, sample_size: int) -> np.ndarray:
+    """Return a ``(min(n, sample_size), d)`` evenly spaced row sample of the
+    relation's join attributes, gathering only the sampled rows."""
     from repro.sampling.selectivity import evenly_spaced_indices
 
+    rows = len(relation)
     idx = evenly_spaced_indices(rows, sample_size)
     return gather_rows(relation, attributes, np.arange(rows) if idx is None else idx)
 

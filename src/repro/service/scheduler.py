@@ -25,7 +25,9 @@ fast at submit time instead of tying a worker to an enormous dispatch.
 
 Every request is timed (queue wait, execution, total) and counted per
 execution path; :meth:`SchedulerMetrics.snapshot` reports the counters plus
-latency percentiles over a sliding window.
+latency percentiles over a sliding window.  Before an answer's future
+resolves, the worker also accounts the output estimate its cold decision
+priced it with against its pair count (an O(1) step).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -64,6 +66,9 @@ logger = get_logger(__name__)
 #: Failure causes reported by ``repro_query_failures_total``.
 FAILURE_CAUSES = ("overload", "worker_crash", "timeout", "corrupt_segment", "internal")
 
+#: Lifecycle events counted by ``repro_scheduler_events_total``.
+EVENTS = ("submitted", "completed", "failed", "deduplicated", "rejected", "degraded")
+
 
 def _failure_cause(exc: BaseException) -> str:
     """Classify an execution failure for the labeled failure counter."""
@@ -82,11 +87,11 @@ class SchedulerMetrics:
     """Scheduler accounting, backed by an obs :class:`MetricsRegistry`.
 
     Every counter lives in the registry (``repro_scheduler_*``), so one
-    Prometheus scrape of the owning registry sees them; the integer
-    properties (``submitted``, ``completed``, …) read the same counters for
-    existing callers.  Exact latency percentiles additionally keep a sliding
-    window of samples — registry histograms have fixed buckets, and the
-    serving API promised exact p50/p95/p99.
+    Prometheus scrape of the owning registry sees them, and
+    :meth:`snapshot` reads them back.  The peak-RSS gauge is read from the
+    process at scrape time.  Exact latency percentiles additionally keep a
+    sliding window of samples — registry histograms have fixed buckets, and
+    the serving API promised exact p50/p95/p99.
     """
 
     def __init__(self, window: int = 2048, registry: MetricsRegistry | None = None) -> None:
@@ -108,6 +113,7 @@ class SchedulerMetrics:
             "repro_process_peak_rss_bytes",
             "peak resident set size of the serving process",
         )
+        self._peak_rss.set_function(peak_rss_bytes)
         self._failures = self.registry.counter(
             "repro_query_failures_total",
             "request failures classified by cause "
@@ -115,7 +121,7 @@ class SchedulerMetrics:
         )
         self._degraded = self.registry.counter(
             "repro_degraded_responses_total",
-            "requests answered with a version-stale cached result under overload",
+            "requests served from a version-stale cached result under overload",
         )
         self._latencies: deque = deque(maxlen=window)  # (queue_s, exec_s, total_s)
 
@@ -151,54 +157,6 @@ class SchedulerMetrics:
         self._events.inc(event="failed")
         self._failures.inc(cause=cause)
 
-    def sample_rss(self) -> None:
-        """Refresh the peak-RSS gauge (called after each execution)."""
-        self._peak_rss.set(peak_rss_bytes())
-
-    @property
-    def peak_rss_bytes(self) -> int:
-        return int(self._peak_rss.value())
-
-    # -- read paths (API-compatible with the pre-registry counters) ----- #
-    def _event(self, name: str) -> int:
-        return int(self._events.value(event=name))
-
-    @property
-    def submitted(self) -> int:
-        return self._event("submitted")
-
-    @property
-    def completed(self) -> int:
-        return self._event("completed")
-
-    @property
-    def failed(self) -> int:
-        return self._event("failed")
-
-    @property
-    def deduplicated(self) -> int:
-        return self._event("deduplicated")
-
-    @property
-    def rejected(self) -> int:
-        return self._event("rejected")
-
-    @property
-    def degraded(self) -> int:
-        return self._event("degraded")
-
-    @property
-    def paths(self) -> dict[str, int]:
-        return {labels.get("path", ""): int(count) for labels, count in self._paths.items()}
-
-    @property
-    def failures(self) -> dict[str, int]:
-        """Return request failures keyed by classified cause."""
-        return {
-            labels.get("cause", ""): int(count)
-            for labels, count in self._failures.items()
-        }
-
     def latency_percentiles(self) -> dict:
         """Return p50/p95/p99 of total latency plus mean queue wait (seconds)."""
         with self._lock:
@@ -214,17 +172,12 @@ class SchedulerMetrics:
 
     def snapshot(self) -> dict:
         """Return a JSON-friendly summary of every counter."""
-        info = {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "deduplicated": self.deduplicated,
-            "rejected": self.rejected,
-            "degraded": self.degraded,
-            "failures": self.failures,
-            "paths": self.paths,
-            "peak_rss_bytes": self.peak_rss_bytes,
+        info = {event: int(self._events.value(event=event)) for event in EVENTS}
+        info["failures"] = {
+            labels.get("cause", ""): int(n) for labels, n in self._failures.items()
         }
+        info["paths"] = {labels.get("path", ""): int(n) for labels, n in self._paths.items()}
+        info["peak_rss_bytes"] = int(self._peak_rss.value())
         info["latency"] = self.latency_percentiles()
         return info
 
@@ -276,10 +229,9 @@ class QueryScheduler:
         rejected, failed) is captured as a structured workload event.
     calibration:
         Optional :class:`~repro.obs.explain.store.EstimateAccuracyTracker`;
-        when present every *executed* completion (cache-served paths are
-        skipped) is handed over for estimate-vs-actual accounting.  That
-        runs on one accounting thread after the request's future resolves,
-        so no caller waits for it; :meth:`wait_idle` waits until it is done.
+        when present, every answer that carries the estimate its cold
+        decision priced it with is accounted against its pair count on the
+        worker, before its future resolves (an O(1) step).
     """
 
     def __init__(
@@ -316,9 +268,6 @@ class QueryScheduler:
         self.metrics = SchedulerMetrics(registry=registry)
         self.recorder = recorder
         self.calibration = calibration
-        # Its own thread, not the worker's, so the worker is idle again, and
-        # first in line, by the time the client's next request arrives.
-        self._accountant = ThreadPoolExecutor(1, thread_name_prefix="bandjoin-accounting")
         # Capture-template memo: everything about a completed query event
         # except its timings is determined by (query, epsilons, catalog
         # versions) — including the result fingerprint, which would
@@ -329,15 +278,13 @@ class QueryScheduler:
         self._capture_lock = threading.Lock()
         self._capture_cache: dict[tuple, dict] = {}
         self._lock = threading.Lock()
-        # Notified whenever a worker finishes a request or the accounting
-        # thread an answer (close() and wait_idle() wait on it); idle workers
-        # sleep on their own conditions.
+        # Notified whenever a worker finishes a request (close() and
+        # wait_idle() wait on it); idle workers sleep on their own conditions.
         self._finished = threading.Condition(self._lock)
         self._idle: list[threading.Condition] = []  # most recently idle last
         self._queue: deque[_Request] = deque()
         self._inflight: dict[tuple, _Request] = {}
         self._busy = 0  # workers between popping a request and finishing it
-        self._accounting = 0  # answers handed to the accounting thread, not yet done
         self._shutdown = False
         self._threads = [
             threading.Thread(
@@ -367,7 +314,7 @@ class QueryScheduler:
         into execution where backends bound their waits by it.
 
         Under overload with ``degraded_mode="stale"``, a request whose
-        epsilon binding has *any* cached result is answered from it —
+        epsilon binding has *any* cached result is served from it —
         explicitly marked stale with its version lag — instead of rejected.
         The rejection is still counted (the execution was refused); the
         degraded response is what the caller gets in its place.
@@ -535,10 +482,11 @@ class QueryScheduler:
         """Build (and memoize) the static part of a completed-query capture event.
 
         Memoized per (query, epsilons, result versions): those determine the
-        relation row counts, the output size and the content fingerprint, so
-        cache-served repeats skip the catalog lookups.  The fingerprint reads
-        the result's memoized hash sum, which a delta answer was built with
-        (its anchor's sum plus its new pairs'), so capturing it is O(1).
+        relation row counts, the output size and the content fingerprint.
+        The row counts are the ones the answer covers (its lineage), which an
+        append landing meanwhile does not change.  The fingerprint reads the
+        result's memoized hash sum, which a delta answer was built with (its
+        anchor's sum plus its new pairs'), so capturing it is O(1).
         """
         template = {
             "type": "query",
@@ -552,13 +500,8 @@ class QueryScheduler:
             "pairs": result.n_pairs,
             "fingerprint": result.fingerprint(),
         }
-        catalog = getattr(prepared, "catalog", None)
-        if catalog is not None:
-            try:
-                template["s_rows"] = catalog.get(result.s_name).rows
-                template["t_rows"] = catalog.get(result.t_name).rows
-            except Exception:  # noqa: BLE001 - capture must never fail a query
-                pass
+        if result.lineage is not None:
+            template["s_rows"], template["t_rows"] = result.lineage[2:]
         with self._capture_lock:
             cache = self._capture_cache
             if len(cache) >= 512:
@@ -685,39 +628,21 @@ class QueryScheduler:
             exec_seconds=exec_seconds,
         )
         self._record_completed(request, result, done)
-        self.metrics.sample_rss()
+        # Only cold and plan-cache answers carry the estimate that decided them.
+        if self.calibration is not None and result.estimated_pairs is not None:
+            self.calibration.observe(
+                _query_name(prepared), result.estimated_pairs, result.n_pairs
+            )
         # Telemetry is finalised before the future resolves: a caller ending
         # the enclosing request span right after .result() must find the
         # "query" span already ended.
         request.span.set(path=result.path)
         request.span.end()
-        # Cache-served answers skip the accounting thread.
-        calibration = self.calibration
-        accounts = calibration is not None and calibration.accounts(result)
         # A request arriving from now on executes afresh instead of sharing
         # this future, which is resolved below.
         with self._lock:
             self._retire_locked(request)
-            self._accounting += accounts
         request.future.set_result(result)
-        if accounts:
-            try:
-                self._accountant.submit(self._account, prepared, request.ekey, result)
-            except RuntimeError:  # closed without waiting: the accounting is dropped
-                self._accounted()
-
-    def _account(self, prepared, ekey, result) -> None:
-        """Run on the accounting thread: compare the answer with its estimate."""
-        try:
-            self.calibration.observe(prepared, ekey, result)  # never raises
-        finally:
-            self._accounted()
-
-    def _accounted(self) -> None:
-        """Count one answer handed to the accounting thread as done."""
-        with self._lock:
-            self._accounting -= 1
-            self._finished.notify_all()
 
     def _wake_idle_locked(self) -> None:
         """Wake every idle worker (caller holds the lock)."""
@@ -735,13 +660,10 @@ class QueryScheduler:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def wait_idle(self, timeout: float | None = None) -> bool:
-        """Block until no request is queued or executing and every answer
-        handed back so far is accounted; return ``False`` if ``timeout``
-        seconds pass first."""
+        """Block until no request is queued or executing; return ``False``
+        if ``timeout`` seconds pass first."""
         with self._lock:
-            return self._finished.wait_for(
-                lambda: not (self._queue or self._busy or self._accounting), timeout
-            )
+            return self._finished.wait_for(lambda: not (self._queue or self._busy), timeout)
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting work, drain in-flight requests, join the workers.
@@ -775,7 +697,6 @@ class QueryScheduler:
         if wait:
             for thread in self._threads:
                 thread.join()
-        self._accountant.shutdown(wait=wait)
 
     def __enter__(self) -> "QueryScheduler":
         return self

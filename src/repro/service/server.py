@@ -201,19 +201,19 @@ def _handle_line(service: BandJoinService, line: str) -> tuple[dict | None, bool
 def serve_lines(service: BandJoinService, lines, out) -> int:
     """Serve the line protocol over any line iterable / writable pair.
 
-    Returns the number of requests answered.  Used both by the stdio mode
+    Returns the number of responses written.  Used both by the stdio mode
     of ``repro-bandjoin serve`` and by the tests (with StringIO streams).
     """
-    answered = 0
+    responses = 0
     for line in lines:
         response, keep_going = _handle_line(service, line)
         if response is not None:
             out.write(json.dumps(response) + "\n")
             out.flush()
-            answered += 1
+            responses += 1
         if not keep_going:
             break
-    return answered
+    return responses
 
 
 class LineProtocolServer(socketserver.ThreadingTCPServer):

@@ -119,8 +119,9 @@ class BandJoinService:
             spill_threshold_bytes=self.config.spill_threshold_bytes,
         )
         #: Live estimate-vs-actual accounting: the scheduler hands it every
-        #: executed completion; it feeds the ``repro_estimate_qerror``
-        #: histogram and the ``estimate_qerror`` SLO probe.
+        #: answer's cold-decision estimate and pair count; it feeds the
+        #: ``repro_estimate_qerror`` histogram and the ``estimate_qerror``
+        #: SLO probe.
         self.calibration = EstimateAccuracyTracker(registry=self.registry)
         self.scheduler = QueryScheduler(
             max_workers=self.config.scheduler_workers,
@@ -395,8 +396,9 @@ class BandJoinService:
         fault injector's firing statistics.
         """
         report = self.monitor.health()
-        report["failures"] = self.scheduler.metrics.failures
-        report["degraded_responses"] = self.scheduler.metrics.degraded
+        counts = self.scheduler.metrics.snapshot()
+        report["failures"] = counts["failures"]
+        report["degraded_responses"] = counts["degraded"]
         if self._fault_injector is not None:
             report["fault_injection"] = self._fault_injector.stats()
         return report

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -329,37 +330,73 @@ class TestEstimateAccuracyTracker:
         with explain_service() as service:
             register_pair(service, rng)
             service.query("q")  # cold: executed
-            # The worker accounts an answer after resolving its future.
-            assert service.scheduler.wait_idle(timeout=60)
             assert service.calibration.observed == 1
             service.query("q")  # result cache: skipped
-            assert service.scheduler.wait_idle(timeout=60)
             assert service.calibration.observed == 1
 
-    def test_an_answer_is_accounted_against_its_own_rows(self, rng):
-        """The accounting runs after the answer is handed back, so rows
-        appended meanwhile must stay out of the estimate it is compared with."""
+    def test_a_cold_answer_is_accounted_against_its_decision_estimate(self, rng):
+        """The q-error compares the estimate the cold decision priced, over
+        the snapshots the answer covers, with the answer's pair count; an
+        append after the answer changes neither."""
         with explain_service(staleness_threshold=10.0) as service:
             register_pair(service, rng, n_s=2000, n_t=1500)
             prepared = service.prepared("q")
-            expected = prepared.sampled_estimate()
-            result = prepared.execute()
+            snapshots = prepared.snapshots()
+            result = service.query("q")
+            assert result.path == "cold"
             service.append("S", {"A1": rng.uniform(0, 1, 300)})
             prepared._sampled_estimates.clear()  # recompute, not recall
-            assert prepared.sampled_estimate(answered=result) == expected
-            tracker = EstimateAccuracyTracker()
-            tracker.observe(prepared, prepared.epsilon_key(), result)
-            assert tracker.mean_qerror() == qerror(expected, result.n_pairs)
-            service.register("S", {"A1": rng.uniform(0, 1, 2000)}, replace=True)
-            assert prepared.sampled_estimate(answered=result) is None
-            tracker.observe(prepared, prepared.epsilon_key(), result)
-            assert tracker.observed == 1
+            expected = prepared.sampled_estimate(snapshots=snapshots)
+            assert result.estimated_pairs == expected
+            assert prepared.sampled_estimate() != expected  # the append mattered
+            info = service.stats()["calibration"]
+            assert info["observed"] == 1
+            assert info["mean_qerror"] == qerror(expected, result.n_pairs)
+
+    def test_cached_stale_and_delta_answers_are_not_accounted(self, rng, monkeypatch):
+        with explain_service(
+            staleness_threshold=10.0, scheduler_workers=1, max_pending=1
+        ) as service:
+            register_pair(service, rng)
+            prepared = service.prepared("q")
+            for eps in (0.01, 0.02):
+                assert service.query("q", eps).path == "cold"
+            answers = [service.query("q", 0.01)]
+            service.append("S", {"A1": rng.uniform(0, 1, 30)})
+            # While the only slot runs a delta answer at 0.02, a query at
+            # 0.01 is answered from its stale cached result.
+            gate = threading.Event()
+            execute = prepared.execute
+
+            def held(epsilons=None):
+                gate.wait(timeout=30)
+                return execute(epsilons)
+
+            monkeypatch.setattr(prepared, "execute", held)
+            blocker = service.submit("q", 0.02)
+            answers.append(service.query("q", 0.01))
+            gate.set()
+            answers.append(blocker.result(timeout=60))
+            assert [a.path for a in answers] == ["result_cache", "stale", "delta"]
+            assert [a.estimated_pairs for a in answers] == [None] * 3
+            assert service.calibration.observed == 2
+
+    def test_a_service_runs_only_its_scheduler_workers(self, rng):
+        """The estimate is accounted on the worker: no thread of its own."""
+        before = set(threading.enumerate())
+        with explain_service(scheduler_workers=3) as service:
+            register_pair(service, rng)
+            service.query("q")
+            started = {t.name for t in threading.enumerate() if t not in before}
+            assert not [t for t in threading.enumerate() if "accounting" in t.name]
+        assert {name for name in started if name.startswith("bandjoin-")} == {
+            f"bandjoin-sched-{i}" for i in range(3)
+        }
 
     def test_qerror_histogram_in_prometheus(self, rng):
         with explain_service() as service:
             register_pair(service, rng)
             service.query("q")
-            assert service.scheduler.wait_idle(timeout=60)
             exposition = service.prometheus()
             assert 'repro_estimate_qerror_count{query="q"} 1' in exposition
 
@@ -367,24 +404,10 @@ class TestEstimateAccuracyTracker:
         tracker = EstimateAccuracyTracker(registry=MetricsRegistry())
         assert tracker.mean_qerror() == 1.0
 
-    def test_observe_never_raises(self):
-        class Broken:
-            pass
-
-        class Result:
-            path = "cold"
-            n_pairs = 3
-            job = None
-
-        tracker = EstimateAccuracyTracker()
-        tracker.observe(Broken(), (), Result())  # must swallow the error
-        assert tracker.observed == 0
-
     def test_stats_surface_includes_calibration(self, rng):
         with explain_service() as service:
             register_pair(service, rng)
             service.query("q")
-            assert service.scheduler.wait_idle(timeout=60)
             info = service.stats()["calibration"]
             assert info["observed"] == 1
             assert info["mean_qerror"] >= 1.0

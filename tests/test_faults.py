@@ -460,8 +460,8 @@ class TestSchedulerRobustness:
                 future = scheduler.submit(stub)
                 with pytest.raises(type(exc)):
                     future.result(timeout=30)
-                assert scheduler.metrics.failures.get(cause, 0) >= 1
-            assert scheduler.metrics.failed == len(cases)
+                assert scheduler.metrics.snapshot()["failures"].get(cause, 0) >= 1
+            assert scheduler.metrics.snapshot()["failed"] == len(cases)
 
     def test_overload_rejections_count_as_overload_failures(self):
         gate = threading.Event()
@@ -473,7 +473,7 @@ class TestSchedulerRobustness:
             first = scheduler.submit(stub, 0.1)
             with pytest.raises(ServiceOverloadError):
                 scheduler.submit(stub, 0.2)
-            assert scheduler.metrics.failures.get("overload", 0) == 1
+            assert scheduler.metrics.snapshot()["failures"].get("overload", 0) == 1
             gate.set()
             first.result(timeout=30)
         finally:
@@ -491,7 +491,7 @@ class TestSchedulerRobustness:
             served = scheduler.submit(victim, 0.2).result(timeout=5)
             assert served.stale and served.path == PATH_STALE
             assert served.version_lag == 3
-            assert scheduler.metrics.degraded == 1
+            assert scheduler.metrics.snapshot()["degraded"] == 1
             gate.set()
             hog.result(timeout=30)
         finally:
@@ -509,7 +509,7 @@ class TestSchedulerRobustness:
             hog = scheduler.submit(blocker, 0.1)
             with pytest.raises(ServiceOverloadError):
                 scheduler.submit(victim, 0.2)
-            assert scheduler.metrics.degraded == 0
+            assert scheduler.metrics.snapshot()["degraded"] == 0
             gate.set()
             hog.result(timeout=30)
         finally:
@@ -547,7 +547,7 @@ class TestSchedulerRobustness:
             with pytest.raises(DeadlineExceededError):
                 future.result(timeout=30)
             first.result(timeout=30)
-            assert scheduler.metrics.failures.get("timeout", 0) == 1
+            assert scheduler.metrics.snapshot()["failures"].get("timeout", 0) == 1
         finally:
             gate.set()
             scheduler.close()

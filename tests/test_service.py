@@ -470,21 +470,6 @@ class TestQueryScheduler:
         scheduler.close()
         assert scheduler.wait_idle(timeout=1)
 
-    def test_wait_idle_waits_for_the_estimate_accounting(self):
-        gate = threading.Event()
-
-        class Calibration:
-            accounts = staticmethod(lambda result: True)
-
-            def observe(self, prepared, ekey, result):
-                gate.wait(timeout=30)
-
-        with QueryScheduler(max_workers=2, max_pending=8, calibration=Calibration()) as scheduler:
-            scheduler.submit(_StubPrepared(), 0.5).result(timeout=30)
-            assert not scheduler.wait_idle(timeout=0.05)
-            gate.set()
-            assert scheduler.wait_idle(timeout=30)
-
     def test_single_flight_shares_one_execution(self):
         gate = threading.Event()
         stub = _StubPrepared(block=gate)
@@ -494,7 +479,7 @@ class TestQueryScheduler:
             gate.set()
             futures[0].result(timeout=30)
             assert stub.calls == 1
-            assert scheduler.metrics.deduplicated == 4
+            assert scheduler.metrics.snapshot()["deduplicated"] == 4
 
     def test_admission_control_rejects_when_saturated(self):
         gate = threading.Event()
@@ -505,7 +490,7 @@ class TestQueryScheduler:
             second = scheduler.submit(stub, 0.2)
             with pytest.raises(ServiceOverloadError):
                 scheduler.submit(stub, 0.3)
-            assert scheduler.metrics.rejected == 1
+            assert scheduler.metrics.snapshot()["rejected"] == 1
             gate.set()
             first.result(timeout=30)
             second.result(timeout=30)
@@ -528,7 +513,7 @@ class TestQueryScheduler:
             stale.result(timeout=30)
             fresh.result(timeout=30)
             assert stub.calls == 2
-            assert scheduler.metrics.deduplicated == 0
+            assert scheduler.metrics.snapshot()["deduplicated"] == 0
 
     def test_background_compactions_do_not_stack(self):
         rng = np.random.default_rng(19)
@@ -802,7 +787,7 @@ class TestServiceFacadeAndServer:
         out = io.StringIO()
         with sync_service() as service:
             serve_lines(service, lines, out)
-            failures = service.scheduler.metrics.failures
+            failures = service.scheduler.metrics.snapshot()["failures"]
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [r["ok"] for r in responses] == [True] * 3 + [False] * 5 + [True]
         for response in responses[3:8]:
@@ -908,7 +893,7 @@ class TestOutputAdmissionControl:
             # A band covering everything estimates ~160k pairs: rejected.
             with pytest.raises(ServiceOverloadError):
                 service.query("q", epsilons=10.0)
-            assert service.scheduler.metrics.rejected == 1
+            assert service.scheduler.metrics.snapshot()["rejected"] == 1
             # A narrow band estimates well under the limit: served.
             result = service.query("q", epsilons=0.0005)
             assert result.n_pairs == _reference_pairs(
@@ -933,16 +918,8 @@ class TestOutputAdmissionControl:
             service.register("T", _columns(rng, 2000))
             prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.01)
             estimate = prepared.estimate_pairs()
-            exact = prepared.count()
+            exact = service.query("q").n_pairs
             assert 0.3 * exact <= estimate <= 3.0 * exact
-
-    def test_count_matches_materialized_query(self):
-        rng = np.random.default_rng(13)
-        with sync_service(workers=2) as service:
-            service.register("S", _columns(rng, 500))
-            service.register("T", _columns(rng, 500))
-            prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.02)
-            assert prepared.count() == service.query("q").n_pairs
 
 
 class TestServingPathsAgree:

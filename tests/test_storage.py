@@ -395,8 +395,8 @@ class TestProcessRss:
         from repro.service.scheduler import SchedulerMetrics
 
         metrics = SchedulerMetrics()
-        metrics.sample_rss()
-        assert metrics.peak_rss_bytes > 0
+        # A scrape-time gauge: it reads the process, nothing has to sample it.
+        assert metrics.registry.gauge("repro_process_peak_rss_bytes").value() > 0
         assert metrics.snapshot()["peak_rss_bytes"] > 0
 
 

@@ -359,6 +359,26 @@ class TestReplay:
         with pytest.raises(ServiceError, match="invalid capture line"):
             load_events(path)
 
+    def test_capture_records_the_rows_the_answer_covers(self, monkeypatch):
+        """An append landing between the answer and its capture is not
+        recorded under the answer's versions."""
+        rng = np.random.default_rng(23)
+        with capture_service() as service:
+            service.register("S", _columns(rng, 400))
+            service.register("T", _columns(rng, 300))
+            prepared = service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.02)
+            execute = prepared.execute
+
+            def append_before_returning(epsilons=None):
+                result = execute(epsilons)
+                service.append("S", _columns(rng, 50))
+                return result
+
+            monkeypatch.setattr(prepared, "execute", append_before_returning)
+            result = service.query("q")
+            (event,) = service.recorder.events("query")
+        assert (event["s_rows"], event["t_rows"]) == result.lineage[2:] == (400, 300)
+
     def test_dedup_and_rejection_events_are_captured(self):
         rng = np.random.default_rng(22)
         with capture_service(max_estimated_pairs=1) as service:
