@@ -74,8 +74,8 @@ def best_regular_split(leaf: LeafStats, ctx: OptimizationContext) -> SplitDecisi
     the last boundary among equal scores.
     """
     sample, out = ctx.input_sample, ctx.output_sample
-    s_vals = sample.s_values[leaf.s_rows]
-    t_vals = sample.t_values[leaf.t_rows]
+    s_vals = sample.s_values.take(leaf.s_rows, axis=0)
+    t_vals = sample.t_values.take(leaf.t_rows, axis=0)
     n_s, n_t, n_out = s_vals.shape[0], t_vals.shape[0], leaf.out_rows.size
 
     # Candidate boundaries of every dimension, flattened dimension-major.
@@ -109,7 +109,7 @@ def best_regular_split(leaf: LeafStats, ctx: OptimizationContext) -> SplitDecisi
     shifts = np.array([[zero, eps_left, -eps_right], [zero, eps_right, -eps_left]])
     queries = bounds + shifts[:, :, dims]
     columns = [np.sort(v, axis=0) for v in (s_vals, t_vals)]
-    owners = [np.sort(c[leaf.out_rows], axis=0) for c in (out.s_coords, out.t_coords)]
+    owners = [np.sort(c.take(leaf.out_rows, axis=0), axis=0) for c in (out.s_coords, out.t_coords)]
     below = np.empty(queries.shape, dtype=np.int64)
     owned = np.empty((2, bounds.size), dtype=np.int64)
     hi = 0

@@ -185,21 +185,21 @@ class SplitTree:
         def side_rows(side: str, left: bool) -> np.ndarray:
             if side == partitioned_side:
                 mask = part_left_mask if left else ~part_left_mask
-                return part_rows[mask]
+                return np.compress(mask, part_rows)
             mask = dup_left_mask if left else dup_right_mask
-            return dup_rows[mask]
+            return np.compress(mask, dup_rows)
 
         left_node = self._add_leaf(
             left_region,
             s_rows=side_rows("S", left=True),
             t_rows=side_rows("T", left=True),
-            out_rows=leaf.out_rows[out_left_mask],
+            out_rows=np.compress(out_left_mask, leaf.out_rows),
         )
         right_node = self._add_leaf(
             right_region,
             s_rows=side_rows("S", left=False),
             t_rows=side_rows("T", left=False),
-            out_rows=leaf.out_rows[~out_left_mask],
+            out_rows=np.compress(~out_left_mask, leaf.out_rows),
         )
 
         node.split_dim = dim
@@ -311,6 +311,7 @@ class SplitTreePartitioning(JoinPartitioning):
                 f"expected {self._condition.dimensionality} join-attribute columns, "
                 f"got {matrix.shape[1]}"
             )
+        columns = [np.ascontiguousarray(matrix[:, k]) for k in range(matrix.shape[1])]
         rows_chunks: list[np.ndarray] = []
         unit_chunks: list[np.ndarray] = []
         stack: list[tuple[SplitNode, np.ndarray]] = [
@@ -321,7 +322,7 @@ class SplitTreePartitioning(JoinPartitioning):
             if idx.size == 0:
                 continue
             if node.node_id in self._snapshot:
-                rows, units = self._route_leaf(node, idx, matrix, side)
+                rows, units = self._route_leaf(node, idx, side)
                 rows_chunks.append(rows)
                 unit_chunks.append(units)
                 continue
@@ -331,7 +332,7 @@ class SplitTreePartitioning(JoinPartitioning):
                 )
             dim = node.split_dim
             split_value = node.split_value
-            dim_values = matrix[idx, dim]
+            dim_values = columns[dim].take(idx)
             if side == node.duplicated_side:
                 predicate = self._condition.predicates[dim]
                 low, high = duplication_interval(predicate, split_value, side)
@@ -340,15 +341,15 @@ class SplitTreePartitioning(JoinPartitioning):
             else:
                 left_mask = dim_values < split_value
                 right_mask = ~left_mask
-            stack.append((node.left, idx[left_mask]))
-            stack.append((node.right, idx[right_mask]))
+            stack.append((node.left, np.compress(left_mask, idx)))
+            stack.append((node.right, np.compress(right_mask, idx)))
 
         if not rows_chunks:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         return np.concatenate(rows_chunks), np.concatenate(unit_chunks)
 
     def _route_leaf(
-        self, node: SplitNode, idx: np.ndarray, matrix: np.ndarray, side: str
+        self, node: SplitNode, idx: np.ndarray, side: str
     ) -> tuple[np.ndarray, np.ndarray]:
         """Route tuples that reached a snapshot leaf to that leaf's execution units."""
         units = self._leaf_units[node.node_id]

@@ -188,7 +188,7 @@ def build_worker_tasks(
 def _gather_rows(source, rows: np.ndarray) -> np.ndarray:
     """Gather rows from an ndarray matrix or a sliced matrix source."""
     if isinstance(source, np.ndarray):
-        return source[rows]
+        return source.take(rows, axis=0)
     return source.take(rows)
 
 
@@ -221,9 +221,12 @@ def dedup_worker_copies(
     if rows.size == 0:
         return np.empty(0, dtype=np.int64)
     workers_per_copy = workers_per_copy.astype(np.int64, copy=False)
-    shared = np.bincount(rows)[rows] > 1
-    combined = rows[shared].astype(np.int64) * n_workers + workers_per_copy[shared]
-    return np.concatenate([workers_per_copy[~shared], np.unique(combined) % n_workers])
+    shared = np.bincount(rows).take(rows) > 1
+    combined = np.compress(shared, rows).astype(np.int64) * n_workers
+    combined += np.compress(shared, workers_per_copy)
+    return np.concatenate(
+        [np.compress(~shared, workers_per_copy), np.unique(combined) % n_workers]
+    )
 
 
 def dedup_workers(partitioning: JoinPartitioning, routed: RoutedSide) -> np.ndarray:

@@ -65,16 +65,16 @@ def kernel_counter_totals() -> dict:
     return totals
 
 
-def _sampled_matrix(relation, attributes) -> tuple[np.ndarray, float]:
+def _sampled_matrix(snap, attributes) -> tuple[np.ndarray, float]:
     """Return (sample matrix, scale) where scale maps sample counts to full."""
     from repro.sampling.selectivity import evenly_spaced_indices
-    from repro.service.prepared import gather_rows
+    from repro.service.prepared import gather_snapshot_rows
 
-    n = len(relation)
+    n = snap.rows
     idx = evenly_spaced_indices(n, ROUTING_SAMPLE)
     if idx is None:
-        return relation.join_matrix(attributes), 1.0
-    return gather_rows(relation, attributes, idx), n / idx.shape[0]
+        return gather_snapshot_rows(snap, attributes, np.arange(n)), 1.0
+    return gather_snapshot_rows(snap, attributes, idx), n / idx.shape[0]
 
 
 def _relation_label(name: str, snap) -> str:
@@ -133,8 +133,8 @@ def build_report(
         if not plan_cached:
             prepared.record_plan_seconds(plan.stats.optimization_seconds)
 
-    s_sample, s_scale = _sampled_matrix(s_snap.full, prepared.attributes)
-    t_sample, t_scale = _sampled_matrix(t_snap.full, prepared.attributes)
+    s_sample, s_scale = _sampled_matrix(s_snap, prepared.attributes)
+    t_sample, t_scale = _sampled_matrix(t_snap, prepared.attributes)
     if plan is None:  # one inline task holds both relations
         s_counts = np.array([s_sample.shape[0] * s_scale])
         t_counts = np.array([t_sample.shape[0] * t_scale])

@@ -71,16 +71,19 @@ def _as_relation(name: str, data) -> Relation:
 def _admitted(name: str, data) -> Relation:
     """Return ``data`` as a Relation the engine can join, or raise.
 
-    The catalog's door: a column that is not numeric, or holds a NaN or an
-    infinity, is rejected here, naming the relation and the column —
-    otherwise it is accepted and every later query on the relation fails
-    inside the engine instead.
+    The catalog's door: a column that is not numeric (booleans included),
+    or holds a NaN or an infinity, is rejected here, naming the relation and
+    the column — otherwise it is accepted and every later query on the
+    relation fails inside the engine instead.  Accepted columns are stored
+    as float64, the dtype :meth:`Relation.join_matrix` gives the join, so
+    appends and compactions never mix dtypes in one store (an mmap store
+    reads every segment with its first segment's dtype).
     """
     relation = _as_relation(name, data)
     store = relation.store
     for column in relation.column_names:
         dtype = store.dtype(column)
-        if dtype.kind not in "biuf":
+        if dtype.kind not in "iuf":
             raise ServiceError(
                 f"relation {name!r}: column {column!r} is not numeric (dtype {dtype})"
             )
@@ -92,7 +95,12 @@ def _admitted(name: str, data) -> Relation:
                 raise ServiceError(
                     f"relation {name!r}: column {column!r} holds a NaN or infinite value"
                 )
-    return relation
+    if all(store.dtype(column) == np.float64 for column in relation.column_names):
+        return relation
+    return Relation(
+        name,
+        {c: np.asarray(relation.column(c), dtype=np.float64) for c in relation.column_names},
+    )
 
 
 class RelationSnapshot:

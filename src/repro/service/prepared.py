@@ -791,8 +791,8 @@ class PreparedQuery:
         condition = self.condition(ekey)
         # Gather only the sampled rows — never the full (n, d) join matrices;
         # the probe must stay O(k log k) however large the relations grow.
-        s_sample = _sampled_join_matrix(s_snap.full, self.attributes, k)
-        t_sample = _sampled_join_matrix(t_snap.full, self.attributes, k)
+        s_sample = _sampled_join_matrix(s_snap, self.attributes, k)
+        t_sample = _sampled_join_matrix(t_snap, self.attributes, k)
         selectivity = estimate_join_selectivity(s_sample, t_sample, condition, k)
         estimate = selectivity * s_snap.rows * t_snap.rows
         # The estimate is a pair count; the divide-then-multiply round trip
@@ -988,14 +988,27 @@ def _chain(segments: tuple, new: np.ndarray) -> tuple:
     return tuple(chain)
 
 
-def _sampled_join_matrix(relation, attributes, sample_size: int) -> np.ndarray:
+def gather_snapshot_rows(snap, attributes, rows: np.ndarray) -> np.ndarray:
+    """:func:`gather_rows` over a snapshot's base and delta for ascending
+    ``rows``, without concatenating the two."""
+    n_base = len(snap.base)
+    split = int(np.searchsorted(rows, n_base)) if snap.delta is not None else len(rows)
+    if split == len(rows):
+        return gather_rows(snap.base, attributes, rows)
+    return np.concatenate([
+        gather_rows(snap.base, attributes, rows[:split]),
+        gather_rows(snap.delta, attributes, rows[split:] - n_base),
+    ])
+
+
+def _sampled_join_matrix(snap, attributes, sample_size: int) -> np.ndarray:
     """Return a ``(min(n, sample_size), d)`` evenly spaced row sample of the
-    relation's join attributes, gathering only the sampled rows."""
+    snapshot's join attributes, gathering only the sampled rows."""
     from repro.sampling.selectivity import evenly_spaced_indices
 
-    rows = len(relation)
+    rows = snap.rows
     idx = evenly_spaced_indices(rows, sample_size)
-    return gather_rows(relation, attributes, np.arange(rows) if idx is None else idx)
+    return gather_snapshot_rows(snap, attributes, np.arange(rows) if idx is None else idx)
 
 
 def _window_positions(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -136,6 +136,47 @@ class TestSampledEstimateMemo:
             # New catalog version -> new memo entry over more rows.
             assert after != pytest.approx(before)
 
+    @pytest.mark.parametrize("storage", ["memory", "mmap"])
+    def test_sampling_a_snapshot_with_a_delta_copies_no_relation(
+        self, rng, monkeypatch, storage, tmp_path
+    ):
+        """The sampled rows are gathered from base and delta separately: a
+        cold query and an EXPLAIN after an append concatenate nothing, and
+        the estimate equals the one sampled from the concatenated relation."""
+        import repro.service.prepared as prepared_mod
+        from repro.data.relation import Relation
+        from repro.service import PATH_COLD
+
+        with explain_service(
+            staleness_threshold=10.0, storage=storage, spill_dir=str(tmp_path),
+            spill_threshold_bytes=1,
+        ) as service:
+            names = register_pair(service, rng, n_s=1500, n_t=1200, dims=2)
+            service.append("S", {a: rng.uniform(0, 1, 300) for a in names})
+            service.append("T", {a: rng.uniform(0, 1, 40) for a in names})
+            calls = []
+            real_concat = Relation.concat
+
+            def counting(self, other):
+                calls.append((self.name, len(self), len(other)))
+                return real_concat(self, other)
+
+            monkeypatch.setattr(Relation, "concat", counting)
+            assert service.query("q").path == PATH_COLD
+            service.explain("q")
+            assert calls == []
+            prepared = service.prepared("q")
+            estimate = prepared.sampled_estimate()
+            prepared._sampled_estimates.clear()
+            monkeypatch.setattr(
+                prepared_mod, "gather_snapshot_rows",
+                lambda snap, attributes, rows: prepared_mod.gather_rows(
+                    snap.full, attributes, rows
+                ),
+            )
+            assert prepared.sampled_estimate() == estimate
+            assert calls  # the reference did sample the concatenation
+
     def test_sampled_estimate_ignores_result_cache(self, rng):
         """The planner's belief must survive the exact answer being cached."""
         with explain_service() as service:

@@ -682,6 +682,48 @@ class TestServiceFacadeAndServer:
             assert "'S'" in responses[0]["error"] and "'A1'" in responses[0]["error"]
             assert responses[-1] == {"ok": True, "op": "pong"}
 
+    @pytest.mark.parametrize("storage", ["memory", "mmap"])
+    def test_integer_then_float_rows_answer_alike_on_both_storages(self, storage, tmp_path):
+        """JSON integers registered before a float append once made the mmap
+        store cast the float rows to int (5 pairs instead of 3, and a base
+        of ``[1.0, 2.0, 1.0]`` after compaction); every column is float64."""
+        requests = [
+            {"op": "register", "name": "T", "columns": {"A1": [0.95, 1.0, 2.0]}},
+            {"op": "register", "name": "W", "columns": {"A1": [1, 2]}},
+            {"op": "append", "name": "W", "columns": {"A1": [1.5]}},
+            {"op": "prepare", "query": "q", "s": "W", "t": "T",
+             "attributes": ["A1"], "epsilons": [0.06]},
+            {"op": "query", "query": "q"},
+        ]
+        out = io.StringIO()
+        with sync_service(
+            storage=storage, spill_dir=str(tmp_path), spill_threshold_bytes=1
+        ) as service:
+            serve_lines(service, [json.dumps(r) for r in requests], out)
+            responses = [json.loads(line) for line in out.getvalue().splitlines()]
+            assert all(r["ok"] for r in responses)
+            assert responses[-1]["pairs"] == 3
+            service.catalog.compact("W")
+            base = service.catalog.get("W").base
+            assert base.store.dtype("A1") == np.float64
+            np.testing.assert_array_equal(base.column("A1"), [1.0, 2.0, 1.5])
+            assert service.query("q").n_pairs == 3
+
+    def test_boolean_column_is_a_client_error(self):
+        requests = [
+            {"op": "register", "name": "S", "columns": {"A1": [True, False]}},
+            {"op": "register", "name": "S", "columns": {"A1": [0.5, 1.0]}},
+            {"op": "append", "name": "S", "columns": {"A1": [True]}},
+        ]
+        out = io.StringIO()
+        with sync_service() as service:
+            serve_lines(service, [json.dumps(r) for r in requests], out)
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [r["ok"] for r in responses] == [False, True, False]
+        for response in (responses[0], responses[2]):
+            assert "'S'" in response["error"] and "'A1'" in response["error"]
+            assert "cause" not in response
+
     @pytest.mark.parametrize(
         "bad, named",
         [
