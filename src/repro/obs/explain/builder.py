@@ -67,14 +67,10 @@ def kernel_counter_totals() -> dict:
 
 def _sampled_matrix(snap, attributes) -> tuple[np.ndarray, float]:
     """Return (sample matrix, scale) where scale maps sample counts to full."""
-    from repro.sampling.selectivity import evenly_spaced_indices
-    from repro.service.prepared import gather_snapshot_rows
+    from repro.service.prepared import sampled_join_matrix
 
-    n = snap.rows
-    idx = evenly_spaced_indices(n, ROUTING_SAMPLE)
-    if idx is None:
-        return gather_snapshot_rows(snap, attributes, np.arange(n)), 1.0
-    return gather_snapshot_rows(snap, attributes, idx), n / idx.shape[0]
+    sample = sampled_join_matrix(snap, attributes, ROUTING_SAMPLE)
+    return sample, snap.rows / max(1, sample.shape[0])
 
 
 def _relation_label(name: str, snap) -> str:

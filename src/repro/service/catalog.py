@@ -61,11 +61,19 @@ def _as_relation(name: str, data) -> Relation:
     if isinstance(data, Relation):
         return data if data.name == name else data.rename(name)
     if isinstance(data, Mapping):
-        return Relation(name, {c: np.asarray(v) for c, v in data.items()})
+        return Relation(name, {c: _column_array(name, c, v) for c, v in data.items()})
     raise ServiceError(
         f"relation data for {name!r} must be a Relation or a column mapping, "
         f"got {type(data).__name__}"
     )
+
+
+def _column_array(name: str, column: str, values) -> np.ndarray:
+    """Return one column as an array, refusing booleans: in a list of
+    numbers ``np.asarray`` would read ``true`` as 1."""
+    if isinstance(values, list) and bool in set(map(type, values)):
+        raise ServiceError(f"relation {name!r}: column {column!r} holds a boolean")
+    return np.asarray(values)
 
 
 def _admitted(name: str, data) -> Relation:

@@ -791,8 +791,8 @@ class PreparedQuery:
         condition = self.condition(ekey)
         # Gather only the sampled rows — never the full (n, d) join matrices;
         # the probe must stay O(k log k) however large the relations grow.
-        s_sample = _sampled_join_matrix(s_snap, self.attributes, k)
-        t_sample = _sampled_join_matrix(t_snap, self.attributes, k)
+        s_sample = sampled_join_matrix(s_snap, self.attributes, k)
+        t_sample = sampled_join_matrix(t_snap, self.attributes, k)
         selectivity = estimate_join_selectivity(s_sample, t_sample, condition, k)
         estimate = selectivity * s_snap.rows * t_snap.rows
         # The estimate is a pair count; the divide-then-multiply round trip
@@ -1001,7 +1001,7 @@ def gather_snapshot_rows(snap, attributes, rows: np.ndarray) -> np.ndarray:
     ])
 
 
-def _sampled_join_matrix(snap, attributes, sample_size: int) -> np.ndarray:
+def sampled_join_matrix(snap, attributes, sample_size: int) -> np.ndarray:
     """Return a ``(min(n, sample_size), d)`` evenly spaced row sample of the
     snapshot's join attributes, gathering only the sampled rows."""
     from repro.sampling.selectivity import evenly_spaced_indices

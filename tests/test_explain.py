@@ -112,13 +112,13 @@ class TestSampledEstimateMemo:
             register_pair(service, rng)
             prepared = service.prepared("q")
             calls = {"n": 0}
-            real = prepared_mod._sampled_join_matrix
+            real = prepared_mod.sampled_join_matrix
 
             def counting(*args, **kwargs):
                 calls["n"] += 1
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(prepared_mod, "_sampled_join_matrix", counting)
+            monkeypatch.setattr(prepared_mod, "sampled_join_matrix", counting)
             first = prepared.estimate_pairs()
             sampled_once = calls["n"]
             assert sampled_once == 2  # one gather per side

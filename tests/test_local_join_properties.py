@@ -104,7 +104,9 @@ def test_stable_argsort_on_heavy_ties_at_scale():
         np.testing.assert_array_equal(stable_argsort(values), np.argsort(values, kind="stable"))
 
 
-def _reference_cell_windows(sorted_arr, sorted_order, probe_side, lows, highs, below, above, dim, seen):
+def _reference_cell_windows(
+    sorted_arr, sorted_order, probe_side, lows, highs, below, above, dim, seen
+):
     """``kernels._cell_windows`` with its windows searched the direct way:
     ``searchsorted`` over ``(reach + lows[:, None]).ravel()`` in probe order.
 

@@ -712,15 +712,18 @@ class TestServiceFacadeAndServer:
     def test_boolean_column_is_a_client_error(self):
         requests = [
             {"op": "register", "name": "S", "columns": {"A1": [True, False]}},
+            {"op": "register", "name": "S", "columns": {"A1": [0.5, True]}},
             {"op": "register", "name": "S", "columns": {"A1": [0.5, 1.0]}},
             {"op": "append", "name": "S", "columns": {"A1": [True]}},
+            {"op": "append", "name": "S", "columns": {"A1": [2, False]}},
         ]
         out = io.StringIO()
         with sync_service() as service:
             serve_lines(service, [json.dumps(r) for r in requests], out)
+            np.testing.assert_array_equal(service.catalog.get("S").full.column("A1"), [0.5, 1.0])
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
-        assert [r["ok"] for r in responses] == [False, True, False]
-        for response in (responses[0], responses[2]):
+        assert [r["ok"] for r in responses] == [False, False, True, False, False]
+        for response in responses[:2] + responses[3:]:
             assert "'S'" in response["error"] and "'A1'" in response["error"]
             assert "cause" not in response
 
