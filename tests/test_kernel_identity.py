@@ -5,7 +5,8 @@ interval kernel emits pairs feeds every RecPart plan.  A rewrite of the
 kernel's window search or of its gathers must therefore reproduce every
 output array exactly, not just the same pair set.  These digests were
 recorded from the kernel before such a rewrite (x86-64, numpy 2.x); a
-mismatch means an output array or a plan changed.
+mismatch means an output array or a plan changed.  Every digest is of the
+orientation the join runs: S probes the sorted T.
 
 Inputs are built from integers and correctly rounded ``math.pow`` so that no
 vectorized transcendental (whose last bit may depend on the CPU's SIMD
@@ -56,18 +57,20 @@ def _pareto(rng: np.random.Generator, rows: int, dims: int) -> np.ndarray:
 SMALL_BUDGET = 97 * kernels.CANDIDATE_BYTES
 
 GRID_DIGESTS = {
-    (2, "plain", "default"): "b1c5dc1e582e2fd783dbbf031d5a7331c88f189ff2e878151ed1b6acdc587992",
-    (2, "plain", "small"): "b1c5dc1e582e2fd783dbbf031d5a7331c88f189ff2e878151ed1b6acdc587992",
-    (2, "cells", "default"): "91073e4fdefa227ad0290f83c524c6b323e7adba6f723c4735d06b2fa42acdcc",
-    (2, "cells", "small"): "91073e4fdefa227ad0290f83c524c6b323e7adba6f723c4735d06b2fa42acdcc",
-    (3, "plain", "default"): "ffbf1a8dbb895c5913073086ba2bb42376a7a2cdf3f29f0a38c855821678d9d9",
-    (3, "plain", "small"): "ffbf1a8dbb895c5913073086ba2bb42376a7a2cdf3f29f0a38c855821678d9d9",
-    (3, "cells", "default"): "6d3b761419dc4f63911b48338690bcd2cd7afb120c43834f8afd85ba3ce34646",
-    (3, "cells", "small"): "6d3b761419dc4f63911b48338690bcd2cd7afb120c43834f8afd85ba3ce34646",
-    (4, "plain", "default"): "7cdcf6b610adc9d6e091d7f95ed22ee544a6ccc65a5dbaa0d49150d74ef279a1",
-    (4, "plain", "small"): "7cdcf6b610adc9d6e091d7f95ed22ee544a6ccc65a5dbaa0d49150d74ef279a1",
-    (4, "cells", "default"): "08abb9eca0a1e28d29e5b0615eef3ab29ecfbf94a68590d4a297003ab99e1953",
-    (4, "cells", "small"): "08abb9eca0a1e28d29e5b0615eef3ab29ecfbf94a68590d4a297003ab99e1953",
+    (1, "plain", "default"): "58df30c30f8d6b4c47ebde35ecd25343ae14a1df66b274036727fb10120215f7",
+    (1, "plain", "small"): "58df30c30f8d6b4c47ebde35ecd25343ae14a1df66b274036727fb10120215f7",
+    (2, "plain", "default"): "63ef193fc091e15603ceb8f97654c01832fb87470305ab4213eb8029327f251d",
+    (2, "plain", "small"): "63ef193fc091e15603ceb8f97654c01832fb87470305ab4213eb8029327f251d",
+    (2, "cells", "default"): "4d6120ce58da80e0eba45fe725264d0c320a43a3f07c1a028ab84d954e3f6738",
+    (2, "cells", "small"): "4d6120ce58da80e0eba45fe725264d0c320a43a3f07c1a028ab84d954e3f6738",
+    (3, "plain", "default"): "f30278e78b2a17f599921ea641017c327aa882c83f54c0184d1b4274e60a6137",
+    (3, "plain", "small"): "f30278e78b2a17f599921ea641017c327aa882c83f54c0184d1b4274e60a6137",
+    (3, "cells", "default"): "e0012399077bbe27b9bf8a820833915dfe5f6385cd3a9d3c0fb6c760f185ba42",
+    (3, "cells", "small"): "e0012399077bbe27b9bf8a820833915dfe5f6385cd3a9d3c0fb6c760f185ba42",
+    (4, "plain", "default"): "07fe39ac4e998393c559c7ebb894ad3253c31a1d3cd59ec89ebb83abfc532d45",
+    (4, "plain", "small"): "07fe39ac4e998393c559c7ebb894ad3253c31a1d3cd59ec89ebb83abfc532d45",
+    (4, "cells", "default"): "ed602dd19c1385ea6bfe398e72e17bc5445cae1baa9670c456f9531fdb51eb01",
+    (4, "cells", "small"): "ed602dd19c1385ea6bfe398e72e17bc5445cae1baa9670c456f9531fdb51eb01",
 }
 
 
@@ -82,26 +85,28 @@ def force_cells(monkeypatch):
 
 @pytest.mark.parametrize("key", sorted(GRID_DIGESTS), ids=lambda k: "-".join(map(str, k)))
 def test_kernel_grid(key, force_cells):
-    """Every sweep dimension and both probe sides, joined and counted."""
+    """Every sweep dimension, joined and counted."""
     d, plan, budget = key
     force_cells(plan)
     memory_budget = SMALL_BUDGET if budget == "small" else kernels.DEFAULT_MEMORY_BUDGET
     s, t, condition = _grid_inputs(d)
     outputs = []
     for dim in range(d):
-        for probe_is_s in (True, False):
-            pairs = kernels.interval_join(s, t, condition, dim, probe_is_s, memory_budget)
-            count = kernels.interval_count(s, t, condition, dim, probe_is_s, memory_budget)
-            assert count == pairs.shape[0] > 0
-            outputs.append(pairs)
+        pairs = kernels.interval_join(s, t, condition, dim, True, memory_budget)
+        count = kernels.interval_count(s, t, condition, dim, True, memory_budget)
+        assert count == pairs.shape[0] > 0
+        outputs.append(pairs)
     assert _digest(*outputs) == GRID_DIGESTS[key]
 
 
 SPECIAL_DIGESTS = {
-    "zero-eps-duplicates": "b978348aaaadb415810479c17b5c13d41fffb70a48a0865034f21b9c6450804d",
-    "pareto-natural-cells": "e61b3451b7185212ef5a4b2834f37a2d006ba875e69688f45159ab4f9654097c",
-    "scratch-spill": "391d161e849cf433e7d52786bd41677649d6efa6fb9a480c8e17014b9ceaa7b9",
-    "mmap-input": "391d161e849cf433e7d52786bd41677649d6efa6fb9a480c8e17014b9ceaa7b9",
+    "zero-eps-duplicates": "e60593f5e7f4cc61ab9b3d5a0842235e7de871f8d81533aa64de26bc341a2f5a",
+    "pareto-natural-cells": "1b23f6b23a3a7aa608d8a6b8f60d8dc14c431a57494d38e844df619c6572053f",
+    "scratch-spill": "fd713bbf581230fda548dc8c30cc048104141c053bcff34db260ddd49a36fd56",
+    "mmap-input": "fd713bbf581230fda548dc8c30cc048104141c053bcff34db260ddd49a36fd56",
+    "d1-zero-eps": "fff98e563b17f7acceca7a5466a76c8074f2adafe95db4f756bb91043276074a",
+    "d1-asymmetric": "99d1593c551cfcfafe85f18b487b81bb4aa0991552a613abdec55e2ab2005dc9",
+    "d1-mmap-input": "99d1593c551cfcfafe85f18b487b81bb4aa0991552a613abdec55e2ab2005dc9",
 }
 
 
@@ -114,36 +119,50 @@ def _special_inputs(case: str):
     if case == "pareto-natural-cells":
         s, t = _pareto(rng, 3000, 2), _pareto(rng, 3000, 2)
         return s, t, BandCondition.symmetric(["A1", "A2"], 0.05)
+    if case == "d1-zero-eps":
+        s = rng.integers(-3, 4, size=(250, 1)).astype(float)
+        t = rng.integers(-3, 4, size=(260, 1)).astype(float)
+        return s, t, BandCondition({"A1": 0.0})
+    if case in ("d1-asymmetric", "d1-mmap-input"):
+        s, t = _pareto(rng, 3000, 1), _pareto(rng, 3200, 1)
+        return s, t, BandCondition({"A1": (0.02, 0.07)})
     s, t = _pareto(rng, 1500, 3), _pareto(rng, 1600, 3)
     return s, t, BandCondition({"A1": 0.1, "A2": (0.05, 0.1), "A3": 0.08})
 
 
+def _mapped(tmp_path, name: str, arr: np.ndarray) -> np.ndarray:
+    mapped = np.lib.format.open_memmap(tmp_path / f"{name}.npy", "w+", arr.dtype, arr.shape)
+    mapped[:] = arr
+    return mapped
+
+
 @pytest.mark.parametrize("case", sorted(SPECIAL_DIGESTS))
 def test_kernel_special_cases(case, tmp_path, monkeypatch):
-    """ε = 0 with duplicates, a cell plan the kernel picks itself, and
-    memory-mapped sides with and without scratch spilling."""
+    """ε = 0 with duplicates, a cell plan the kernel picks itself,
+    memory-mapped sides with and without scratch spilling, and the
+    one-dimensional join beyond the grid's duplicates: ε = 0, asymmetric ε
+    and memory-mapped sides."""
     s, t, condition = _special_inputs(case)
     if case in ("scratch-spill", "mmap-input"):
         monkeypatch.setattr(kernels, "plain_expansion_limit", lambda n, m: 0)
-        mapped = np.lib.format.open_memmap(tmp_path / "s.npy", "w+", s.dtype, s.shape)
-        mapped[:] = s
-        s = mapped
+        s = mapped = _mapped(tmp_path, "s", s)
         # A gather from a memmap is heap memory typed np.memmap: recycling
         # its pages must leave it alone.
         gathered = mapped.take(np.array([2, 0]), axis=0)
         assert not madvise_dontneed(gathered)
         np.testing.assert_array_equal(gathered, np.asarray(s)[[2, 0]])
+    if case == "d1-mmap-input":
+        s, t = _mapped(tmp_path, "s", s), _mapped(tmp_path, "t", t)
     outputs = []
     for dim in range(condition.dimensionality):
-        for probe_is_s in (True, False):
-            if case == "scratch-spill":
-                with SpillArena(str(tmp_path / "scratch")) as arena:
-                    with kernels.kernel_scratch(arena, 0):  # every sorted copy spills
-                        pairs = kernels.interval_join(s, t, condition, dim, probe_is_s)
-            else:
-                pairs = kernels.interval_join(s, t, condition, dim, probe_is_s)
-            assert pairs.shape[0] > 0
-            outputs.append(pairs)
+        if case == "scratch-spill":
+            with SpillArena(str(tmp_path / "scratch")) as arena:
+                with kernels.kernel_scratch(arena, 0):  # every sorted copy spills
+                    pairs = kernels.interval_join(s, t, condition, dim)
+        else:
+            pairs = kernels.interval_join(s, t, condition, dim)
+        assert kernels.interval_count(s, t, condition, dim) == pairs.shape[0] > 0
+        outputs.append(pairs)
     assert _digest(*outputs) == SPECIAL_DIGESTS[case]
 
 
