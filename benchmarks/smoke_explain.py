@@ -86,6 +86,7 @@ def main() -> int:
 
     from repro.config import ServiceConfig
     from repro.data.generators import correlated_pair
+    from repro.local_join import IntervalJoin
     from repro.service import BandJoinService
 
     s, t = correlated_pair(ROWS, ROWS, dimensions=DIMENSIONS, z=1.5, seed=0)
@@ -115,7 +116,7 @@ def main() -> int:
         check(any(c["name"].startswith("worker") for c in partitioning["children"]),
               "partitioning node lost its per-worker estimates")
         selector = next(c for c in plain["plan"]["children"] if c["name"] == "selector")
-        check(selector["attrs"].get("algorithm") == config.local_algorithm,
+        check(selector["attrs"].get("algorithm") == IntervalJoin.name,
               "selector node lost its kernel name")
         check(len(selector["attrs"].get("window_fractions", ())) == DIMENSIONS,
               "selector node lost its per-dimension window fractions")

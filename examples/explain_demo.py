@@ -23,6 +23,7 @@ Run with::
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -48,8 +49,7 @@ def main() -> int:
 
     config = ServiceConfig(
         backend="threads",
-        staleness_threshold=10.0,      # keep appends un-compacted for the drift demo
-        compaction="off",
+        staleness_threshold=math.inf,  # keep appends un-compacted for the drift demo
     )
     with BandJoinService(config) as service:
         service.register("S", s)

@@ -22,7 +22,7 @@ Quickstart
 True
 """
 
-from repro.config import EngineConfig, LoadWeights, RecPartConfig, ServiceConfig
+from repro.config import LoadWeights, RecPartConfig, ServiceConfig
 from repro.exceptions import (
     BandConditionError,
     CostModelError,
@@ -136,7 +136,6 @@ __all__ = [
     "EngineResult",
     "PlanCache",
     "available_backends",
-    "EngineConfig",
     # serving layer
     "BandJoinService",
     "RelationCatalog",

@@ -23,13 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.config import (
-    DEFAULT_ENGINE_BACKEND,
-    DEFAULT_LOCAL_ALGORITHM,
-    ENGINE_BACKENDS,
-    LOCAL_ALGORITHM_NAMES,
-    STORAGE_BACKENDS,
-)
+from repro.config import DEFAULT_ENGINE_BACKEND, ENGINE_BACKENDS, STORAGE_BACKENDS
 from repro.experiments import workloads as wl
 from repro.metrics.report import format_table
 
@@ -64,12 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ENGINE_BACKEND,
         help="execution backend of the reduce phase (default: %(default)s)",
     )
-    demo.add_argument(
-        "--local-algorithm",
-        choices=LOCAL_ALGORITHM_NAMES,
-        default=DEFAULT_LOCAL_ALGORITHM,
-        help="local-join kernel run on every worker (default: %(default)s)",
-    )
 
     engine = subparsers.add_parser(
         "engine", help="compare the execution backends on one workload"
@@ -87,12 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--repeat", type=int, default=1, help="executions per backend (best time is reported)"
-    )
-    engine.add_argument(
-        "--local-algorithm",
-        choices=LOCAL_ALGORITHM_NAMES,
-        default=DEFAULT_LOCAL_ALGORITHM,
-        help="local-join kernel run inside every task (default: %(default)s)",
     )
 
     table = subparsers.add_parser("table", help="reproduce one paper table")
@@ -158,12 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="delta fraction that triggers background compaction",
-    )
-    serve.add_argument(
-        "--local-algorithm",
-        choices=LOCAL_ALGORITHM_NAMES,
-        default=None,
-        help="local-join kernel of the underlying engine",
     )
     serve.add_argument(
         "--max-estimated-pairs",
@@ -392,7 +368,6 @@ def _command_demo(args: argparse.Namespace) -> int:
         partitioners=partitioners,
         verify="count" if args.verify else "none",
         engine=args.engine,
-        local_algorithm=args.local_algorithm,
     )
     print(experiment.format())
     best = experiment.best_method()
@@ -424,9 +399,7 @@ def _command_engine(args: argparse.Namespace) -> int:
     reference_output: int | None = None
     serial_seconds: float | None = None
     for backend in backends:
-        engine = ParallelJoinEngine(
-            backend=backend, algorithm=args.local_algorithm, plan_cache=cache
-        )
+        engine = ParallelJoinEngine(backend=backend, plan_cache=cache)
         best = None
         paid_optimization = False
         for _ in range(max(1, args.repeat)):
@@ -529,8 +502,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         overrides["scheduler_workers"] = args.scheduler_workers
     if args.staleness_threshold is not None:
         overrides["staleness_threshold"] = args.staleness_threshold
-    if args.local_algorithm is not None:
-        overrides["local_algorithm"] = args.local_algorithm
     if args.max_estimated_pairs is not None:
         overrides["max_estimated_pairs"] = args.max_estimated_pairs
     if args.storage is not None:

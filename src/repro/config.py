@@ -64,18 +64,6 @@ ENGINE_BACKENDS: tuple[str, ...] = ("serial", "threads", "processes")
 #: every experiment reproducible run to run.
 DEFAULT_ENGINE_BACKEND: str = "serial"
 
-#: Local-join kernel names accepted wherever an algorithm choice is taken
-#: (must match the registry in :mod:`repro.local_join`).
-LOCAL_ALGORITHM_NAMES: tuple[str, ...] = (
-    "index-nested-loop",
-    "sort-sweep",
-    "iejoin-local",
-    "nested-loop",
-)
-
-#: Default local-join kernel (the paper's choice).
-DEFAULT_LOCAL_ALGORITHM: str = "index-nested-loop"
-
 #: Default machine-wide byte budget for the local-join kernels' transient
 #: candidate buffers.  Pool-based backends divide it by the pool size so
 #: concurrently running kernels do not over-allocate in aggregate.
@@ -155,55 +143,6 @@ class LoadWeights:
 
 
 @dataclass(frozen=True)
-class EngineConfig:
-    """Configuration of the parallel execution engine.
-
-    Attributes
-    ----------
-    backend:
-        Execution backend: ``"serial"``, ``"threads"`` or ``"processes"``.
-    max_parallelism:
-        Pool-size cap for pool-based backends; ``None`` uses every CPU
-        available to the process.
-    plan_cache_size:
-        Maximum number of cached partitioning plans.
-    local_algorithm:
-        Local-join kernel run inside every worker task (one of
-        ``LOCAL_ALGORITHM_NAMES``).
-    kernel_memory_budget:
-        Machine-wide byte budget of the kernels' transient candidate
-        buffers; backends split it across concurrently running tasks.
-    spill_dir:
-        Root directory of the engine's streaming scratch files for
-        out-of-core joins (``None`` uses the system temp dir).
-    """
-
-    backend: str = DEFAULT_ENGINE_BACKEND
-    max_parallelism: int | None = None
-    plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
-    local_algorithm: str = DEFAULT_LOCAL_ALGORITHM
-    kernel_memory_budget: int = DEFAULT_KERNEL_MEMORY_BUDGET
-    spill_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {ENGINE_BACKENDS}, got {self.backend!r}"
-            )
-        if self.max_parallelism is not None and self.max_parallelism < 1:
-            raise ValueError("max_parallelism must be positive")
-        if self.plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be at least 1")
-        if self.local_algorithm not in LOCAL_ALGORITHM_NAMES:
-            raise ValueError(
-                f"local_algorithm must be one of {LOCAL_ALGORITHM_NAMES}, "
-                f"got {self.local_algorithm!r}"
-            )
-        if self.kernel_memory_budget < 1:
-            raise ValueError("kernel_memory_budget must be positive")
-
-
-@dataclass(frozen=True)
 class ServiceConfig:
     """Configuration of the online band-join serving layer.
 
@@ -218,17 +157,17 @@ class ServiceConfig:
         materialized-result cache.
     staleness_threshold:
         Delta-to-base row fraction past which a relation is compacted
-        (deltas merged into the base).
+        (deltas merged into the base); ``math.inf`` never compacts.
     compaction:
         ``"background"`` (compact on a background thread, the serving
-        default), ``"sync"`` (compact inside the triggering append — used by
-        tests and single-threaded scripts) or ``"off"``.
+        default) or ``"sync"`` (compact inside the triggering append — used by
+        tests and single-threaded scripts).
     scheduler_workers / max_pending:
         Query-scheduler thread count (each worker runs one request at a
         time) and admission-control limit on pending queries.
-    local_algorithm / kernel_memory_budget:
-        Local-join kernel of the underlying engine and the machine-wide
-        byte budget of its transient candidate buffers.
+    kernel_memory_budget:
+        Machine-wide byte budget of the local join's transient candidate
+        buffers; the engine's backend splits it across concurrent tasks.
     max_estimated_pairs:
         Output-size admission control: a query whose cheap sampled output
         estimate exceeds this is rejected at submit time instead of tying a
@@ -294,7 +233,6 @@ class ServiceConfig:
     compaction: str = "background"
     scheduler_workers: int = DEFAULT_SCHEDULER_WORKERS
     max_pending: int = DEFAULT_MAX_PENDING
-    local_algorithm: str = DEFAULT_LOCAL_ALGORITHM
     kernel_memory_budget: int = DEFAULT_KERNEL_MEMORY_BUDGET
     max_estimated_pairs: int | None = None
     telemetry: bool = True
@@ -325,17 +263,12 @@ class ServiceConfig:
             raise ValueError("cache sizes must be at least 1")
         if self.staleness_threshold <= 0:
             raise ValueError("staleness_threshold must be positive")
-        if self.compaction not in ("background", "sync", "off"):
-            raise ValueError("compaction must be 'background', 'sync' or 'off'")
+        if self.compaction not in ("background", "sync"):
+            raise ValueError("compaction must be 'background' or 'sync'")
         if self.scheduler_workers < 1:
             raise ValueError("scheduler_workers must be at least 1")
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        if self.local_algorithm not in LOCAL_ALGORITHM_NAMES:
-            raise ValueError(
-                f"local_algorithm must be one of {LOCAL_ALGORITHM_NAMES}, "
-                f"got {self.local_algorithm!r}"
-            )
         if self.kernel_memory_budget < 1:
             raise ValueError("kernel_memory_budget must be positive")
         if self.max_estimated_pairs is not None and self.max_estimated_pairs < 1:

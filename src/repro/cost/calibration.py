@@ -121,9 +121,9 @@ def calibrate_running_time_model(
         raise CostModelError("base_input is too small to produce meaningful timings")
     if algorithm is None:
         # Imported here: local_join.kernels -> obs -> cost is an import cycle.
-        from repro.local_join.interval import default_local_join
+        from repro.local_join.interval import IntervalJoin
 
-        algorithm = default_local_join()
+        algorithm = IntervalJoin()
     rng = np.random.default_rng(seed)
 
     if shuffle_cost_per_tuple is None:

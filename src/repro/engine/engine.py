@@ -6,7 +6,8 @@
 
 1. routes both inputs with one vectorised batch-routing pass
    (:mod:`repro.engine.routing`),
-2. builds one batched local-join task per worker,
+2. builds one batched local-join task per worker (the paper's index nested
+   loop, :class:`~repro.local_join.IntervalJoin`, unless one is injected),
 3. executes the tasks on real hardware through a pluggable backend
    (:mod:`repro.engine.backends` — ``serial``, ``threads`` or
    ``processes``),
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_WORKERS, EngineConfig, LoadWeights
+from repro.config import DEFAULT_WORKERS, LoadWeights
 from repro.core.partitioner import JoinPartitioning, Partitioner
 from repro.data.relation import Relation
 from repro.data.storage import DEFAULT_BLOCK_BYTES, SpillArena
@@ -50,7 +51,7 @@ from repro.engine.routing import (
 from repro.engine.sources import StoreMatrixSource
 from repro.exceptions import ExecutionError
 from repro.geometry.band import BandCondition
-from repro.local_join import default_local_join, get_local_algorithm
+from repro.local_join import IntervalJoin
 from repro.local_join.base import LocalJoinAlgorithm, canonical_pair_order
 from repro.obs import get_logger, tracer
 
@@ -152,9 +153,8 @@ class ParallelJoinEngine:
         Backend name (``"serial"``, ``"threads"``, ``"processes"``) or an
         :class:`~repro.engine.backends.ExecutionBackend` instance.
     algorithm:
-        Local join algorithm run inside every task: an instance or a
-        registry name (``"index-nested-loop"`` — the paper's default —,
-        ``"sort-sweep"``, ``"iejoin-local"``, ``"nested-loop"``).
+        Local join algorithm run inside every task; ``None`` runs the paper's
+        index nested loop, :class:`~repro.local_join.IntervalJoin`.
     weights:
         Load weights of the per-worker load measures.
     plan_cache:
@@ -170,7 +170,7 @@ class ParallelJoinEngine:
     def __init__(
         self,
         backend: str | ExecutionBackend = "threads",
-        algorithm: LocalJoinAlgorithm | str | None = None,
+        algorithm: LocalJoinAlgorithm | None = None,
         weights: LoadWeights | None = None,
         plan_cache: PlanCache | None = None,
         max_parallelism: int | None = None,
@@ -181,7 +181,7 @@ class ParallelJoinEngine:
         self.backend = get_backend(
             backend, max_workers=max_parallelism, memory_budget=memory_budget
         )
-        self.algorithm = get_local_algorithm(algorithm)
+        self.algorithm = algorithm if algorithm is not None else IntervalJoin()
         self.weights = weights if weights is not None else LoadWeights()
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         #: Root directory of per-join streaming scratch files (``None`` uses
@@ -189,24 +189,6 @@ class ParallelJoinEngine:
         self.spill_dir = spill_dir
         #: Byte size of one streamed routing chunk.
         self.chunk_bytes = int(chunk_bytes)
-
-    @classmethod
-    def from_config(
-        cls,
-        config: EngineConfig,
-        algorithm: LocalJoinAlgorithm | str | None = None,
-        weights: LoadWeights | None = None,
-    ) -> "ParallelJoinEngine":
-        """Build an engine from an :class:`~repro.config.EngineConfig`."""
-        return cls(
-            backend=config.backend,
-            algorithm=algorithm if algorithm is not None else config.local_algorithm,
-            weights=weights,
-            plan_cache=PlanCache(max_entries=config.plan_cache_size),
-            max_parallelism=config.max_parallelism,
-            memory_budget=config.kernel_memory_budget,
-            spill_dir=config.spill_dir,
-        )
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -375,7 +357,7 @@ class ParallelJoinEngine:
         verify: str,
     ) -> None:
         """Check the distributed result against a single-machine reference join."""
-        reference_algorithm = default_local_join()
+        reference_algorithm = IntervalJoin()
         s_matrix = s.join_matrix(condition.attributes)
         t_matrix = t.join_matrix(condition.attributes)
         if verify == "count":

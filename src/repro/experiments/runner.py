@@ -257,17 +257,12 @@ def run_workload(
     verify: str = "none",
     seed: int = 0,
     engine: str = DEFAULT_ENGINE_BACKEND,
-    local_algorithm: str | None = None,
 ) -> ExperimentResult:
     """Run every partitioner on one workload and collect the paper-style measures.
 
     ``engine`` names the :mod:`repro.engine` backend the local joins are
     dispatched to (``"serial"``, ``"threads"`` or ``"processes"``); the
-    measures are backend-independent.  ``local_algorithm``
-    picks the per-worker kernel by registry name (``"index-nested-loop"``,
-    ``"sort-sweep"``, ``"iejoin-local"``, ``"nested-loop"``);
-    the pair counts are kernel-independent, only the reduce-phase speed
-    changes.
+    measures are backend-independent.
     """
     weights = weights if weights is not None else LoadWeights()
     cost_model = cost_model if cost_model is not None else default_running_time_model()
@@ -275,9 +270,7 @@ def run_workload(
         partitioners = default_partitioners(weights=weights, cost_model=cost_model, seed=seed)
 
     s, t, condition = workload.build()
-    join_engine = ParallelJoinEngine(
-        backend=engine, algorithm=local_algorithm, weights=weights
-    )
+    join_engine = ParallelJoinEngine(backend=engine, weights=weights)
 
     results = []
     for partitioner in partitioners:

@@ -110,7 +110,7 @@ def join_pair_count(
     Convenience wrapper used throughout the library (metrics, lower bounds,
     experiment harness) so call sites do not need to instantiate algorithms.
     """
-    from repro.local_join.interval import default_local_join
+    from repro.local_join.interval import IntervalJoin
 
-    algo = algorithm if algorithm is not None else default_local_join()
+    algo = algorithm if algorithm is not None else IntervalJoin()
     return algo.count(s_values, t_values, condition)

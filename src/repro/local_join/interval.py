@@ -1,28 +1,11 @@
-"""The interval band join: one chunked ``searchsorted`` kernel, three names.
+"""The interval band join: the paper's index nested loop as one chunked
+``searchsorted`` kernel.
 
-Sort one side on a dimension, find with one ``searchsorted`` pair the
-contiguous window of that side each tuple of the other (probe) side can
-still join with, expand the windows chunk by chunk under a byte budget and
-verify the remaining dimensions with vectorized masks
-(:mod:`repro.local_join.kernels`).  The local algorithms of the literature
-are this kernel under different ``(dim, probe)`` arguments, and the
-registry keeps their names (:data:`ALIASES`):
-
-``index-nested-loop``
-    The paper's local algorithm (Section 6.1): range-index T on the most
-    selective dimension, binary-search the T-range of every ``s``.  That is
-    ``dim=None`` (:func:`sweep_dimension` picks the dimension with the most
-    band-wide cells per call), probing with S.
-``sort-sweep``
-    The plane sweep over the first dimension with a window of T-tuples that
-    can still join the current S-tuple: ``dim=0``, probing with S.
-``iejoin-local``
-    IEJoin (Khayyat et al., VLDBJ 2017) on the two inequalities of the first
-    band predicate.  Both inequalities are on the same column, so the set
-    inserted by the sweep (``s.A <= t.A + eps_left``) and the set selected
-    by the bit-array prefix scan (``s.A >= t.A - eps_right``) are value
-    prefixes of one sorted order, and their intersection is the rank
-    interval ``searchsorted`` computes: ``dim=0``, probing with T.
+Range-index T on one dimension and binary-search the T-range of every ``s``
+(Section 6.1): sort T on the dimension, find with one ``searchsorted`` pair
+the contiguous window of T each S-tuple can still join with, expand the
+windows chunk by chunk under a byte budget and verify the remaining
+dimensions with vectorized masks (:mod:`repro.local_join.kernels`).
 
 ``count()`` never materializes pairs: a one-dimensional condition is pure
 window arithmetic (``sum(hi - lo)``, no O(output) allocation), further
@@ -36,14 +19,6 @@ import numpy as np
 from repro.geometry.band import BandCondition
 from repro.local_join import kernels
 from repro.local_join.base import LocalJoinAlgorithm, as_matrix
-
-#: Registry name -> the ``(dim, probe, default memory budget)`` it binds.
-#: ``index-nested-loop`` keeps its historical 4M-candidate chunk (128 MB).
-ALIASES: dict[str, tuple[int | None, str, int]] = {
-    "index-nested-loop": (None, "s", 4_000_000 * kernels.CANDIDATE_BYTES),
-    "sort-sweep": (0, "s", kernels.DEFAULT_MEMORY_BUDGET),
-    "iejoin-local": (0, "t", kernels.DEFAULT_MEMORY_BUDGET),
-}
 
 
 def sweep_dimension(
@@ -71,39 +46,24 @@ class IntervalJoin(LocalJoinAlgorithm):
         Dimension the windows are computed on.  ``None`` picks, per call, the
         :func:`sweep_dimension` (the paper's "A1 is the most selective
         dimension").
-    probe:
-        ``"s"``: T is sorted and every S-tuple probes it; ``"t"``: the
-        reverse.  The pair set is the same, only the work shape differs.
     memory_budget:
         Byte budget of the transient candidate buffers; execution backends
         shrink it when several kernels run concurrently.
-    name:
-        Name used in reports (the registry passes the alias it resolved).
     """
+
+    name = "index-nested-loop"
 
     def __init__(
         self,
         dim: int | None = None,
-        probe: str = "s",
         memory_budget: int = kernels.DEFAULT_MEMORY_BUDGET,
-        name: str = "interval",
     ) -> None:
         if dim is not None and dim < 0:
             raise ValueError("dim must be non-negative")
-        if probe not in ("s", "t"):
-            raise ValueError("probe must be 's' or 't'")
         if memory_budget < 1:
             raise ValueError("memory_budget must be positive")
         self.dim = dim
-        self.probe = probe
         self.memory_budget = memory_budget
-        self.name = name
-
-    @classmethod
-    def named(cls, name: str) -> "IntervalJoin":
-        """Return the interval join one of the :data:`ALIASES` stands for."""
-        dim, probe, memory_budget = ALIASES[name]
-        return cls(dim, probe, memory_budget, name=name)
 
     def _run(self, kernel, s_values, t_values, condition: BandCondition):
         d = condition.dimensionality
@@ -114,14 +74,7 @@ class IntervalJoin(LocalJoinAlgorithm):
         dim = self.dim
         if dim is None:
             dim = sweep_dimension(s_arr, t_arr, condition)
-        return kernel(
-            s_arr,
-            t_arr,
-            condition,
-            dim,
-            probe_is_s=self.probe == "s",
-            memory_budget=self.memory_budget,
-        )
+        return kernel(s_arr, t_arr, condition, dim, memory_budget=self.memory_budget)
 
     def join(
         self,
@@ -140,9 +93,4 @@ class IntervalJoin(LocalJoinAlgorithm):
         return self._run(kernels.interval_count, s_values, t_values, condition)
 
     def __repr__(self) -> str:
-        return f"IntervalJoin(dim={self.dim}, probe={self.probe!r}, name={self.name!r})"
-
-
-def default_local_join() -> LocalJoinAlgorithm:
-    """Return the library's default local join algorithm (the paper's choice)."""
-    return IntervalJoin.named("index-nested-loop")
+        return f"IntervalJoin(dim={self.dim})"

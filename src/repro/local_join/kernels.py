@@ -22,9 +22,8 @@ all), and multi-dimensional counts accumulate ``mask.sum()`` chunk by chunk,
 so the transient allocation is bounded by the memory budget rather than by
 the output size.
 
-The functions here are deliberately orientation-agnostic: the *probe* side
-may be S (sort-sweep's view: for each s, a window of T) or T (IEJoin's view:
-for each t, a rank interval of S) — only the asymmetric epsilon widths swap.
+S probes: T is the sorted side, and each s gets the window of t with
+``-eps_left <= t - s <= eps_right``.
 
 The hot loops keep to three numpy rules (timings on numpy 2.4, x86-64),
 which the join's planner and router follow too:
@@ -74,14 +73,15 @@ __all__ = [
     "stable_argsort",
 ]
 
-#: Default candidate-buffer budget (bytes) of one kernel invocation.  Chosen
-#: so a single worker's transient expansion stays far below typical per-core
-#: memory while chunks stay large enough to amortize numpy call overhead.
-DEFAULT_MEMORY_BUDGET: int = 64 * 1024 * 1024
-
 #: Approximate bytes held per candidate pair during expansion + filtering
 #: (two int64 position arrays, one float64 diff, one bool mask, slack).
 CANDIDATE_BYTES: int = 32
+
+#: Default candidate-buffer budget (bytes) of one kernel invocation: 4M
+#: candidates.  A single worker's transient expansion stays far below typical
+#: per-core memory while chunks stay large enough to amortize numpy call
+#: overhead.
+DEFAULT_MEMORY_BUDGET: int = 4_000_000 * CANDIDATE_BYTES
 
 
 def max_candidates(memory_budget: int) -> int:
@@ -400,30 +400,16 @@ def _cell_windows(
     return sorted_order.take(order), starts.ravel(), counts.ravel(), reach.shape[1]
 
 
-def _oriented_widths(
-    condition: BandCondition, probe_is_s: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return the per-dimension (below, above) window widths of the probe side.
-
-    The band predicate reads ``-eps_left <= t - s <= eps_right``; probing
-    with s means t in ``[s - eps_left, s + eps_right]``, probing with t means
-    s in ``[t - eps_right, t + eps_left]``.
-    """
-    eps_left, eps_right = condition.eps_arrays()
-    return (eps_left, eps_right) if probe_is_s else (eps_right, eps_left)
-
-
 def _iter_matches(
     probe_arr: np.ndarray,
     sorted_arr: np.ndarray,
     condition: BandCondition,
     dim: int,
-    probe_is_s: bool,
     candidate_cap: int,
     profile: dict | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield fully verified ``(probe_idx, sorted_idx)`` chunks of original
-    row ids for a multi-dimensional condition.
+    """Yield fully verified ``(s_idx, t_idx)`` chunks of original row ids
+    for a multi-dimensional condition (S probes, T is sorted).
 
     Both sides are sorted on ``dim`` and every probe row gets its ``[lo,
     hi)`` rank window.  When expanding those windows is cheap
@@ -433,8 +419,7 @@ def _iter_matches(
     too.  Either way the residual mask verifies every dimension except
     ``dim`` on every candidate.
     """
-    eps_left, eps_right = condition.eps_arrays()
-    below, above = _oriented_widths(condition, probe_is_s)
+    below, above = condition.eps_arrays()
     sorted_order = stable_argsort(sorted_arr[:, dim])
     probe_order = stable_argsort(probe_arr[:, dim])
     # Sorted probes walk the sorted side front to back: cache-local binary
@@ -454,15 +439,13 @@ def _iter_matches(
             rows = np.repeat(np.arange(probe_arr.shape[0], dtype=np.int64), per_probe)
     sorted_side = _permuted(sorted_arr, sorted_order)
     _recycle(probe_side, sorted_side)
-    s_side, t_side = (probe_side, sorted_side) if probe_is_s else (sorted_side, probe_side)
     for probe_pos, window_pos in iter_window_candidates(lows, counts, candidate_cap, rows):
         if profile is not None:
             profile["chunks"] += 1
             profile["candidates"] += int(probe_pos.size)
             profile["max_chunk"] = max(profile["max_chunk"], int(probe_pos.size))
-        s_pos, t_pos = (probe_pos, window_pos) if probe_is_s else (window_pos, probe_pos)
         keep = np.flatnonzero(
-            residual_mask(s_side, s_pos, t_side, t_pos, eps_left, eps_right, dim)
+            residual_mask(probe_side, probe_pos, sorted_side, window_pos, below, above, dim)
         )
         # Memory-mapped sides: drop the pages this chunk touched before
         # moving on, so a full pass stays within a bounded resident set.
@@ -478,28 +461,25 @@ def interval_count(
     t_arr: np.ndarray,
     condition: BandCondition,
     dim: int,
-    probe_is_s: bool = True,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> int:
     """Count band-join pairs without materializing any of them.
 
-    One-dimensional conditions are pure window arithmetic: sort the indexed
-    side's keys, one ``searchsorted`` pair, ``sum(hi - lo)`` — no boolean
+    One-dimensional conditions are pure window arithmetic: sort T's keys, one ``searchsorted`` pair, ``sum(hi - lo)`` — no boolean
     masks, no candidate expansion, no O(output) allocation.  Further
     dimensions fall back to chunk-wise expansion + masked counting under the
     memory budget.
     """
-    probe_arr, sorted_arr = (s_arr, t_arr) if probe_is_s else (t_arr, s_arr)
-    if probe_arr.shape[0] == 0 or sorted_arr.shape[0] == 0:
+    if s_arr.shape[0] == 0 or t_arr.shape[0] == 0:
         return 0
     profile = kernel_profile_start()
     if profile is not None:
         wall, t0 = time.time(), time.perf_counter()
     if condition.dimensionality == 1:
-        below, above = _oriented_widths(condition, probe_is_s)
-        keys = np.sort(sorted_arr[:, dim])
+        below, above = condition.eps_arrays()
+        keys = np.sort(t_arr[:, dim])
         # Sorted probes keep the binary searches cache-local (~5x faster).
-        lows, highs = window_bounds(keys, np.sort(probe_arr[:, dim]), below[dim], above[dim])
+        lows, highs = window_bounds(keys, np.sort(s_arr[:, dim]), below[dim], above[dim])
         total = int((highs - lows).sum())
         if profile is not None:
             profile["pairs"] = total
@@ -507,8 +487,7 @@ def interval_count(
         total = sum(
             int(probe_idx.size)
             for probe_idx, _ in _iter_matches(
-                probe_arr, sorted_arr, condition, dim, probe_is_s,
-                max_candidates(memory_budget), profile,
+                s_arr, t_arr, condition, dim, max_candidates(memory_budget), profile
             )
         )
     if profile is not None:
@@ -524,32 +503,29 @@ def interval_join(
     t_arr: np.ndarray,
     condition: BandCondition,
     dim: int,
-    probe_is_s: bool = True,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
     """Materialize the band-join pairs through the chunked interval kernel.
 
     Returns ``(m, 2)`` ``(s_index, t_index)`` pairs in implementation order.
     """
-    probe_arr, sorted_arr = (s_arr, t_arr) if probe_is_s else (t_arr, s_arr)
-    if probe_arr.shape[0] == 0 or sorted_arr.shape[0] == 0:
+    if s_arr.shape[0] == 0 or t_arr.shape[0] == 0:
         return empty_pairs()
     profile = kernel_profile_start()
     if profile is not None:
         wall, t0 = time.time(), time.perf_counter()
-    probe_column, sorted_column = (0, 1) if probe_is_s else (1, 0)
 
     if condition.dimensionality == 1:
         # Every candidate is a result: expand straight into the output array
         # (the transients are output-sized, which materialization implies
         # anyway).  Probes are sorted for cache-local binary searches; the
         # original row ids come back through one fused repeat.
-        below, above = _oriented_widths(condition, probe_is_s)
-        sorted_order = stable_argsort(sorted_arr[:, dim])
-        sorted_side = _permuted(sorted_arr, sorted_order)
-        probe_order = stable_argsort(probe_arr[:, dim])
+        below, above = condition.eps_arrays()
+        sorted_order = stable_argsort(t_arr[:, dim])
+        sorted_side = _permuted(t_arr, sorted_order)
+        probe_order = stable_argsort(s_arr[:, dim])
         lows, highs = window_bounds(
-            sorted_side[:, dim], probe_arr[probe_order, dim], below[dim], above[dim]
+            sorted_side[:, dim], s_arr[:, dim].take(probe_order), below[dim], above[dim]
         )
         counts = highs - lows
         total = int(counts.sum())
@@ -559,11 +535,11 @@ def interval_join(
             pairs = np.empty((total, 2), dtype=np.int64)
             # Window positions are built in their output column and mapped
             # there: one column-sized temporary at a time beside the pairs.
-            window_pos = pairs[:, sorted_column]
+            window_pos = pairs[:, 1]
             window_pos[:] = np.repeat(lows - (np.cumsum(counts) - counts), counts)
             window_pos += np.arange(total, dtype=np.int64)
             window_pos[:] = sorted_order[window_pos]
-            pairs[:, probe_column] = np.repeat(probe_order, counts)
+            pairs[:, 0] = np.repeat(probe_order, counts)
         if profile is not None:
             profile["chunks"] = 1 if total else 0
             profile["candidates"] = total
@@ -571,15 +547,12 @@ def interval_join(
             profile["max_chunk"] = total
     else:
         chunks = list(
-            _iter_matches(
-                probe_arr, sorted_arr, condition, dim, probe_is_s,
-                max_candidates(memory_budget), profile,
-            )
+            _iter_matches(s_arr, t_arr, condition, dim, max_candidates(memory_budget), profile)
         )
         pairs = np.empty((sum(chunk[0].size for chunk in chunks), 2), dtype=np.int64)
         if chunks:
-            np.concatenate([chunk[0] for chunk in chunks], out=pairs[:, probe_column])
-            np.concatenate([chunk[1] for chunk in chunks], out=pairs[:, sorted_column])
+            np.concatenate([chunk[0] for chunk in chunks], out=pairs[:, 0])
+            np.concatenate([chunk[1] for chunk in chunks], out=pairs[:, 1])
     if profile is not None:
         publish_kernel_profile(
             profile, "join", condition.dimensionality,

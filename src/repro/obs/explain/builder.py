@@ -168,10 +168,14 @@ def build_report(
     est_candidates = np.where(
         windows <= plain_limit, windows, np.minimum(windows, per_pair * est_outputs)
     )
-    budget = getattr(prepared.engine.backend, "memory_budget", None)
-    if not budget or budget < 1:
-        budget = kernels.DEFAULT_MEMORY_BUDGET
-    chunk_capacity = kernels.max_candidates(budget)
+    # Chunks at the budget the kernel runs with: an inline join has the
+    # backend's whole budget, a planned query's p tasks a share each.
+    kernel = prepared.engine.backend._budgeted(
+        prepared.engine.algorithm, 1 if decision.inline else decision.parallelism
+    )
+    chunk_capacity = kernels.max_candidates(
+        getattr(kernel, "memory_budget", kernels.DEFAULT_MEMORY_BUDGET)
+    )
 
     est_total_input = float(s_counts.sum() + t_counts.sum())
     est_max_input = float((s_counts + t_counts).max())

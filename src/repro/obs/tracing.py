@@ -7,8 +7,7 @@ crossing an execution boundary is always *explicit*:
 
 * **thread pools** — pass :meth:`Span.context` (a picklable
   :class:`SpanContext`) to the worker, which opens child spans with
-  ``tracer.span(name, parent=ctx)`` or activates the context wholesale with
-  :meth:`Tracer.activate`;
+  ``tracer.span(name, parent=ctx)``;
 * **process pools** — workers cannot reach the driver's tracer, so they
   build plain span *records* (dicts, see :func:`span_record`) against the
   shipped context and return them with their results; the driver grafts
@@ -222,26 +221,6 @@ class Span:
         return False
 
 
-class _Activation:
-    """Context manager making an explicit SpanContext the current parent."""
-
-    __slots__ = ("_target", "_token")
-
-    def __init__(self, target) -> None:
-        self._target = target
-        self._token = None
-
-    def __enter__(self):
-        if self._target is not None:
-            self._token = _CURRENT.set(self._target)
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        if self._token is not None:
-            _CURRENT.reset(self._token)
-        return False
-
-
 class Tracer:
     """Creates spans, tracks live traces, and keeps the recent-trace ring."""
 
@@ -306,12 +285,6 @@ class Tracer:
             if grafted.get("parent_id") is None:
                 grafted["parent_id"] = parent.span_id
             trace.add(grafted)
-
-    def activate(self, ctx: SpanContext | None) -> _Activation:
-        """Make ``ctx`` the current parent for this thread (worker entry)."""
-        if not _state.enabled or ctx is None:
-            return _Activation(None)
-        return _Activation((self._resolve(ctx.trace_id), ctx.span_id))
 
     def current_context(self) -> SpanContext | None:
         """Return the current span's context, or ``None``."""

@@ -34,7 +34,7 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.exceptions import SamplingError
 from repro.geometry.band import BandCondition
-from repro.local_join.interval import default_local_join
+from repro.local_join.interval import IntervalJoin
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def draw_output_sample(
         empty = np.empty((0, condition.dimensionality))
         return OutputSample(empty, empty, 0.0, 0.0)
 
-    joiner = default_local_join()
+    joiner = IntervalJoin()
     s_rows = t_rows = np.empty(0, dtype=np.int64)
     fraction = initial_fraction
     while True:

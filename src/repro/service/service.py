@@ -105,7 +105,6 @@ class BandJoinService:
         self.registry = MetricsRegistry()
         self.engine = ParallelJoinEngine(
             backend=self.config.backend,
-            algorithm=self.config.local_algorithm,
             plan_cache=PlanCache(max_entries=self.config.plan_cache_size),
             memory_budget=self.config.kernel_memory_budget,
             spill_dir=self.config.spill_dir,
@@ -113,7 +112,7 @@ class BandJoinService:
         bind_plan_cache(self.registry, self.engine.plan_cache)
         self.catalog = RelationCatalog(
             staleness_threshold=self.config.staleness_threshold,
-            on_stale=self._on_stale if self.config.compaction != "off" else None,
+            on_stale=self._on_stale,
             storage=self.config.storage,
             spill_dir=self.config.spill_dir,
             spill_threshold_bytes=self.config.spill_threshold_bytes,

@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.engine import ParallelJoinEngine
-from repro.local_join import default_local_join
+from repro.local_join import IntervalJoin
 from repro.local_join.base import canonical_pair_order
 from repro.obs.workload import pair_fingerprint
 from repro.service import (
@@ -60,7 +60,7 @@ def _full_join(prepared: PreparedQuery) -> np.ndarray:
     s_snap, t_snap = prepared.snapshots()
     attributes = list(prepared.attributes)
     return canonical_pair_order(
-        default_local_join().join(
+        IntervalJoin().join(
             s_snap.full.join_matrix(attributes),
             t_snap.full.join_matrix(attributes),
             prepared.condition(),
@@ -227,7 +227,7 @@ def test_concurrent_cold_queries_share_the_prices():
             results = [future.result(timeout=60) for future in futures]
             for eps, result in zip(epsilons, results):
                 condition = prepared.condition(eps)
-                expected = default_local_join().join(s_rows, t_rows, condition)
+                expected = IntervalJoin().join(s_rows, t_rows, condition)
                 np.testing.assert_array_equal(
                     canonical_pair_order(result.pairs), canonical_pair_order(expected)
                 )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.config import MAX_WORKERS, LoadWeights, RecPartConfig, ServiceConfig
@@ -62,3 +65,20 @@ class TestServiceConfig:
             ServiceConfig(workers=MAX_WORKERS + 1)
         with pytest.raises(ValueError, match="workers must be between 1 and"):
             ServiceConfig(workers=0)
+
+    def test_compaction_runs_in_the_background_or_in_the_append(self):
+        for mode in ("background", "sync"):
+            assert ServiceConfig(compaction=mode).compaction == mode
+        with pytest.raises(ValueError, match="compaction must be"):
+            ServiceConfig(compaction="off")
+
+    def test_infinite_staleness_threshold_never_compacts(self):
+        from repro.service import BandJoinService
+
+        config = ServiceConfig(
+            backend="serial", compaction="sync", staleness_threshold=math.inf
+        )
+        with BandJoinService(config) as service:
+            service.register("S", {"A1": np.arange(4.0)})
+            assert service.append("S", {"A1": np.arange(40.0)}).delta_rows == 40
+            assert service.catalog.get("S").delta_rows == 40

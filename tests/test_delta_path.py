@@ -25,7 +25,7 @@ from repro.config import ServiceConfig
 from repro.core.recpart import RecPartPartitioner
 from repro.engine import ParallelJoinEngine
 from repro.geometry.band import BandCondition
-from repro.local_join import default_local_join
+from repro.local_join import IntervalJoin
 from repro.local_join.base import canonical_pair_order
 from repro.obs.workload import pair_fingerprint
 from repro.service import prepared as prepared_module
@@ -62,7 +62,7 @@ def _check_full_join(prepared: PreparedQuery, result, condition: BandCondition) 
     every pair once."""
     s_snap, t_snap = prepared.snapshots()
     attributes = list(prepared.attributes)
-    expected = default_local_join().join(
+    expected = IntervalJoin().join(
         s_snap.full.join_matrix(attributes), t_snap.full.join_matrix(attributes), condition
     )
     produced = canonical_pair_order(result.pairs)
@@ -407,7 +407,7 @@ def test_concurrent_appends_and_queries_answer_their_reported_rows():
     s_all, t_all = np.concatenate(s_rows), np.concatenate(t_rows)
     for result in results:
         s_count, t_count = result.lineage[2:]
-        expected = default_local_join().join(s_all[:s_count], t_all[:t_count], condition)
+        expected = IntervalJoin().join(s_all[:s_count], t_all[:t_count], condition)
         np.testing.assert_array_equal(
             canonical_pair_order(result.pairs), canonical_pair_order(expected)
         )

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.grid import GridEpsilonPartitioner
 from repro.baselines.one_bucket import OneBucketPartitioner
-from repro.config import LOCAL_ALGORITHM_NAMES, EngineConfig, ServiceConfig
+from repro.config import ServiceConfig
 from repro.core.recpart import RecPartPartitioner
 from repro.data.generators import correlated_pair, uniform_relation
 from repro.data.relation import Relation
@@ -41,7 +41,7 @@ from repro.engine.routing import dedup_worker_copies
 from repro.exceptions import ExecutionError
 from repro.geometry.band import BandCondition
 from repro.local_join.base import canonical_pair_order
-from repro.local_join import default_local_join, get_local_algorithm
+from repro.local_join import IntervalJoin, NestedLoopJoin
 
 REAL_BACKENDS = ("serial", "threads", "processes")
 
@@ -53,7 +53,7 @@ def _small_problem(seed: int = 5, n: int = 1200, dims: int = 2):
 
 
 def _reference_pairs(s, t, condition) -> np.ndarray:
-    algorithm = default_local_join()
+    algorithm = IntervalJoin()
     return canonical_pair_order(
         algorithm.join(
             s.join_matrix(condition.attributes), t.join_matrix(condition.attributes), condition
@@ -450,39 +450,34 @@ class TestExecutorEngineIntegration:
 
 
 class TestEngineConfig:
-    def test_defaults(self):
-        config = EngineConfig()
-        assert config.backend == "serial"
-        assert config.plan_cache_size >= 1
-
-    def test_engine_from_config(self):
-        config = EngineConfig(backend="threads", max_parallelism=2, plan_cache_size=7)
-        engine = ParallelJoinEngine.from_config(config)
-        assert engine.backend.name == "threads"
-        assert engine.plan_cache.max_entries == 7
-        assert ParallelJoinEngine.from_config(EngineConfig()).backend.name == "serial"
+    """The engine's settings are its constructor's arguments; a service
+    passes its own through."""
 
     def test_invalid_backend(self):
         for backend in ("gpu", "simulated"):
-            with pytest.raises(ValueError):
-                EngineConfig(backend=backend)
+            with pytest.raises(ExecutionError):
+                ParallelJoinEngine(backend=backend)
             with pytest.raises(ValueError):
                 ServiceConfig(backend=backend)
 
     def test_invalid_parallelism(self):
-        with pytest.raises(ValueError):
-            EngineConfig(backend="threads", max_parallelism=0)
+        with pytest.raises(ExecutionError):
+            ParallelJoinEngine(backend="threads", max_parallelism=0)
 
     def test_invalid_cache_size(self):
         with pytest.raises(ValueError):
-            EngineConfig(plan_cache_size=0)
+            PlanCache(max_entries=0)
+        with pytest.raises(ValueError):
+            ServiceConfig(plan_cache_size=0)
 
 
 class TestKernelSelectionAndBudget:
-    """Local-algorithm names and kernel memory budgets through the engine."""
+    """Injected kernels and kernel memory budgets through the engine."""
 
-    @pytest.mark.parametrize("algorithm", LOCAL_ALGORITHM_NAMES)
-    def test_named_kernels_produce_the_reference_pair_set(self, algorithm):
+    @pytest.mark.parametrize(
+        "algorithm", [IntervalJoin(), IntervalJoin(dim=0), NestedLoopJoin()], ids=repr
+    )
+    def test_kernels_produce_the_reference_pair_set(self, algorithm):
         s, t, condition = _small_problem(seed=17)
         partitioning = RecPartPartitioner(seed=17).partition(s, t, condition, workers=4)
         engine = ParallelJoinEngine(backend="serial", algorithm=algorithm)
@@ -491,16 +486,17 @@ class TestKernelSelectionAndBudget:
             canonical_pair_order(result.pairs), _reference_pairs(s, t, condition)
         )
 
-    def test_engine_rejects_unknown_kernel_names(self):
-        with pytest.raises(ValueError):
-            ParallelJoinEngine(backend="serial", algorithm="no-such-kernel")
+    def test_default_kernel_is_the_index_nested_loop(self):
+        algorithm = ParallelJoinEngine(backend="serial").algorithm
+        assert isinstance(algorithm, IntervalJoin) and algorithm.dim is None
+        assert algorithm.name == "index-nested-loop"
 
     def test_backend_splits_memory_budget_across_pool(self):
         from repro.engine.backends import ThreadPoolBackend
         from repro.local_join import kernels
 
         backend = ThreadPoolBackend(max_workers=4, memory_budget=4 * 1024 * 1024)
-        algorithm = get_local_algorithm("sort-sweep")
+        algorithm = IntervalJoin()
         bound = backend._budgeted(algorithm, concurrency=4)
         assert bound.memory_budget == 1024 * 1024
         assert algorithm.memory_budget == kernels.DEFAULT_MEMORY_BUDGET  # untouched
@@ -510,21 +506,22 @@ class TestKernelSelectionAndBudget:
         partitioning = RecPartPartitioner(seed=21).partition(s, t, condition, workers=3)
         reference = _reference_pairs(s, t, condition)
         engine = ParallelJoinEngine(
-            backend="serial", algorithm="sort-sweep", memory_budget=4096
+            backend="serial", algorithm=IntervalJoin(dim=0), memory_budget=4096
         )
         result = engine.execute(s, t, condition, partitioning, materialize=True)
         np.testing.assert_array_equal(canonical_pair_order(result.pairs), reference)
 
-    def test_engine_config_carries_kernel_settings(self):
-        config = EngineConfig(
-            backend="serial", local_algorithm="sort-sweep", kernel_memory_budget=1 << 20
-        )
-        engine = ParallelJoinEngine.from_config(config)
-        assert engine.algorithm.name == "sort-sweep"
-        assert engine.backend.memory_budget == 1 << 20
+    def test_service_config_carries_the_kernel_budget(self):
+        from repro.service import BandJoinService
 
-    def test_engine_config_rejects_bad_kernel_settings(self):
+        with BandJoinService(
+            ServiceConfig(backend="serial", kernel_memory_budget=1 << 20)
+        ) as service:
+            assert service.engine.backend.memory_budget == 1 << 20
+            assert service.engine.algorithm.name == "index-nested-loop"
+
+    def test_rejects_bad_kernel_budgets(self):
+        with pytest.raises(ExecutionError):
+            ParallelJoinEngine(backend="serial", memory_budget=0)
         with pytest.raises(ValueError):
-            EngineConfig(local_algorithm="bogus")
-        with pytest.raises(ValueError):
-            EngineConfig(kernel_memory_budget=0)
+            ServiceConfig(kernel_memory_budget=0)

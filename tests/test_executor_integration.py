@@ -24,7 +24,7 @@ from repro.engine import ParallelJoinEngine
 from repro.exceptions import ExecutionError
 from repro.geometry.band import BandCondition
 from repro.experiments.runner import run_method
-from repro.local_join import default_local_join
+from repro.local_join import IntervalJoin
 from repro.local_join.base import LocalJoinAlgorithm
 
 ALL_PARTITIONERS = [
@@ -134,7 +134,7 @@ class TestExecutorBehaviour:
     def test_alternative_local_algorithm(self):
         s, t = correlated_pair(800, 800, dimensions=1, seed=1)
         condition = BandCondition.symmetric(["A1"], 0.05)
-        engine = ParallelJoinEngine(backend="serial", algorithm="sort-sweep")
+        engine = ParallelJoinEngine(backend="serial", algorithm=IntervalJoin(dim=0))
         partitioning = RecPartSPartitioner().partition(s, t, condition, workers=3)
         engine.execute(s, t, condition, partitioning, verify="count")
 
@@ -145,7 +145,7 @@ class TestExecutorBehaviour:
 
         class FaultyJoin(LocalJoinAlgorithm):
             def join(self, s_values, t_values, condition):
-                pairs = default_local_join().join(s_values, t_values, condition)
+                pairs = IntervalJoin().join(s_values, t_values, condition)
                 if pairs.shape[0] == 0:
                     return pairs
                 return pairs[1:] if fault == "lost" else np.concatenate([pairs, pairs[:1]])

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import LOCAL_ALGORITHM_NAMES, ServiceConfig
+from repro.config import ServiceConfig
 from repro.obs.explain import (
     EstimateAccuracyTracker,
     PlanNode,
@@ -210,13 +210,12 @@ class TestExplain:
             assert plan_node(first).attrs["plan_cached"] is False
             assert plan_node(second).attrs["plan_cached"] is True
 
-    @pytest.mark.parametrize("algorithm", LOCAL_ALGORITHM_NAMES)
-    def test_selector_node_reports_kernel_and_window_fractions(self, rng, algorithm):
-        with explain_service(local_algorithm=algorithm) as service:
+    def test_selector_node_reports_kernel_and_window_fractions(self, rng):
+        with explain_service() as service:
             register_pair(service, rng, dims=2)
             report = service.explain("q")
             selector = next(c for c in report.root.children if c.name == "selector")
-            assert selector.attrs["algorithm"] == algorithm
+            assert selector.attrs["algorithm"] == "index-nested-loop"
             fractions = selector.attrs["window_fractions"]
             assert len(fractions) == 2 and all(0 < f < 1 for f in fractions)
 
@@ -247,14 +246,11 @@ class TestExplain:
             assert report.root.qerrors()["pairs"] == 1.0
 
     @pytest.mark.parametrize("backend", ["serial", "threads"])
-    @pytest.mark.parametrize("algorithm", LOCAL_ALGORITHM_NAMES)
-    def test_analyze_matches_pair_sets_across_backends_and_kernels(
-        self, backend, algorithm
-    ):
+    def test_analyze_matches_pair_sets_across_backends(self, backend):
         """Randomized property: analyzed actuals == executed pair-set sizes."""
         for seed in (3, 11):
             rng = np.random.default_rng(seed)
-            with explain_service(backend=backend, local_algorithm=algorithm) as service:
+            with explain_service(backend=backend) as service:
                 dims = int(rng.integers(1, 3))
                 register_pair(
                     service,
@@ -284,6 +280,29 @@ class TestExplain:
             kernel_node = next(c for c in report.root.children if c.name == "kernels")
             assert kernel_node.actuals["candidates"] <= 3 * kernel_node.actuals["pairs"]
             assert kernel_node.qerrors()["candidates"] < 1.5
+
+    def test_kernel_chunks_are_priced_at_each_tasks_budget_share(self, rng):
+        """A planned query's p tasks each run with ``budget // p`` bytes
+        (``ExecutionBackend._budgeted``), so each worker's chunk estimate is
+        its candidates over that share's capacity, not the whole budget's."""
+        from repro.local_join import kernels
+
+        budget = 4 * 100 * kernels.CANDIDATE_BYTES  # 100 candidates per task chunk
+        with explain_service(backend="threads", workers=8, kernel_memory_budget=budget) as service:
+            service.engine.backend.max_workers = 4
+            register_pair(service, rng, n_s=2000, n_t=2000, dims=2)
+            prepared = service.prepared("q")
+            prepared.prices.seconds_per_load = 1.0  # a free plan: the query plans
+            prepared.prices.plan_seconds[prepared.price_key] = 0.0
+            report = service.explain("q")
+            inline = next(c for c in report.root.children if c.name == "inline")
+            assert inline.attrs["chosen"] is False and inline.attrs["parallelism"] == 4
+            plan = next(c for c in report.root.children if c.name == "partitioning")
+            workers = [c.estimates for c in plan.children if c.name.startswith("worker")]
+            capacity = kernels.max_candidates(budget // 4)
+            assert any(w["kernel_chunks"] > 1 for w in workers)
+            for w in workers:
+                assert w["kernel_chunks"] == math.ceil(w["candidates"] / capacity)
 
     def test_per_worker_nodes_carry_estimates_and_actuals(self, rng):
         with explain_service() as service:

@@ -92,8 +92,8 @@ def test_kernel_grid(key, force_cells):
     s, t, condition = _grid_inputs(d)
     outputs = []
     for dim in range(d):
-        pairs = kernels.interval_join(s, t, condition, dim, True, memory_budget)
-        count = kernels.interval_count(s, t, condition, dim, True, memory_budget)
+        pairs = kernels.interval_join(s, t, condition, dim, memory_budget)
+        count = kernels.interval_count(s, t, condition, dim, memory_budget)
         assert count == pairs.shape[0] > 0
         outputs.append(pairs)
     assert _digest(*outputs) == GRID_DIGESTS[key]

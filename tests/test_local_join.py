@@ -17,33 +17,22 @@ from hypothesis import strategies as st
 
 from repro.data.generators import pareto_relation, uniform_relation
 from repro.geometry.band import BandCondition
-from repro.local_join import (
-    LOCAL_ALGORITHMS,
-    default_local_join,
-    get_local_algorithm,
-)
 from repro.local_join import kernels
 from repro.local_join.base import canonical_pair_order, join_pair_count
 from repro.local_join.interval import IntervalJoin, sweep_dimension
 from repro.local_join.nested_loop import NestedLoopJoin
 
-#: Every registry name but the reference itself.
-KERNEL_NAMES = [name for name in LOCAL_ALGORITHMS if name != "nested-loop"]
-
-#: The registry aliases sweep the first or the chosen dimension; this one
-#: sweeps the last, probing with T, so the equivalence matrix also covers
+#: The sweep dimension of each interval-kernel variant: the one the sweep
+#: rule picks, the first, and the last, so the equivalence matrix also covers
 #: windows on a later dimension with the earlier ones left to the mask/cells.
-LAST_DIMENSION = "last-dimension"
+SWEEPS = ["rule", "first", "last"]
 
 
-def _equivalence_kernel(name: str, d: int):
-    if name == LAST_DIMENSION:
-        return IntervalJoin(dim=d - 1, probe="t", name=LAST_DIMENSION)
-    return get_local_algorithm(name)
+def _equivalence_kernel(sweep: str, d: int) -> IntervalJoin:
+    return IntervalJoin(dim={"rule": None, "first": 0, "last": d - 1}[sweep])
 
-ALGORITHMS = [NestedLoopJoin(block_size=64)] + [
-    get_local_algorithm(name) for name in KERNEL_NAMES
-]
+
+ALGORITHMS = [NestedLoopJoin(block_size=64), IntervalJoin(), IntervalJoin(dim=0)]
 
 
 def _pairs(algorithm, s, t, condition):
@@ -67,11 +56,10 @@ def _case_inputs(shape: str, d: int, rng):
 
 
 class TestKernelEquivalence:
-    """Every registry name returns exactly the reference pair set and count.
+    """The interval kernel returns exactly the reference pair set and count.
 
-    One matrix over the registry names (the three ``IntervalJoin`` aliases)
-    plus an interval kernel pinned to the last dimension, the
-    dimensionality, symmetric and asymmetric widths, and
+    One matrix over the sweep dimension (the sweep rule's, the first, the
+    last), the dimensionality, symmetric and asymmetric widths, and
     the inputs that have broken kernels before: duplicate values sitting on
     the band edge, an empty side, and a budget of two candidates per chunk —
     once as the kernel plans them and once with the bucketed plan forced.
@@ -80,9 +68,9 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("shape", ["duplicates", "empty-side", "tiny-budget"])
     @pytest.mark.parametrize("eps", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("name", KERNEL_NAMES + [LAST_DIMENSION])
+    @pytest.mark.parametrize("sweep", SWEEPS)
     @pytest.mark.parametrize("plan", ["size-gated", "bucketed"])
-    def test_same_pairs_and_count_as_nested_loop(self, plan, name, d, eps, shape, monkeypatch):
+    def test_same_pairs_and_count_as_nested_loop(self, plan, sweep, d, eps, shape, monkeypatch):
         if plan == "bucketed":  # these inputs are all far below the size gate
             monkeypatch.setattr(kernels, "plain_expansion_limit", lambda n, m: 0)
         rng = np.random.default_rng([d, eps == "symmetric", len(shape)])
@@ -92,7 +80,7 @@ class TestKernelEquivalence:
             for i in range(d)
         }
         condition = BandCondition(widths)
-        algorithm = _equivalence_kernel(name, d)
+        algorithm = _equivalence_kernel(sweep, d)
         if shape == "tiny-budget":
             algorithm = algorithm.with_memory_budget(64)
             assert algorithm.memory_budget == 64
@@ -127,13 +115,12 @@ def cell_plans(monkeypatch):
 
 
 def _assert_matches_reference(s, t, condition, memory_budget=kernels.DEFAULT_MEMORY_BUDGET):
-    """Every ``(dim, probe)`` gives the reference pairs, and count() their number."""
+    """Every sweep dimension gives the reference pairs, and count() their number."""
     reference = _pairs(NestedLoopJoin(), np.asarray(s), np.asarray(t), condition)
     for dim in range(condition.dimensionality):
-        for probe in ("s", "t"):
-            algorithm = IntervalJoin(dim, probe, memory_budget=memory_budget)
-            np.testing.assert_array_equal(_pairs(algorithm, s, t, condition), reference)
-            assert algorithm.count(s, t, condition) == reference.shape[0]
+        algorithm = IntervalJoin(dim, memory_budget=memory_budget)
+        np.testing.assert_array_equal(_pairs(algorithm, s, t, condition), reference)
+        assert algorithm.count(s, t, condition) == reference.shape[0]
     return reference
 
 
@@ -146,7 +133,7 @@ class TestBucketedPlan:
     """
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_random_inputs_every_dimension_and_probe_side(self, d, rng, cell_plans):
+    def test_random_inputs_every_dimension(self, d, rng, cell_plans):
         s, t = _random_inputs(rng, 150, 170, d, spread=6.0)
         condition = BandCondition.symmetric([f"A{i}" for i in range(d)], 0.4)
         assert _assert_matches_reference(s, t, condition).shape[0] > 0
@@ -250,7 +237,7 @@ class TestBucketedPlan:
         obs.enable()
         try:
             before = kernel_counter_totals()
-            pairs = IntervalJoin.named("index-nested-loop").join(s, t, condition)
+            pairs = IntervalJoin().join(s, t, condition)
             after = kernel_counter_totals()
         finally:
             (obs.enable if was_enabled else obs.disable)()
@@ -259,13 +246,13 @@ class TestBucketedPlan:
 
 
 class TestAgreementWithReference:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=repr)
     def test_count_matches_join(self, algorithm, rng):
         s, t = _random_inputs(rng, 120, 140, 2, spread=4.0)
         condition = BandCondition.symmetric(["A1", "A2"], 0.3)
         assert algorithm.count(s, t, condition) == algorithm.join(s, t, condition).shape[0]
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS[1:], ids=lambda a: a.name)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS[1:], ids=repr)
     def test_equi_join_case(self, algorithm, rng):
         values = rng.integers(0, 20, size=80).astype(float)
         s = values[:, None]
@@ -274,7 +261,7 @@ class TestAgreementWithReference:
         reference = _pairs(NestedLoopJoin(), s, t, condition)
         np.testing.assert_array_equal(_pairs(algorithm, s, t, condition), reference)
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=repr)
     def test_empty_inputs(self, algorithm):
         condition = BandCondition.symmetric(["A1"], 1.0)
         empty = np.empty((0, 1))
@@ -283,7 +270,7 @@ class TestAgreementWithReference:
         assert algorithm.join(some, empty, condition).shape == (0, 2)
         assert algorithm.count(empty, empty, condition) == 0
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=repr)
     def test_skewed_pareto_input(self, algorithm):
         s_rel = pareto_relation("S", 300, dimensions=2, z=1.0, seed=0)
         t_rel = pareto_relation("T", 300, dimensions=2, z=1.0, seed=1)
@@ -370,11 +357,10 @@ class TestIntervalJoinSpecifics:
             IntervalJoin().count(s, t, condition)
         assert swept == [most_selective_dimension(s, t, condition)]
 
-    @pytest.mark.parametrize("probe", ["s", "t"])
-    def test_explicit_dimension(self, rng, probe):
+    def test_explicit_dimension(self, rng):
         s, t = _random_inputs(rng, 50, 50, 2)
         condition = BandCondition.symmetric(["A1", "A2"], 0.5)
-        algorithm = IntervalJoin(dim=1, probe=probe)
+        algorithm = IntervalJoin(dim=1)
         reference = _pairs(NestedLoopJoin(), s, t, condition)
         np.testing.assert_array_equal(_pairs(algorithm, s, t, condition), reference)
 
@@ -384,31 +370,22 @@ class TestIntervalJoinSpecifics:
         with pytest.raises(ValueError):
             IntervalJoin(dim=-1)
         with pytest.raises(ValueError):
-            IntervalJoin(probe="both")
-        with pytest.raises(ValueError):
             IntervalJoin(memory_budget=0)
 
     def test_dimension_out_of_range(self, rng):
         s, t = _random_inputs(rng, 10, 10, 1)
         condition = BandCondition.symmetric(["A1"], 0.5)
-        for probe in ("s", "t"):
-            with pytest.raises(ValueError):
-                IntervalJoin(dim=3, probe=probe).join(s, t, condition)
-            with pytest.raises(ValueError):
-                IntervalJoin(dim=3, probe=probe).count(s, t, condition)
+        with pytest.raises(ValueError):
+            IntervalJoin(dim=3).join(s, t, condition)
+        with pytest.raises(ValueError):
+            IntervalJoin(dim=3).count(s, t, condition)
 
-    def test_aliases_bind_dimension_probe_and_budget(self):
-        """The registry names are today's ``(dim, probe, default budget)``."""
-        bound = {
-            name: (a.dim, a.probe, a.memory_budget)
-            for name in KERNEL_NAMES
-            if isinstance(a := get_local_algorithm(name), IntervalJoin)
-        }
-        assert bound == {
-            "index-nested-loop": (None, "s", 4_000_000 * kernels.CANDIDATE_BYTES),
-            "sort-sweep": (0, "s", kernels.DEFAULT_MEMORY_BUDGET),
-            "iejoin-local": (0, "t", kernels.DEFAULT_MEMORY_BUDGET),
-        }
+    def test_default_is_the_papers_index_nested_loop(self):
+        """The sweep rule picks the dimension; chunks hold 4M candidates."""
+        default = IntervalJoin()
+        assert (default.name, default.dim) == ("index-nested-loop", None)
+        assert default.memory_budget == kernels.DEFAULT_MEMORY_BUDGET
+        assert kernels.max_candidates(default.memory_budget) == 4_000_000
 
 
 class TestSweepRule:
@@ -505,7 +482,7 @@ class TestSweepRule:
 
     def test_cell_plan_ranks_with_the_same_rule(self, rng, monkeypatch):
         """The sweep choice ranks both sides' range; the cell plan then ranks
-        the sorted side's range (T when S probes) with the same function."""
+        the sorted side's range (T) with the same function."""
         calls = []
         cells_per_dimension = kernels.cells_per_dimension
 
@@ -531,16 +508,13 @@ class TestSweepRule:
 
 
 class TestHelpers:
-    def test_default_local_join_is_index_nested_loop(self):
-        assert default_local_join().name == "index-nested-loop"
-
     def test_join_pair_count_wrapper(self, rng):
         s, t = _random_inputs(rng, 60, 60, 1, spread=2.0)
         condition = BandCondition.symmetric(["A1"], 0.3)
         expected = NestedLoopJoin().count(s, t, condition)
         assert join_pair_count(s, t, condition) == expected
         assert (
-            join_pair_count(s, t, condition, algorithm=get_local_algorithm("sort-sweep"))
+            join_pair_count(s, t, condition, algorithm=IntervalJoin(dim=0))
             == expected
         )
 
@@ -594,7 +568,7 @@ class TestZeroMaterializationCounts:
     @pytest.mark.parametrize(
         "algorithm",
         [a for a in ALGORITHMS if isinstance(a, IntervalJoin)],
-        ids=lambda a: a.name,
+        ids=repr,
     )
     def test_1d_count_never_expands_candidates(self, algorithm, rng, monkeypatch):
         s, t = rng.uniform(0, 4, size=(300, 1)), rng.uniform(0, 4, size=(300, 1))
@@ -612,8 +586,8 @@ class TestZeroMaterializationCounts:
         s, t = rng.uniform(0, 3, size=(200, 2)), rng.uniform(0, 3, size=(200, 2))
         condition = BandCondition.symmetric(["A1", "A2"], 0.25)
         expected = NestedLoopJoin().count(s, t, condition)
-        for probe in ("s", "t"):
-            assert IntervalJoin(0, probe, memory_budget=64).count(s, t, condition) == expected
+        for dim in (0, 1):
+            assert IntervalJoin(dim, memory_budget=64).count(s, t, condition) == expected
 
 
 class TestKernelPrimitives:
@@ -641,31 +615,9 @@ class TestKernelPrimitives:
         assert kernels.max_candidates(kernels.CANDIDATE_BYTES * 5) == 5
 
 
-class TestRegistryAndBudgets:
-    def test_registry_resolves_every_name(self):
-        for name in LOCAL_ALGORITHMS:
-            assert get_local_algorithm(name).name == name
-
-    def test_config_names_match_registry(self):
-        """config.LOCAL_ALGORITHM_NAMES is a dependency-free copy of the
-        registry keys; this pins the two in sync, default included."""
-        from repro.config import DEFAULT_LOCAL_ALGORITHM, LOCAL_ALGORITHM_NAMES
-
-        assert set(LOCAL_ALGORITHM_NAMES) == set(LOCAL_ALGORITHMS)
-        assert DEFAULT_LOCAL_ALGORITHM in LOCAL_ALGORITHM_NAMES
-        assert DEFAULT_LOCAL_ALGORITHM in LOCAL_ALGORITHMS
-
-    def test_registry_rejects_unknown_names(self):
-        with pytest.raises(ValueError):
-            get_local_algorithm("quantum-join")
-
-    def test_registry_default_and_passthrough(self):
-        assert get_local_algorithm(None).name == "index-nested-loop"
-        instance = IntervalJoin()
-        assert get_local_algorithm(instance) is instance
-
+class TestBudgets:
     def test_with_memory_budget_copies_budgeted_kernels(self):
-        original = get_local_algorithm("sort-sweep")
+        original = IntervalJoin()
         bound = original.with_memory_budget(4096)
         assert bound is not original
         assert bound.memory_budget == 4096

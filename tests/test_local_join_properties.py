@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro.geometry.band import BandCondition
-from repro.local_join import default_local_join
+from repro.local_join import IntervalJoin
 from repro.local_join.base import canonical_pair_order
 from repro.local_join import kernels
 from repro.local_join.kernels import (
@@ -37,7 +37,7 @@ def _value_arrays(max_rows: int = 24, dims: int = 2):
 def test_output_symmetry_of_symmetric_band(s, t, eps):
     """For a symmetric band condition, join(S, T) and join(T, S) are transposes."""
     condition = BandCondition.symmetric(["A1"], eps)
-    algorithm = default_local_join()
+    algorithm = IntervalJoin()
     forward = canonical_pair_order(algorithm.join(s, t, condition))
     backward = canonical_pair_order(algorithm.join(t, s, condition)[:, ::-1])
     np.testing.assert_array_equal(canonical_pair_order(forward), canonical_pair_order(backward))
@@ -50,7 +50,7 @@ def test_output_monotone_in_band_width(s, eps_small, eps_extra):
     t = s + 0.25  # deterministic second input derived from the first
     small = BandCondition.symmetric(["A1"], eps_small)
     large = BandCondition.symmetric(["A1"], eps_small + eps_extra)
-    algorithm = default_local_join()
+    algorithm = IntervalJoin()
     assert algorithm.count(s, t, large) >= algorithm.count(s, t, small)
 
 
@@ -59,7 +59,7 @@ def test_output_monotone_in_band_width(s, eps_small, eps_extra):
 def test_self_join_is_reflexive(values, eps):
     """Every tuple joins with itself in a self band-join (diagonal always present)."""
     condition = BandCondition.symmetric(["A1", "A2"], eps)
-    pairs = default_local_join().join(values, values, condition)
+    pairs = IntervalJoin().join(values, values, condition)
     if values.shape[0] == 0:
         assert pairs.shape[0] == 0
         return

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ParallelJoinEngine
-from repro.local_join import default_local_join, kernels
+from repro.local_join import IntervalJoin, kernels
 from repro.local_join.base import canonical_pair_order
 from repro.obs.workload import pair_fingerprint
 from repro.service import PATH_COLD, PATH_DELTA, PreparedQuery, PriceList, RelationCatalog
@@ -56,7 +56,7 @@ def _check_cold(prepared: PreparedQuery) -> None:
     s_snap, t_snap = prepared.snapshots()
     attributes = list(prepared.attributes)
     expected = canonical_pair_order(
-        default_local_join().join(
+        IntervalJoin().join(
             s_snap.full.join_matrix(attributes),
             t_snap.full.join_matrix(attributes),
             prepared.condition(),

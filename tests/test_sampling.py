@@ -9,7 +9,7 @@ from repro.data.generators import correlated_pair, uniform_relation
 from repro.exceptions import SamplingError
 from repro.geometry.band import BandCondition
 from repro.local_join.base import join_pair_count
-from repro.local_join.interval import default_local_join
+from repro.local_join.interval import IntervalJoin
 from repro.sampling import output_sampler
 from repro.sampling.input_sampler import draw_input_sample
 from repro.sampling.output_sampler import _grow_rows, draw_output_sample
@@ -153,7 +153,7 @@ class TestOutputSampler:
         rng = np.random.default_rng(8)
         s_sub, t_sub = s.sample(120, rng), t.sample(100, rng)
         s_matrix, t_matrix = s_sub.join_matrix(["A1", "A2"]), t_sub.join_matrix(["A1", "A2"])
-        pairs = default_local_join().join(s_matrix, t_matrix, condition)
+        pairs = IntervalJoin().join(s_matrix, t_matrix, condition)
         assert pairs.shape[0] >= 50
         estimated = pairs.shape[0] * (6000 / 120) * (5000 / 100)
         pairs = pairs[rng.choice(pairs.shape[0], size=50, replace=False)]
@@ -179,9 +179,9 @@ class TestOutputSampler:
         class Counting:
             def join(self, s_matrix, t_matrix, condition):
                 joins.append((s_matrix.shape[0], t_matrix.shape[0]))
-                return default_local_join().join(s_matrix, t_matrix, condition)
+                return IntervalJoin().join(s_matrix, t_matrix, condition)
 
-        monkeypatch.setattr(output_sampler, "default_local_join", Counting)
+        monkeypatch.setattr(output_sampler, "IntervalJoin", Counting)
         s = uniform_relation("S", 20_000, dimensions=1, seed=0)
         t = uniform_relation("T", 20_000, dimensions=1, seed=1)
         condition = BandCondition.symmetric(["A1"], 0.002)

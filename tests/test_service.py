@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import threading
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.data.relation import Relation
 from repro.engine import ParallelJoinEngine
 from repro.exceptions import ReproError, ServiceError, ServiceOverloadError
 from repro.geometry.band import BandCondition
-from repro.local_join import default_local_join
+from repro.local_join import IntervalJoin
 from repro.local_join.base import canonical_pair_order
 from repro.service import (
     PATH_COLD,
@@ -985,8 +986,8 @@ class TestServingPathsAgree:
 
         s, t = correlated_pair(1500, 1500, dimensions=2, z=1.5, seed=0)
         config = ServiceConfig(
-            backend="threads", workers=8, staleness_threshold=10.0,
-            compaction="off", scheduler_workers=4,
+            backend="threads", workers=8, staleness_threshold=math.inf,
+            scheduler_workers=4,
         )
         with BandJoinService(config) as service:
             service.register("S", s)
@@ -995,7 +996,7 @@ class TestServingPathsAgree:
 
             def exact(eps) -> int:
                 s_snap, t_snap = prepared.snapshots()
-                return default_local_join().count(
+                return IntervalJoin().count(
                     s_snap.full.join_matrix(["A1", "A2"]),
                     t_snap.full.join_matrix(["A1", "A2"]),
                     prepared.condition(eps),

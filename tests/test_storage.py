@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import LOCAL_ALGORITHM_NAMES
 from repro.data.generators import correlated_pair
 from repro.data.relation import Relation, fingerprint_columns
 from repro.data.storage import (
@@ -33,7 +32,7 @@ from repro.engine import ParallelJoinEngine
 from repro.exceptions import SchemaError, ServiceError
 from repro.geometry.band import BandCondition
 from repro.local_join.base import canonical_pair_order
-from repro.local_join import default_local_join
+from repro.local_join import IntervalJoin, NestedLoopJoin
 from repro.obs.process import current_rss_bytes, peak_rss_bytes, rss_supported
 from repro.service.catalog import RelationCatalog
 
@@ -234,7 +233,7 @@ def _band_problem(tmp_path, n=1400, dims=2, seed=11, eps=0.05):
 
 def _reference_pairs(s, t, condition):
     return canonical_pair_order(
-        default_local_join().join(
+        IntervalJoin().join(
             s.join_matrix(condition.attributes),
             t.join_matrix(condition.attributes),
             condition,
@@ -260,7 +259,9 @@ class TestStreamedEngineEquivalence:
         assert streamed.total_output == memory.total_output
         assert streamed.job.total_input == memory.job.total_input
 
-    @pytest.mark.parametrize("algorithm", LOCAL_ALGORITHM_NAMES)
+    @pytest.mark.parametrize(
+        "algorithm", [IntervalJoin(), IntervalJoin(dim=0), NestedLoopJoin()], ids=repr
+    )
     def test_pair_sets_match_on_every_kernel(self, tmp_path, algorithm):
         from repro.core.recpart import RecPartPartitioner
 
