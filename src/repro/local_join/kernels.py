@@ -1,10 +1,10 @@
-"""Vectorized primitives shared by the local band-join kernels.
+"""Vectorized primitives of the interval band join.
 
-Every fast local algorithm in this package reduces to the same three steps:
+The join takes three steps, with S probing and T sorted:
 
-1. **Windows** — sort one side on a chosen dimension and compute, with one
-   ``np.searchsorted`` pair, the contiguous ``[lo, hi)`` rank window of that
-   side that can still satisfy the band predicate of each probe tuple.  When
+1. **Windows** — sort T on a chosen dimension and compute, with one
+   ``np.searchsorted`` pair, the contiguous ``[lo, hi)`` rank window of T
+   whose ``t - s`` lies in ``[-eps_left, eps_right]`` for each S-tuple.  When
    those windows are expensive to expand (:func:`plain_expansion_limit`),
    the sorted side is also bucketed into cells one band wide on up to two
    other dimensions and each window is split by neighbouring cell.
@@ -21,9 +21,6 @@ purely from the window arithmetic (``sum(hi - lo)``, no per-row allocation at
 all), and multi-dimensional counts accumulate ``mask.sum()`` chunk by chunk,
 so the transient allocation is bounded by the memory budget rather than by
 the output size.
-
-S probes: T is the sorted side, and each s gets the window of t with
-``-eps_left <= t - s <= eps_right``.
 
 The hot loops keep to three numpy rules (timings on numpy 2.4, x86-64),
 which the join's planner and router follow too:
@@ -465,10 +462,10 @@ def interval_count(
 ) -> int:
     """Count band-join pairs without materializing any of them.
 
-    One-dimensional conditions are pure window arithmetic: sort T's keys, one ``searchsorted`` pair, ``sum(hi - lo)`` — no boolean
-    masks, no candidate expansion, no O(output) allocation.  Further
-    dimensions fall back to chunk-wise expansion + masked counting under the
-    memory budget.
+    One-dimensional conditions are pure window arithmetic: sort T's keys,
+    one ``searchsorted`` pair, ``sum(hi - lo)`` — no boolean masks, no
+    candidate expansion, no O(output) allocation.  Further dimensions fall
+    back to chunk-wise expansion + masked counting under the memory budget.
     """
     if s_arr.shape[0] == 0 or t_arr.shape[0] == 0:
         return 0

@@ -173,9 +173,7 @@ def build_report(
     kernel = prepared.engine.backend._budgeted(
         prepared.engine.algorithm, 1 if decision.inline else decision.parallelism
     )
-    chunk_capacity = kernels.max_candidates(
-        getattr(kernel, "memory_budget", kernels.DEFAULT_MEMORY_BUDGET)
-    )
+    chunk_capacity = kernels.max_candidates(kernel.memory_budget)
 
     est_total_input = float(s_counts.sum() + t_counts.sum())
     est_max_input = float((s_counts + t_counts).max())
