@@ -43,7 +43,7 @@ def _random_inputs(rng, n_s, n_t, d, spread=10.0):
     return rng.uniform(0, spread, size=(n_s, d)), rng.uniform(0, spread, size=(n_t, d))
 
 
-def _case_inputs(shape: str, d: int, rng):
+def _case_inputs(shape: str, d: int, rng, tmp_path):
     """Return the ``(s, t)`` matrices of one equivalence case."""
     if shape == "duplicates":  # quantized values: duplicates and boundary ties
         return (
@@ -52,7 +52,13 @@ def _case_inputs(shape: str, d: int, rng):
         )
     if shape == "empty-side":
         return rng.uniform(0, 5, size=(40, d)), np.empty((0, d))
-    return _random_inputs(rng, 120, 140, d, spread=5.0)
+    if shape == "mixed-sign":  # negative and zero-straddling cells
+        return rng.uniform(-4, 2, size=(120, d)), rng.uniform(-3, 3, size=(140, d))
+    s, t = _random_inputs(rng, 120, 140, d, spread=5.0)
+    if shape == "memory-mapped":  # a read-only mapped S, as the serving layer passes
+        np.save(tmp_path / "s.npy", s)
+        s = np.load(tmp_path / "s.npy", mmap_mode="r")
+    return s, t
 
 
 class TestKernelEquivalence:
@@ -61,20 +67,25 @@ class TestKernelEquivalence:
     One matrix over the sweep dimension (the sweep rule's, the first, the
     last), the dimensionality, symmetric and asymmetric widths, and
     the inputs that have broken kernels before: duplicate values sitting on
-    the band edge, an empty side, and a budget of two candidates per chunk —
+    the band edge, an empty side, a budget of two candidates per chunk,
+    negative and mixed-sign values, and a read-only memory-mapped side —
     once as the kernel plans them and once with the bucketed plan forced.
     """
 
-    @pytest.mark.parametrize("shape", ["duplicates", "empty-side", "tiny-budget"])
+    @pytest.mark.parametrize(
+        "shape", ["duplicates", "empty-side", "tiny-budget", "mixed-sign", "memory-mapped"]
+    )
     @pytest.mark.parametrize("eps", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("sweep", SWEEPS)
     @pytest.mark.parametrize("plan", ["size-gated", "bucketed"])
-    def test_same_pairs_and_count_as_nested_loop(self, plan, sweep, d, eps, shape, monkeypatch):
+    def test_same_pairs_and_count_as_nested_loop(
+        self, plan, sweep, d, eps, shape, monkeypatch, tmp_path
+    ):
         if plan == "bucketed":  # these inputs are all far below the size gate
             monkeypatch.setattr(kernels, "plain_expansion_limit", lambda n, m: 0)
         rng = np.random.default_rng([d, eps == "symmetric", len(shape)])
-        s, t = _case_inputs(shape, d, rng)
+        s, t = _case_inputs(shape, d, rng, tmp_path)
         widths = {
             f"A{i+1}": 1.0 if eps == "symmetric" else (0.25 * i, 1.0 + 0.5 * i)
             for i in range(d)
