@@ -111,7 +111,7 @@ def main() -> int:
 
         # Saturate the single scheduler slot, then ask again: admission
         # control would reject, but a stale cached answer exists.
-        blocker = service.submit("q", 0.02)  # occupies the only worker
+        blocker = service.submit("q", 0.02)  # holds the only slot
         stale = service.query("q")  # degraded: served from the stale cache
         blocker.result(timeout=60)
         print(f"   fresh answer: {fresh.n_pairs:,} pairs (path={fresh.path})")

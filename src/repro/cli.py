@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="minimum relation size before it is spilled to mmap segments",
     )
     serve.add_argument(
-        "--scheduler-workers", type=int, default=None, help="scheduler thread count"
+        "--scheduler-workers", type=int, default=None, help="queries executing at once"
     )
     serve.add_argument(
         "--staleness-threshold",
@@ -319,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execution backend of the replay service (default: config default)",
     )
     replay.add_argument(
-        "--scheduler-workers", type=int, default=None, help="scheduler thread count"
+        "--scheduler-workers", type=int, default=None, help="queries executing at once"
     )
     replay.add_argument(
         "--snapshot",

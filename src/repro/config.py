@@ -79,7 +79,7 @@ DEFAULT_RESULT_CACHE_SIZE: int = 64
 #: considered stale and compaction (merging the delta into the base) is triggered.
 DEFAULT_STALENESS_THRESHOLD: float = 0.25
 
-#: Default number of scheduler worker threads serving queries.
+#: Default number of served queries executing at once.
 DEFAULT_SCHEDULER_WORKERS: int = 4
 
 #: Default admission-control limit on pending (queued + executing) queries.
@@ -163,15 +163,16 @@ class ServiceConfig:
         default) or ``"sync"`` (compact inside the triggering append — used by
         tests and single-threaded scripts).
     scheduler_workers / max_pending:
-        Query-scheduler thread count (each worker runs one request at a
-        time) and admission-control limit on pending queries.
+        Queries executing at once (each on the thread that asked for it;
+        further admitted queries wait for a slot in admission order) and
+        admission-control limit on pending queries.
     kernel_memory_budget:
         Machine-wide byte budget of the local join's transient candidate
         buffers; the engine's backend splits it across concurrent tasks.
     max_estimated_pairs:
         Output-size admission control: a query whose cheap sampled output
-        estimate exceeds this is rejected at submit time instead of tying a
-        scheduler worker to a runaway dispatch.  ``None`` disables it.
+        estimate exceeds this is rejected at submit time instead of holding
+        a scheduler slot with a runaway dispatch.  ``None`` disables it.
     telemetry:
         Turn the process-wide telemetry switch on when the service starts
         (tracing spans, kernel profiling).  The library default is off;
@@ -218,11 +219,9 @@ class ServiceConfig:
         :class:`~repro.exceptions.ServiceOverloadError`.
     default_deadline_seconds:
         End-to-end deadline applied to every query that does not pass its
-        own (``None`` = unbounded): expired-in-queue requests fail fast and
-        the remaining budget bounds execution waits.
-    shutdown_drain_seconds:
-        Graceful-shutdown budget: how long ``close()`` lets in-flight
-        requests finish before failing the remainder.
+        own (``None`` = unbounded): a query whose deadline lapses while it
+        waits for a slot fails then, and the remaining budget bounds
+        execution waits.
     """
 
     backend: str = "threads"
@@ -252,7 +251,6 @@ class ServiceConfig:
     fault_seed: int = DEFAULT_SEED
     degraded_mode: str = "stale"
     default_deadline_seconds: float | None = None
-    shutdown_drain_seconds: float = 5.0
 
     def __post_init__(self) -> None:
         if self.backend not in ENGINE_BACKENDS:
@@ -306,8 +304,6 @@ class ServiceConfig:
             )
         if self.default_deadline_seconds is not None and self.default_deadline_seconds <= 0:
             raise ValueError("default_deadline_seconds must be positive when set")
-        if self.shutdown_drain_seconds < 0:
-            raise ValueError("shutdown_drain_seconds must be non-negative")
 
 
 @dataclass(frozen=True)

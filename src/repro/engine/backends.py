@@ -322,6 +322,7 @@ class SerialBackend(ExecutionBackend):
     """Reference backend: tasks run sequentially in the driver process."""
 
     name = "serial"
+    max_workers = 1  # one task at a time: a planned query gains no parallelism
 
     def __init__(self, memory_budget: int | None = None) -> None:
         if memory_budget is not None and memory_budget < 1:

@@ -9,7 +9,7 @@ expire a request spuriously.
 
 A scope is per-thread by design: worker threads of a pool backend do not
 see the driver's deadline — the driver bounds its *waits* on their futures
-instead, which is what actually frees the scheduler worker.  Nested scopes
+instead, which is what actually frees the query's scheduler slot.  Nested scopes
 take the tighter deadline.
 """
 

@@ -119,8 +119,8 @@ class PlanCache:
     """Thread-safe LRU cache of computed join partitionings.
 
     All bookkeeping (the LRU ``OrderedDict`` plus the hit/miss counters) is
-    guarded by one lock, so a single cache can be shared by the scheduler's
-    worker threads.  Optimizer runs happen outside that lock (lookups never
+    guarded by one lock, so a single cache can be shared by concurrently
+    served queries.  Optimizer runs happen outside that lock (lookups never
     wait for one) but one at a time per cache: planning is interpreter-bound,
     so two concurrent optimizer runs each take longer than both in turn, and
     threads missing on the same key build it once.

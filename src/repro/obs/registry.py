@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` holds every metric of one scope (the service
 creates a per-instance registry; the kernel layer publishes into the global
 one from :mod:`repro.obs.globals`).  All metrics support labels — a metric
 name maps to one value *per label set* — and every mutation is guarded by a
-per-metric lock, so concurrent scheduler workers, backend threads and the
+per-metric lock, so concurrently served queries, backend threads and the
 scrape path never race.
 
 Histograms use **fixed log-scale buckets** (:func:`log_buckets`): observation

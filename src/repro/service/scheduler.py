@@ -1,33 +1,34 @@
 """Concurrent query scheduler: single-flight, admission control.
 
-The scheduler is the serving layer's control plane.  Callers submit
-``(prepared query, epsilons)`` requests and receive futures; a small pool of
-worker threads drains the queue, each popping one request and running it as
-one :meth:`PreparedQuery.execute` under that request's own deadline — an
-answer never depends on what else was queued with it.  A new request wakes
-the most recently idle worker.  Two mechanisms keep
-heavy traffic efficient:
+The scheduler is the serving layer's control plane.  It admits
+``(prepared query, epsilons)`` requests and runs each one on the thread that
+asked for it: :meth:`QueryScheduler.query` executes on its caller's thread,
+and :meth:`QueryScheduler.submit` starts one thread for the request and
+returns a future.  Each request runs as one :meth:`PreparedQuery.execute`
+under its own deadline — an answer never depends on what else was admitted
+with it.  At most ``max_workers`` requests execute at once; the others wait
+for a slot in admission order.  Two mechanisms keep heavy traffic efficient:
 
-**Single-flight deduplication** — a request identical to one already queued
-or executing (same prepared-query key, same epsilons) does not enqueue a
+**Single-flight deduplication** — a request identical to one already waiting
+or executing (same prepared-query key, same epsilons) does not start a
 second execution; it attaches to the in-flight future and both callers get
 the same result.  Under a thundering herd of popular queries only one engine
 dispatch runs.
 
-**Admission control** — at most ``max_pending`` requests may be queued or
+**Admission control** — at most ``max_pending`` requests may be waiting or
 executing; beyond that :meth:`QueryScheduler.submit` raises
 :class:`~repro.exceptions.ServiceOverloadError` instead of letting queues
 grow without bound.  Optionally the scheduler also prices each query by its
 cheap sampled output estimate (:meth:`PreparedQuery.estimate_pairs`, powered
 by the zero-materialization counting kernels) and rejects queries whose
 estimate exceeds ``max_estimated_pairs`` — a runaway band width then fails
-fast at submit time instead of tying a worker to an enormous dispatch.
+fast at submit time instead of holding a slot with an enormous dispatch.
 
-Every request is timed (queue wait, execution, total) and counted per
+Every request is timed (slot wait, execution, total) and counted per
 execution path; :meth:`SchedulerMetrics.snapshot` reports the counters plus
 latency percentiles over a sliding window.  Before an answer's future
-resolves, the worker also accounts the output estimate its cold decision
-priced it with against its pair count (an O(1) step).
+resolves, the executing thread also accounts the output estimate its cold
+decision priced it with against its pair count (an O(1) step).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -182,6 +184,11 @@ class SchedulerMetrics:
         return info
 
 
+def _remaining(deadline_at: float | None) -> float | None:
+    """Seconds left until a monotonic deadline, at least 0 (``None`` = unbounded)."""
+    return None if deadline_at is None else max(0.0, deadline_at - time.monotonic())
+
+
 def _query_label(prepared) -> str:
     """Human-readable label of a prepared query (tolerates test stubs)."""
     return (
@@ -211,15 +218,16 @@ class _Request:
 
 
 class QueryScheduler:
-    """Schedules prepared-query executions onto a worker-thread pool.
+    """Admits prepared-query executions and runs each on its caller's thread.
 
     Parameters
     ----------
     max_workers:
-        Number of scheduler threads (each drives one engine dispatch at a
-        time; the engine's own backend parallelizes within a dispatch).
+        Number of queries executing at once (each drives one engine
+        dispatch; the engine's own backend parallelizes within a dispatch).
+        Further admitted requests wait for a slot in admission order.
     max_pending:
-        Admission-control limit on requests queued or executing.
+        Admission-control limit on requests waiting or executing.
     max_estimated_pairs:
         Reject queries whose sampled output estimate exceeds this many
         pairs (``None`` disables output-size admission control).
@@ -231,7 +239,7 @@ class QueryScheduler:
         Optional :class:`~repro.obs.explain.store.EstimateAccuracyTracker`;
         when present, every answer that carries the estimate its cold
         decision priced it with is accounted against its pair count on the
-        worker, before its future resolves (an O(1) step).
+        executing thread, before its future resolves (an O(1) step).
     """
 
     def __init__(
@@ -260,6 +268,7 @@ class QueryScheduler:
             )
         if drain_timeout < 0:
             raise ServiceError("drain_timeout must be non-negative")
+        self.max_workers = max_workers
         self.max_pending = max_pending
         self.max_estimated_pairs = max_estimated_pairs
         self.default_deadline = default_deadline
@@ -278,28 +287,20 @@ class QueryScheduler:
         self._capture_lock = threading.Lock()
         self._capture_cache: dict[tuple, dict] = {}
         self._lock = threading.Lock()
-        # Notified whenever a worker finishes a request (close() and
-        # wait_idle() wait on it); idle workers sleep on their own conditions.
-        self._finished = threading.Condition(self._lock)
-        self._idle: list[threading.Condition] = []  # most recently idle last
-        self._queue: deque[_Request] = deque()
+        # Notified whenever the FIFO's head or the running count changes:
+        # waiting requests, close() and wait_idle() all wait on it.
+        self._changed = threading.Condition(self._lock)
+        self._queue: deque[_Request] = deque()  # admitted, waiting for a slot
         self._inflight: dict[tuple, _Request] = {}
-        self._busy = 0  # workers between popping a request and finishing it
+        self._running = 0
         self._shutdown = False
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop, name=f"bandjoin-sched-{i}", daemon=True
-            )
-            for i in range(max_workers)
-        ]
-        for thread in self._threads:
-            thread.start()
 
     # ------------------------------------------------------------------ #
     # Submission API
     # ------------------------------------------------------------------ #
     def submit(self, prepared: PreparedQuery, epsilons=None, deadline=None) -> Future:
-        """Enqueue one query; returns a future resolving to a QueryResult.
+        """Admit one query and run it on a thread of its own; returns a
+        future resolving to a QueryResult.
 
         Identical in-flight requests share one future (single-flight); a
         full scheduler raises :class:`ServiceOverloadError` immediately, as
@@ -309,9 +310,10 @@ class QueryScheduler:
         append never attaches to an execution over the pre-append data.
 
         ``deadline`` (seconds; falls back to ``default_deadline``) bounds
-        the request end to end: expired-in-queue requests fail with
-        :class:`DeadlineExceededError`, and the remaining budget propagates
-        into execution where backends bound their waits by it.
+        the request end to end: a request whose deadline lapses while it
+        waits for a slot fails with :class:`DeadlineExceededError`, and the
+        remaining budget propagates into execution where backends bound
+        their waits by it.
 
         Under overload with ``degraded_mode="stale"``, a request whose
         epsilon binding has *any* cached result is served from it —
@@ -319,55 +321,75 @@ class QueryScheduler:
         The rejection is still counted (the execution was refused); the
         degraded response is what the caller gets in its place.
         """
+        admitted = self._admit(prepared, epsilons, self._resolve_deadline(deadline))
+        if isinstance(admitted, Future):
+            return admitted
+        # Admission bounds these threads by max_pending.
+        threading.Thread(
+            target=self._run, args=(admitted,), name="bandjoin-query", daemon=True
+        ).start()
+        return admitted.future
+
+    def query(self, prepared: PreparedQuery, epsilons=None, deadline=None) -> QueryResult:
+        """Answer one query on the calling thread.
+
+        Admission is :meth:`submit`'s.  An admitted request waits for a slot
+        and executes here; a duplicate of an in-flight request waits for
+        that request's answer for at most its own deadline.
+        """
+        deadline_at = self._resolve_deadline(deadline)
+        admitted = self._admit(prepared, epsilons, deadline_at)
+        if isinstance(admitted, _Request):
+            self._run(admitted)
+            return admitted.future.result()
+        try:
+            return admitted.result(_remaining(deadline_at))
+        except FutureTimeoutError:
+            raise DeadlineExceededError(
+                "deadline expired while waiting for an identical in-flight query"
+            ) from None
+
+    def _admit(self, prepared, epsilons, deadline_at) -> "_Request | Future":
+        """Admit one request: returns it when it must execute, or the future
+        of the in-flight duplicate or degraded answer serving it instead."""
         ekey = prepared.epsilon_key(epsilons)
         key = (prepared.key, ekey, prepared.current_versions())
-        deadline_at = self._resolve_deadline(deadline)
-        try:
-            with self._lock:
-                existing = self._admit_locked(key)
-                if existing is not None:
-                    self._record_outcome(prepared, ekey, "deduplicated")
-                    return existing
-                if self.max_estimated_pairs is None:
-                    return self._enqueue_locked(prepared, ekey, key, deadline_at)
-        except ServiceOverloadError:
-            degraded = self._degraded_future(prepared, ekey)
-            if degraded is not None:
-                return degraded
-            self._record_outcome(prepared, ekey, "rejected", reason="saturated")
-            raise
-        # Priced outside the scheduler lock (the probe reads the catalog) and
-        # after the saturation check, so overload never pays for probes; a
-        # duplicate landing meanwhile is caught by the re-admission below.
-        estimate = prepared.estimate_pairs(ekey)
-        if estimate > self.max_estimated_pairs:
-            self.metrics.record_rejected()
-            logger.info(
-                "rejected %s: estimated %.0f pairs over limit %d",
-                _query_label(prepared), estimate, self.max_estimated_pairs,
-            )
-            degraded = self._degraded_future(prepared, ekey)
-            if degraded is not None:
-                return degraded
-            self._record_outcome(prepared, ekey, "rejected", reason="estimated_pairs")
-            raise ServiceOverloadError(
-                f"estimated output of ~{estimate:,.0f} pairs exceeds the "
-                f"admission limit of {self.max_estimated_pairs:,} pairs; "
-                "narrow the band or raise max_estimated_pairs"
-            )
-        try:
-            with self._lock:
-                existing = self._admit_locked(key)
-                if existing is not None:
-                    self._record_outcome(prepared, ekey, "deduplicated")
-                    return existing
-                return self._enqueue_locked(prepared, ekey, key, deadline_at)
-        except ServiceOverloadError:
-            degraded = self._degraded_future(prepared, ekey)
-            if degraded is not None:
-                return degraded
-            self._record_outcome(prepared, ekey, "rejected", reason="saturated")
-            raise
+        priced = self.max_estimated_pairs is None
+        while True:  # at most twice: once before and once after pricing
+            try:
+                with self._lock:
+                    existing = self._admit_locked(key)
+                    if existing is not None:
+                        self._record_outcome(prepared, ekey, "deduplicated")
+                        return existing
+                    if priced:
+                        return self._enqueue_locked(prepared, ekey, key, deadline_at)
+            except ServiceOverloadError:
+                degraded = self._degraded_future(prepared, ekey)
+                if degraded is not None:
+                    return degraded
+                self._record_outcome(prepared, ekey, "rejected", reason="saturated")
+                raise
+            # Priced outside the scheduler lock (the probe reads the catalog)
+            # and after the saturation check, so overload never pays for
+            # probes; a duplicate landing meanwhile is caught by the second pass.
+            estimate = prepared.estimate_pairs(ekey)
+            if estimate > self.max_estimated_pairs:
+                self.metrics.record_rejected()
+                logger.info(
+                    "rejected %s: estimated %.0f pairs over limit %d",
+                    _query_label(prepared), estimate, self.max_estimated_pairs,
+                )
+                degraded = self._degraded_future(prepared, ekey)
+                if degraded is not None:
+                    return degraded
+                self._record_outcome(prepared, ekey, "rejected", reason="estimated_pairs")
+                raise ServiceOverloadError(
+                    f"estimated output of ~{estimate:,.0f} pairs exceeds the "
+                    f"admission limit of {self.max_estimated_pairs:,} pairs; "
+                    "narrow the band or raise max_estimated_pairs"
+                )
+            priced = True
 
     def _resolve_deadline(self, deadline) -> float | None:
         """Turn a relative deadline (seconds) into a monotonic timestamp."""
@@ -434,7 +456,7 @@ class QueryScheduler:
         ekey: tuple,
         key: tuple,
         deadline_at: float | None = None,
-    ) -> Future:
+    ) -> _Request:
         """Enqueue an admitted request (caller holds the lock)."""
         request = _Request(
             prepared=prepared,
@@ -444,23 +466,15 @@ class QueryScheduler:
             submitted_at=time.perf_counter(),
             submitted_wall=time.time(),
             # Root (or, under the server's request span, child) of this
-            # request's trace; ended by the worker thread after set_result
-            # readiness, or on failure/shutdown.
+            # request's trace; ended by the executing thread before the
+            # future resolves, or on failure/shutdown.
             span=tracer().span("query", query=_query_label(prepared)),
             deadline_at=deadline_at,
         )
         self._inflight[key] = request
         self._queue.append(request)
         self.metrics.record_submitted()
-        if self._idle:
-            self._idle.pop().notify()
-        return request.future
-
-    def query(
-        self, prepared: PreparedQuery, epsilons=None, timeout=None, deadline=None
-    ) -> QueryResult:
-        """Synchronous submit-and-wait."""
-        return self.submit(prepared, epsilons, deadline=deadline).result(timeout)
+        return request
 
     # ------------------------------------------------------------------ #
     # Workload capture
@@ -532,45 +546,42 @@ class QueryScheduler:
 
     @property
     def pending(self) -> int:
-        """Return the number of requests currently queued or executing."""
+        """Return the number of requests currently waiting or executing."""
         with self._lock:
             return len(self._inflight)
 
     # ------------------------------------------------------------------ #
-    # Worker loop
+    # Execution
     # ------------------------------------------------------------------ #
-    def _worker_loop(self) -> None:
-        # A new request wakes the most recently idle worker, so a stream of
-        # requests stays on one thread, whose malloc arena already holds
-        # their working memory; handing them round the pool grows one arena
-        # per thread (peak RSS 90 -> 120-145 MB on a 100k-row mmap
-        # append-and-query loop, 2 cores).
-        idle = threading.Condition(self._lock)
-        request = None
-        while True:
-            with self._lock:
-                if request is not None:  # finished: account it and go idle at once
-                    self._finish_locked(request)
-                while not self._queue and not self._shutdown:
-                    self._idle.append(idle)
-                    idle.wait()
-                if not self._queue:  # shutdown with a drained queue
-                    return
-                request = self._queue.popleft()
-                request.started_at = time.perf_counter()
-                self._busy += 1
-            try:
-                self._execute(request)
-            except BaseException:
-                with self._lock:
-                    self._finish_locked(request)
-                raise
+    def _run(self, request: _Request) -> None:
+        """Execute an admitted request on the calling thread once it heads
+        the FIFO and fewer than ``max_workers`` requests are running.
 
-    def _finish_locked(self, request: _Request) -> None:
-        """Account a request the calling worker finished (caller holds the lock)."""
-        self._retire_locked(request)
-        self._busy -= 1
-        self._finished.notify_all()
+        A request whose deadline lapses while it waits leaves the FIFO at
+        that deadline and fails fast in :meth:`_execute`; one abandoned by
+        :meth:`close` returns with its future already failed.
+        """
+        with self._lock:
+            while not (
+                self._queue and self._queue[0] is request and self._running < self.max_workers
+            ):
+                if request.future.done():  # abandoned by close()
+                    return
+                remaining = _remaining(request.deadline_at)
+                if remaining == 0:
+                    break
+                self._changed.wait(remaining)
+            self._queue.remove(request)  # the head, unless its deadline lapsed
+            self._running += 1
+            self._changed.notify_all()  # the next request may head the FIFO now
+        request.started_at = time.perf_counter()
+        try:
+            self._execute(request)
+        finally:
+            with self._lock:
+                self._retire_locked(request)
+                self._running -= 1
+                self._changed.notify_all()
 
     def _fail_request(self, request: _Request, exc: Exception, cause: str) -> None:
         """Resolve one request's future with a classified failure."""
@@ -590,8 +601,8 @@ class QueryScheduler:
         request.future.set_exception(exc)
 
     def _execute(self, request: _Request) -> None:
-        # A deadline expired while queued fails fast — a worker slot is never
-        # spent computing an answer the caller has already given up on.
+        # A deadline expired while queued fails fast — a slot is never spent
+        # computing an answer the caller has already given up on.
         if request.deadline_at is not None and time.monotonic() >= request.deadline_at:
             self._fail_request(
                 request, DeadlineExceededError("deadline expired while queued"), "timeout"
@@ -644,12 +655,6 @@ class QueryScheduler:
             self._retire_locked(request)
         request.future.set_result(result)
 
-    def _wake_idle_locked(self) -> None:
-        """Wake every idle worker (caller holds the lock)."""
-        for idle in self._idle:
-            idle.notify()
-        self._idle.clear()
-
     def _retire_locked(self, request: _Request) -> None:
         """Drop a finished request from the single-flight table (caller holds
         the lock), unless a newer request of its key already replaced it."""
@@ -660,32 +665,27 @@ class QueryScheduler:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def wait_idle(self, timeout: float | None = None) -> bool:
-        """Block until no request is queued or executing; return ``False``
+        """Block until no request is waiting or executing; return ``False``
         if ``timeout`` seconds pass first."""
         with self._lock:
-            return self._finished.wait_for(lambda: not (self._queue or self._busy), timeout)
+            return self._changed.wait_for(lambda: not (self._queue or self._running), timeout)
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting work, drain in-flight requests, join the workers.
+        """Stop accepting work, drain in-flight requests, wait for the
+        running ones.
 
         Shutdown is graceful: new admissions are blocked immediately, but
-        queued and executing requests get up to ``drain_timeout`` seconds to
-        finish normally (workers keep serving the queue).  Whatever is still
-        queued when the budget runs out fails with
+        waiting and executing requests get up to ``drain_timeout`` seconds
+        to finish normally (waiting ones still take free slots).  Whatever
+        still waits when the budget runs out fails with
         ``ServiceError("scheduler shut down")``.
         """
         with self._lock:
             if self._shutdown:
                 return
             self._shutdown = True
-            self._wake_idle_locked()  # idle workers must see the flag
             if wait and self.drain_timeout > 0:
-                drain_until = time.monotonic() + self.drain_timeout
-                while self._inflight:
-                    budget = drain_until - time.monotonic()
-                    if budget <= 0:
-                        break
-                    self._finished.wait(budget)
+                self._changed.wait_for(lambda: not self._inflight, self.drain_timeout)
             abandoned = list(self._queue)
             self._queue.clear()
             for request in abandoned:
@@ -693,10 +693,9 @@ class QueryScheduler:
                 request.span.set(error="scheduler shut down")
                 request.span.end()
                 request.future.set_exception(ServiceError("scheduler shut down"))
-            self._wake_idle_locked()
-        if wait:
-            for thread in self._threads:
-                thread.join()
+            self._changed.notify_all()  # abandoned requests stop waiting
+            if wait:
+                self._changed.wait_for(lambda: not self._running)
 
     def __enter__(self) -> "QueryScheduler":
         return self
@@ -705,7 +704,5 @@ class QueryScheduler:
         self.close()
 
     def __repr__(self) -> str:
-        return (
-            f"QueryScheduler(workers={len(self._threads)}, "
-            f"max_pending={self.max_pending})"
-        )
+        return f"QueryScheduler(workers={self.max_workers}, max_pending={self.max_pending})"
+

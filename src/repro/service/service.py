@@ -131,7 +131,6 @@ class BandJoinService:
             calibration=self.calibration,
             default_deadline=self.config.default_deadline_seconds,
             degraded_mode=self.config.degraded_mode,
-            drain_timeout=self.config.shutdown_drain_seconds,
         )
         self.partitioner = partitioner
         #: Measured kernel rate and plan prices every prepared query's cold
@@ -278,21 +277,19 @@ class BandJoinService:
         with self._prepared_lock:
             return dict(self._prepared)
 
-    def query(
-        self, query_name: str, epsilons=None, timeout=None, deadline=None
-    ) -> QueryResult:
-        """Answer one prepared query synchronously (through the scheduler).
+    def query(self, query_name: str, epsilons=None, deadline=None) -> QueryResult:
+        """Answer one prepared query on the calling thread (through the
+        scheduler's admission and slots).
 
         ``deadline`` (seconds, falling back to the configured
         ``default_deadline_seconds``) bounds the request end to end.
         """
         self._check_open()
-        return self.scheduler.query(
-            self.prepared(query_name), epsilons, timeout=timeout, deadline=deadline
-        )
+        return self.scheduler.query(self.prepared(query_name), epsilons, deadline=deadline)
 
     def submit(self, query_name: str, epsilons=None, deadline=None):
-        """Enqueue one prepared query; returns a future (asynchronous callers)."""
+        """Admit one prepared query and run it on a thread of its own;
+        returns a future (asynchronous callers)."""
         self._check_open()
         return self.scheduler.submit(self.prepared(query_name), epsilons, deadline=deadline)
 

@@ -141,6 +141,21 @@ class TestDecision:
         assert prepared.execute(0.5).inline
         assert len(prepared.engine.plan_cache) == 0
 
+    def test_a_serial_service_never_plans(self):
+        """A serial backend runs one task at a time, so p = 1 whatever the
+        CPU count: one inline task is strictly cheaper than a plan."""
+        rng = np.random.default_rng(9)
+        config = ServiceConfig(backend="serial", compaction="sync", workers=8)
+        with BandJoinService(config) as service:
+            for name in ("S", "T"):
+                service.register(name, _columns(_dyadic(rng, 300, 2)))
+            prepared = service.prepare("q", "S", "T", attributes=["A1", "A2"], epsilons=0.25)
+            decision = prepared.cold_decision()
+            assert decision.inline and decision.parallelism == 1
+            result = service.query("q")
+            assert (result.path, result.inline) == (PATH_COLD, True)
+            assert len(service.engine.plan_cache) == 0
+
     def test_unknown_key_plans_and_records_its_price(self):
         prepared = _prepared(self._catalog(), 2)
         prepared.prices.seconds_per_load = 1.0

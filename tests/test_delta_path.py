@@ -387,7 +387,7 @@ def test_concurrent_appends_and_queries_answer_their_reported_rows():
             def query():
                 try:
                     while not done.is_set():
-                        results.append(service.query("q", timeout=60))
+                        results.append(service.query("q", deadline=60))
                 except Exception as exc:  # noqa: BLE001 - reported below
                     errors.append(exc)
 

@@ -41,6 +41,15 @@ def explain_service(**overrides) -> BandJoinService:
     return BandJoinService(ServiceConfig(**defaults))
 
 
+def planned_service(**overrides) -> BandJoinService:
+    """A service whose cold queries can plan: a threads engine pinned to a
+    pool of 4, so p > 1 on any machine (a serial engine has p = 1 and always
+    joins inline)."""
+    service = explain_service(backend="threads", **overrides)
+    service.engine.backend.max_workers = 4
+    return service
+
+
 def register_pair(service, rng, n_s=300, n_t=300, dims=1):
     names = [f"A{i + 1}" for i in range(dims)]
     service.register("S", {a: rng.uniform(0, 1, n_s) for a in names})
@@ -199,7 +208,7 @@ class TestExplain:
             assert report.root.actuals == {}
 
     def test_plan_cache_provenance(self, rng):
-        with explain_service() as service:
+        with planned_service() as service:
             register_pair(service, rng)
             first = service.explain("q")
             second = service.explain("q")
@@ -305,7 +314,7 @@ class TestExplain:
                 assert w["kernel_chunks"] == math.ceil(w["candidates"] / capacity)
 
     def test_per_worker_nodes_carry_estimates_and_actuals(self, rng):
-        with explain_service() as service:
+        with planned_service() as service:
             register_pair(service, rng)
             report = service.explain("q", analyze=True)
             plan = next(c for c in report.root.children if c.name == "partitioning")
@@ -318,7 +327,7 @@ class TestExplain:
     def test_pure_delta_answer_reports_one_inline_join(self, rng):
         """No partitioned dispatch runs on the delta path: the workers carry
         no actuals, and the inline join of the new rows has its own node."""
-        with explain_service() as service:
+        with planned_service() as service:
             register_pair(service, rng)
             before = service.query("q").n_pairs
             service.append("S", {"A1": rng.uniform(0, 1, 30)})
@@ -337,7 +346,7 @@ class TestExplain:
     def test_base_join_extended_by_a_delta_keeps_the_two_apart(self, rng):
         """The workers report the base join alone; the delta join of the rows
         appended before the first query is reported beside them."""
-        with explain_service() as service:
+        with planned_service() as service:
             register_pair(service, rng)
             service.append("T", {"A1": rng.uniform(0, 1, 30)})
             report = service.explain("q", analyze=True)
@@ -373,7 +382,7 @@ class TestExplain:
             assert priced == ["inline"]
 
     def test_report_serialization_and_render(self, rng):
-        with explain_service() as service:
+        with planned_service() as service:
             register_pair(service, rng)
             report = service.explain("q", analyze=True)
             payload = json.loads(json.dumps(report.to_dict()))
@@ -441,17 +450,17 @@ class TestEstimateAccuracyTracker:
             assert [a.estimated_pairs for a in answers] == [None] * 3
             assert service.calibration.observed == 2
 
-    def test_a_service_runs_only_its_scheduler_workers(self, rng):
-        """The estimate is accounted on the worker: no thread of its own."""
+    def test_a_synchronous_query_starts_no_scheduler_thread(self, rng):
+        """The query runs, and its estimate is accounted, on the calling
+        thread: no scheduler or accounting thread is started."""
         before = set(threading.enumerate())
         with explain_service(scheduler_workers=3) as service:
             register_pair(service, rng)
             service.query("q")
+            assert service.calibration.observed == 1
             started = {t.name for t in threading.enumerate() if t not in before}
             assert not [t for t in threading.enumerate() if "accounting" in t.name]
-        assert {name for name in started if name.startswith("bandjoin-")} == {
-            f"bandjoin-sched-{i}" for i in range(3)
-        }
+        assert not [name for name in started if name.startswith("bandjoin-")]
 
     def test_qerror_histogram_in_prometheus(self, rng):
         with explain_service() as service:
@@ -530,7 +539,7 @@ class TestProtocolAndCli:
         from repro import cli
         from repro.service import LineProtocolServer
 
-        with explain_service() as service:
+        with planned_service() as service:
             register_pair(service, rng)
             server = LineProtocolServer(("127.0.0.1", 0), service)
             thread = threading.Thread(target=server.serve_forever, daemon=True)

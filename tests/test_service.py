@@ -15,6 +15,7 @@ import io
 import json
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from repro.core.recpart import RecPartPartitioner
 from repro.data.generators import uniform_relation
 from repro.data.relation import Relation
 from repro.engine import ParallelJoinEngine
-from repro.exceptions import ReproError, ServiceError, ServiceOverloadError
+from repro.exceptions import (
+    DeadlineExceededError,
+    ReproError,
+    ServiceError,
+    ServiceOverloadError,
+)
 from repro.geometry.band import BandCondition
 from repro.local_join import IntervalJoin
 from repro.local_join.base import canonical_pair_order
@@ -448,22 +454,79 @@ class _StubPrepared:
 
 
 class TestQueryScheduler:
-    def test_a_new_request_wakes_the_most_recently_idle_worker(self):
-        """A client that waits for each answer is served by one thread, so
-        one allocator arena holds its working memory."""
+    def test_a_client_that_waits_for_each_answer_is_served_by_its_own_thread(self):
+        """Each synchronous query executes on its caller's thread, so one
+        allocator arena holds a client's working memory, and no scheduler
+        thread is started."""
         threads = []
 
         class Recording(_StubPrepared):
             def execute(self, epsilons=None):
-                threads.append(threading.current_thread().name)
+                threads.append(threading.current_thread())
                 return super().execute(epsilons)
 
         stub = Recording()
+        before = set(threading.enumerate())
         with QueryScheduler(max_workers=4, max_pending=8) as scheduler:
             for i in range(20):
-                scheduler.submit(stub, (i + 1) / 64).result(timeout=30)
-                assert scheduler.wait_idle(timeout=30)
-        assert len(threads) == 20 and len(set(threads)) == 1
+                assert scheduler.query(stub, (i + 1) / 64).path == PATH_COLD
+            assert set(threading.enumerate()) <= before
+        assert threads == [threading.current_thread()] * 20
+
+    def test_one_slot_starts_async_submits_in_admission_order(self):
+        gate = threading.Event()
+        started = []
+
+        class Recording(_StubPrepared):
+            def execute(self, epsilons=None):
+                started.append(epsilons[0][0])
+                return super().execute(epsilons)
+
+        hog = _StubPrepared(name="hog", block=gate)
+        stub = Recording()
+        epsilons = [(i + 1) / 64 for i in range(24)]
+        with QueryScheduler(max_workers=1, max_pending=32) as scheduler:
+            first = scheduler.submit(hog, 0.5)
+            assert hog.started.wait(timeout=30)  # holds the only slot
+            futures = [scheduler.submit(stub, eps) for eps in epsilons]
+            gate.set()
+            first.result(timeout=30)
+            for future in futures:
+                future.result(timeout=30)
+        assert started == epsilons
+
+    def test_a_deadline_lapsing_in_the_slot_wait_fails_at_that_deadline(self):
+        """A request waiting for the only slot fails when its deadline passes,
+        while the slot is still held, and never executes."""
+        gate = threading.Event()
+        hog = _StubPrepared(name="hog", block=gate)
+        late = _StubPrepared(name="late")
+        with QueryScheduler(max_workers=1, max_pending=8, degraded_mode="reject") as scheduler:
+            running = scheduler.submit(hog, 0.1)
+            assert hog.started.wait(timeout=30)
+            start = time.monotonic()
+            with pytest.raises(DeadlineExceededError, match="while queued"):
+                scheduler.query(late, 0.2, deadline=0.2)
+            waited = time.monotonic() - start
+            assert 0.2 <= waited < 5
+            assert not running.done() and late.calls == 0
+            assert scheduler.metrics.snapshot()["failures"] == {"timeout": 1}
+            gate.set()
+            running.result(timeout=30)
+            assert scheduler.pending == 0
+
+    def test_a_duplicate_waits_for_the_in_flight_answer_at_most_its_deadline(self):
+        gate = threading.Event()
+        stub = _StubPrepared(block=gate)
+        with QueryScheduler(max_workers=1, max_pending=8) as scheduler:
+            running = scheduler.submit(stub, 0.5)
+            assert stub.started.wait(timeout=30)
+            with pytest.raises(DeadlineExceededError):
+                scheduler.query(stub, 0.5, deadline=0.1)
+            assert not running.done()
+            gate.set()
+            assert running.result(timeout=30).path == PATH_COLD
+            assert stub.calls == 1
 
     def test_wait_idle_after_close_reports_the_drained_queue(self):
         scheduler = QueryScheduler(max_workers=2, max_pending=8)
