@@ -11,8 +11,8 @@ leaf's internal 1-Bucket grid, one Grid-epsilon cell, one CSIO covering
 rectangle, one 1-Bucket matrix cell, or one IEJoin block pair.  Each unit is
 owned by exactly one worker; a worker may own many units.  Correctness
 (each output pair produced exactly once) is guaranteed per unit, which is why
-the simulated execution engine runs one local join per unit rather than one
-per worker.
+the engine (:mod:`repro.engine.backends`) runs one local join per unit rather
+than one per worker.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ planning layer (the partitioners of :mod:`repro.core` and
 
 * :mod:`repro.engine.routing` — vectorised batch routing: all tuples are
   routed and grouped per partition unit with numpy masks, then gathered
-  into one batched local-join task per worker.
+  into one task per worker that joins each of its units on its own.
 * :mod:`repro.engine.backends` — pluggable execution backends: ``serial``
   (reference), ``threads`` (``ThreadPoolExecutor``, exploiting numpy's GIL
   release) and ``processes`` (a forked ``ProcessPoolExecutor``: workers
@@ -57,7 +57,6 @@ from repro.engine.routing import (
     build_worker_tasks,
     gather_task_inputs,
     route_side,
-    unit_offset_step,
     worker_input_counts,
 )
 
@@ -85,6 +84,5 @@ __all__ = [
     "route_side",
     "build_worker_tasks",
     "gather_task_inputs",
-    "unit_offset_step",
     "worker_input_counts",
 ]

@@ -38,24 +38,24 @@ from concurrent.futures import (
     wait as futures_wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro import faults
-from repro.data.storage import SpillArena, block_spans, madvise_dontneed
+from repro.data.storage import SpillArena, madvise_dontneed
 from repro.engine import deadline
 from repro.engine.routing import WorkerTask, gather_task_inputs
 from repro.exceptions import DeadlineExceededError, ExecutionError
 from repro.faults import InjectedWorkerCrash
 from repro.geometry.band import BandCondition
 from repro.local_join.base import LocalJoinAlgorithm
-from repro.local_join.kernels import kernel_scratch
+from repro.local_join.kernels import kernel_scratch, stable_argsort
 from repro.obs.globals import registry as obs_registry
 from repro.obs.globals import tracer
 from repro.obs.tracing import SpanContext, span_record
 
-#: Per-side byte size above which an out-of-core task gathers its shifted
+#: Per-side byte size above which an out-of-core task gathers its
 #: join matrix into a scratch memory map instead of the heap (and lets the
 #: kernels spill their permuted copies the same way).  Only relevant when a
 #: side is a matrix *source* — plain in-memory joins never spill.
@@ -123,34 +123,52 @@ def _side_bytes(source, rows: np.ndarray) -> int:
     return int(rows.size) * int(width) * 8
 
 
-def _gather_task_side(source, rows: np.ndarray, offsets: np.ndarray, arena) -> np.ndarray:
-    """Gather one side's shifted task matrix, spilling large gathers to scratch.
+def _gather_task_side(source, rows: np.ndarray, arena) -> np.ndarray:
+    """Gather one side's task matrix, spilling large gathers to scratch.
 
     With an arena, an out-of-core side larger than :data:`TASK_SPILL_BYTES`
     lands in a scratch memory map filled block by block (source and scratch
     pages recycled as the fill advances); otherwise the gather goes to the
-    heap exactly as before.
+    heap.
     """
     if isinstance(source, np.ndarray):
-        mat = source[rows]
-        if mat.shape[0]:
-            mat[:, 0] += offsets
-        return mat
+        return source[rows]
     if arena is None or _side_bytes(source, rows) <= TASK_SPILL_BYTES:
-        mat = source.take(np.asarray(rows))
-        if mat.shape[0]:
-            mat[:, 0] += offsets
-        return mat
-    n, width = int(rows.size), source.width
-    mat = arena.empty_matrix(float, n, width, prefix="task")
-    block_rows = max(1, (4 * 1024 * 1024) // (width * 8))
-    source.take_into(mat, rows, block_rows)
-    for index, (b0, b1) in enumerate(block_spans(n, block_rows)):
-        mat[b0:b1, 0] += offsets[b0:b1]
-        if index % 4 == 3:
-            madvise_dontneed(mat)
+        return source.take(np.asarray(rows))
+    mat = arena.empty_matrix(float, int(rows.size), source.width, prefix="task")
+    source.take_into(mat, rows, max(1, (4 * 1024 * 1024) // (source.width * 8)))
     madvise_dontneed(mat)
     return mat
+
+
+def _group_by_unit(rows: np.ndarray, units: np.ndarray, matrix=None):
+    """Return one side's ``(rows, units, matrix)`` grouped by ascending unit.
+
+    Every in-memory task, and the one-label task of an inline join, is
+    grouped already: that costs one O(n) check and no copy.  Only streamed
+    tasks, whose copies arrive chunk by chunk, are reordered (with the
+    side's ``matrix`` when it was gathered row for row); their spilled rows
+    and labels are read once, so their pages are dropped after the copy.
+    """
+    if units.size < 2 or bool(np.all(units[1:] >= units[:-1])):
+        return rows, units, matrix
+    order = stable_argsort(units)
+    grouped = rows[order], units[order], None if matrix is None else matrix[order]
+    madvise_dontneed(rows)
+    madvise_dontneed(units)
+    return grouped
+
+
+def _unit_spans(s_units: np.ndarray, t_units: np.ndarray):
+    """Yield ``(s_lo, s_hi, t_lo, t_hi)`` of every unit with rows on both
+    (grouped) sides."""
+    s_starts = np.flatnonzero(np.diff(s_units, prepend=-1))
+    units = s_units[s_starts]
+    s_stops = np.append(s_starts[1:], s_units.size)
+    t_starts = np.searchsorted(t_units, units, "left")
+    t_stops = np.searchsorted(t_units, units, "right")
+    both = t_stops > t_starts
+    return zip(*(bound[both].tolist() for bound in (s_starts, s_stops, t_starts, t_stops)))
 
 
 def execute_task(
@@ -169,9 +187,9 @@ def execute_task(
     :class:`~repro.engine.sources.StoreMatrixSource` over an out-of-core
     relation; large source-backed tasks run with scratch spilling so the
     whole task never needs to fit in memory.  A caller already holding the
-    task's shifted ``(S, T)`` inputs passes them as ``gathered``; the
+    task's ``(S, T)`` inputs, row for row, passes them as ``gathered``; the
     matrices are then not read, and the pairs still map through the task's
-    rows.
+    rows.  The local join runs once on each unit with rows on both sides.
     """
     if task.s_rows.size == 0 or task.t_rows.size == 0:
         return TaskOutcome(
@@ -215,27 +233,37 @@ def _execute_task_inner(
 ) -> TaskOutcome:
     task_wall = time.time() if trace_ctx is not None else 0.0
     task_start = time.perf_counter()
+    s_given, t_given = gathered or (None, None)
+    s_rows, s_units, s_given = _group_by_unit(task.s_rows, task.s_units, s_given)
+    t_rows, t_units, t_given = _group_by_unit(task.t_rows, task.t_units, t_given)
+    task = replace(task, s_rows=s_rows, s_units=s_units, t_rows=t_rows, t_units=t_units)
     if gathered is not None:
-        worker_s, worker_t = gathered
+        worker_s, worker_t = s_given, t_given
     elif arena is not None:
-        worker_s = _gather_task_side(s_matrix, task.s_rows, task.s_offsets, arena)
-        worker_t = _gather_task_side(t_matrix, task.t_rows, task.t_offsets, arena)
+        worker_s = _gather_task_side(s_matrix, task.s_rows, arena)
+        worker_t = _gather_task_side(t_matrix, task.t_rows, arena)
     else:
         worker_s, worker_t = gather_task_inputs(task, s_matrix, t_matrix)
     join_start = time.perf_counter()
+    output, pieces = 0, []
+    for s_lo, s_hi, t_lo, t_hi in _unit_spans(task.s_units, task.t_units):
+        unit_s, unit_t = worker_s[s_lo:s_hi], worker_t[t_lo:t_hi]
+        if materialize:
+            local = np.asarray(algorithm.join(unit_s, unit_t, condition), dtype=np.int64)
+            if s_lo or t_lo:
+                local += (s_lo, t_lo)
+            pieces.append(local)
+            output += local.shape[0]
+        else:
+            output += int(algorithm.count(unit_s, unit_t, condition))
+    local_seconds = time.perf_counter() - join_start
+    pairs = None
     if materialize:
-        local = algorithm.join(worker_s, worker_t, condition)
-        local_seconds = time.perf_counter() - join_start
-        # Map to original rows in place: one pair array and one column live.
-        pairs = np.asarray(local, dtype=np.int64)
-        if pairs.shape[0]:
-            pairs[:, 0] = task.s_rows[pairs[:, 0]]
-            pairs[:, 1] = task.t_rows[pairs[:, 1]]
-        output = int(local.shape[0])
-    else:
-        output = int(algorithm.count(worker_s, worker_t, condition))
-        local_seconds = time.perf_counter() - join_start
-        pairs = None
+        # Map the units' task-local pairs to original rows in place.
+        pieces = pieces or [np.empty((0, 2), dtype=np.int64)]
+        pairs = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        pairs[:, 0] = task.s_rows[pairs[:, 0]]
+        pairs[:, 1] = task.t_rows[pairs[:, 1]]
     spans = None
     if trace_ctx is not None:
         spans = [

@@ -6,9 +6,10 @@
 
 1. routes both inputs with one vectorised batch-routing pass
    (:mod:`repro.engine.routing`),
-2. builds one batched local-join task per worker (the paper's index nested
-   loop, :class:`~repro.local_join.IntervalJoin`, unless one is injected),
-3. executes the tasks on real hardware through a pluggable backend
+2. builds one task per worker holding the units it owns,
+3. executes the tasks on real hardware, one local join per unit (the
+   paper's index nested loop, :class:`~repro.local_join.IntervalJoin`,
+   unless one is injected), through a pluggable backend
    (:mod:`repro.engine.backends` — ``serial``, ``threads`` or
    ``processes``),
 4. folds the outcomes into the per-worker
@@ -45,7 +46,6 @@ from repro.engine.routing import (
     build_worker_tasks,
     route_side,
     stream_worker_tasks,
-    unit_offset_step,
     worker_input_counts,
 )
 from repro.engine.sources import StoreMatrixSource
@@ -282,7 +282,7 @@ class ParallelJoinEngine:
         the two sides as the backend reads them.  The relations' storage
         chooses how.  In memory, the whole join matrices are routed at once.
         When a side is mmap-backed, routing reads each side in bounded
-        chunks and spills the per-worker row/offset arrays to a scratch
+        chunks and spills the per-worker row/unit arrays to a scratch
         arena, and the sides are :class:`StoreMatrixSource` views (segment
         paths, not data), so peak resident memory is bounded by the chunk
         and kernel budgets rather than the relation sizes; ``scratch`` owns
@@ -294,10 +294,7 @@ class ParallelJoinEngine:
             t_side = t.join_matrix(attributes)
             s_routed = route_side(partitioning, s_side, "S")
             t_routed = route_side(partitioning, t_side, "T")
-            tasks = build_worker_tasks(
-                partitioning, s_routed, t_routed,
-                unit_offset_step(s_side, t_side, condition),
-            )
+            tasks = build_worker_tasks(partitioning, s_routed, t_routed)
             s_counts = worker_input_counts(partitioning, s_routed)
             t_counts = worker_input_counts(partitioning, t_routed)
             return tasks, s_counts, t_counts, s_side, t_side

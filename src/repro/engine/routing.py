@@ -6,14 +6,11 @@ call, grouped per partition unit with one ``argsort`` + ``searchsorted``
 pass (numpy masks, no per-tuple Python work), and gathered into one
 :class:`WorkerTask` per worker.
 
-A worker task batches every unit the worker owns into a single local join:
-each unit's tuples are shifted by a per-unit offset in the first join
-dimension that is larger than the data spread plus the band width, so tuples
-from different units can never join while pairs inside a unit are
-unaffected.  This is numerically equivalent to running one local join per
-unit but avoids per-unit call overhead (grid partitionings can produce
-hundreds of thousands of tiny units), and it gives every execution backend
-the same coarse-grained, embarrassingly parallel work items.
+A worker task holds every tuple copy of the units the worker owns, each
+labelled with its unit id.  The backends join each unit on its own (paper
+Definition 1: a pair is produced exactly once, by the one unit that receives
+both its tuples), so values are never shifted and the local join sees the
+tuples exactly as stored.
 """
 
 from __future__ import annotations
@@ -59,19 +56,20 @@ class RoutedSide:
 
 @dataclass(frozen=True)
 class WorkerTask:
-    """The batched local join of every unit owned by one worker.
+    """The local joins of every unit owned by one worker.
 
     ``s_rows`` / ``t_rows`` are original row indices into the relation's
-    join matrix; ``s_offsets`` / ``t_offsets`` are the per-tuple unit-
-    separation shifts applied to the first join dimension before joining.
+    join matrix; ``s_units`` / ``t_units`` label each copy with the unit that
+    receives it.  In-memory tasks hold their copies grouped by ascending
+    label; streamed tasks hold them in chunk order.
     """
 
     worker_id: int
     n_units: int
     s_rows: np.ndarray
-    s_offsets: np.ndarray
+    s_units: np.ndarray
     t_rows: np.ndarray
-    t_offsets: np.ndarray
+    t_units: np.ndarray
 
     @property
     def n_input(self) -> int:
@@ -109,6 +107,7 @@ def route_side(
     return RoutedSide(rows=sorted_rows, units=sorted_units, bounds=bounds)
 
 
+# Only the benchmark harness calls this; the engine never shifts a value.
 def unit_offset_step(
     s_matrix: np.ndarray, t_matrix: np.ndarray, condition: BandCondition
 ) -> float:
@@ -133,53 +132,42 @@ def unit_offset_step(
     return spread + predicate.eps_left + predicate.eps_right + 1.0
 
 
-def gather_side(
-    unit_ids: np.ndarray, routed: RoutedSide, offset_step: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collect one relation side of a worker's units plus per-tuple unit offsets.
-
-    The offset of a tuple is ``position of its unit within unit_ids *
-    offset_step``; S and T use the same ``unit_ids`` order, so tuples of the
-    same unit land in the same shifted band on both sides.
-    """
+def gather_side(unit_ids: np.ndarray, routed: RoutedSide) -> tuple[np.ndarray, np.ndarray]:
+    """Collect one relation side of a worker's units with each copy's unit id."""
     bounds = routed.bounds
     lengths = bounds[unit_ids + 1] - bounds[unit_ids]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
     pieces = [
         routed.rows[bounds[unit] : bounds[unit + 1]]
         for unit, length in zip(unit_ids, lengths)
         if length
     ]
-    rows = np.concatenate(pieces)
-    local_index = np.repeat(np.arange(unit_ids.size), lengths)
-    return rows, local_index.astype(float) * offset_step
+    rows = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+    return rows, np.repeat(unit_ids, lengths)
 
 
 def build_worker_tasks(
     partitioning: JoinPartitioning,
     s_routed: RoutedSide,
     t_routed: RoutedSide,
-    offset_step: float,
+    offset_step: float | None = None,  # only the benchmark harness passes it; ignored
 ) -> list[WorkerTask]:
-    """Build one batched task per worker that owns at least one unit."""
+    """Build one task per worker that owns at least one unit."""
     owners = partitioning.unit_workers()
     tasks: list[WorkerTask] = []
     for worker_id in range(partitioning.workers):
         unit_ids = np.nonzero(owners == worker_id)[0]
         if unit_ids.size == 0:
             continue
-        s_rows, s_offsets = gather_side(unit_ids, s_routed, offset_step)
-        t_rows, t_offsets = gather_side(unit_ids, t_routed, offset_step)
+        s_rows, s_units = gather_side(unit_ids, s_routed)
+        t_rows, t_units = gather_side(unit_ids, t_routed)
         tasks.append(
             WorkerTask(
                 worker_id=worker_id,
                 n_units=int(unit_ids.size),
                 s_rows=s_rows,
-                s_offsets=s_offsets,
+                s_units=s_units,
                 t_rows=t_rows,
-                t_offsets=t_offsets,
+                t_units=t_units,
             )
         )
     return tasks
@@ -193,19 +181,13 @@ def _gather_rows(source, rows: np.ndarray) -> np.ndarray:
 
 
 def gather_task_inputs(task: WorkerTask, s_matrix, t_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Materialise a task's shifted S/T join matrices (fresh copies).
+    """Materialise a task's S/T join matrices, row for row (fresh copies).
 
-    Either side may be a plain ``(n, d)`` ndarray (legacy in-memory path) or
-    a :class:`~repro.engine.sources.StoreMatrixSource` reading an
-    out-of-core relation; the gather semantics are identical.
+    Either side may be a plain ``(n, d)`` ndarray or a
+    :class:`~repro.engine.sources.StoreMatrixSource` reading an out-of-core
+    relation; the gather semantics are identical.
     """
-    worker_s = _gather_rows(s_matrix, task.s_rows)
-    worker_t = _gather_rows(t_matrix, task.t_rows)
-    if worker_s.shape[0]:
-        worker_s[:, 0] += task.s_offsets
-    if worker_t.shape[0]:
-        worker_t[:, 0] += task.t_offsets
-    return worker_s, worker_t
+    return _gather_rows(s_matrix, task.s_rows), _gather_rows(t_matrix, task.t_rows)
 
 
 def dedup_worker_copies(
@@ -249,36 +231,6 @@ def worker_input_counts(
 # --------------------------------------------------------------------- #
 
 
-def unit_offset_step_from_bounds(
-    lows: list[float], highs: list[float], condition: BandCondition
-) -> float:
-    """:func:`unit_offset_step` from precomputed first-dimension bounds.
-
-    ``lows`` / ``highs`` hold the first-join-dimension min/max of each
-    non-empty side.  Out-of-core relations serve these from per-segment
-    statistics, so the step is known before any data is read.
-    """
-    predicate = condition.predicates[0]
-    spread = (max(highs) - min(lows)) if lows else 1.0
-    return spread + predicate.eps_left + predicate.eps_right + 1.0
-
-
-def unit_ranks(partitioning: JoinPartitioning) -> np.ndarray:
-    """Return each unit's rank among its owning worker's units.
-
-    Ranks follow ascending unit id per worker — exactly the order
-    :func:`gather_side` enumerates a worker's units — so
-    ``rank * offset_step`` reproduces the legacy per-unit shifts.
-    """
-    owners = partitioning.unit_workers()
-    order = np.argsort(owners, kind="stable")
-    sorted_owners = owners[order]
-    starts = np.searchsorted(sorted_owners, np.arange(partitioning.workers))
-    ranks = np.empty(owners.size, dtype=np.int64)
-    ranks[order] = np.arange(owners.size, dtype=np.int64) - starts[sorted_owners]
-    return ranks
-
-
 class _SideStreamer:
     """Accumulates one side's routed copies into per-worker spill files."""
 
@@ -286,24 +238,16 @@ class _SideStreamer:
         self.partitioning = partitioning
         self.side = side
         self.owners = partitioning.unit_workers()
-        self.ranks = unit_ranks(partitioning)
         self.active = np.nonzero(np.bincount(self.owners, minlength=partitioning.workers))[0]
         self.counts = np.zeros(partitioning.workers, dtype=np.int64)
         self._rows_writers = {
             int(w): arena.writer(np.int64, prefix=f"{side}-rows-w{w}") for w in self.active
         }
-        self._offset_writers = {
-            int(w): arena.writer(np.float64, prefix=f"{side}-offsets-w{w}")
-            for w in self.active
+        self._unit_writers = {
+            int(w): arena.writer(np.int64, prefix=f"{side}-units-w{w}") for w in self.active
         }
 
-    def consume(
-        self,
-        chunk_start: int,
-        chunk: np.ndarray,
-        offset_step: float,
-        validate: bool,
-    ) -> None:
+    def consume(self, chunk_start: int, chunk: np.ndarray, validate: bool) -> None:
         """Route one chunk and append its copies to the per-worker files."""
         rows, units = self.partitioning.route(chunk, self.side)
         if validate:
@@ -320,7 +264,6 @@ class _SideStreamer:
             minlength=self.partitioning.workers,
         )
         global_rows = rows + chunk_start
-        offsets = self.ranks[units].astype(float) * offset_step
         order = np.argsort(copy_workers, kind="stable")
         sorted_workers = copy_workers[order]
         bounds = np.searchsorted(
@@ -331,12 +274,12 @@ class _SideStreamer:
             if hi > lo:
                 piece = order[lo:hi]
                 self._rows_writers[int(worker)].append(global_rows[piece])
-                self._offset_writers[int(worker)].append(offsets[piece])
+                self._unit_writers[int(worker)].append(units[piece])
 
     def finish(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Close the spill files and return per-worker (rows, offsets) maps."""
+        """Close the spill files and return per-worker (rows, units) maps."""
         return {
-            w: (self._rows_writers[w].finish(), self._offset_writers[w].finish())
+            w: (self._rows_writers[w].finish(), self._unit_writers[w].finish())
             for w in map(int, self.active)
         }
 
@@ -345,36 +288,29 @@ def stream_worker_tasks(
     partitioning: JoinPartitioning,
     s_source,
     t_source,
-    condition: BandCondition,
+    condition: BandCondition,  # unused; the benchmark harness passes it positionally
     arena,
     chunk_bytes: int,
     validate: bool = True,
-) -> tuple[list[WorkerTask], np.ndarray, np.ndarray, float]:
+) -> tuple[list[WorkerTask], np.ndarray, np.ndarray, None]:
     """Route both sides chunk-wise and build disk-backed worker tasks.
 
     The streamed counterpart of :func:`route_side` +
     :func:`build_worker_tasks`: each side is read in bounded float chunks
     (``source.iter_chunks``), routed, and appended straight to per-worker
     spill files in ``arena`` — no O(n) routing state ever lives on the
-    heap.  Task ``rows`` / ``offsets`` come back as read-only memory maps
-    over those files; row order within a task is chunk-major instead of
-    unit-major, which the local join is insensitive to (it re-sorts), while
-    per-tuple offsets reproduce the legacy unit-rank shifts exactly.
+    heap.  Task ``rows`` / ``units`` come back as read-only memory maps
+    over those files, in chunk order rather than grouped by unit; the
+    backend groups them before joining.
 
-    Returns ``(tasks, s_counts, t_counts, offset_step)`` where the counts
-    are the per-worker deduplicated input accounting of paper Definition 1.
+    Returns ``(tasks, s_counts, t_counts, None)`` where the counts are the
+    per-worker deduplicated input accounting of paper Definition 1.
     """
-    s_lo, s_hi = s_source.bounds()
-    t_lo, t_hi = t_source.bounds()
-    lows = [float(lo[0]) for lo, src in ((s_lo, s_source), (t_lo, t_source)) if src.rows]
-    highs = [float(hi[0]) for hi, src in ((s_hi, s_source), (t_hi, t_source)) if src.rows]
-    offset_step = unit_offset_step_from_bounds(lows, highs, condition)
-
     sides: dict[str, _SideStreamer] = {}
     for side, source in (("S", s_source), ("T", t_source)):
         streamer = _SideStreamer(partitioning, arena, side)
         for start, _, chunk in source.iter_chunks(chunk_bytes):
-            streamer.consume(start, chunk, offset_step, validate)
+            streamer.consume(start, chunk, validate)
         source.release()
         sides[side] = streamer
 
@@ -383,20 +319,20 @@ def stream_worker_tasks(
     units_per_worker = np.bincount(
         partitioning.unit_workers(), minlength=partitioning.workers
     )
-    empty_rows = np.empty(0, dtype=np.int64)
-    empty_offsets = np.empty(0)
+    empty = np.empty(0, dtype=np.int64)
     tasks: list[WorkerTask] = []
     for worker in map(int, sides["S"].active):
-        s_rows, s_offsets = s_parts.get(worker, (empty_rows, empty_offsets))
-        t_rows, t_offsets = t_parts.get(worker, (empty_rows, empty_offsets))
+        s_rows, s_units = s_parts.get(worker, (empty, empty))
+        t_rows, t_units = t_parts.get(worker, (empty, empty))
         tasks.append(
             WorkerTask(
                 worker_id=worker,
                 n_units=int(units_per_worker[worker]),
                 s_rows=s_rows,
-                s_offsets=s_offsets,
+                s_units=s_units,
                 t_rows=t_rows,
-                t_offsets=t_offsets,
+                t_units=t_units,
             )
         )
-    return tasks, sides["S"].counts, sides["T"].counts, offset_step
+    # The fourth slot is only unpacked by the benchmark harness.
+    return tasks, sides["S"].counts, sides["T"].counts, None

@@ -110,38 +110,6 @@ class StoreMatrixSource:
         self.release()
         return out
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return per-attribute ``(min, max)`` without materializing columns.
-
-        Served from per-segment statistics when the store caches them,
-        falling back to a bounded streaming scan.
-        """
-        d = self.width
-        lo = np.zeros(d)
-        hi = np.zeros(d)
-        if self.rows == 0:
-            return lo, hi
-        pending = []
-        for i, attr in enumerate(self.attributes):
-            stat = self.store.column_stats(attr)
-            if stat is None:
-                pending.append(i)
-            else:
-                lo[i], hi[i] = stat
-        if pending:
-            first = True
-            for _, _, chunk in self.iter_chunks():
-                for i in pending:
-                    c_lo = float(chunk[:, i].min())
-                    c_hi = float(chunk[:, i].max())
-                    if first:
-                        lo[i], hi[i] = c_lo, c_hi
-                    else:
-                        lo[i] = min(lo[i], c_lo)
-                        hi[i] = max(hi[i], c_hi)
-                first = False
-        return lo, hi
-
     def release(self) -> None:
         """Drop any resident pages held by the underlying store."""
         release = getattr(self.store, "release", None)

@@ -10,7 +10,8 @@ loaded worker, plus the overheads over the lower bounds used by Figure 4.
 Failures (e.g. Grid-eps refusing to materialise an astronomically replicated
 input, or being undefined for band width zero) are captured as failed method
 results rather than aborting the experiment — matching how the paper reports
-"failed" and "N/A" cells.
+"failed" and "N/A" cells.  A wrong answer is no such cell: an
+``ExecutionError`` (a ``verify`` mismatch, say) aborts the experiment.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.cost.lower_bounds import LowerBounds, compute_lower_bounds
 from repro.cost.model import RunningTimeModel, default_running_time_model
 from repro.data.relation import Relation
 from repro.engine.engine import ParallelJoinEngine
-from repro.exceptions import ReproError
+from repro.exceptions import ExecutionError, ReproError
 from repro.experiments.workloads import Workload
 from repro.geometry.band import BandCondition
 from repro.metrics.measures import OverheadPoint
@@ -205,12 +206,16 @@ def run_method(
     ``bounds`` may be ``None``; the overhead fields are then left at zero and
     can be filled in later with :func:`attach_overheads`.  With a
     ``cost_model`` the predicted join time of the executed partitioning is
-    attached to the result.
+    attached to the result.  A method that refuses the input (say Grid-ε at
+    band width 0) becomes a ``failed`` row; an :class:`ExecutionError`, such
+    as a ``verify`` mismatch, is a wrong answer and propagates.
     """
     start = time.perf_counter()
     try:
         partitioning = partitioner.partition(s, t, condition, workers, rng=rng)
         execution = engine.execute(s, t, condition, partitioning, verify=verify)
+    except ExecutionError:
+        raise
     except ReproError as error:
         return MethodResult(
             method=partitioner.name,

@@ -678,7 +678,8 @@ class PreparedQuery:
         :class:`StoreMatrixSource` views of the whole relations), or were
         already ``gathered`` into one join matrix per side."""
         n_s, n_t = len(s_rows), len(t_rows)
-        task = WorkerTask(0, 1, s_rows, np.zeros(n_s), t_rows, np.zeros(n_t))
+        # One unit, labelled 0: the labels are grouped, so nothing is reordered.
+        task = WorkerTask(0, 1, s_rows, np.zeros(n_s, np.int64), t_rows, np.zeros(n_t, np.int64))
         algorithm = self.engine.backend._budgeted(self.engine.algorithm, concurrency=1)
         deadline.check("inline join")
         with tracer().span("local_join", backend="inline", tasks=1) as span:

@@ -20,6 +20,7 @@ from repro.config import ServiceConfig
 from repro.core.recpart import RecPartPartitioner
 from repro.data.generators import correlated_pair, uniform_relation
 from repro.data.relation import Relation
+from repro.data.storage import SpillArena
 from repro.engine import (
     ParallelJoinEngine,
     PlanCache,
@@ -34,7 +35,6 @@ from repro.engine import (
     plan_key,
     relation_fingerprint,
     route_side,
-    unit_offset_step,
     worker_input_counts,
 )
 from repro.engine.routing import dedup_worker_copies
@@ -81,27 +81,33 @@ class TestRouting:
         t_matrix = t.join_matrix(condition.attributes)
         s_routed = route_side(partitioning, s_matrix, "S")
         t_routed = route_side(partitioning, t_matrix, "T")
-        step = unit_offset_step(s_matrix, t_matrix, condition)
-        tasks = build_worker_tasks(partitioning, s_routed, t_routed, step)
+        tasks = build_worker_tasks(partitioning, s_routed, t_routed)
         assert sum(task.n_units for task in tasks) == partitioning.n_units
         assert len({task.worker_id for task in tasks}) == len(tasks)
         assert sum(task.s_rows.size for task in tasks) == s_routed.n_copies
         assert sum(task.t_rows.size for task in tasks) == t_routed.n_copies
 
-    def test_gather_applies_unit_offsets(self):
+    def test_gather_returns_unshifted_rows_labelled_by_unit(self):
         s, t, condition = _small_problem(n=400)
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=3)
         s_matrix = s.join_matrix(condition.attributes)
         t_matrix = t.join_matrix(condition.attributes)
         s_routed = route_side(partitioning, s_matrix, "S")
         t_routed = route_side(partitioning, t_matrix, "T")
-        step = unit_offset_step(s_matrix, t_matrix, condition)
-        tasks = build_worker_tasks(partitioning, s_routed, t_routed, step)
-        task = max(tasks, key=lambda x: x.n_units)
-        worker_s, _ = gather_task_inputs(task, s_matrix, t_matrix)
-        np.testing.assert_allclose(
-            worker_s[:, 0], s_matrix[task.s_rows, 0] + task.s_offsets
-        )
+        tasks = build_worker_tasks(partitioning, s_routed, t_routed)
+        owners = partitioning.unit_workers()
+        for task in tasks:
+            worker_s, worker_t = gather_task_inputs(task, s_matrix, t_matrix)
+            np.testing.assert_array_equal(worker_s, s_matrix[task.s_rows])
+            np.testing.assert_array_equal(worker_t, t_matrix[task.t_rows])
+            owned = np.flatnonzero(owners == task.worker_id)
+            for rows, units, routed in (
+                (task.s_rows, task.s_units, s_routed),
+                (task.t_rows, task.t_units, t_routed),
+            ):
+                assert np.all(np.diff(units) >= 0) and np.isin(units, owned).all()
+                for unit in owned:
+                    np.testing.assert_array_equal(rows[units == unit], routed.unit_rows(unit))
         # Gathering must not mutate the shared join matrix.
         np.testing.assert_array_equal(s_matrix, s.join_matrix(condition.attributes))
 
@@ -525,3 +531,60 @@ class TestKernelSelectionAndBudget:
             ParallelJoinEngine(backend="serial", memory_budget=0)
         with pytest.raises(ValueError):
             ServiceConfig(kernel_memory_budget=0)
+
+
+class TestUnitsNeverMeet:
+    """Each unit is joined on its own, on its tuples as stored.  Pairs at
+    exactly ε are common here: a value shift by unit (as the engine once
+    applied to batch a worker's units into one call) rounds ``t − s`` across
+    the band edge and produced 1886 or 1826 pairs instead of 1522."""
+
+    EPS = 1e-9
+
+    @classmethod
+    def _edge_problem(cls):
+        rng = np.random.default_rng(7)
+        s_values = rng.random(2000) * 1e-3
+        t_values = s_values + rng.choice([0, cls.EPS, -cls.EPS, cls.EPS * (1 + 1e-9)], 2000)
+        s, t = Relation("S", {"A1": s_values}), Relation("T", {"A1": t_values})
+        return s, t, BandCondition.symmetric(["A1"], cls.EPS)
+
+    @pytest.mark.parametrize("storage", ["memory", "mmap"])
+    @pytest.mark.parametrize("backend", REAL_BACKENDS)
+    @pytest.mark.parametrize("method", range(4), ids=["RecPart-S", "CSIO", "1-Bucket", "Grid-eps"])
+    def test_every_path_agrees_with_one_kernel_call(self, method, backend, storage, tmp_path):
+        from repro.experiments.runner import default_partitioners
+
+        s, t, condition = self._edge_problem()
+        partitioner = default_partitioners()[method]
+        partitioning = partitioner.partition(s, t, condition, 4, rng=np.random.default_rng(0))
+        if storage == "mmap":
+            s, t = s.spill(str(tmp_path / "s")), t.spill(str(tmp_path / "t"))
+        engine = ParallelJoinEngine(backend=backend, max_parallelism=2)
+        result = engine.execute(s, t, condition, partitioning, materialize=True, verify="pairs")
+        assert result.total_output == 1522
+
+    def test_streamed_labels_out_of_order(self, tmp_path):
+        """Chunks smaller than a unit: a streamed task's copies arrive
+        interleaved across its units and must be regrouped before joining."""
+        from repro.engine.routing import stream_worker_tasks
+        from repro.engine.sources import StoreMatrixSource
+
+        s, t, condition = self._edge_problem()
+        partitioning = RecPartPartitioner().partition(
+            s, t, condition, 4, rng=np.random.default_rng(0)
+        )
+        s, t = s.spill(str(tmp_path / "s")), t.spill(str(tmp_path / "t"))
+        chunk_bytes = 8 * 64
+        assert partitioning.n_units > partitioning.workers
+        with SpillArena.scratch(str(tmp_path / "scratch")) as arena:
+            tasks, *_ = stream_worker_tasks(
+                partitioning,
+                StoreMatrixSource.from_relation(s, condition.attributes),
+                StoreMatrixSource.from_relation(t, condition.attributes),
+                condition, arena, chunk_bytes,
+            )
+            assert any(np.any(np.diff(task.s_units) < 0) for task in tasks)
+        engine = ParallelJoinEngine(backend="serial", chunk_bytes=chunk_bytes)
+        result = engine.execute(s, t, condition, partitioning, materialize=True, verify="pairs")
+        assert result.total_output == 1522

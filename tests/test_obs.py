@@ -21,11 +21,7 @@ import repro.obs as obs
 from repro.data.generators import uniform_relation
 from repro.engine import ParallelJoinEngine
 from repro.engine.backends import ThreadPoolBackend, execute_task
-from repro.engine.routing import (
-    build_worker_tasks,
-    route_side,
-    unit_offset_step,
-)
+from repro.engine.routing import build_worker_tasks, route_side
 from repro.geometry.band import BandCondition
 from repro.local_join.base import canonical_pair_order
 from repro.obs import (
@@ -247,8 +243,7 @@ class TestBackendPropagation:
         t_matrix = t.join_matrix(condition.attributes)
         s_routed = route_side(partitioning, s_matrix, "S")
         t_routed = route_side(partitioning, t_matrix, "T")
-        step = unit_offset_step(s_matrix, t_matrix, condition)
-        tasks = build_worker_tasks(partitioning, s_routed, t_routed, step)
+        tasks = build_worker_tasks(partitioning, s_routed, t_routed)
         return tasks, s_matrix, t_matrix, condition, engine.algorithm
 
     def test_threadpool_ships_task_spans(self):

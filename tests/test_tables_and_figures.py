@@ -38,6 +38,18 @@ class TestTableReproductionsSmoke:
         first = reproduction.experiments[0]
         assert first.result_for("Grid-eps").failed
 
+    def test_table2a_verified_at_scale_005(self):
+        """RecPart-S and Grid-eps once answered 6 of these runs wrongly (pairs
+        at exactly ε, on a 1e-5 grid); a wrong answer now raises."""
+        reproduction = tables.table2a(scale=0.05, verify="pairs")
+        failed = [
+            (experiment.workload.name, result.method)
+            for experiment in reproduction.experiments
+            for result in experiment.results
+            if result.failed
+        ]
+        assert all(method == "Grid-eps" for _, method in failed)
+
     def test_table3_skew_rows(self):
         reproduction = tables.table3(scale=TINY)
         assert len(reproduction.experiments) == 4
