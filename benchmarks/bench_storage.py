@@ -4,10 +4,12 @@ The proof obligation of the pluggable column-storage layer: generate two
 wide relations directly into memory-mapped segments (they are never heap
 resident), size the pair so the on-disk payload is **ten times** a
 configured memory ceiling, and run a streamed band-join whose peak
-resident-set growth must stay **under** that ceiling.  Two runs are
-enforced — a zero-materialization count and a materialized run with a
-narrow band — then a non-enforced phase re-joins the same join-attribute
-values on the ordinary in-memory path and demands the exact same pair set.
+resident-set growth must stay **under** that ceiling.  Three runs are
+enforced — a zero-materialization count, a materialized run with a
+narrow band, and the same materialized run with every worker task over
+the task spill threshold — then a non-enforced phase re-joins the same
+join-attribute values on the ordinary in-memory path and demands the
+exact same pair set for both materialized runs.
 
 The peak is measured with the kernel's own high-water mark
 (``VmHWM`` from ``/proc/self/status``), reset at the start of each
@@ -44,6 +46,7 @@ from repro.core.recpart import RecPartPartitioner
 from repro.geometry.band import BandCondition
 from repro.data.relation import Relation
 from repro.data.storage import MmapColumnStore
+from repro.engine import backends
 from repro.engine.engine import ParallelJoinEngine
 from repro.obs.process import (
     current_rss_bytes,
@@ -56,6 +59,11 @@ CEILING_RATIO = 10.0
 
 FULL = dict(rows=500_000, payload_cols=39, epsilon=4e-7, chunk_bytes=1 << 20)
 SMOKE = dict(rows=250_000, payload_cols=39, epsilon=8e-7, chunk_bytes=512 << 10)
+
+#: Task spill threshold of the "spilled" run: far below a worker task here,
+#: so every task gathers its rows, and its kernels sort, into scratch files.
+#: Chunks are smaller than a unit, so the streamer regroups every task too.
+SPILLED_TASK_BYTES = 64 << 10
 
 #: Resident-page budget per mapped segment chain: pages read from the
 #: segments are dropped (``madvise(MADV_DONTNEED)``) once a chain exceeds
@@ -182,12 +190,21 @@ def _run(
     if not enforced:
         print("warning: peak-RSS reset unsupported here; ceiling not enforced")
 
-    pairs = None
-    for label, materialize in (("count", False), ("materialize", True)):
+    pairs = {}
+    default_spill_bytes = backends.TASK_SPILL_BYTES
+    for label, materialize, spill_bytes in (
+        ("count", False, default_spill_bytes),
+        ("materialize", True, default_spill_bytes),
+        ("spilled", True, SPILLED_TASK_BYTES),
+    ):
         baseline = current_rss_bytes()
         reset_peak_rss()
         run_start = time.perf_counter()
-        result = engine.execute(s, t, condition, partitioning, materialize=materialize)
+        backends.TASK_SPILL_BYTES = spill_bytes
+        try:
+            result = engine.execute(s, t, condition, partitioning, materialize=materialize)
+        finally:
+            backends.TASK_SPILL_BYTES = default_spill_bytes
         run_seconds = time.perf_counter() - run_start
         peak_delta = max(0, peak_rss_bytes() - baseline)
         ok = (not enforced) or peak_delta <= ceiling_bytes
@@ -204,7 +221,7 @@ def _run(
             f"({'OK' if ok else 'BREACH'} vs {ceiling_bytes / 1e6:.1f} MB ceiling)"
         )
         if materialize:
-            pairs = _canonical_pairs(result.pairs)
+            pairs[label] = _canonical_pairs(result.pairs)
 
     # Verification phase (not ceiling-enforced): the same join-attribute
     # values on the all-heap path must produce the identical pair set.
@@ -213,18 +230,14 @@ def _run(
     ref_partitioning = RecPartPartitioner().partition(s_ref, t_ref, condition, workers=workers)
     ref = engine.execute(s_ref, t_ref, condition, ref_partitioning, materialize=True)
     ref_pairs = _canonical_pairs(ref.pairs)
-    match = bool(
-        pairs is not None
-        and pairs.shape == ref_pairs.shape
-        and np.array_equal(pairs, ref_pairs)
-    )
+    match = all(np.array_equal(streamed, ref_pairs) for streamed in pairs.values())
     record["verification"] = {
         "reference_pairs": int(ref_pairs.shape[0]),
-        "streamed_pairs": int(0 if pairs is None else pairs.shape[0]),
+        "streamed_pairs": {label: int(p.shape[0]) for label, p in pairs.items()},
         "pair_sets_match": match,
     }
     print(
-        f"verification: streamed {record['verification']['streamed_pairs']:,} pairs "
+        f"verification: streamed {record['verification']['streamed_pairs']} pairs "
         f"vs in-memory {ref_pairs.shape[0]:,} — "
         f"{'identical' if match else 'MISMATCH'}"
     )

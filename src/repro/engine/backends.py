@@ -38,19 +38,19 @@ from concurrent.futures import (
     wait as futures_wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import faults
-from repro.data.storage import SpillArena, madvise_dontneed
+from repro.data.storage import SpillArena, block_spans, madvise_dontneed
 from repro.engine import deadline
-from repro.engine.routing import WorkerTask, gather_task_inputs
+from repro.engine.routing import LABEL_BLOCK, WorkerTask, gather_task_inputs
 from repro.exceptions import DeadlineExceededError, ExecutionError
 from repro.faults import InjectedWorkerCrash
 from repro.geometry.band import BandCondition
 from repro.local_join.base import LocalJoinAlgorithm
-from repro.local_join.kernels import kernel_scratch, stable_argsort
+from repro.local_join.kernels import kernel_scratch
 from repro.obs.globals import registry as obs_registry
 from repro.obs.globals import tracer
 from repro.obs.tracing import SpanContext, span_record
@@ -141,28 +141,20 @@ def _gather_task_side(source, rows: np.ndarray, arena) -> np.ndarray:
     return mat
 
 
-def _group_by_unit(rows: np.ndarray, units: np.ndarray, matrix=None):
-    """Return one side's ``(rows, units, matrix)`` grouped by ascending unit.
-
-    Every in-memory task, and the one-label task of an inline join, is
-    grouped already: that costs one O(n) check and no copy.  Only streamed
-    tasks, whose copies arrive chunk by chunk, are reordered (with the
-    side's ``matrix`` when it was gathered row for row); their spilled rows
-    and labels are read once, so their pages are dropped after the copy.
-    """
-    if units.size < 2 or bool(np.all(units[1:] >= units[:-1])):
-        return rows, units, matrix
-    order = stable_argsort(units)
-    grouped = rows[order], units[order], None if matrix is None else matrix[order]
-    madvise_dontneed(rows)
-    madvise_dontneed(units)
-    return grouped
+def _unit_starts(units: np.ndarray) -> np.ndarray:
+    """Return where each unit's copies start in one side's grouped labels,
+    read block by block (a streamed side's labels are a memory map)."""
+    starts = [
+        np.flatnonzero(np.diff(units[lo:hi], prepend=units[lo - 1] if lo else -1)) + lo
+        for lo, hi in block_spans(units.size, LABEL_BLOCK)
+    ]
+    return np.concatenate(starts)
 
 
 def _unit_spans(s_units: np.ndarray, t_units: np.ndarray):
     """Yield ``(s_lo, s_hi, t_lo, t_hi)`` of every unit with rows on both
     (grouped) sides."""
-    s_starts = np.flatnonzero(np.diff(s_units, prepend=-1))
+    s_starts = _unit_starts(s_units)
     units = s_units[s_starts]
     s_stops = np.append(s_starts[1:], s_units.size)
     t_starts = np.searchsorted(t_units, units, "left")
@@ -233,12 +225,8 @@ def _execute_task_inner(
 ) -> TaskOutcome:
     task_wall = time.time() if trace_ctx is not None else 0.0
     task_start = time.perf_counter()
-    s_given, t_given = gathered or (None, None)
-    s_rows, s_units, s_given = _group_by_unit(task.s_rows, task.s_units, s_given)
-    t_rows, t_units, t_given = _group_by_unit(task.t_rows, task.t_units, t_given)
-    task = replace(task, s_rows=s_rows, s_units=s_units, t_rows=t_rows, t_units=t_units)
     if gathered is not None:
-        worker_s, worker_t = s_given, t_given
+        worker_s, worker_t = gathered
     elif arena is not None:
         worker_s = _gather_task_side(s_matrix, task.s_rows, arena)
         worker_t = _gather_task_side(t_matrix, task.t_rows, arena)
@@ -264,6 +252,9 @@ def _execute_task_inner(
         pairs = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         pairs[:, 0] = task.s_rows[pairs[:, 0]]
         pairs[:, 1] = task.t_rows[pairs[:, 1]]
+    # A streamed task's spilled rows and labels are not read again.
+    for array in (task.s_rows, task.s_units, task.t_rows, task.t_units):
+        madvise_dontneed(array)
     spans = None
     if trace_ctx is not None:
         spans = [

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.partitioner import JoinPartitioning
+from repro.data.storage import block_spans, madvise_dontneed
 from repro.exceptions import ExecutionError
 from repro.geometry.band import BandCondition
 
@@ -60,8 +61,7 @@ class WorkerTask:
 
     ``s_rows`` / ``t_rows`` are original row indices into the relation's
     join matrix; ``s_units`` / ``t_units`` label each copy with the unit that
-    receives it.  In-memory tasks hold their copies grouped by ascending
-    label; streamed tasks hold them in chunk order.
+    receives it.  Every task holds its copies grouped by ascending label.
     """
 
     worker_id: int
@@ -111,16 +111,8 @@ def route_side(
 def unit_offset_step(
     s_matrix: np.ndarray, t_matrix: np.ndarray, condition: BandCondition
 ) -> float:
-    """Return a per-unit shift of the first join dimension that no band can bridge.
-
-    The step must exceed the spread of the *combined* S and T value range:
-    tuples of units shifted by k and j steps end up ``(k - j) * step`` apart
-    plus their original difference, and that original difference can be as
-    large as the gap between the two relations' ranges (e.g. S in [0, 1]
-    joined against T in [10, 11]).  Using each relation's own spread — as an
-    earlier revision did — lets distant unit pairs alias back into the band
-    and produce phantom output.
-    """
+    """Return a first-column step wider than both relations' combined
+    range plus the band (the shift the engine once applied per unit)."""
     predicate = condition.predicates[0]
     lows = []
     highs = []
@@ -231,11 +223,47 @@ def worker_input_counts(
 # --------------------------------------------------------------------- #
 
 
+#: Labels read per block when a spilled side is checked or regrouped by
+#: unit: the heap holds a few blocks of temporaries, never the side.
+LABEL_BLOCK: int = 1 << 16
+
+
+def _group_spilled(rows, units, n_units, arena, prefix):
+    """Return one worker's spilled ``(rows, units)`` grouped by ascending unit.
+
+    Chunks smaller than a unit interleave the copies across the worker's
+    units; a stable counting sort, read block by block, then writes them
+    grouped into new scratch arrays.
+    """
+    spans = list(block_spans(units.size, LABEL_BLOCK))
+    if all(np.all(np.diff(units[max(lo - 1, 0) : hi]) >= 0) for lo, hi in spans):
+        return rows, units
+    free = np.zeros(n_units, dtype=np.int64)
+    for lo, hi in spans:
+        free += np.bincount(units[lo:hi], minlength=n_units)
+    free = np.cumsum(free) - free  # next slot of every unit
+    grouped = [
+        arena.empty(np.int64, rows.size, prefix=f"{prefix}-{name}") for name in ("rows", "units")
+    ]
+    for lo, hi in spans:
+        order = np.argsort(units[lo:hi], kind="stable")
+        block = units[lo:hi][order]
+        counts = np.bincount(block, minlength=n_units)
+        first = np.cumsum(counts) - counts  # each unit's first position in the block
+        slots = free[block] - first[block] + np.arange(block.size)
+        grouped[0][slots], grouped[1][slots] = rows[lo:hi][order], block
+        free += counts
+        for array in (rows, units, *grouped):
+            madvise_dontneed(array)
+    return tuple(grouped)
+
+
 class _SideStreamer:
     """Accumulates one side's routed copies into per-worker spill files."""
 
     def __init__(self, partitioning: JoinPartitioning, arena, side: str) -> None:
         self.partitioning = partitioning
+        self.arena = arena
         self.side = side
         self.owners = partitioning.unit_workers()
         self.active = np.nonzero(np.bincount(self.owners, minlength=partitioning.workers))[0]
@@ -277,9 +305,12 @@ class _SideStreamer:
                 self._unit_writers[int(worker)].append(units[piece])
 
     def finish(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Close the spill files and return per-worker (rows, units) maps."""
+        """Close the spill files; return each worker's (rows, units) by unit."""
         return {
-            w: (self._rows_writers[w].finish(), self._unit_writers[w].finish())
+            w: _group_spilled(
+                self._rows_writers[w].finish(), self._unit_writers[w].finish(),
+                self.partitioning.n_units, self.arena, f"{self.side}-grouped-w{w}",
+            )
             for w in map(int, self.active)
         }
 
@@ -299,9 +330,9 @@ def stream_worker_tasks(
     :func:`build_worker_tasks`: each side is read in bounded float chunks
     (``source.iter_chunks``), routed, and appended straight to per-worker
     spill files in ``arena`` — no O(n) routing state ever lives on the
-    heap.  Task ``rows`` / ``units`` come back as read-only memory maps
-    over those files, in chunk order rather than grouped by unit; the
-    backend groups them before joining.
+    heap.  Task ``rows`` / ``units`` come back as memory maps over those
+    files, grouped by unit (:func:`_group_spilled` regroups a worker whose
+    copies chunking interleaved across its units).
 
     Returns ``(tasks, s_counts, t_counts, None)`` where the counts are the
     per-worker deduplicated input accounting of paper Definition 1.

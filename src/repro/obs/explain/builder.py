@@ -9,8 +9,10 @@ row sample of both relations through it to estimate per-worker input; an
 inline join builds no plan and is estimated as one worker holding
 everything.  Either way it splits the sampled output estimate across
 workers by their candidate share, prices the expected kernel chunking
-against the byte budget, and reports the local kernel beside the sampled
-per-dimension window fractions.  No engine dispatch runs.
+against the byte budget (at least one chunk per unit with sampled rows on
+both sides: each unit is a kernel call of its own), and reports the local
+kernel beside the sampled per-dimension window fractions.  No engine
+dispatch runs.
 
 EXPLAIN ANALYZE additionally executes the query (through whatever callable
 the caller supplies — the service routes it through the scheduler so
@@ -92,6 +94,16 @@ def _worker_counts(plan, matrix: np.ndarray, side: str, scale: float) -> np.ndar
     return counts * scale
 
 
+def _unit_calls(plan, s_sample: np.ndarray, t_sample: np.ndarray) -> np.ndarray:
+    """Count, per worker, the units that received sampled rows of both sides:
+    each is a kernel call of its own, so at least one chunk."""
+    both = np.ones(plan.n_units, dtype=bool)
+    for sample, side in ((s_sample, "S"), (t_sample, "T")):
+        _, units = plan.route(sample, side)
+        both &= np.bincount(units, minlength=plan.n_units) > 0
+    return np.bincount(plan.unit_workers()[both], minlength=plan.workers)
+
+
 def build_report(
     prepared,
     epsilons=None,
@@ -134,9 +146,11 @@ def build_report(
     if plan is None:  # one inline task holds both relations
         s_counts = np.array([s_sample.shape[0] * s_scale])
         t_counts = np.array([t_sample.shape[0] * t_scale])
+        unit_calls = np.ones(1, dtype=np.int64)
     else:
         s_counts = _worker_counts(plan, s_sample, "S", s_scale)
         t_counts = _worker_counts(plan, t_sample, "T", t_scale)
+        unit_calls = _unit_calls(plan, s_sample, t_sample)
     n_workers = s_counts.size
     fractions = window_fractions(s_sample, t_sample, condition)
     best_fraction = float(fractions.min()) if fractions.size else 0.0
@@ -227,7 +241,9 @@ def build_report(
                 input=float(s_counts[w] + t_counts[w]),
                 output=float(est_outputs[w]),
                 candidates=candidates,
-                kernel_chunks=float(math.ceil(candidates / chunk_capacity))
+                kernel_chunks=float(
+                    max(math.ceil(candidates / chunk_capacity), unit_calls[w])
+                )
                 if candidates > 0
                 else 0.0,
             )

@@ -9,6 +9,8 @@ soon as data, condition, budget or method change.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -564,9 +566,10 @@ class TestUnitsNeverMeet:
         result = engine.execute(s, t, condition, partitioning, materialize=True, verify="pairs")
         assert result.total_output == 1522
 
-    def test_streamed_labels_out_of_order(self, tmp_path):
-        """Chunks smaller than a unit: a streamed task's copies arrive
-        interleaved across its units and must be regrouped before joining."""
+    def test_streamed_tasks_regrouped_by_unit(self, tmp_path):
+        """Chunks smaller than a unit interleave a streamed worker's copies
+        across its units; the streamer regroups them on disk, so every
+        streamed task equals its in-memory counterpart copy for copy."""
         from repro.engine.routing import stream_worker_tasks
         from repro.engine.sources import StoreMatrixSource
 
@@ -574,9 +577,14 @@ class TestUnitsNeverMeet:
         partitioning = RecPartPartitioner().partition(
             s, t, condition, 4, rng=np.random.default_rng(0)
         )
+        assert partitioning.n_units > partitioning.workers
+        in_memory = build_worker_tasks(
+            partitioning,
+            route_side(partitioning, s.join_matrix(condition.attributes), "S"),
+            route_side(partitioning, t.join_matrix(condition.attributes), "T"),
+        )
         s, t = s.spill(str(tmp_path / "s")), t.spill(str(tmp_path / "t"))
         chunk_bytes = 8 * 64
-        assert partitioning.n_units > partitioning.workers
         with SpillArena.scratch(str(tmp_path / "scratch")) as arena:
             tasks, *_ = stream_worker_tasks(
                 partitioning,
@@ -584,7 +592,44 @@ class TestUnitsNeverMeet:
                 StoreMatrixSource.from_relation(t, condition.attributes),
                 condition, arena, chunk_bytes,
             )
-            assert any(np.any(np.diff(task.s_units) < 0) for task in tasks)
+            spilled = [os.path.basename(getattr(task.s_units, "filename", "")) for task in tasks]
+            assert any(name.startswith("S-grouped") for name in spilled), (
+                "no streamed task arrived interleaved across its units"
+            )
+            assert len(tasks) == len(in_memory)
+            for task, reference in zip(tasks, in_memory):
+                for name in ("s_rows", "s_units", "t_rows", "t_units"):
+                    np.testing.assert_array_equal(
+                        getattr(task, name), getattr(reference, name)
+                    )
         engine = ParallelJoinEngine(backend="serial", chunk_bytes=chunk_bytes)
         result = engine.execute(s, t, condition, partitioning, materialize=True, verify="pairs")
         assert result.total_output == 1522
+
+    def test_regroup_keeps_labels_off_the_heap(self, tmp_path):
+        """Regrouping a spilled side allocates a few label blocks on the
+        heap, never the side: an argsort with gathered copies would take
+        at least three times its size."""
+        import tracemalloc
+
+        from repro.engine.routing import LABEL_BLOCK, _group_spilled
+
+        n, n_units = 1 << 20, 24
+        rng = np.random.default_rng(3)
+        with SpillArena.scratch(str(tmp_path / "scratch")) as arena:
+            units = arena.empty(np.int64, n, prefix="units")
+            rows = arena.empty(np.int64, n, prefix="rows")
+            units[:] = rng.integers(0, n_units, n)
+            rows[:] = np.arange(n)
+            expected = np.argsort(np.asarray(units), kind="stable")
+            tracemalloc.start()
+            try:
+                grouped_rows, grouped_units = _group_spilled(
+                    rows, units, n_units, arena, "test"
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(grouped_rows, expected)
+            np.testing.assert_array_equal(grouped_units, np.sort(units))
+        assert peak < 8 * 8 * LABEL_BLOCK < n * 8, peak

@@ -313,6 +313,27 @@ class TestExplain:
             for w in workers:
                 assert w["kernel_chunks"] == math.ceil(w["candidates"] / capacity)
 
+    def test_kernel_chunks_count_one_call_per_unit(self, rng):
+        """The engine runs one kernel call per unit, so a worker owning many
+        small units emits a chunk for each even when all its candidates fit
+        in one chunk: Grid-eps here makes ~100 units under 8 workers."""
+        from repro.baselines.grid import GridEpsilonPartitioner
+
+        with planned_service() as service:
+            service.register("S", {"A1": rng.uniform(0, 1, 4000)})
+            service.register("T", {"A1": rng.uniform(0, 1, 4000)})
+            service.prepare(
+                "q", "S", "T", attributes=["A1"], epsilons=0.01,
+                partitioner=GridEpsilonPartitioner(),
+            )
+            prepared = service.prepared("q")
+            prepared.prices.seconds_per_load = 1.0  # a free plan: the query plans
+            prepared.prices.plan_seconds[prepared.price_key] = 0.0
+            report = service.explain("q", analyze=True)
+            kernel_node = next(c for c in report.root.children if c.name == "kernels")
+            assert kernel_node.actuals["chunks"] > 4 * report.root.attrs["workers"]
+            assert kernel_node.qerrors()["chunks"] < 1.5
+
     def test_per_worker_nodes_carry_estimates_and_actuals(self, rng):
         with planned_service() as service:
             register_pair(service, rng)
