@@ -141,20 +141,14 @@ def _gather_task_side(source, rows: np.ndarray, arena) -> np.ndarray:
     return mat
 
 
-def _unit_starts(units: np.ndarray) -> np.ndarray:
-    """Return where each unit's copies start in one side's grouped labels,
-    read block by block (a streamed side's labels are a memory map)."""
-    starts = [
-        np.flatnonzero(np.diff(units[lo:hi], prepend=units[lo - 1] if lo else -1)) + lo
-        for lo, hi in block_spans(units.size, LABEL_BLOCK)
-    ]
-    return np.concatenate(starts)
-
-
 def _unit_spans(s_units: np.ndarray, t_units: np.ndarray):
     """Yield ``(s_lo, s_hi, t_lo, t_hi)`` of every unit with rows on both
-    (grouped) sides."""
-    s_starts = _unit_starts(s_units)
+    (grouped) sides.  S labels are read block by block: a streamed side's
+    labels are a memory map."""
+    s_starts = np.concatenate([
+        np.flatnonzero(np.diff(s_units[lo:hi], prepend=s_units[lo - 1] if lo else -1)) + lo
+        for lo, hi in block_spans(s_units.size, LABEL_BLOCK)
+    ])
     units = s_units[s_starts]
     s_stops = np.append(s_starts[1:], s_units.size)
     t_starts = np.searchsorted(t_units, units, "left")
