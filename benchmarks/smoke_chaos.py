@@ -2,18 +2,22 @@
 
 Captures a mixed served workload fault-free, then replays the spooled log
 into a fresh service with deterministic fault injection turned on
-(``worker_crash:0.1,task_slow:0.05`` — one worker death per ten tasks and
-one straggler per twenty).  The acceptance bar:
+(``worker_crash:0.1,task_slow:0.05`` — one worker death per ten pool tasks
+and one straggler per twenty tasks).  A served query joins inline on its
+calling thread, where only stragglers reach it, so an engine leg runs the
+crashes: a planned ``engine.execute`` on a thread pool under
+``worker_crash:0.1``.  The acceptance bar:
 
 * **100% of admitted queries succeed** under chaos — the replay report
   counts zero failures and zero overload rejections,
 * **every answer is bit-identical**: all replayed fingerprints match the
-  fault-free capture (crash recovery may cost retries and fallbacks, never
-  pairs),
+  fault-free capture, and the engine leg's pairs equal a serial run of the
+  same plan (crash recovery may cost retries and fallbacks, never pairs),
 * injected **torn segment writes** on mmap storage are detected by
   checksum, retried into fresh directories, and still register — no
   silent corruption,
-* recovery work is *visible*: the retry/crash telemetry counters moved.
+* recovery work is *visible*: the engine leg moved the retry/crash
+  telemetry counters.
 
 Also measures p99 latency inflation (chaos vs fault-free) over the same
 direct query loop and writes ``BENCH_chaos.json`` with the success rate,
@@ -43,10 +47,15 @@ OUT_PATH = ROOT / "BENCH_chaos.json"
 ROWS = 3000
 EPSILONS = (0.005, 0.01, 0.02)
 FAULT_SPEC = "worker_crash:0.1,task_slow:0.05"
-# Fault keys are (backend, task, attempt), so a workload of identical plans
-# re-draws the same few keys; this seed is one where a 0.1-rate crash key
-# actually fires on the 4-task thread plans this smoke produces.
-FAULT_SEED = 29
+# Fault keys are deterministic: a served query's inline task always draws
+# the same ``task_slow`` key, so only its kernel chunks draw fresh ones.
+# Seed 0 is the first from 0 up where one of the replay's 13 ``task_slow``
+# points fires (a third of seeds do); at 0.1 on the engine leg's tasks a
+# crash fires under almost any seed.
+FAULT_SEED = 0
+#: Tasks of the engine leg's plan: fault keys are (backend, task, attempt),
+#: so at a 0.1 crash rate this many tasks make a crash all but certain.
+ENGINE_WORKERS = 32
 LATENCY_QUERIES = 24
 
 
@@ -134,6 +143,42 @@ def latency_p99(inject: str | None) -> float:
         return service.stats()["scheduler"]["latency"]["p99"]
 
 
+def engine_leg() -> tuple[int, dict[str, float]]:
+    """Execute one RecPart plan on a thread pool under ``worker_crash:0.1``;
+    its pairs must equal a serial run of the same plan.  Returns the pair
+    count and the recovery counters it moved."""
+    import numpy as np
+
+    from repro import faults
+    from repro.core.recpart import RecPartPartitioner
+    from repro.data.generators import pareto_relation
+    from repro.engine import ParallelJoinEngine
+    from repro.geometry.band import BandCondition
+    from repro.local_join.base import canonical_pair_order
+
+    s = pareto_relation("S", ROWS, dimensions=2, z=1.5, seed=1)
+    t = pareto_relation("T", ROWS, dimensions=2, z=1.5, seed=2)
+    condition = BandCondition.symmetric(["A1", "A2"], 0.01)
+    plan = RecPartPartitioner().partition(s, t, condition, workers=ENGINE_WORKERS)
+    expected = ParallelJoinEngine(backend="serial").execute(
+        s, t, condition, plan, materialize=True
+    )
+    before = recovery_totals()
+    faults.install(faults.FaultInjector({"worker_crash": 0.1}, seed=FAULT_SEED))
+    try:
+        result = ParallelJoinEngine(backend="threads").execute(
+            s, t, condition, plan, materialize=True
+        )
+    finally:
+        faults.uninstall()
+    after = recovery_totals()
+    check(
+        np.array_equal(canonical_pair_order(result.pairs), canonical_pair_order(expected.pairs)),
+        "engine leg: pairs under worker crashes differ from the serial run",
+    )
+    return result.pairs.shape[0], {name: after[name] - before[name] for name in after}
+
+
 def torn_storage_leg() -> int:
     """Register on mmap storage with every spill torn; must still succeed."""
     import numpy as np
@@ -185,10 +230,14 @@ def main() -> int:
     check(report.fault_stats is not None and report.fault_stats["fired"],
           f"fault injector never fired: {report.fault_stats}")
 
-    recovery = {name: after[name] - before[name] for name in after}
+    replay_recovery = {name: after[name] - before[name] for name in after}
+    print(f"served replay under {FAULT_SPEC!r}: {report.fault_stats}")
+
+    engine_pairs, recovery = engine_leg()
     retries = recovery["repro_task_retries_total"]
     check(retries > 0, "no task retries recorded — chaos exercised nothing")
-    print(f"recovery under {FAULT_SPEC!r}: "
+    print(f"engine leg under 'worker_crash:0.1' ({ENGINE_WORKERS} tasks, "
+          f"{engine_pairs:,} pairs, identical to serial): "
           f"{retries:.0f} task retries, "
           f"{recovery['repro_worker_crashes_total']:.0f} worker crashes, "
           f"{recovery['repro_backend_fallbacks_total']:.0f} backend fallbacks")
@@ -214,6 +263,8 @@ def main() -> int:
         "mismatches": len(report.mismatches),
         "rejected": report.rejected,
         "fault_stats": report.fault_stats,
+        "replay_recovery_counters": replay_recovery,
+        "engine_leg_pairs": engine_pairs,
         "recovery_counters": recovery,
         "torn_segment_recoveries": torn_recoveries,
         "p99_seconds_baseline": baseline_p99,

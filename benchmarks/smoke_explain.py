@@ -2,12 +2,16 @@
 
 Drives the whole introspection surface in-process:
 
-* EXPLAIN without execution — the plan tree carries the cold decision's
-  ``inline`` node, partitioning and per-worker estimates, plan-cache
-  provenance, and the local kernel with its sampled per-dimension window
-  fractions, and the prepared query's execution counter stays untouched,
+* EXPLAIN without execution — the plan tree carries the ``inline`` node of
+  the one task a cold query runs and the local kernel with its sampled
+  per-dimension window fractions, no partitioning node (serving never
+  plans, so the plan cache stays empty), and the prepared query's
+  execution counter stays untouched,
 * EXPLAIN ANALYZE — every estimate node gains actuals with finite
-  q-errors and the analyzed root pair count equals the executed result,
+  q-errors and the analyzed root pair count equals the executed result;
+  the first executed query measured κ, so the next cold query's
+  ``inline`` node carries κ·L as its seconds estimate beside the measured
+  seconds,
 * hot-path cost — the estimate-accuracy tracker is toggled on every other
   cached-path request and the interleaved medians must agree within a
   1% budget.
@@ -106,36 +110,43 @@ def main() -> int:
               "plain EXPLAIN must not carry an execution path")
         check(prepared.stats.executions == 0, "EXPLAIN executed the query")
         children = {c["name"] for c in plain["plan"]["children"]}
-        for expected in ("inline", "partitioning", "selector"):
+        for expected in ("inline", "selector"):
             check(expected in children, f"plan tree lost its {expected} node")
-        partitioning = next(
-            c for c in plain["plan"]["children"] if c["name"] == "partitioning"
-        )
-        check(partitioning["attrs"]["plan_cached"] is False,
-              "first EXPLAIN reported a cached plan")
-        check(any(c["name"].startswith("worker") for c in partitioning["children"]),
-              "partitioning node lost its per-worker estimates")
+        check("partitioning" not in children, "served EXPLAIN has a partitioning node")
         selector = next(c for c in plain["plan"]["children"] if c["name"] == "selector")
         check(selector["attrs"].get("algorithm") == IntervalJoin.name,
               "selector node lost its kernel name")
         check(len(selector["attrs"].get("window_fractions", ())) == DIMENSIONS,
               "selector node lost its per-dimension window fractions")
-        check(service.explain("bench").to_dict()["plan"]["children"][0]["attrs"][
-            "plan_cached"] is True, "second EXPLAIN missed the plan cache")
 
         # ---- EXPLAIN ANALYZE: actuals and q-errors --------------------- #
-        analyzed = service.explain("bench", analyze=True)
-        exact = service.query("bench").n_pairs
-        check(analyzed.root.actuals["pairs"] == float(exact),
-              "analyzed pair count does not match the executed result")
-        worst = analyzed.max_qerror()
-        check(worst is not None and math.isfinite(worst),
-              f"analyzed q-error not finite: {worst}")
+        # The first analyzed run is the first cold query and measures κ; the
+        # second, of a new epsilon, is priced at κ·L before it runs.
+        first = service.explain("bench", analyze=True)
+        kappa_l = service.prices.seconds(
+            service.engine.weights, 2 * ROWS, prepared.sampled_estimate(EPSILONS[1])
+        )
+        analyzed = service.explain("bench", EPSILONS[1], analyze=True)
+        for report, eps in ((first, EPSILONS[0]), (analyzed, EPSILONS[1])):
+            check(report.path == "cold", f"analyzed run at {eps} took path {report.path}")
+            exact = service.query("bench", eps).n_pairs
+            check(report.root.actuals["pairs"] == float(exact),
+                  "analyzed pair count does not match the executed result")
+            worst = report.max_qerror()
+            check(worst is not None and math.isfinite(worst),
+                  f"analyzed q-error not finite: {worst}")
+        inline = next(c for c in analyzed.root.children if c.name == "inline")
+        check(kappa_l is not None and math.isclose(inline.estimates.get("seconds", -1), kappa_l),
+              f"inline node's seconds {inline.estimates.get('seconds')} is not κ·L {kappa_l}")
+        check("seconds" in inline.qerrors(), "inline node lost its measured seconds")
         rendered = analyzed.render()
         check("(actual" in rendered and "q=" in rendered,
               "rendered tree lost its actual/q-error annotations")
         check("repro_estimate_qerror" in service.prometheus(),
               "repro_estimate_qerror missing from the Prometheus exposition")
+        check(len(service.engine.plan_cache) == 0
+              and service.engine.plan_cache.stats.lookups == 0,
+              "the served EXPLAIN and queries consulted the plan cache")
         print(rendered)
 
         SAMPLE_PATH.write_text(json.dumps(

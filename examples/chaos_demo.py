@@ -1,10 +1,14 @@
-"""Fault-tolerance walkthrough: a served workload under 10% worker crashes.
+"""Fault-tolerance walkthrough: a served workload and a planned join under
+10% worker crashes.
 
 Runs the same prepared band-join workload twice — once fault-free, once
 with deterministic chaos injected (``worker_crash:0.1,task_slow:0.05``:
-one worker death per ten tasks, one straggler per twenty) — and shows
-that the answers are bit-identical while the recovery telemetry records
-the crashes, retries and latency tax.  Then demonstrates the two other
+one worker death per ten pool tasks, one straggler per twenty tasks) — and
+shows that the answers are bit-identical.  A served query joins inline on
+its calling thread, so only stragglers reach it; the worker crashes hit a
+planned join on the engine's thread pool, whose pairs stay identical while
+the recovery telemetry records the crashes and retries.  Then demonstrates
+the two other
 robustness surfaces: torn segment writes on mmap storage (detected by
 checksum, retried, never served), and overload degradation (a saturated
 scheduler answering from a version-stale cached result, explicitly
@@ -26,10 +30,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro import faults  # noqa: E402
 from repro.config import ServiceConfig  # noqa: E402
+from repro.core.recpart import RecPartPartitioner  # noqa: E402
 from repro.data.generators import correlated_pair  # noqa: E402
-from repro.engine import backends  # noqa: E402
+from repro.engine import ParallelJoinEngine, backends  # noqa: E402
+from repro.geometry.band import BandCondition  # noqa: E402
 from repro.local_join.base import canonical_pair_order  # noqa: E402
+from repro.obs import registry  # noqa: E402
 from repro.service import BandJoinService  # noqa: E402
 
 FAULT_SPEC = "worker_crash:0.1,task_slow:0.05"
@@ -79,6 +87,28 @@ def main() -> int:
     print(f"   p99 latency: {clean_stats['latency']['p99'] * 1e3:.1f} ms fault-free "
           f"-> {chaos_stats['latency']['p99'] * 1e3:.1f} ms under chaos "
           "(recovery costs time, never answers)")
+
+    print("\n   a planned join on the engine's thread pool meets the worker crashes:")
+    s, t = correlated_pair(ROWS, ROWS, dimensions=2, z=1.5, seed=7)
+    condition = BandCondition.symmetric(["A1", "A2"], 0.01)
+    plan = RecPartPartitioner().partition(s, t, condition, workers=32)
+    clean = ParallelJoinEngine(backend="threads").execute(s, t, condition, plan, materialize=True)
+    retries = registry().counter("repro_task_retries_total")
+    before = sum(count for _, count in retries.items())
+    faults.install(faults.FaultInjector(faults.parse_fault_spec(FAULT_SPEC), seed=FAULT_SEED))
+    try:
+        chaotic = ParallelJoinEngine(backend="threads").execute(
+            s, t, condition, plan, materialize=True
+        )
+    finally:
+        faults.uninstall()
+    identical = np.array_equal(
+        canonical_pair_order(chaotic.pairs), canonical_pair_order(clean.pairs)
+    )
+    print(f"   {len(chaotic.pairs):,} pairs over 32 tasks, "
+          f"{'IDENTICAL to fault-free' if identical else 'DIVERGED (bug!)'}, "
+          f"{sum(count for _, count in retries.items()) - before:.0f} task retries")
+    assert identical
 
     print("\n3. torn segment writes on mmap storage (every spill torn once):")
     rng = np.random.default_rng(5)

@@ -3,18 +3,18 @@
 Runs a served band join and prints the introspection surfaces in the order
 an operator would reach for them:
 
-1. **EXPLAIN** — the plan the service *would* run: chosen partitioning with
-   per-worker input/output estimates, and the local kernel with its
-   sampled per-dimension window fractions.  Nothing executes.
+1. **EXPLAIN** — what the service *would* run: the one inline task a cold
+   query joins its bases with (input, output, candidate and kernel-chunk
+   estimates), and the local kernel with its sampled per-dimension window
+   fractions.  Nothing executes and nothing is planned.
 2. **EXPLAIN ANALYZE** — the same tree after one real execution, every
    estimate annotated with its actual and q-error.
-3. **Drift** — a batch of appends grows the S side by 30%; the sampled
-   estimate tracks the new size, but the *partitioning* was optimized over
-   the original base rows, so its per-worker q-errors visibly drift.
-4. **Prices** — a cold query measures the kernel rate κ and the plan's
-   cost P, so the ``inline`` node of a new epsilon prices one inline
-   kernel call (κ·L) against a plan (κ·L/p + P) in seconds; the cheaper
-   one is what the cold path runs.
+3. **Appends** — a batch of appends grows the S side by 30%; the next
+   answer extends the cached one, so the tree reports a ``delta_join`` of
+   the appended rows and no base join.
+4. **Prices** — the cold query measured the kernel rate κ, so the
+   ``inline`` node of a new epsilon carries κ·L in seconds, and EXPLAIN
+   ANALYZE of that epsilon sets the measured seconds beside it.
 
 Run with::
 
@@ -34,13 +34,8 @@ from repro.data.generators import correlated_pair, pareto_relation  # noqa: E402
 from repro.service import BandJoinService  # noqa: E402
 
 
-def worker_qerrors(report) -> list[float]:
-    plan = next(c for c in report.root.children if c.name == "partitioning")
-    return [
-        round(node.qerrors().get("input", 1.0), 3)
-        for node in plan.children
-        if node.name.startswith("worker")
-    ]
+def node(report, name: str):
+    return next(c for c in report.root.children if c.name == name)
 
 
 def main() -> int:
@@ -49,7 +44,7 @@ def main() -> int:
 
     config = ServiceConfig(
         backend="threads",
-        staleness_threshold=math.inf,  # keep appends un-compacted for the drift demo
+        staleness_threshold=math.inf,  # keep appends un-compacted for the delta demo
     )
     with BandJoinService(config) as service:
         service.register("S", s)
@@ -62,33 +57,28 @@ def main() -> int:
         print("\n=== 2. EXPLAIN ANALYZE (executes once, grafts actuals) ===")
         analyzed = service.explain("near", analyze=True)
         print(analyzed.render())
-        print(f"\nper-worker input q-errors: {worker_qerrors(analyzed)}")
 
-        print("\n=== 3. estimate drift after appends ===")
-        # Grow S by 30% in three deltas.  The partitioning plan was optimized
-        # over the *base* rows, so the routed per-worker estimates and the
-        # optimizer's own projections drift away from the measured actuals.
+        print("\n=== 3. appends: a delta answer ===")
+        # Grow S by 30% in three deltas.  The cached answer is the anchor:
+        # only the appended rows are joined, and no base join runs.
         for seed in (101, 102, 103):
             service.append(
                 "S", pareto_relation("S", rows // 10, dimensions=2, z=1.5, seed=seed)
             )
-        drifted = service.explain("near", analyze=True)
-        print(drifted.render())
-        print(f"\nper-worker input q-errors after append: {worker_qerrors(drifted)}")
-        print(f"max q-error before {analyzed.max_qerror():.2f} "
-              f"vs after {drifted.max_qerror():.2f}")
+        extended = service.explain("near", analyze=True)
+        print(extended.render())
+        delta = node(extended, "delta_join")
+        print(f"\npath={extended.path}: {delta.actuals['input']:,.0f} rows joined "
+              f"for {delta.actuals['output']:,.0f} new pairs")
 
-        print("\n=== 4. the cold decision's prices ===")
-        # The plans so far were built by EXPLAIN, which measures nothing; a
-        # cold query of a new epsilon measures κ and P.
-        service.query("near", epsilons=0.0125)
-        priced = service.explain("near", epsilons=0.0175)
-        inline = next(c for c in priced.root.children if c.name == "inline")
-        plan_seconds = inline.attrs.get("plan_seconds")
-        print(f"one inline call {inline.estimates['seconds'] * 1e3:.2f} ms vs a plan "
-              + ("(not priced yet)" if plan_seconds is None else f"{plan_seconds * 1e3:.2f} ms")
-              + f" at p={inline.attrs['parallelism']} -> "
-              + ("inline" if inline.attrs["chosen"] else "plan"))
+        print("\n=== 4. the inline join's price ===")
+        # The first cold query measured κ; a new epsilon is priced at κ·L.
+        priced = service.explain("near", epsilons=0.0175, analyze=True)
+        inline = node(priced, "inline")
+        print(f"κ·L {inline.estimates['seconds'] * 1e3:.2f} ms vs measured "
+              f"{inline.actuals['seconds'] * 1e3:.2f} ms "
+              f"(q={inline.qerrors()['seconds']:.2f})")
+        print(f"plans built: {len(service.engine.plan_cache)}")
     return 0
 
 

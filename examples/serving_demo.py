@@ -2,8 +2,8 @@
 
 Builds a :class:`repro.service.BandJoinService`, registers a slowly
 changing relation pair, and shows every execution path a served query can
-take — cold, plan-cached, result-cached, delta (after an append, also
-across a compaction) — plus a concurrent burst through the scheduler with
+take — cold (one inline join, never a plan), result-cached, delta (after an
+append, also across a compaction) — plus a concurrent burst through the scheduler with
 single-flight deduplication, checking that every burst answer equals the
 answer its epsilon gets on its own.
 
@@ -40,7 +40,7 @@ def main() -> int:
 
     config = ServiceConfig(
         backend="threads",
-        staleness_threshold=0.2,  # re-partition once deltas reach 20% of the base
+        staleness_threshold=0.2,  # compact once deltas reach 20% of the base
         compaction="sync",        # deterministic for the demo; "background" in prod
     )
     with BandJoinService(config) as service:
@@ -51,8 +51,8 @@ def main() -> int:
         print("2. prepare a parameterized band join on (A1, A2)")
         service.prepare("near", "S", "T", attributes=["A1", "A2"], epsilons=0.01)
 
-        print("3. the four serving paths:")
-        show("first query (optimize + join)", service.query("near"))
+        print("3. the three serving paths:")
+        show("first query (inline join)", service.query("near"))
         show("repeat (materialized result)", service.query("near"))
 
         print("   ... append 1% fresh rows to S ...")
@@ -89,7 +89,7 @@ def main() -> int:
         assert snapshot.delta is None  # sync compaction ran inside the append
         print(
             f"  S compacted: base={len(snapshot.base):,} rows, "
-            f"base_version={snapshot.base_version} (rows kept in place, nothing re-planned)"
+            f"base_version={snapshot.base_version} (rows kept in place)"
         )
         after = service.query("near")
         show("after compaction (delta join)", after)

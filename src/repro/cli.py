@@ -109,7 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="threads",
         help="execution backend of the underlying engine (default: threads)",
     )
-    serve.add_argument("--workers", type=int, default=None, help="partition workers per query")
+    serve.add_argument(
+        "--workers", type=int, default=None,
+        help="worker budget prepared queries are recorded with (served joins run inline)",
+    )
     serve.add_argument(
         "--storage",
         choices=STORAGE_BACKENDS,

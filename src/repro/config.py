@@ -69,9 +69,6 @@ DEFAULT_ENGINE_BACKEND: str = "serial"
 #: concurrently running kernels do not over-allocate in aggregate.
 DEFAULT_KERNEL_MEMORY_BUDGET: int = 256 * 1024 * 1024
 
-#: Default maximum number of cached partitioning plans.
-DEFAULT_PLAN_CACHE_SIZE: int = 32
-
 #: Default maximum number of materialized results cached per prepared query.
 DEFAULT_RESULT_CACHE_SIZE: int = 64
 
@@ -149,12 +146,12 @@ class ServiceConfig:
     Attributes
     ----------
     backend:
-        Execution backend of the underlying engine.
+        Execution backend of the underlying engine.  A served query runs
+        inline on its calling thread whatever the backend.
     workers:
-        Default partition-worker budget of served queries.
-    plan_cache_size / result_cache_size:
-        Capacity of the shared plan cache and of each prepared query's
-        materialized-result cache.
+        Default partition-worker budget prepared queries are recorded with.
+    result_cache_size:
+        Capacity of each prepared query's materialized-result cache.
     staleness_threshold:
         Delta-to-base row fraction past which a relation is compacted
         (deltas merged into the base); ``math.inf`` never compacts.
@@ -226,7 +223,6 @@ class ServiceConfig:
 
     backend: str = "threads"
     workers: int = DEFAULT_WORKERS
-    plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE
     staleness_threshold: float = DEFAULT_STALENESS_THRESHOLD
     compaction: str = "background"
@@ -257,8 +253,8 @@ class ServiceConfig:
             raise ValueError(f"backend must be one of {ENGINE_BACKENDS}, got {self.backend!r}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
-        if self.plan_cache_size < 1 or self.result_cache_size < 1:
-            raise ValueError("cache sizes must be at least 1")
+        if self.result_cache_size < 1:
+            raise ValueError("result_cache_size must be at least 1")
         if self.staleness_threshold <= 0:
             raise ValueError("staleness_threshold must be positive")
         if self.compaction not in ("background", "sync"):

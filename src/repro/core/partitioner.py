@@ -144,22 +144,6 @@ class JoinPartitioning(abc.ABC):
     # ------------------------------------------------------------------ #
     # Convenience helpers shared by all partitionings
     # ------------------------------------------------------------------ #
-    def route_to_workers(self, values: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
-        """Route rows directly to workers (deduplicated per worker).
-
-        Returns parallel ``(row_indices, worker_ids)`` arrays where each
-        (row, worker) combination appears at most once, which is what the
-        shuffle-size accounting needs.
-        """
-        rows, units = self.route(values, side)
-        owners = self.unit_workers()
-        workers = owners[units]
-        if rows.size == 0:
-            return rows, workers
-        combined = rows.astype(np.int64) * self.workers + workers.astype(np.int64)
-        unique = np.unique(combined)
-        return unique // self.workers, unique % self.workers
-
     def replication_counts(self, values: np.ndarray, side: str) -> np.ndarray:
         """Return, per input row, the number of units that receive it."""
         rows, _ = self.route(values, side)

@@ -1,15 +1,15 @@
 """EXPLAIN / EXPLAIN ANALYZE: plan introspection with estimate accounting.
 
-The package answers *why the planner chose this plan and how wrong its
-estimates were*:
+The package answers *what a query's join is expected to cost and how wrong
+those estimates were*:
 
 * :func:`build_report` builds a :class:`QueryPlanReport` for one prepared
-  query — the cold decision's prices, the chosen partitioning with
-  per-worker estimates, plan-cache provenance and the kernel selector's
-  decision; with ``analyze=True`` it executes and grafts measured actuals
-  plus per-node q-errors onto the same tree.
+  query — the inline join's κ·L price and input, output, candidate and
+  chunk estimates, and the kernel selector's decision; with
+  ``analyze=True`` it executes and grafts measured actuals plus per-node
+  q-errors onto the same tree.
 * :class:`EstimateAccuracyTracker` is the always-on live half: the q-error
-  of each answer's cold-decision estimate into the ``repro_estimate_qerror``
+  of each cold answer's sampled estimate into the ``repro_estimate_qerror``
   histogram and the ``estimate_qerror`` SLO window.
 """
 

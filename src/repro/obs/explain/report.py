@@ -1,9 +1,9 @@
 """Structured EXPLAIN / EXPLAIN ANALYZE plan reports.
 
 A :class:`QueryPlanReport` is a tree of :class:`PlanNode` objects, one per
-introspectable plan element (the join itself, the cold decision, the chosen
-partitioning, each partition worker, the kernel selector).  Every node carries
-two parallel dicts — ``estimates`` (what the planner believed) and
+introspectable plan element (the join itself, its inline task, the kernel
+selector).  Every node carries
+two parallel dicts — ``estimates`` (what was believed before execution) and
 ``actuals`` (what execution measured) — and derives a per-key **q-error**
 ``max(estimate/actual, actual/estimate)`` for every key present in both.
 Plain EXPLAIN leaves ``actuals`` empty; EXPLAIN ANALYZE grafts the measured

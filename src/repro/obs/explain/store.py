@@ -1,8 +1,8 @@
 """Live estimate-vs-actual accounting of executed queries.
 
 :class:`EstimateAccuracyTracker` is fed by the scheduler: an answer carries
-the sampled output estimate its cold decision priced it with (``None`` when
-no estimate decided it: delta and cache-served answers), and the tracker
+the sampled output estimate of its base join (``None`` when no base join
+ran for it: delta and cache-served answers), and the tracker
 compares each one carried with the answer's pair count in O(1).  It feeds
 the ``repro_estimate_qerror`` histogram and keeps a bounded window for the
 ``estimate_qerror`` SLO probe.

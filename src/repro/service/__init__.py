@@ -1,8 +1,7 @@
 """Online band-join serving layer.
 
-Turns the one-shot optimize-then-execute pipeline into a long-running
-service for slowly changing data, built on the engine subsystem's plan
-cache and backends:
+Turns the one-shot band join into a long-running service for slowly
+changing data, built on the engine subsystem's local join and tasks:
 
 * :mod:`repro.service.catalog` — named, versioned relations with
   incremental **delta appends**: appended rows accumulate next to the
@@ -26,7 +25,7 @@ Quickstart
 >>> service.register("S", {"A1": s_values})
 >>> service.register("T", {"A1": t_values})
 >>> service.prepare("near", "S", "T", attributes=["A1"], epsilons=0.01)
->>> service.query("near").path      # 'cold' — plans or joins inline, caches
+>>> service.query("near").path      # 'cold' — joins inline, caches
 >>> service.query("near").path      # 'result_cache'
 >>> service.append("T", {"A1": more_values})
 >>> service.query("near").path      # 'delta' — joins only the new rows
@@ -36,7 +35,6 @@ from repro.service.catalog import RelationCatalog, RelationSnapshot
 from repro.service.prepared import (
     PATH_COLD,
     PATH_DELTA,
-    PATH_PLAN_CACHE,
     PATH_RESULT_CACHE,
     PreparedQuery,
     PreparedQueryStats,
@@ -61,7 +59,6 @@ __all__ = [
     "handle_request",
     "serve_lines",
     "PATH_COLD",
-    "PATH_PLAN_CACHE",
     "PATH_DELTA",
     "PATH_RESULT_CACHE",
 ]

@@ -1,9 +1,8 @@
 """Named, versioned relation catalog with incremental delta appends.
 
 The catalog is the serving layer's data plane.  Every registered relation is
-held as a **base** (the part the optimizer has seen — plans and materialized
-base results key off its content) plus a **delta** tail of rows appended
-since the base was last (re-)partitioned.  An append therefore never touches
+held as a **base** (the part a cold query joins in full) plus a **delta**
+tail of rows appended since the base was last compacted.  An append therefore never touches
 the base: it concatenates onto the delta and bumps the content version,
 which is what invalidates the prepared queries' materialized results.
 
@@ -406,7 +405,7 @@ class RelationCatalog:
         """Append rows to a relation's delta and return the new snapshot.
 
         The appended rows are schema-checked against the base; the base
-        itself (and therefore every cached plan) is untouched.  When the
+        itself (and every memoized sort index of it) is untouched.  When the
         grown delta pushes the relation past the staleness threshold,
         ``on_stale(name)`` fires after the catalog lock is released.
         """

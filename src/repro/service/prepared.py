@@ -2,12 +2,18 @@
 
 A :class:`PreparedQuery` binds a catalog relation pair to a band-condition
 *template*: the join attributes are fixed at prepare time, the epsilon
-widths are parameters supplied per execution.  Execution resolves through
-the engine's :class:`~repro.engine.plan_cache.PlanCache` (so the expensive
-RecPart optimization runs at most once per (base contents, epsilon)
-combination, and only where a plan pays for itself) and through a per-query **result cache** of materialized pair sets keyed by
+widths are parameters supplied per execution.  Execution resolves through a
+per-query **result cache** of materialized pair sets keyed by
 ``(s version, t version, epsilons)`` — appending to either relation bumps
 its version, which invalidates every affected result automatically.
+
+The serving layer never plans.  A query without a cached anchor (first query
+of a registration, eviction) joins the two bases as one inline task on the
+calling thread: at served sizes one thread's kernel call costs less than
+optimizing and routing a partitioning, and a plan could only win once it
+was already cached, after its first query had paid more than inline to build
+it.  RecPart and the baselines run through
+:meth:`~repro.engine.engine.ParallelJoinEngine.join` on the batch path.
 
 The interesting path is the **delta join**.  Every cached result records
 its *lineage*: the registrations and the row counts ``(s_rows, t_rows)`` it
@@ -34,11 +40,10 @@ is copied O(log n) times over its lifetime).  Its content hash is the
 anchor's plus :func:`~repro.obs.workload.recorder.pair_hash` of the new
 pairs, so the workload capture's fingerprint costs O(delta) as well.  A
 delta query thus costs O(new rows + new output), not a pass over either
-relation or over the answer.  Without an anchor (first query of a
-registration, eviction) the base join runs through the plan cache and is
-extended the same way.  When a one-attribute base join runs inline it reads
-both bases through the same sorted indexes, so each base column is sorted
-once per registration, for the cold query and every delta probe after it.
+relation or over the answer.  The inline base join of a one-attribute query
+reads both bases through the same sorted indexes, so each base column is
+sorted once per registration, for the cold query and every delta probe
+after it.
 """
 
 from __future__ import annotations
@@ -49,17 +54,15 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.config import DEFAULT_RESULT_CACHE_SIZE, DEFAULT_WORKERS, MAX_WORKERS
-from repro.core.partitioner import JoinPartitioning
 from repro.distributed.stats import JobStats, WorkerStats, merge_job_stats
-from repro.engine import backends, deadline
+from repro.engine import deadline
 from repro.engine.backends import execute_task
 from repro.engine.engine import ParallelJoinEngine
-from repro.engine.plan_cache import plan_key
 from repro.engine.routing import WorkerTask
 from repro.engine.sources import StoreMatrixSource
 from repro.exceptions import ServiceError
@@ -70,7 +73,6 @@ from repro.obs.workload.recorder import format_fingerprint, pair_hash
 from repro.service.catalog import RelationCatalog, RelationSnapshot
 
 __all__ = [
-    "ColdDecision",
     "PriceList",
     "QueryResult",
     "PreparedQuery",
@@ -80,8 +82,7 @@ __all__ = [
 ]
 
 #: Execution paths a query can take, slowest to fastest.
-PATH_COLD = "cold"                  # full join: one inline call, or optimize + plan
-PATH_PLAN_CACHE = "plan_cache"      # cached plan + full join
+PATH_COLD = "cold"                  # full join of the bases, one inline call
 PATH_DELTA = "delta"                # cached result + joins of the new rows
 PATH_RESULT_CACHE = "result_cache"  # cached materialized result
 PATH_STALE = "stale"                # version-stale cached result (degraded mode)
@@ -108,8 +109,8 @@ class QueryResult:
     s_version: int
     t_version: int
     seconds: float
-    optimization_seconds: float = 0.0
-    #: The base join run for this answer (``None`` on the delta path).
+    #: The inline base join run for this answer, a one-worker job (``None``
+    #: on the delta path).
     base_job: JobStats | None = None
     #: The inline local join of the rows appended since (one worker).
     delta_job: JobStats | None = None
@@ -123,11 +124,8 @@ class QueryResult:
     #: :func:`~repro.obs.workload.recorder.pair_hash` of every pair (mod
     #: 2⁶⁴); a delta answer is built with its anchor's plus the new pairs'.
     pair_sum: int | None = None
-    #: The base join ran as one inline kernel call, not under a plan
-    #: (``base_job`` is then a one-worker job).
-    inline: bool = False
-    #: The sampled output estimate the cold decision priced this answer's
-    #: base join with; ``None`` when no estimate decided it (delta, cached).
+    #: The sampled output estimate of this answer's base join; ``None``
+    #: when no base join ran for it (delta, cached).
     estimated_pairs: float | None = None
 
     @property
@@ -170,7 +168,6 @@ class QueryResult:
             "s": {"name": self.s_name, "version": self.s_version},
             "t": {"name": self.t_name, "version": self.t_version},
             "seconds": self.seconds,
-            "optimization_seconds": self.optimization_seconds,
         }
         if self.stale:
             info["stale"] = True
@@ -187,23 +184,16 @@ class QueryResult:
 
 @dataclass
 class PriceList:
-    """The last measured prices a cold query is decided with.
+    """The measured kernel rate a cold query is priced with.
 
-    One list is shared by all prepared queries of a service.  It holds two
-    kinds of number, each simply the last measurement:
-
-    ``seconds_per_load`` (κ)
-        Σ local-join seconds ÷ Σ load (β_in·input + β_out·output, the
-        engine's :class:`~repro.config.LoadWeights`) over the tasks of the
-        last cold execution, inline or planned.  Delta joins are too small
-        to give a good rate and do not update it.
-    ``plan_seconds`` (P)
-        Optimization plus routing seconds of the last plan built per
-        ``(partitioner.plan_cache_key(), workers, d)``.
+    One list is shared by all prepared queries of a service.
+    ``seconds_per_load`` (κ) is Σ local-join seconds ÷ Σ load (β_in·input +
+    β_out·output, the engine's :class:`~repro.config.LoadWeights`) over the
+    last inline base join.  Delta joins are too small to give a good rate and
+    do not update it.  EXPLAIN prices a cold query's join at κ·L.
     """
 
     seconds_per_load: float | None = None
-    plan_seconds: dict = field(default_factory=dict)
 
     def record_rate(self, job: JobStats, weights) -> None:
         """Take κ from the tasks of one executed job (kept when it had no load)."""
@@ -211,25 +201,11 @@ class PriceList:
         if load > 0:
             self.seconds_per_load = job.total_local_seconds / load
 
-
-@dataclass(frozen=True)
-class ColdDecision:
-    """How the base join of a query without an anchor runs, and why.
-
-    ``plan`` is the cached plan when there is one, which always runs.
-    Otherwise the join goes ``inline`` (one kernel call on the calling
-    thread) when ``parallelism`` p is 1, or when the plan's price
-    κ·L/p + P is known and not below the inline price κ·L, where L is the
-    load of both bases and ``estimated_pairs``, the sampled output estimate.
-    The prices are ``None`` when a number they need was never measured.
-    """
-
-    inline: bool
-    parallelism: int
-    estimated_pairs: float
-    inline_seconds: float | None = None
-    plan_seconds: float | None = None
-    plan: JoinPartitioning | None = None
+    def seconds(self, weights, n_input: float, n_output: float) -> float | None:
+        """Return κ·L for a join of that input and output (``None`` before κ
+        was measured)."""
+        kappa = self.seconds_per_load
+        return None if kappa is None else kappa * weights.load(n_input, n_output)
 
 
 @dataclass
@@ -264,7 +240,6 @@ class PreparedQueryStats:
 
     executions: int = 0
     cold: int = 0
-    plan_cached: int = 0
     delta: int = 0
     result_cached: int = 0
 
@@ -273,8 +248,6 @@ class PreparedQueryStats:
         self.executions += 1
         if path == PATH_COLD:
             self.cold += 1
-        elif path == PATH_PLAN_CACHE:
-            self.plan_cached += 1
         elif path == PATH_DELTA:
             self.delta += 1
         elif path == PATH_RESULT_CACHE:
@@ -284,7 +257,6 @@ class PreparedQueryStats:
         return {
             "executions": self.executions,
             "cold": self.cold,
-            "plan_cached": self.plan_cached,
             "delta": self.delta,
             "result_cached": self.result_cached,
         }
@@ -296,8 +268,8 @@ class PreparedQuery:
     Parameters
     ----------
     catalog / engine:
-        The shared relation catalog and execution engine (the engine's plan
-        cache is the one amortizing optimization across queries).
+        The shared relation catalog and the engine whose local join, load
+        weights and kernel budget every inline join runs with.
     s_name / t_name:
         Catalog names of the S- and T-side relations.
     attributes:
@@ -305,14 +277,13 @@ class PreparedQuery:
     default_epsilons:
         Optional default band widths used when an execution passes none.
     workers:
-        Partition-worker budget of the optimized plans.
-    partitioner:
-        Optimizer used when a cold query plans (RecPart by default).
+        Partition-worker budget the query was prepared with (reported and
+        captured; every join of the query runs inline on one thread).
     result_cache_size:
         LRU capacity of the materialized-result cache.
     prices:
-        The :class:`PriceList` cold queries are decided with (a service
-        shares one across its prepared queries); a fresh one when ``None``.
+        The :class:`PriceList` cold queries measure κ into (a service shares
+        one across its prepared queries); a fresh one when ``None``.
     """
 
     def __init__(
@@ -324,7 +295,6 @@ class PreparedQuery:
         attributes: Sequence[str],
         default_epsilons=None,
         workers: int = DEFAULT_WORKERS,
-        partitioner=None,
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         prices: PriceList | None = None,
     ) -> None:
@@ -340,15 +310,7 @@ class PreparedQuery:
         self.t_name = t_name
         self.attributes = tuple(attributes)
         self.workers = int(workers)
-        if partitioner is None:
-            from repro.core.recpart import RecPartPartitioner
-
-            partitioner = RecPartPartitioner(weights=engine.weights)
-        self.partitioner = partitioner
         self.prices = prices if prices is not None else PriceList()
-        self._plan_config = partitioner.plan_cache_key()
-        #: Key of this query's plan price P in ``prices.plan_seconds``.
-        self.price_key = (self._plan_config, self.workers, len(self.attributes))
         self.result_cache_size = result_cache_size
         self.default_epsilons = (
             None if default_epsilons is None else self._normalize(default_epsilons)
@@ -357,7 +319,7 @@ class PreparedQuery:
         self.result_cache_stats = ResultCacheStats()
         #: Stable identity used by the scheduler for single-flight dedup:
         #: equal keys answer from the same caches.
-        self.key = (s_name, t_name, self.attributes, self.workers, partitioner.name)
+        self.key = (s_name, t_name, self.attributes, self.workers)
         #: Service-registered query name (set by BandJoinService.prepare);
         #: the workload capture records it as the replayable query identity.
         self.name: str | None = None
@@ -452,10 +414,8 @@ class PreparedQuery:
 
         In order of preference: the materialized-result cache, the delta
         path (the newest cached result on the current base lineage extended
-        by the rows appended since), and otherwise the base join under a
-        cached plan or, on a plan-cache miss, the cold path (one inline
-        kernel call or optimize-then-join, as :meth:`cold_decision`
-        prices them), extended by the appended rows.
+        by the rows appended since), and otherwise the cold path: the two
+        bases joined inline, extended by the appended rows.
         """
         start = time.perf_counter()
         s_snap, t_snap = self.snapshots()
@@ -478,14 +438,18 @@ class PreparedQuery:
 
         condition = self.condition(ekey)
         if anchor is not None:
-            path, optimization_seconds, base_job, decision = PATH_DELTA, 0.0, None, None
+            path, base_job, estimate = PATH_DELTA, None, None
             segments, total, (s_rows, t_rows) = (
                 anchor.segments, anchor.hash_sum(), anchor.lineage[2:]
             )
         else:
-            path, optimization_seconds, pairs, base_job, decision = self._base_join(
-                s_snap, t_snap, ekey, condition
-            )
+            # The estimate is what the accuracy tracker and EXPLAIN compare
+            # the answer with; κ is what EXPLAIN prices the next one with.
+            with tracer().span("estimate"):
+                estimate = self.sampled_estimate(ekey, snapshots=(s_snap, t_snap))
+            pairs, base_job = self._inline_base_join(s_snap, t_snap, condition)
+            self.prices.record_rate(base_job, self.engine.weights)
+            path = PATH_COLD
             segments, total = _chain((), pairs), pair_hash(pairs)
             s_rows, t_rows = len(s_snap.base), len(t_snap.base)
         chunks, delta_jobs = [], []
@@ -509,48 +473,15 @@ class PreparedQuery:
             s_version=s_snap.version,
             t_version=t_snap.version,
             seconds=time.perf_counter() - start,
-            optimization_seconds=optimization_seconds,
             base_job=base_job,
             delta_job=merge_job_stats(delta_jobs) if delta_jobs else None,
             lineage=(s_snap.registration, t_snap.registration, s_snap.rows, t_snap.rows),
             pair_sum=total,
-            inline=decision is not None and decision.inline,
-            estimated_pairs=None if decision is None else decision.estimated_pairs,
+            estimated_pairs=estimate,
         )
         self.store_result(ekey, result)
         self.stats.record(result.path)
         return result
-
-    def _base_join(self, s_snap, t_snap, ekey, condition) -> tuple:
-        """Join the two bases; returns ``(path, optimization seconds, pairs,
-        job, cold decision)``.  A cold execution leaves its measurements in
-        the prices: κ always, P when it built a plan."""
-        with tracer().span("decide", workers=self.workers) as span:
-            decision = self.cold_decision(ekey, (s_snap, t_snap))
-            span.set(inline=decision.inline, cached=decision.plan is not None)
-        s, t = s_snap.base, t_snap.base
-        weights = self.engine.weights
-        if decision.plan is not None:
-            base = self.engine.execute(s, t, condition, decision.plan, materialize=True)
-            self.prices.record_rate(base.job, weights)
-            return PATH_PLAN_CACHE, 0.0, base.pairs, base.job, decision
-        if decision.inline:
-            pairs, job = self._inline_base_join(s_snap, t_snap, condition)
-            self.prices.record_rate(job, weights)
-            return PATH_COLD, 0.0, pairs, job, decision
-        base = self.engine.join(
-            s, t, condition,
-            workers=self.workers, partitioner=self.partitioner, materialize=True,
-        )
-        self.prices.record_rate(base.job, weights)
-        if base.plan_from_cache:  # another thread built it meanwhile
-            return PATH_PLAN_CACHE, 0.0, base.pairs, base.job, decision
-        self.record_plan_seconds(base.optimization_seconds + base.routing_seconds)
-        return PATH_COLD, base.optimization_seconds, base.pairs, base.job, decision
-
-    def record_plan_seconds(self, seconds: float) -> None:
-        """Keep the seconds a new plan of this query took to build as its P."""
-        self.prices.plan_seconds[self.price_key] = seconds
 
     def _inline_base_join(self, s_snap, t_snap, condition) -> tuple[np.ndarray, JobStats]:
         """Join the two bases as one task on the calling thread.
@@ -581,42 +512,6 @@ class PreparedQuery:
             for side in sides:
                 if isinstance(side, StoreMatrixSource):
                     side.release()
-
-    def cold_decision(self, epsilons=None, snapshots=None) -> ColdDecision:
-        """Decide how the base join of one epsilon binding runs when no
-        cached result anchors it (see :class:`ColdDecision`).
-
-        ``p`` is ``min(workers, pool size)``, the pool size being the
-        backend's ``max_workers`` or else the CPUs available to the process.
-        A plan-cache lookup is counted only when it hits.
-        """
-        ekey = self.epsilon_key(epsilons)
-        snapshots = snapshots or self.snapshots()
-        s_snap, t_snap = snapshots
-        pool = getattr(self.engine.backend, "max_workers", None)
-        p = min(self.workers, pool or backends._default_parallelism())
-        estimate = self.sampled_estimate(ekey, snapshots=snapshots)
-        kappa = self.prices.seconds_per_load
-        inline_seconds = plan_seconds = None
-        if kappa is not None:
-            load = self.engine.weights.load(len(s_snap.base) + len(t_snap.base), estimate)
-            inline_seconds = kappa * load
-            known = self.prices.plan_seconds.get(self.price_key)
-            if known is not None:
-                plan_seconds = inline_seconds / p + known
-        prices = dict(
-            parallelism=p, estimated_pairs=estimate,
-            inline_seconds=inline_seconds, plan_seconds=plan_seconds,
-        )
-        if p == 1:
-            return ColdDecision(inline=True, **prices)
-        key = plan_key(
-            s_snap.base, t_snap.base, self.condition(ekey), self.workers,
-            self.partitioner.name, extra=(self._plan_config, ()),
-        )
-        plan = self.engine.plan_cache.get(key, count_miss=False)
-        inline = plan is None and plan_seconds is not None and inline_seconds <= plan_seconds
-        return ColdDecision(inline=inline, plan=plan, **prices)
 
     def _anchor(self, s_snap, t_snap, ekey) -> QueryResult | None:
         """Return the newest cached result the snapshots extend (lock held):
@@ -763,9 +658,9 @@ class PreparedQuery:
         """Return the purely sampled output-cardinality estimate.
 
         Unlike :meth:`estimate_pairs` this never consults the result cache —
-        it is what the *planner believed* before execution: the cold decision
-        prices with it, and EXPLAIN ANALYZE and the estimate-accuracy tracker
-        compare actuals against it (otherwise an analyzed run whose result
+        it is what was *believed* before execution: a cold answer carries it,
+        EXPLAIN prices with it, and EXPLAIN ANALYZE and the estimate-accuracy
+        tracker compare actuals against it (otherwise an analyzed run whose result
         was just stored would report a tautological q-error of 1.0).
 
         The probe (a band-selectivity estimate over evenly spaced row samples
@@ -813,7 +708,7 @@ class PreparedQuery:
     def explain(self, epsilons=None, analyze: bool = False, execute=None):
         """Return the :class:`~repro.obs.explain.report.QueryPlanReport`.
 
-        Plain EXPLAIN plans without executing; ``analyze=True`` executes
+        Plain EXPLAIN estimates without executing; ``analyze=True`` executes
         (through ``execute`` when given — the service passes a
         scheduler-routed closure so analyzed runs share admission control)
         and grafts measured actuals plus q-errors onto every estimate node.
@@ -897,7 +792,6 @@ class PreparedQuery:
             "t": self.t_name,
             "attributes": list(self.attributes),
             "workers": self.workers,
-            "partitioner": self.partitioner.name,
             "default_epsilons": (
                 None
                 if self.default_epsilons is None

@@ -27,8 +27,8 @@ fast at submit time instead of holding a slot with an enormous dispatch.
 Every request is timed (slot wait, execution, total) and counted per
 execution path; :meth:`SchedulerMetrics.snapshot` reports the counters plus
 latency percentiles over a sliding window.  Before an answer's future
-resolves, the executing thread also accounts the output estimate its cold
-decision priced it with against its pair count (an O(1) step).
+resolves, the executing thread also accounts the sampled output estimate a
+cold answer carries against its pair count (an O(1) step).
 """
 
 from __future__ import annotations
@@ -237,8 +237,8 @@ class QueryScheduler:
         rejected, failed) is captured as a structured workload event.
     calibration:
         Optional :class:`~repro.obs.explain.store.EstimateAccuracyTracker`;
-        when present, every answer that carries the estimate its cold
-        decision priced it with is accounted against its pair count on the
+        when present, every answer that carries the sampled estimate of its
+        base join is accounted against its pair count on the
         executing thread, before its future resolves (an O(1) step).
     """
 
@@ -639,7 +639,7 @@ class QueryScheduler:
             exec_seconds=exec_seconds,
         )
         self._record_completed(request, result, done)
-        # Only cold and plan-cache answers carry the estimate that decided them.
+        # Only cold answers carry the sampled estimate of their base join.
         if self.calibration is not None and result.estimated_pairs is not None:
             self.calibration.observe(
                 _query_name(prepared), result.estimated_pairs, result.n_pairs

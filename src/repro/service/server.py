@@ -34,7 +34,7 @@ answers ``{"ok": false, ..., "cause": "internal"}`` instead of ending the
 server.  Query requests are traced end to end: the server opens a
 ``request`` root span (with a ``parse`` child covering JSON decoding), so
 ``{"op": "trace"}`` returns the full parse → queue → execute →
-plan/route/kernel/merge tree of recent queries.
+estimate/local_join/kernel tree of recent queries.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 :class:`BandJoinService` wires the serving subsystem together: one
 :class:`~repro.service.catalog.RelationCatalog` (data plane), one
-:class:`~repro.engine.engine.ParallelJoinEngine` with a shared thread-safe
-plan cache (execution plane), a registry of named
+:class:`~repro.engine.engine.ParallelJoinEngine` whose local join every
+prepared query runs inline on its calling thread (execution plane; the
+service never plans), a registry of named
 :class:`~repro.service.prepared.PreparedQuery` objects, and one
 :class:`~repro.service.scheduler.QueryScheduler` (control plane) that all
 queries flow through — so even single-caller usage benefits from
@@ -25,7 +26,6 @@ import repro.obs as obs
 from repro import faults
 from repro.config import ServiceConfig
 from repro.engine.engine import ParallelJoinEngine
-from repro.engine.plan_cache import PlanCache
 from repro.exceptions import ServiceError
 from repro.obs import MetricsRegistry, bind_plan_cache, bind_prepared_query, get_logger
 from repro.obs.explain import EstimateAccuracyTracker
@@ -52,9 +52,6 @@ class BandJoinService:
     ----------
     config:
         A :class:`~repro.config.ServiceConfig`; defaults apply when omitted.
-    partitioner:
-        Optimizer shared by prepared queries that do not bring their own
-        (RecPart by default, chosen lazily per query).
 
     Examples
     --------
@@ -62,17 +59,13 @@ class BandJoinService:
     >>> service.register("S", {"A1": s_values})
     >>> service.register("T", {"A1": t_values})
     >>> service.prepare("close_pairs", "S", "T", attributes=["A1"], epsilons=0.01)
-    >>> service.query("close_pairs").n_pairs          # cold: plan + join, or inline
+    >>> service.query("close_pairs").n_pairs          # cold: one inline join
     >>> service.query("close_pairs").path             # 'result_cache'
     >>> service.append("S", {"A1": new_values})
     >>> service.query("close_pairs").path             # 'delta'
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        partitioner=None,
-    ) -> None:
+    def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
         if self.config.telemetry:
             obs.enable()
@@ -105,7 +98,6 @@ class BandJoinService:
         self.registry = MetricsRegistry()
         self.engine = ParallelJoinEngine(
             backend=self.config.backend,
-            plan_cache=PlanCache(max_entries=self.config.plan_cache_size),
             memory_budget=self.config.kernel_memory_budget,
             spill_dir=self.config.spill_dir,
         )
@@ -118,7 +110,7 @@ class BandJoinService:
             spill_threshold_bytes=self.config.spill_threshold_bytes,
         )
         #: Live estimate-vs-actual accounting: the scheduler hands it every
-        #: answer's cold-decision estimate and pair count; it feeds the
+        #: cold answer's sampled estimate and pair count; it feeds the
         #: ``repro_estimate_qerror`` histogram and the ``estimate_qerror``
         #: SLO probe.
         self.calibration = EstimateAccuracyTracker(registry=self.registry)
@@ -132,9 +124,8 @@ class BandJoinService:
             default_deadline=self.config.default_deadline_seconds,
             degraded_mode=self.config.degraded_mode,
         )
-        self.partitioner = partitioner
-        #: Measured kernel rate and plan prices every prepared query's cold
-        #: path is decided with (see :class:`~repro.service.prepared.PriceList`).
+        #: Measured kernel rate (κ) every prepared query's cold path records
+        #: and EXPLAIN prices with (see :class:`~repro.service.prepared.PriceList`).
         self.prices = PriceList()
         self._prepared: dict[str, PreparedQuery] = {}
         self._prepared_lock = threading.Lock()
@@ -221,7 +212,6 @@ class BandJoinService:
         attributes,
         epsilons=None,
         workers: int | None = None,
-        partitioner=None,
         replace: bool = False,
     ) -> PreparedQuery:
         """Create and register a prepared query under ``query_name``."""
@@ -234,7 +224,6 @@ class BandJoinService:
             attributes=attributes,
             default_epsilons=epsilons,
             workers=workers if workers is not None else self.config.workers,
-            partitioner=partitioner if partitioner is not None else self.partitioner,
             result_cache_size=self.config.result_cache_size,
             prices=self.prices,
         )
@@ -297,8 +286,7 @@ class BandJoinService:
         """EXPLAIN (ANALYZE) one prepared query.
 
         Returns the :class:`~repro.obs.explain.report.QueryPlanReport`:
-        the cold decision's prices, the chosen partitioning with per-worker
-        estimates, the plan-cache provenance and the kernel selector's
+        the inline join's estimates and κ·L price, and the kernel selector's
         decision.  With ``analyze=True`` the query executes *through the
         scheduler* (so analyzed runs share single-flight, admission control
         and the estimate-accuracy accounting) and every estimate node
@@ -348,8 +336,8 @@ class BandJoinService:
             self._on_stale(name)
 
     def _compact(self, name: str) -> None:
-        """Merge a stale relation's delta into its base (nothing is re-planned:
-        every cached result stays an anchor across the compaction)."""
+        """Merge a stale relation's delta into its base (every cached result
+        stays an anchor across the compaction)."""
         logger.info("compacting relation %r", name)
         self.catalog.compact(name)
 

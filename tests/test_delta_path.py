@@ -20,9 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.grid import GridEpsilonPartitioner
 from repro.config import ServiceConfig
-from repro.core.recpart import RecPartPartitioner
 from repro.engine import ParallelJoinEngine
 from repro.geometry.band import BandCondition
 from repro.local_join import IntervalJoin
@@ -32,18 +30,11 @@ from repro.service import prepared as prepared_module
 from repro.service import (
     PATH_COLD,
     PATH_DELTA,
-    PATH_PLAN_CACHE,
     PATH_RESULT_CACHE,
     BandJoinService,
     PreparedQuery,
     RelationCatalog,
 )
-
-PARTITIONERS = {
-    "RecPart": lambda: RecPartPartitioner(),
-    "Grid-eps": lambda: GridEpsilonPartitioner(),
-}
-
 
 def _attributes(d: int) -> list[str]:
     return [f"A{k + 1}" for k in range(d)]
@@ -86,11 +77,10 @@ class TestDeltaEquivalence:
         d=st.integers(1, 3),
         eps=st.tuples(st.sampled_from([0.25, 0.5]), st.sampled_from([0.125, 0.25, 0.75])),
         storage=st.sampled_from(["memory", "mmap"]),
-        partitioner=st.sampled_from(sorted(PARTITIONERS)),
         steps=st.lists(_STEP, min_size=1, max_size=8),
     )
     def test_every_step_equals_the_full_join(
-        self, tmp_path_factory, seed, d, eps, storage, partitioner, steps
+        self, tmp_path_factory, seed, d, eps, storage, steps
     ):
         rng = np.random.default_rng(seed)
         catalog = RelationCatalog(
@@ -109,7 +99,6 @@ class TestDeltaEquivalence:
             _attributes(d),
             default_epsilons=[eps] * d,
             workers=4,
-            partitioner=PARTITIONERS[partitioner](),
         )
         condition = prepared.condition()
         _check_full_join(prepared, prepared.execute(), condition)
@@ -194,7 +183,6 @@ class TestDeltaCost:
             _attributes(d),
             default_epsilons=0.25,
             workers=2,
-            partitioner=GridEpsilonPartitioner(),
         )
         condition = prepared.condition()
         hashed: list[int] = []
@@ -232,7 +220,6 @@ class TestDeltaCost:
         with _service() as service:
             _register(service, rng)
             service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.25)
-            service.query("q")
             sorted_rows = []
             original = prepared_module._extend_index
 
@@ -241,12 +228,13 @@ class TestDeltaCost:
                 return original(values, rows, column)
 
             with mock.patch.object(prepared_module, "_extend_index", spy):
+                service.query("q")  # the inline join sorts both bases
                 for count in (5, 7, 3):
                     service.append("T", _columns(_dyadic(rng, count, 1)))
                     assert service.query("q").path == PATH_DELTA  # probes S
                     service.append("S", _columns(_dyadic(rng, 2, 1)))
                     assert service.query("q").path == PATH_DELTA  # probes T
-            # S base, T base + T's 5 appended rows, then only the rows
+            # S base and T base, T's 5 appended rows, then only the rows
             # appended since: S's 2, T's 7, S's 2, T's 3.
             assert sorted_rows == [200, 200, 5, 2, 7, 2, 3]
 
@@ -285,7 +273,7 @@ class TestAnchors:
             service.query("q", 0.5)  # evicts the 0.25 result
             service.append("S", _columns(_dyadic(rng, 5, 1)))
             result = service.query("q")
-            assert result.path == PATH_PLAN_CACHE
+            assert result.path == PATH_COLD
             _check_full_join(prepared, result, prepared.condition())
 
     def test_compaction_keeps_the_lineage(self):
@@ -345,7 +333,7 @@ def test_drop_and_register_never_answers_from_the_dropped_relation():
     assert new.base_version > old.base_version
     assert new.registration > old.registration
     result = prepared.execute(0.5)
-    assert result.path in (PATH_COLD, PATH_PLAN_CACHE)
+    assert result.path == PATH_COLD
     assert result.n_pairs == 0
 
 

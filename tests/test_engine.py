@@ -476,7 +476,7 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             PlanCache(max_entries=0)
         with pytest.raises(ValueError):
-            ServiceConfig(plan_cache_size=0)
+            ServiceConfig(result_cache_size=0)
 
 
 class TestKernelSelectionAndBudget:

@@ -5,8 +5,8 @@ ANALYZE's actual pair counts match the executed pair-set sizes exactly (for
 every backend and local kernel), with finite q-errors — exactly 1.0 in the
 deterministic cases (1-D inputs small enough that the selectivity probe
 samples the full relations, and analyzed runs served from the result
-cache); and the only price in seconds on the tree is the ``inline`` node's,
-the one the cold path is decided with.
+cache); and the only price in seconds on the tree is the ``inline`` node's
+κ·L, the price of the one task a cold query runs on its calling thread.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ def explain_service(**overrides) -> BandJoinService:
     return BandJoinService(ServiceConfig(**defaults))
 
 
-def planned_service(**overrides) -> BandJoinService:
-    """A service whose cold queries can plan: a threads engine pinned to a
-    pool of 4, so p > 1 on any machine (a serial engine has p = 1 and always
-    joins inline)."""
+def pooled_service(**overrides) -> BandJoinService:
+    """A threads service pinned to a pool of 4, so p > 1 on any machine: its
+    cold queries still join inline, and EXPLAIN still builds no plan."""
     service = explain_service(backend="threads", **overrides)
     service.engine.backend.max_workers = 4
     return service
@@ -207,17 +206,16 @@ class TestExplain:
             assert report.root.estimates["pairs"] > 0
             assert report.root.actuals == {}
 
-    def test_plan_cache_provenance(self, rng):
-        with planned_service() as service:
+    @pytest.mark.parametrize("analyze", [False, True], ids=["explain", "analyze"])
+    def test_explain_builds_no_plan(self, rng, analyze):
+        with pooled_service() as service:
             register_pair(service, rng)
-            first = service.explain("q")
-            second = service.explain("q")
-
-            def plan_node(report):
-                return next(c for c in report.root.children if c.name == "partitioning")
-
-            assert plan_node(first).attrs["plan_cached"] is False
-            assert plan_node(second).attrs["plan_cached"] is True
+            report = service.explain("q", analyze=analyze)
+            names = [c.name for c in report.root.children]
+            assert names[:2] == ["inline", "selector"]
+            assert "partitioning" not in names
+            assert len(service.engine.plan_cache) == 0
+            assert service.engine.plan_cache.stats.lookups == 0
 
     def test_selector_node_reports_kernel_and_window_fractions(self, rng):
         with explain_service() as service:
@@ -233,7 +231,7 @@ class TestExplain:
             register_pair(service, rng)
             report = service.explain("q", analyze=True)
             exact = service.query("q").n_pairs
-            assert report.analyze and report.path in ("cold", "plan_cache")
+            assert report.analyze and report.path == "cold"
             assert report.root.actuals["pairs"] == float(exact)
             worst = report.max_qerror()
             assert worst is not None and math.isfinite(worst)
@@ -290,65 +288,40 @@ class TestExplain:
             assert kernel_node.actuals["candidates"] <= 3 * kernel_node.actuals["pairs"]
             assert kernel_node.qerrors()["candidates"] < 1.5
 
-    def test_kernel_chunks_are_priced_at_each_tasks_budget_share(self, rng):
-        """A planned query's p tasks each run with ``budget // p`` bytes
-        (``ExecutionBackend._budgeted``), so each worker's chunk estimate is
-        its candidates over that share's capacity, not the whole budget's."""
+    def test_kernel_chunks_are_priced_at_the_whole_budget(self, rng):
+        """The inline task runs with the backend's whole byte budget
+        (``ExecutionBackend._budgeted`` at concurrency 1), even on a pool of
+        4, so its chunk estimate is its candidates over that capacity."""
         from repro.local_join import kernels
 
-        budget = 4 * 100 * kernels.CANDIDATE_BYTES  # 100 candidates per task chunk
-        with explain_service(backend="threads", workers=8, kernel_memory_budget=budget) as service:
-            service.engine.backend.max_workers = 4
+        budget = 4 * 100 * kernels.CANDIDATE_BYTES  # 400 candidates per chunk
+        with pooled_service(workers=8, kernel_memory_budget=budget) as service:
             register_pair(service, rng, n_s=2000, n_t=2000, dims=2)
-            prepared = service.prepared("q")
-            prepared.prices.seconds_per_load = 1.0  # a free plan: the query plans
-            prepared.prices.plan_seconds[prepared.price_key] = 0.0
-            report = service.explain("q")
-            inline = next(c for c in report.root.children if c.name == "inline")
-            assert inline.attrs["chosen"] is False and inline.attrs["parallelism"] == 4
-            plan = next(c for c in report.root.children if c.name == "partitioning")
-            workers = [c.estimates for c in plan.children if c.name.startswith("worker")]
-            capacity = kernels.max_candidates(budget // 4)
-            assert any(w["kernel_chunks"] > 1 for w in workers)
-            for w in workers:
-                assert w["kernel_chunks"] == math.ceil(w["candidates"] / capacity)
-
-    def test_kernel_chunks_count_one_call_per_unit(self, rng):
-        """The engine runs one kernel call per unit, so a worker owning many
-        small units emits a chunk for each even when all its candidates fit
-        in one chunk: Grid-eps here makes ~100 units under 8 workers."""
-        from repro.baselines.grid import GridEpsilonPartitioner
-
-        with planned_service() as service:
-            service.register("S", {"A1": rng.uniform(0, 1, 4000)})
-            service.register("T", {"A1": rng.uniform(0, 1, 4000)})
-            service.prepare(
-                "q", "S", "T", attributes=["A1"], epsilons=0.01,
-                partitioner=GridEpsilonPartitioner(),
-            )
-            prepared = service.prepared("q")
-            prepared.prices.seconds_per_load = 1.0  # a free plan: the query plans
-            prepared.prices.plan_seconds[prepared.price_key] = 0.0
             report = service.explain("q", analyze=True)
+            inline = next(c for c in report.root.children if c.name == "inline")
+            capacity = kernels.max_candidates(budget)
+            assert inline.estimates["kernel_chunks"] > 1
+            assert inline.estimates["kernel_chunks"] == math.ceil(
+                inline.estimates["candidates"] / capacity
+            )
             kernel_node = next(c for c in report.root.children if c.name == "kernels")
-            assert kernel_node.actuals["chunks"] > 4 * report.root.attrs["workers"]
             assert kernel_node.qerrors()["chunks"] < 1.5
 
-    def test_per_worker_nodes_carry_estimates_and_actuals(self, rng):
-        with planned_service() as service:
+    def test_inline_node_carries_estimates_and_actuals(self, rng):
+        with pooled_service() as service:
             register_pair(service, rng)
             report = service.explain("q", analyze=True)
-            plan = next(c for c in report.root.children if c.name == "partitioning")
-            workers = [c for c in plan.children if c.name.startswith("worker")]
-            assert workers
-            for node in workers:
-                assert "input" in node.estimates and "input" in node.actuals
-                assert node.qerrors()["input"] >= 1.0
+            inline = next(c for c in report.root.children if c.name == "inline")
+            for key in ("input", "output"):
+                assert key in inline.estimates and key in inline.actuals
+            assert inline.actuals["input"] == 600
+            assert inline.qerrors()["input"] == 1.0
+            assert inline.actuals["output"] == report.root.actuals["pairs"]
 
     def test_pure_delta_answer_reports_one_inline_join(self, rng):
-        """No partitioned dispatch runs on the delta path: the workers carry
-        no actuals, and the inline join of the new rows has its own node."""
-        with planned_service() as service:
+        """No base join runs on the delta path: the inline node carries no
+        actuals, and the inline join of the new rows has its own node."""
+        with pooled_service() as service:
             register_pair(service, rng)
             before = service.query("q").n_pairs
             service.append("S", {"A1": rng.uniform(0, 1, 30)})
@@ -358,35 +331,31 @@ class TestExplain:
             delta = nodes["delta_join"]
             assert delta.actuals["output"] == report.root.actuals["pairs"] - before
             assert delta.actuals["input"] >= 30 and delta.actuals["seconds"] >= 0
-            plan = nodes["partitioning"]
-            assert plan.actuals == {}
-            assert all(worker.actuals == {} for worker in plan.children)
+            assert nodes["inline"].actuals == {}
             assert "kernels" not in nodes
             assert "served_from_cache" not in report.root.attrs
 
     def test_base_join_extended_by_a_delta_keeps_the_two_apart(self, rng):
-        """The workers report the base join alone; the delta join of the rows
-        appended before the first query is reported beside them."""
-        with planned_service() as service:
+        """The inline node reports the base join alone; the delta join of the
+        rows appended before the first query is reported beside it."""
+        with pooled_service() as service:
             register_pair(service, rng)
             service.append("T", {"A1": rng.uniform(0, 1, 30)})
             report = service.explain("q", analyze=True)
-            assert report.path == "plan_cache"  # EXPLAIN built the plan first
+            assert report.path == "cold"
             nodes = {c.name: c for c in report.root.children}
-            plan, delta = nodes["partitioning"], nodes["delta_join"]
-            workers = [c for c in plan.children if c.name.startswith("worker")]
-            assert sum(w.actuals["output"] for w in workers) == plan.actuals["output"]
-            assert sum(w.actuals["input"] for w in workers) == plan.actuals["total_input"]
+            inline, delta = nodes["inline"], nodes["delta_join"]
+            assert inline.actuals["input"] == 600  # the two bases
             assert (
-                plan.actuals["output"] + delta.actuals["output"]
+                inline.actuals["output"] + delta.actuals["output"]
                 == report.root.actuals["pairs"]
             )
             assert delta.actuals["input"] >= 30
 
     @pytest.mark.parametrize("analyze", [False, True], ids=["explain", "analyze"])
     def test_only_the_inline_node_prices_in_seconds(self, rng, analyze):
-        """The cold decision's κ·L is the tree's one time estimate: there is
-        no second, load-unit cost-model node beside it."""
+        """The inline node's κ·L is the tree's one time estimate: there is no
+        second, load-unit cost-model node beside it."""
         with explain_service() as service:
             register_pair(service, rng)
             service.query("q", epsilons=0.02)  # measures κ, so κ·L is priced
@@ -403,7 +372,7 @@ class TestExplain:
             assert priced == ["inline"]
 
     def test_report_serialization_and_render(self, rng):
-        with planned_service() as service:
+        with pooled_service() as service:
             register_pair(service, rng)
             report = service.explain("q", analyze=True)
             payload = json.loads(json.dumps(report.to_dict()))
@@ -411,7 +380,7 @@ class TestExplain:
             assert payload["plan"]["name"] == "band_join"
             text = format_plan_tree(payload)
             assert text.startswith("EXPLAIN ANALYZE q")
-            assert "partitioning" in text and "(actual" in text and "q=" in text
+            assert "inline" in text and "(actual" in text and "q=" in text
             assert report.render() == text
 
 
@@ -425,8 +394,8 @@ class TestEstimateAccuracyTracker:
             assert service.calibration.observed == 1
 
     def test_a_cold_answer_is_accounted_against_its_decision_estimate(self, rng):
-        """The q-error compares the estimate the cold decision priced, over
-        the snapshots the answer covers, with the answer's pair count; an
+        """The q-error compares the sampled estimate a cold answer carries,
+        over the snapshots the answer covers, with the answer's pair count; an
         append after the answer changes neither."""
         with explain_service(staleness_threshold=10.0) as service:
             register_pair(service, rng, n_s=2000, n_t=1500)
@@ -549,7 +518,7 @@ class TestProtocolAndCli:
         plain, analyzed = responses[3]["explain"], responses[4]["explain"]
         assert plain["analyze"] is False and plain["path"] is None
         assert analyzed["analyze"] is True
-        assert analyzed["path"] in ("cold", "plan_cache")
+        assert analyzed["path"] == "cold"
         assert analyzed["plan"]["actuals"]["pairs"] >= 0
         assert analyzed["max_qerror"] is not None
 
@@ -560,7 +529,7 @@ class TestProtocolAndCli:
         from repro import cli
         from repro.service import LineProtocolServer
 
-        with planned_service() as service:
+        with pooled_service() as service:
             register_pair(service, rng)
             server = LineProtocolServer(("127.0.0.1", 0), service)
             thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -569,7 +538,7 @@ class TestProtocolAndCli:
                 port = str(server.server_address[1])
                 assert cli.main(["explain", "q", "--port", port]) == 0
                 text = capsys.readouterr().out
-                assert text.startswith("EXPLAIN q") and "partitioning" in text
+                assert text.startswith("EXPLAIN q") and "inline" in text
                 assert cli.main(
                     ["explain", "q", "--port", port, "--analyze", "--json"]
                 ) == 0

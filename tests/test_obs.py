@@ -349,6 +349,18 @@ class TestServiceSurface:
         assert {"queue", "execute"} <= names
         execute = next(c for c in root["children"] if c["name"] == "execute")
         stages = {child["name"] for child in execute["children"]}
+        # A served cold query estimates, then joins inline: it never plans.
+        assert stages == {"estimate", "local_join"}
+
+    def test_engine_join_traces_every_stage(self):
+        obs.enable()
+        s = uniform_relation("S", 1500, 1, seed=13)
+        t = uniform_relation("T", 1500, 1, seed=14)
+        condition = BandCondition.symmetric(["A1"], 0.01)
+        with tracer().span("root"):
+            ParallelJoinEngine(backend="threads").join(s, t, condition, workers=4)
+        root = tracer().recent(1)[0]["root"]
+        stages = {child["name"] for child in root["children"]}
         assert {"plan", "route", "local_join", "merge"} <= stages
 
     def test_span_durations_sum_close_to_root(self):

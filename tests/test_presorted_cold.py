@@ -19,7 +19,7 @@ from repro.engine import ParallelJoinEngine
 from repro.local_join import IntervalJoin, kernels
 from repro.local_join.base import canonical_pair_order
 from repro.obs.workload import pair_fingerprint
-from repro.service import PATH_COLD, PATH_DELTA, PreparedQuery, PriceList, RelationCatalog
+from repro.service import PATH_COLD, PATH_DELTA, PreparedQuery, RelationCatalog
 from repro.service import prepared as prepared_module
 
 
@@ -37,22 +37,18 @@ def _dyadic(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def _inline_query(catalog, d: int, epsilons) -> PreparedQuery:
-    """A prepared query whose cold path always joins inline (p > 1 and a
-    plan priced out of reach), so every base join is the presorted one."""
+    """A prepared query on a pool of 4 (p > 1): its cold path still joins
+    inline, so every base join is the presorted one."""
     engine = ParallelJoinEngine(backend="threads", max_parallelism=4)
-    prepared = PreparedQuery(
-        catalog, engine, "S", "T", _attributes(d), default_epsilons=epsilons,
-        workers=4, prices=PriceList(),
+    return PreparedQuery(
+        catalog, engine, "S", "T", _attributes(d), default_epsilons=epsilons, workers=4
     )
-    prepared.prices.seconds_per_load = 1.0
-    prepared.prices.plan_seconds[prepared.price_key] = 1e9
-    return prepared
 
 
 def _check_cold(prepared: PreparedQuery) -> None:
     """The cold answer equals the kernel's answer on the whole matrices."""
     result = prepared.execute()
-    assert (result.path, result.inline) == (PATH_COLD, True)
+    assert (result.path, result.base_job.n_workers) == (PATH_COLD, 1)
     s_snap, t_snap = prepared.snapshots()
     attributes = list(prepared.attributes)
     expected = canonical_pair_order(

@@ -3,10 +3,10 @@
 The load-bearing property is delta-append correctness: serving a query
 after appends through the delta path (cached result + the appended rows
 joined against the other side) must produce exactly the pair set of a
-from-scratch join over the full data — for every partitioner and engine
-backend.  On top of that: catalog versioning and staleness maintenance,
-result-cache invalidation on append, scheduler single-flight / admission
-control / scheduling independence, and the service facade + line protocol.
+from-scratch join over the full data — for every engine backend.  On top
+of that: catalog versioning and staleness maintenance, result-cache
+invalidation on append, scheduler single-flight / admission control /
+scheduling independence, and the service facade + line protocol.
 """
 
 from __future__ import annotations
@@ -22,10 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.grid import GridEpsilonPartitioner
-from repro.baselines.one_bucket import OneBucketPartitioner
 from repro.config import ServiceConfig
-from repro.core.recpart import RecPartPartitioner
 from repro.data.generators import uniform_relation
 from repro.data.relation import Relation
 from repro.engine import ParallelJoinEngine
@@ -41,7 +38,6 @@ from repro.local_join.base import canonical_pair_order
 from repro.service import (
     PATH_COLD,
     PATH_DELTA,
-    PATH_PLAN_CACHE,
     PATH_RESULT_CACHE,
     BandJoinService,
     PreparedQuery,
@@ -62,12 +58,6 @@ def _reference_pairs(s: Relation, t: Relation, eps: float) -> np.ndarray:
         s, t, condition, workers=4, materialize=True
     )
     return canonical_pair_order(result.pairs)
-
-
-def pin_planned(prepared: PreparedQuery) -> None:
-    """Seed the shared prices so the query's cold path plans (a free plan)."""
-    prepared.prices.seconds_per_load = 1.0
-    prepared.prices.plan_seconds[prepared.price_key] = 0.0
 
 
 def sync_service(**overrides) -> BandJoinService:
@@ -326,19 +316,11 @@ class TestPreparedQueryPaths:
                 service.query("unknown")
 
 
-PARTITIONERS = {
-    "RecPart": lambda: RecPartPartitioner(),
-    "Grid-eps": lambda: GridEpsilonPartitioner(),
-    "1-Bucket": lambda: OneBucketPartitioner(),
-}
-
-
 class TestDeltaAppendEquivalence:
     """(register A; append B; query) == (register A∪B; query), exactly."""
 
-    @pytest.mark.parametrize("partitioner_name", sorted(PARTITIONERS))
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_across_partitioners_and_backends(self, partitioner_name, backend):
+    def test_across_backends(self, backend):
         rng = np.random.default_rng(12)
         base_s = _columns(rng, 500)
         base_t = _columns(rng, 450)
@@ -355,7 +337,6 @@ class TestDeltaAppendEquivalence:
                 "T",
                 attributes=["A1"],
                 epsilons=eps,
-                partitioner=PARTITIONERS[partitioner_name](),
             )
             incremental.query("q")  # materialize + cache the base result
             incremental.append("S", delta_s)
@@ -376,7 +357,6 @@ class TestDeltaAppendEquivalence:
                 "T",
                 attributes=["A1"],
                 epsilons=eps,
-                partitioner=PARTITIONERS[partitioner_name](),
             )
             expected = scratch.query("q")
 
@@ -669,7 +649,7 @@ class TestServiceFacadeAndServer:
             assert stats["prepared"]["q"]["stats"]["executions"] == 2
             assert stats["prepared"]["q"]["stats"]["result_cached"] == 1
             assert stats["scheduler"]["completed"] == 2
-            assert stats["plan_cache"]["entries"] >= 1
+            assert stats["plan_cache"]["entries"] == 0  # serving never plans
 
     def test_closed_service_rejects_work(self):
         service = sync_service()
@@ -907,7 +887,7 @@ class TestServiceFacadeAndServer:
 
     def test_internal_errors_answer_and_keep_serving(self, monkeypatch):
         """Any exception, not only a ``ReproError``, becomes ``{"ok": false}``."""
-        from repro.engine import backends
+        import repro.service.prepared as prepared_mod
 
         rng = np.random.default_rng(19)
         requests = [
@@ -919,18 +899,14 @@ class TestServiceFacadeAndServer:
             {"op": "ping"},
         ]
 
-        def broken_execute(self, *args, **kwargs):
+        def broken_task(*args, **kwargs):
             raise RuntimeError("kernel exploded")
 
-        monkeypatch.setattr(ParallelJoinEngine, "execute", broken_execute)
-        # The failure is injected into the engine: keep the query on the
-        # planned path, which a one-CPU pool or cheap prices would skip.
-        monkeypatch.setattr(backends, "_default_parallelism", lambda: 2)
+        # The failure is injected into the one task a cold query runs inline.
+        monkeypatch.setattr(prepared_mod, "execute_task", broken_task)
         out = io.StringIO()
         with sync_service() as service:
-            serve_lines(service, [json.dumps(r) for r in requests[:3]], out)
-            pin_planned(service.prepared("q"))
-            serve_lines(service, [json.dumps(r) for r in requests[3:]], out)
+            serve_lines(service, [json.dumps(r) for r in requests], out)
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [r["ok"] for r in responses] == [True, True, True, False, True]
         assert responses[3]["cause"] == "internal"
@@ -1036,10 +1012,9 @@ class TestServingPathsAgree:
 
     The non-timing checks of the retired serving benchmark, on its workload
     shape (2-d Pareto-1.5, 8 workers, six ε) at tier-1 size: a cold query
-    per ε, then the result caches dropped (an ε whose cold query planned runs
-    its cached plan, one that joined inline joins inline again), repeats from
-    the result cache, deltas after a 1% append, and a concurrent mixed burst
-    through the scheduler.
+    per ε, then the result caches dropped (every ε joins inline again, and
+    nothing was planned), repeats from the result cache, deltas after a 1%
+    append, and a concurrent mixed burst through the scheduler.
     """
 
     EPSILONS = (0.004, 0.006, 0.008, 0.010, 0.012, 0.014)
@@ -1065,19 +1040,19 @@ class TestServingPathsAgree:
                     prepared.condition(eps),
                 )
 
-            counts, planned = {}, {}
+            counts = {}
             for eps in self.EPSILONS:
                 result = service.query("q", eps)
-                assert result.path == PATH_COLD
-                counts[eps], planned[eps] = result.n_pairs, not result.inline
+                assert (result.path, result.base_job.n_workers) == (PATH_COLD, 1)
+                counts[eps] = result.n_pairs
                 assert counts[eps] == exact(eps)
 
             prepared.invalidate()
             for eps in self.EPSILONS:
                 result = service.query("q", eps)
-                expected_path = PATH_PLAN_CACHE if planned[eps] else PATH_COLD
-                assert (result.path, result.inline) == (expected_path, not planned[eps])
+                assert (result.path, result.base_job.n_workers) == (PATH_COLD, 1)
                 assert result.n_pairs == counts[eps]
+            assert len(service.engine.plan_cache) == 0
 
             for _ in range(2):
                 for eps in self.EPSILONS:
